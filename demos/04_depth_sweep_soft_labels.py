@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 import diffbridge as db
-from diffbridge.bridge import BridgeConfig, Integrator, depth_migrate, migrate
+from diffbridge.bridge import BridgeConfig, Integrator, depth_sweep
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude, soft_label
 
 out = Path("demos_out/depth_sweep")
@@ -28,17 +28,18 @@ m_tgt = db.AnalyticFieldEpsilon(pair.target.mode_variances, sched)
 cfg = BridgeConfig(schedule=sched, steps_per_unit_time=200, integrator=Integrator.DDIM)
 spec = HighpassSpec(0.25)
 
+# One forward leg serves every depth; the depth-1.0 row is the endpoint.
 x = pair.source.sample(1, seed=7)[0]
-endpoint = migrate(x, m_src, m_tgt, cfg).migrated
+grid = np.linspace(0.0, 1.0, 11)
+table = depth_sweep(x, m_src, m_tgt, cfg, grid)
+endpoint = table[-1].migrated
 a_s = highpass_magnitude(x, spec)
 a_t = highpass_magnitude(endpoint, spec)
 print(f"source high-pass magnitude {a_s:.3f}, migrated endpoint {a_t:.3f}")
 
 print(f"\n{'depth':>6} {'A(x_i)':>8} {'label':>7}")
-grid = np.linspace(0.0, 1.0, 11)
 mags = []
-for depth in grid:
-    traj = depth_migrate(x, m_src, m_tgt, cfg, float(depth))
+for traj in table:
     a_i = highpass_magnitude(traj.migrated, spec)
     label = soft_label(a_s, a_i, a_t)
     mags.append(a_i)

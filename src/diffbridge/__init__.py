@@ -24,6 +24,7 @@ from .bridge import (
     Integrator,
     NonFiniteStateError,
     depth_migrate,
+    depth_sweep,
     flow_ode,
     migrate,
 )

@@ -18,6 +18,7 @@ matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -134,22 +135,19 @@ def global_priority_attention(cfg: AttentionConfig, tokens: np.ndarray) -> np.nd
     """Full-sequence projection first, then per-head split; span is all tokens."""
     if cfg.priority != Priority.GLOBAL_FIRST:
         raise ValueError("config priority is not GLOBAL_FIRST")
-    return _global_forward(cfg, _check_tokens(cfg, tokens))
+    return _forward(cfg, _check_tokens(cfg, tokens))
 
 
 def local_priority_attention(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
     """Window segmentation first, then multi-head attention inside each window."""
     if cfg.priority != Priority.LOCAL_FIRST:
         raise ValueError("config priority is not LOCAL_FIRST")
-    return _local_forward(cfg, _check_tokens(cfg, tokens))
+    return _forward(cfg, _check_tokens(cfg, tokens))
 
 
 def attention_forward(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
     """Dispatch on the config's priority."""
-    tokens = _check_tokens(cfg, tokens)
-    if cfg.priority == Priority.GLOBAL_FIRST:
-        return _global_forward(cfg, tokens)
-    return _local_forward(cfg, tokens)
+    return _forward(cfg, _check_tokens(cfg, tokens))
 
 
 def attention_probabilities(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
@@ -157,68 +155,19 @@ def attention_probabilities(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndar
 
     Global: shape (heads, n, n).  Local: shape (windows, heads, nw, nw).
     """
-    tokens = _check_tokens(cfg, tokens)
-    if cfg.priority == Priority.GLOBAL_FIRST:
-        return _global_internals(cfg, tokens)[2]
-    return _local_internals(cfg, tokens)[2]
+    probs = _internals(cfg, _check_tokens(cfg, tokens))[2]
+    return probs[0] if cfg.priority == Priority.GLOBAL_FIRST else probs
 
 
 # ---------------------------------------------------------------------------
-# Global priority: project full sequence, then split heads
+# One windowed kernel: segment into windows, then multi-head inside each.
+# Global priority is the single-window case, whatever cfg.windows says.
 # ---------------------------------------------------------------------------
 
 
-def _global_internals(cfg, x):
+def _internals(cfg, x):
     n, h, dh = cfg.token_count, cfg.heads, cfg.head_dim
-    q = x @ cfg.w_query
-    k = x @ cfg.w_key
-    v = x @ cfg.w_value
-    # (n, d) -> (h, n, dh)
-    qh = q.reshape(n, h, dh).transpose(1, 0, 2)
-    kh = k.reshape(n, h, dh).transpose(1, 0, 2)
-    vh = v.reshape(n, h, dh).transpose(1, 0, 2)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    probs = _softmax_rows(scores)
-    heads_out = probs @ vh                         # (h, n, dh)
-    merged = heads_out.transpose(1, 0, 2).reshape(n, h * dh)
-    return qh, kh, probs, vh, merged
-
-
-def _global_forward(cfg, x):
-    *_, merged = _global_internals(cfg, x)
-    return merged @ cfg.w_output
-
-
-def _global_backward(cfg, x, grad_out):
-    n, h, dh = cfg.token_count, cfg.heads, cfg.head_dim
-    qh, kh, probs, vh, merged = _global_internals(cfg, x)
-
-    d_wo = merged.T @ grad_out
-    d_merged = grad_out @ cfg.w_output.T
-    d_heads = d_merged.reshape(n, h, dh).transpose(1, 0, 2)
-
-    d_probs = d_heads @ vh.transpose(0, 2, 1)
-    d_vh = probs.transpose(0, 2, 1) @ d_heads
-    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-    d_qh = d_scores @ kh / np.sqrt(dh)
-    d_kh = d_scores.transpose(0, 2, 1) @ qh / np.sqrt(dh)
-
-    dq = d_qh.transpose(1, 0, 2).reshape(n, h * dh)
-    dk = d_kh.transpose(1, 0, 2).reshape(n, h * dh)
-    dv = d_vh.transpose(1, 0, 2).reshape(n, h * dh)
-
-    grads = AttentionGrads(x.T @ dq, x.T @ dk, x.T @ dv, d_wo)
-    d_x = dq @ cfg.w_query.T + dk @ cfg.w_key.T + dv @ cfg.w_value.T
-    return d_x, grads
-
-
-# ---------------------------------------------------------------------------
-# Local priority: segment into windows, then multi-head inside each window
-# ---------------------------------------------------------------------------
-
-
-def _local_internals(cfg, x):
-    n, w, h, dh = cfg.token_count, cfg.windows, cfg.heads, cfg.head_dim
+    w = 1 if cfg.priority == Priority.GLOBAL_FIRST else cfg.windows
     nw = n // w
     xw = x.reshape(w, nw, cfg.model_dim)
     q = xw @ cfg.w_query
@@ -228,22 +177,22 @@ def _local_internals(cfg, x):
     qh = q.reshape(w, nw, h, dh).transpose(0, 2, 1, 3)
     kh = k.reshape(w, nw, h, dh).transpose(0, 2, 1, 3)
     vh = v.reshape(w, nw, h, dh).transpose(0, 2, 1, 3)
-    scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh)
+    scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh)
     probs = _softmax_rows(scores)
     heads_out = probs @ vh                          # (w, h, nw, dh)
     merged = heads_out.transpose(0, 2, 1, 3).reshape(n, h * dh)
     return qh, kh, probs, vh, merged
 
 
-def _local_forward(cfg, x):
-    *_, merged = _local_internals(cfg, x)
+def _forward(cfg, x):
+    *_, merged = _internals(cfg, x)
     return merged @ cfg.w_output
 
 
-def _local_backward(cfg, x, grad_out):
-    n, w, h, dh = cfg.token_count, cfg.windows, cfg.heads, cfg.head_dim
-    nw = n // w
-    qh, kh, probs, vh, merged = _local_internals(cfg, x)
+def _backward(cfg, x, grad_out):
+    n, h, dh = cfg.token_count, cfg.heads, cfg.head_dim
+    qh, kh, probs, vh, merged = _internals(cfg, x)
+    w, nw = probs.shape[0], probs.shape[2]
 
     d_wo = merged.T @ grad_out
     d_merged = grad_out @ cfg.w_output.T
@@ -252,8 +201,8 @@ def _local_backward(cfg, x, grad_out):
     d_probs = d_heads @ vh.transpose(0, 1, 3, 2)
     d_vh = probs.transpose(0, 1, 3, 2) @ d_heads
     d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-    d_qh = d_scores @ kh / np.sqrt(dh)
-    d_kh = d_scores.transpose(0, 1, 3, 2) @ qh / np.sqrt(dh)
+    d_qh = d_scores @ kh / math.sqrt(dh)
+    d_kh = d_scores.transpose(0, 1, 3, 2) @ qh / math.sqrt(dh)
 
     dq = d_qh.transpose(0, 2, 1, 3).reshape(w, nw, h * dh)
     dk = d_kh.transpose(0, 2, 1, 3).reshape(w, nw, h * dh)
@@ -280,6 +229,4 @@ def attention_backward(cfg: AttentionConfig, tokens: np.ndarray, grad_out: np.nd
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != tokens.shape:
         raise ValueError("grad_out shape must match tokens shape")
-    if cfg.priority == Priority.GLOBAL_FIRST:
-        return _global_backward(cfg, tokens, grad_out)
-    return _local_backward(cfg, tokens, grad_out)
+    return _backward(cfg, tokens, grad_out)

@@ -6,6 +6,7 @@ flows: noise with the source model from 0 to 1, denoise with the target
 model from 1 back to 0.  Depth-controlled migration stops the descent
 early, noising only to an intermediate time i and denoising from i, which
 yields cross-domain intermediates whose migration extent grows with i.
+A depth sweep shares one forward leg across all its depths.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
@@ -231,3 +232,34 @@ def depth_migrate(
         depth=snapped,
         snapshots=tuple(snaps) if snaps is not None else None,
     )
+
+
+def depth_sweep(
+    x_source: np.ndarray,
+    model_src: EpsilonModel,
+    model_tgt: EpsilonModel,
+    cfg: BridgeConfig,
+    depths,
+) -> list[BridgeTrajectory]:
+    """Depth-controlled migration at every depth of a grid, in grid order.
+
+    One forward leg serves the whole grid: it runs from 0 to the deepest
+    snapped depth, chained node to node between consecutive depths, and
+    each depth then gets its own reverse leg.  Grid nodes are global, so
+    every trajectory is bit-identical to ``depth_migrate`` at its depth.
+    Depths that snap to one node share one trajectory.
+    """
+    x_source = np.asarray(x_source, dtype=np.float64)
+    snapped = [cfg.snap(float(d)) for d in depths]
+    _check_model_priority(model_src, Direction.FORWARD, "forward")
+    _check_model_priority(model_tgt, Direction.REVERSE, "reverse")
+
+    source = x_source.copy()
+    rows = {0.0: BridgeTrajectory(source, source, source, 0.0)}
+    latent, reached = source, 0.0
+    for depth in sorted(set(snapped) - {0.0}):
+        latent = flow_ode(latent, model_src, reached, depth, cfg)
+        reached = depth
+        migrated = flow_ode(latent, model_tgt, depth, 0.0, cfg)
+        rows[depth] = BridgeTrajectory(source, latent, migrated, depth)
+    return [rows[d] for d in snapped]

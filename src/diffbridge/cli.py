@@ -14,22 +14,19 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .attention import Priority
-from .bridge import NonFiniteStateError, depth_migrate, migrate
+from .bridge import BridgeConfig, NonFiniteStateError, depth_sweep, migrate
 from .config import RunConfig, RunManifest
 from .denoiser import AnalyticFieldEpsilon, AnalyticGmmEpsilon, load_checkpoint, save_checkpoint
-from .domains import GaussianMixture, gmm_log_density, sample_domain, save_pgm
-from .softlabel import (
-    DegenerateEndpointsError,
-    calibrate_depth,
-    highpass_magnitude,
-    soft_label,
-)
+from .domains import DomainPair, GaussianMixture, gmm_log_density, sample_domain, save_pgm
+from .schedule import NoiseSchedule
+from .softlabel import DegenerateEndpointsError, highpass_magnitude, nearest_label, soft_label
 from .train import TrainingDivergedError, train_denoiser
 from .verify import run_all
 
@@ -96,19 +93,16 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _prepare_dirs(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    for sub in ("frames", "labels", "checkpoints"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-    return out
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_points_csv(path, points: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"c{d}" for d in range(points.shape[1])])
-        for i, row in enumerate(points):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    header = ["sample_id"] + [f"c{d}" for d in range(points.shape[1])]
+    _write_csv(path, header, ([i] + [repr(float(v)) for v in row] for i, row in enumerate(points)))
 
 
 def _build_models(cfg: RunConfig, pair, schedule):
@@ -133,15 +127,61 @@ def _is_image_pair(pair) -> bool:
     return len(pair.shape) == 2
 
 
+def _snap_grid(depths, bridge_cfg: BridgeConfig) -> tuple[float, ...]:
+    """The grid snapped to bridge nodes, in order; empty or colliding grids are errors."""
+    if not depths:
+        raise ValueError("sweep_depths is empty")
+    snapped = [bridge_cfg.snap(float(d)) for d in depths]
+    for i, node in enumerate(snapped):
+        if node in snapped[:i]:
+            raise ValueError(
+                f"sweep depths {depths[snapped.index(node)]} and {depths[i]} snap to the same "
+                f"grid node {node} at {bridge_cfg.grid_steps} steps per unit time"
+            )
+    return tuple(snapped)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One command's setup: what it needs is built, what it lacks is None."""
+
+    out: Path
+    manifest: RunManifest
+    pair: DomainPair
+    schedule: NoiseSchedule | None
+    models: tuple | None
+    bridge: BridgeConfig | None
+    depths: tuple[float, ...]   # snapped sweep grid, config order
+
+    def sweep(self, x):
+        """x's trajectories at the grid depths and its full-depth endpoint."""
+        *table, full = depth_sweep(x, *self.models, self.bridge, self.depths + (1.0,))
+        return table, full.migrated
+
+
+def _open_run(cfg: RunConfig, command: str) -> _Run:
+    """Build a command's setup; the model and grid checks run before any output."""
+    manifest = RunManifest(cfg, command)
+    pair = cfg.domains.build(cfg.seed)
+    schedule = None if command == "gen" else cfg.schedule.build()
+    bridging = command in ("migrate", "sweep", "label")
+    models = _build_models(cfg, pair, schedule) if bridging else None
+    bridge_cfg = cfg.bridge.build(schedule) if bridging else None
+    depths = _snap_grid(cfg.sweep_depths, bridge_cfg) if command in ("sweep", "label") else ()
+    out = Path(cfg.out)
+    for sub in ("frames", "labels", "checkpoints"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    return _Run(out, manifest, pair, schedule, models, bridge_cfg, depths)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_gen(cfg: RunConfig) -> int:
-    out = _prepare_dirs(cfg)
-    manifest = RunManifest(cfg, "gen")
-    pair = cfg.domains.build(cfg.seed)
+    run = _open_run(cfg, "gen")
+    out, manifest, pair = run.out, run.manifest, run.pair
     for role, domain in (("source", pair.source), ("target", pair.target)):
         samples = sample_domain(domain, cfg.gen_count, _role_seed(cfg.seed, f"{role}-samples"))
         if _is_image_pair(pair):
@@ -160,10 +200,8 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    out = _prepare_dirs(cfg)
-    manifest = RunManifest(cfg, "train")
-    pair = cfg.domains.build(cfg.seed)
-    schedule = cfg.schedule.build()
+    run = _open_run(cfg, "train")
+    out, manifest, pair = run.out, run.manifest, run.pair
     # Hybrid rule at training time: the source model serves forward legs,
     # the target model reverse legs.
     roles = (
@@ -172,17 +210,13 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     for role, domain, priority, seed_role in roles:
         data = sample_domain(domain, cfg.train.samples, _role_seed(cfg.seed, seed_role))
-        train_cfg = cfg.train.build(schedule, priority, _role_seed(cfg.seed, seed_role))
+        train_cfg = cfg.train.build(run.schedule, priority, _role_seed(cfg.seed, seed_role))
         model, losses = train_denoiser(data, train_cfg)
         ckpt = out / "checkpoints" / f"{role}.ckpt"
         save_checkpoint(model, ckpt)
         manifest.add(ckpt, kind=f"{role}-checkpoint", final_loss=losses[-1])
         loss_csv = out / "checkpoints" / f"{role}_loss.csv"
-        with open(loss_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss"])
-            for e, loss in enumerate(losses):
-                writer.writerow([e, repr(loss)])
+        _write_csv(loss_csv, ["epoch", "loss"], ([e, repr(loss)] for e, loss in enumerate(losses)))
         manifest.add(loss_csv, kind=f"{role}-loss-history", epochs=len(losses))
         print(f"train[{role}]: loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     manifest.finish(out)
@@ -190,16 +224,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_migrate(cfg: RunConfig) -> int:
-    out = _prepare_dirs(cfg)
-    manifest = RunManifest(cfg, "migrate")
-    pair = cfg.domains.build(cfg.seed)
-    schedule = cfg.schedule.build()
-    model_src, model_tgt = _build_models(cfg, pair, schedule)
-    bridge_cfg = cfg.bridge.build(schedule)
+    run = _open_run(cfg, "migrate")
+    out, manifest, pair = run.out, run.manifest, run.pair
     sources = sample_domain(pair.source, cfg.gen_count, _role_seed(cfg.seed, "migrate"))
-    migrated = np.stack(
-        [migrate(x, model_src, model_tgt, bridge_cfg).migrated for x in sources]
-    )
+    migrated = np.stack([migrate(x, *run.models, run.bridge).migrated for x in sources])
     if _is_image_pair(pair):
         for i, (src, mig) in enumerate(zip(sources, migrated)):
             sp = out / "frames" / f"source_{i:03d}.pgm"
@@ -234,28 +262,22 @@ def cmd_migrate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    out = _prepare_dirs(cfg)
-    manifest = RunManifest(cfg, "sweep")
-    pair = cfg.domains.build(cfg.seed)
-    schedule = cfg.schedule.build()
-    model_src, model_tgt = _build_models(cfg, pair, schedule)
-    bridge_cfg = cfg.bridge.build(schedule)
+    run = _open_run(cfg, "sweep")
+    out, manifest, pair = run.out, run.manifest, run.pair
     sources = sample_domain(pair.source, cfg.sweep_count, _role_seed(cfg.seed, "sweep"))
-    image_pair = _is_image_pair(pair)
     spec = cfg.highpass()
 
-    label_rows = []
-    if image_pair:
+    if _is_image_pair(pair):
+        label_rows = []
         for i, x in enumerate(sources):
             sp = out / "frames" / f"sample{i:03d}_source.pgm"
             save_pgm(x, sp)
             manifest.add(sp, kind="source-sample", sample_id=i)
             # Per-sample endpoints: the full-depth migration of this sample.
-            endpoint = migrate(x, model_src, model_tgt, bridge_cfg).migrated
+            table, endpoint = run.sweep(x)
             a_s = highpass_magnitude(x, spec)
             a_t = highpass_magnitude(endpoint, spec)
-            for depth in cfg.sweep_depths:
-                traj = depth_migrate(x, model_src, model_tgt, bridge_cfg, float(depth))
+            for traj in table:
                 frame = out / "frames" / f"sample{i:03d}_d{traj.depth:.4f}.pgm"
                 save_pgm(np.clip(traj.migrated, -1.0, 1.0), frame)
                 a_i = highpass_magnitude(traj.migrated, spec)
@@ -269,25 +291,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     depth=traj.depth, soft_label=label.value,
                 )
         labels_path = out / "labels" / "labels.csv"
-        with open(labels_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sample_id", "depth_snapped", "raw_label", "clamped_label",
-                 "A_s", "A_i", "A_t"]
-            )
-            writer.writerows(label_rows)
+        header = ["sample_id", "depth_snapped", "raw_label", "clamped_label", "A_s", "A_i", "A_t"]
+        _write_csv(labels_path, header, label_rows)
         manifest.add(labels_path, kind="labels", rows=len(label_rows))
     else:
         # Point domains have no spectral labels; emit per-depth coordinates.
-        for depth in cfg.sweep_depths:
-            trajs = [
-                depth_migrate(x, model_src, model_tgt, bridge_cfg, float(depth))
-                for x in sources
-            ]
-            snapped = trajs[0].depth
-            path = out / "frames" / f"depth_{snapped:.4f}.csv"
-            _write_points_csv(path, np.stack([t.migrated for t in trajs]))
-            manifest.add(path, kind="sweep-frame", depth=snapped, count=len(trajs))
+        tables = [depth_sweep(x, *run.models, run.bridge, run.depths) for x in sources]
+        for j, depth in enumerate(run.depths):
+            path = out / "frames" / f"depth_{depth:.4f}.csv"
+            _write_points_csv(path, np.stack([table[j].migrated for table in tables]))
+            manifest.add(path, kind="sweep-frame", depth=depth, count=len(tables))
         manifest.note("labels", "point domains carry no spectral labels")
     manifest.finish(out)
     print(f"sweep: {cfg.sweep_count} samples x {len(cfg.sweep_depths)} depths under {out}")
@@ -295,29 +308,25 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_label(cfg: RunConfig, targets=None) -> int:
-    out = _prepare_dirs(cfg)
-    manifest = RunManifest(cfg, "label")
-    pair = cfg.domains.build(cfg.seed)
+    run = _open_run(cfg, "label")
+    out, manifest, pair = run.out, run.manifest, run.pair
     if not _is_image_pair(pair):
         raise ValueError("label calibration needs an image domain pair")
-    schedule = cfg.schedule.build()
-    model_src, model_tgt = _build_models(cfg, pair, schedule)
-    bridge_cfg = cfg.bridge.build(schedule)
     spec = cfg.highpass()
     targets = tuple(targets) if targets is not None else cfg.label_targets
     sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
     rows = []
     for i, x in enumerate(sources):
-        endpoint = migrate(x, model_src, model_tgt, bridge_cfg).migrated
+        table, endpoint = run.sweep(x)
+        a_s = highpass_magnitude(x, spec)
+        a_t = highpass_magnitude(endpoint, spec)
+        labels = [soft_label(a_s, highpass_magnitude(t.migrated, spec), a_t) for t in table]
         for target in targets:
-            depth, label = calibrate_depth(
-                float(target), x, model_src, model_tgt, bridge_cfg,
-                cfg.sweep_depths, spec, x_target_ref=endpoint,
-            )
-            traj = depth_migrate(x, model_src, model_tgt, bridge_cfg, depth)
+            best = nearest_label(float(target), run.depths, labels)
+            depth, label = run.depths[best], labels[best]
             frame = out / "frames" / f"sample{i:03d}_target{target:.2f}_d{depth:.4f}.pgm"
-            save_pgm(np.clip(traj.migrated, -1.0, 1.0), frame)
+            save_pgm(np.clip(table[best].migrated, -1.0, 1.0), frame)
             manifest.add(
                 frame, kind="calibrated-frame", sample_id=i,
                 target_label=float(target), achieved_label=label.value,
@@ -325,10 +334,8 @@ def cmd_label(cfg: RunConfig, targets=None) -> int:
             )
             rows.append([i, repr(float(target)), repr(depth), repr(label.value), repr(label.raw)])
     labels_path = out / "labels" / "calibrated.csv"
-    with open(labels_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "target_label", "depth", "achieved_label", "raw_label"])
-        writer.writerows(rows)
+    header = ["sample_id", "target_label", "depth", "achieved_label", "raw_label"]
+    _write_csv(labels_path, header, rows)
     manifest.add(labels_path, kind="labels", rows=len(rows))
     manifest.finish(out)
     print(f"label: calibrated {len(rows)} frames under {out}")

@@ -109,6 +109,15 @@ def label_intermediate(
     return soft_label(a_s, a_i, a_t)
 
 
+def nearest_label(target_label: float, depths, labels) -> int:
+    """Index of the label nearest the target; ties break toward the smaller depth."""
+    if not 0.0 <= target_label <= 1.0:
+        raise ValueError("target_label must lie in [0, 1]")
+    return min(
+        range(len(labels)), key=lambda k: (abs(labels[k].value - target_label), depths[k])
+    )
+
+
 def calibrate_depth(
     target_label: float,
     x_source: np.ndarray,
@@ -121,31 +130,26 @@ def calibrate_depth(
 ):
     """Find the sweep depth whose label lands nearest the target label.
 
-    The label-depth relation is not a simple invertible curve, so the
-    grid is swept exhaustively.  Ties break toward the smaller depth.
-    When ``x_target_ref`` is omitted the full-depth migration of
-    ``x_source`` serves as the per-sample target endpoint.
+    The label-depth relation is not a simple invertible curve, so every
+    grid depth is labeled, all from one ``bridge.depth_sweep``.  Ties
+    break toward the smaller depth.  When ``x_target_ref`` is omitted the
+    full-depth migration of ``x_source`` serves as the per-sample target
+    endpoint; it rides along in the same sweep.
 
     Returns ``(best_depth, SoftLabel)`` for the winning grid point.
     """
     from . import bridge
 
-    if not 0.0 <= target_label <= 1.0:
-        raise ValueError("target_label must lie in [0, 1]")
     depth_grid = sorted(float(d) for d in depth_grid)
     if not depth_grid:
         raise ValueError("depth grid must be nonempty")
 
+    full = [1.0] if x_target_ref is None else []
+    table = bridge.depth_sweep(x_source, model_src, model_tgt, cfg, depth_grid + full)
     if x_target_ref is None:
-        x_target_ref = bridge.migrate(x_source, model_src, model_tgt, cfg).migrated
+        x_target_ref = table.pop().migrated
     a_s = highpass_magnitude(x_source, spec)
     a_t = highpass_magnitude(x_target_ref, spec)
-
-    best = None
-    for depth in depth_grid:
-        traj = bridge.depth_migrate(x_source, model_src, model_tgt, cfg, depth)
-        label = soft_label(a_s, highpass_magnitude(traj.migrated, spec), a_t)
-        gap = abs(label.value - target_label)
-        if best is None or gap < best[0]:
-            best = (gap, traj.depth, label)
-    return best[1], best[2]
+    labels = [soft_label(a_s, highpass_magnitude(t.migrated, spec), a_t) for t in table]
+    best = nearest_label(target_label, depth_grid, labels)
+    return table[best].depth, labels[best]

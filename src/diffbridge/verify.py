@@ -151,6 +151,11 @@ def check_gradient(seed: int = 0) -> CheckResult:
     t = 40
     grads = model.backward(x, t, target).parameters()
     h = 1e-5
+    threshold = 1e-4
+    # Central differences resolve a slope only to about eps * loss / h, so
+    # the denominator floor puts an error of that size at the threshold.
+    loss = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
+    floor = np.finfo(np.float64).eps * loss / h / threshold
     worst = 0.0
     for p, g in zip(model.parameters(), grads):
         flat_p, flat_g = p.reshape(-1), g.reshape(-1)
@@ -162,9 +167,9 @@ def check_gradient(seed: int = 0) -> CheckResult:
             down = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
             flat_p[idx] = orig
             fd = (up - down) / (2 * h)
-            denom = max(abs(fd), abs(flat_g[idx]), 1e-8)
+            denom = max(abs(fd), abs(flat_g[idx]), floor)
             worst = max(worst, abs(fd - flat_g[idx]) / denom)
-    return CheckResult("mlp-gradient-check", worst < 1e-4, worst, 1e-4)
+    return CheckResult("mlp-gradient-check", worst < threshold, worst, threshold)
 
 
 def check_soft_label_identities() -> CheckResult:

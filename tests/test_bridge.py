@@ -10,6 +10,7 @@ from diffbridge.bridge import (
     Integrator,
     NonFiniteStateError,
     depth_migrate,
+    depth_sweep,
     flow_ode,
     migrate,
 )
@@ -204,6 +205,48 @@ class TestDepthMigrate:
             depth_migrate(
                 gmm_setup["x"][0], gmm_setup["model_a"], gmm_setup["model_b"], cfg, 1.2
             )
+
+
+class TestDepthSweep:
+    # Unsorted, and 0.34 snaps between the other nodes.
+    GRID = [1.0, 0.0, 0.5, 0.25, 0.34, 0.75, 0.125]
+
+    @staticmethod
+    def _pairs(gmm_setup):
+        sched = gmm_setup["sched"]
+        tex = db.make_texture_pair("bandsplit", 16, seed=4)
+        return {
+            "gmm": (gmm_setup["model_a"], gmm_setup["model_b"], gmm_setup["x"][:3], 100),
+            "texture": (
+                db.AnalyticFieldEpsilon(tex.source.mode_variances, sched),
+                db.AnalyticFieldEpsilon(tex.target.mode_variances, sched),
+                tex.source.sample(2, seed=5),
+                40,
+            ),
+        }
+
+    @pytest.mark.parametrize("pair", ["gmm", "texture"])
+    @pytest.mark.parametrize("integrator", list(Integrator))
+    def test_every_depth_bit_identical_to_depth_migrate(self, gmm_setup, pair, integrator):
+        m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
+        cfg = BridgeConfig(
+            schedule=gmm_setup["sched"], steps_per_unit_time=steps, integrator=integrator
+        )
+        for x in xs:
+            table = depth_sweep(x, m_src, m_tgt, cfg, self.GRID)
+            assert len(table) == len(self.GRID)
+            for depth, traj in zip(self.GRID, table):
+                ref = depth_migrate(x, m_src, m_tgt, cfg, depth)
+                assert traj.depth == ref.depth
+                for field in ("source", "latent", "migrated"):
+                    assert getattr(traj, field).tobytes() == getattr(ref, field).tobytes()
+
+    def test_hybrid_priority_enforced(self, gmm_setup):
+        att_fwd = db.init_attention(1, 2, priority=Priority.GLOBAL_FIRST, seed=0)
+        m_fwd = db.init_mlp((2,), (4,), steps_total=1000, time_dim=4, attention=att_fwd, seed=1)
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=5)
+        with pytest.raises(ValueError, match="reverse leg"):
+            depth_sweep(np.zeros(2), m_fwd, m_fwd, cfg, [0.5])
 
 
 class TestBridgeConfig:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import diffbridge as db
-from diffbridge.cli import main
+from diffbridge.cli import _role_seed, main
 
 
 def write_config(tmp_path, **overrides):
@@ -138,6 +138,40 @@ class TestSweep:
         assert tree_digest(out) == first
         assert len(first) > 0
 
+    def test_unsorted_grid_keeps_config_order(self, tmp_path):
+        cfg, out = texture_config(tmp_path, sweep_depths=[1.0, 0.0, 0.5])
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        with open(out / "labels" / "labels.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["sample_id"], r["depth_snapped"]) for r in rows] == [
+            (i, d) for i in ("0", "1") for d in ("1.0", "0.0", "0.5")
+        ]
+        frames = [r for r in manifest_of(out)["records"] if r["kind"] == "sweep-frame"]
+        assert [(r["sample_id"], r["depth"]) for r in frames] == [
+            (i, d) for i in (0, 1) for d in (1.0, 0.0, 0.5)
+        ]
+
+    def test_unsorted_grid_keeps_config_order_on_points(self, tmp_path):
+        cfg, out = write_config(tmp_path, sweep_depths=[1.0, 0.0, 0.5])
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        frames = [r for r in manifest_of(out)["records"] if r["kind"] == "sweep-frame"]
+        assert [r["depth"] for r in frames] == [1.0, 0.0, 0.5]
+
+    def test_empty_grid_is_config_error_before_any_frame(self, tmp_path, capsys):
+        cfg, out = texture_config(tmp_path, sweep_depths=[])
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep_depths is empty" in err and len(err.splitlines()) == 1
+        assert not any((out / "frames").glob("*"))
+
+    def test_grid_points_on_one_node_are_config_error_before_any_frame(self, tmp_path, capsys):
+        cfg, out = texture_config(tmp_path, sweep_depths=np.linspace(0.0, 1.0, 17).tolist())
+        assert main(["sweep", "--config", str(cfg), "--steps", "4"]) == 1
+        err = capsys.readouterr().err
+        assert "snap to the same grid node" in err and len(err.splitlines()) == 1
+        assert not any((out / "frames").glob("*"))
+        assert not (out / "manifest.json").exists()
+
     def test_point_domain_sweep_emits_per_depth_csv(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg)]) == 0
@@ -158,6 +192,27 @@ class TestLabel:
         by_target = {rec["target_label"]: rec for rec in frames}
         assert by_target[0.0]["depth"] == 0.0
         assert by_target[0.0]["achieved_label"] == 0.0
+
+    def test_frames_equal_depth_migrate_at_recorded_depth(self, tmp_path):
+        cfg, out = texture_config(
+            tmp_path, label_count=2, label_targets=[0.25, 0.5, 0.75],
+            sweep_depths=[1.0, 0.0, 0.5, 0.25, 0.75, 0.125, 0.375],
+        )
+        assert main(["label", "--config", str(cfg)]) == 0
+        sched = db.linear_schedule(200)
+        pair = db.make_texture_pair("bandsplit", 16, 5)
+        models = [
+            db.AnalyticFieldEpsilon(d.mode_variances, sched) for d in (pair.source, pair.target)
+        ]
+        bridge_cfg = db.BridgeConfig(schedule=sched, steps_per_unit_time=50)
+        sources = db.domains.sample_domain(pair.source, 2, _role_seed(5, "label"))
+        frames = [r for r in manifest_of(out)["records"] if r["kind"] == "calibrated-frame"]
+        assert len(frames) == 6
+        probe = tmp_path / "probe.pgm"
+        for rec in frames:
+            traj = db.depth_migrate(sources[rec["sample_id"]], *models, bridge_cfg, rec["depth"])
+            db.save_pgm(np.clip(traj.migrated, -1.0, 1.0), probe)
+            assert probe.read_bytes() == Path(rec["path"]).read_bytes()
 
     def test_point_domain_rejected_as_config_error(self, tmp_path):
         cfg, _ = write_config(tmp_path)

@@ -1,9 +1,11 @@
 """The built-in oracle suite: all-pass defaults and fault injection."""
 
 import numpy as np
+import pytest
 
+from diffbridge.denoiser import MlpDenoiser
 from diffbridge.schedule import NoiseSchedule, linear_schedule
-from diffbridge.verify import run_all
+from diffbridge.verify import check_gradient, run_all
 
 EXPECTED_CHECKS = [
     "schedule-product",
@@ -57,3 +59,29 @@ class TestVerifySuite:
         results = run_all(schedule=broken)
         assert any(not r.passed for r in results)
         assert [r.name for r in results] == EXPECTED_CHECKS
+
+
+class TestGradientCheck:
+    def test_passes_where_an_entry_is_below_difference_resolution(self):
+        # At seed 509 one gradient entry is about -1.1e-7, where central
+        # differences of a loss near 4 resolve only about 1e-10.
+        assert check_gradient(509).passed
+
+    @pytest.mark.parametrize("which", ["largest", "near_1e-7"])
+    def test_one_wrong_entry_fails(self, monkeypatch, which):
+        real_backward = MlpDenoiser.backward
+
+        def backward(self, x, t, target_eps):
+            grads = real_backward(self, x, t, target_eps)
+            flat = [g.reshape(-1) for g in grads.parameters()]
+            entries = [(p, i) for p, g in enumerate(flat) for i in range(g.size)]
+            if which == "largest":
+                p, i = max(entries, key=lambda e: abs(flat[e[0]][e[1]]))
+            else:
+                p, i = min(entries, key=lambda e: abs(np.log(abs(flat[e[0]][e[1]]) / 1e-7)))
+                assert 5e-8 < abs(flat[p][i]) < 5e-7
+            flat[p][i] *= 1.01
+            return grads
+
+        monkeypatch.setattr(MlpDenoiser, "backward", backward)
+        assert not check_gradient(509).passed
