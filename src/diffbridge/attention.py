@@ -13,7 +13,9 @@ direction.
 
 Scaled dot-product uses 1/sqrt(head_dim); no masking, no dropout, both
 variants are deterministic shape-preserving maps of an (n, d) token
-matrix.
+matrix.  The forward maps broadcast over leading axes: a (..., n, d)
+stack is attended matrix by matrix, each row bit-identical to a call on
+that matrix alone.  The backward pass takes one (n, d) matrix.
 """
 
 from __future__ import annotations
@@ -123,10 +125,11 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def _check_tokens(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
+    """Tokens as float64 of shape (..., token_count, model_dim)."""
     tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.shape != (cfg.token_count, cfg.model_dim):
+    if tokens.shape[-2:] != (cfg.token_count, cfg.model_dim):
         raise ValueError(
-            f"tokens shape {tokens.shape} != ({cfg.token_count}, {cfg.model_dim})"
+            f"tokens shape {tokens.shape} != (..., {cfg.token_count}, {cfg.model_dim})"
         )
     return tokens
 
@@ -153,34 +156,37 @@ def attention_forward(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
 def attention_probabilities(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
     """Softmax attention matrices for inspection.
 
-    Global: shape (heads, n, n).  Local: shape (windows, heads, nw, nw).
+    Global: shape (..., heads, n, n).  Local: shape (..., windows, heads, nw, nw).
     """
     probs = _internals(cfg, _check_tokens(cfg, tokens))[2]
-    return probs[0] if cfg.priority == Priority.GLOBAL_FIRST else probs
+    return probs[..., 0, :, :, :] if cfg.priority == Priority.GLOBAL_FIRST else probs
 
 
 # ---------------------------------------------------------------------------
 # One windowed kernel: segment into windows, then multi-head inside each.
 # Global priority is the single-window case, whatever cfg.windows says.
+# Leading axes ride along as a stack, so every matmul is the same per-matrix
+# BLAS call a single (n, d) input makes.
 # ---------------------------------------------------------------------------
 
 
 def _internals(cfg, x):
+    lead = x.shape[:-2]
     n, h, dh = cfg.token_count, cfg.heads, cfg.head_dim
     w = 1 if cfg.priority == Priority.GLOBAL_FIRST else cfg.windows
     nw = n // w
-    xw = x.reshape(w, nw, cfg.model_dim)
+    xw = x.reshape(*lead, w, nw, cfg.model_dim)
     q = xw @ cfg.w_query
     k = xw @ cfg.w_key
     v = xw @ cfg.w_value
-    # (w, nw, d) -> (w, h, nw, dh)
-    qh = q.reshape(w, nw, h, dh).transpose(0, 2, 1, 3)
-    kh = k.reshape(w, nw, h, dh).transpose(0, 2, 1, 3)
-    vh = v.reshape(w, nw, h, dh).transpose(0, 2, 1, 3)
-    scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh)
+    # (..., w, nw, d) -> (..., w, h, nw, dh)
+    qh = q.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
+    kh = k.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
+    vh = v.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
+    scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(dh)
     probs = _softmax_rows(scores)
-    heads_out = probs @ vh                          # (w, h, nw, dh)
-    merged = heads_out.transpose(0, 2, 1, 3).reshape(n, h * dh)
+    heads_out = probs @ vh                          # (..., w, h, nw, dh)
+    merged = heads_out.swapaxes(-3, -2).reshape(*lead, n, h * dh)
     return qh, kh, probs, vh, merged
 
 
@@ -221,11 +227,13 @@ def _backward(cfg, x, grad_out):
 
 
 def attention_backward(cfg: AttentionConfig, tokens: np.ndarray, grad_out: np.ndarray):
-    """Gradients of a scalar loss through the attention block.
+    """Gradients of a scalar loss through the attention block, for one (n, d) input.
 
     Returns (grad_tokens, AttentionGrads) for ``grad_out`` = dLoss/dOutput.
     """
     tokens = _check_tokens(cfg, tokens)
+    if tokens.ndim != 2:
+        raise ValueError(f"backward takes one ({cfg.token_count}, {cfg.model_dim}) matrix")
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != tokens.shape:
         raise ValueError("grad_out shape must match tokens shape")

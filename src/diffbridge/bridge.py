@@ -6,7 +6,10 @@ flows: noise with the source model from 0 to 1, denoise with the target
 model from 1 back to 0.  Depth-controlled migration stops the descent
 early, noising only to an intermediate time i and denoising from i, which
 yields cross-domain intermediates whose migration extent grows with i.
-A depth sweep shares one forward leg across all its depths.
+A depth sweep shares one forward leg across all its depths.  Every
+entry point takes one sample or a batch of samples along a leading axis;
+models broadcast over it, so a batch costs one model call per grid step
+and each row is bit-identical to that sample's own run.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
@@ -79,7 +82,11 @@ class BridgeConfig:
 
 @dataclass(frozen=True)
 class BridgeTrajectory:
-    """States along one bridge run; all fields share the sample shape."""
+    """States along one bridge run.
+
+    The array fields share the input's shape: one sample, or a batch
+    (B, *sample_shape) whose row b is the run of sample b alone.
+    """
 
     source: np.ndarray
     latent: np.ndarray     # state at the deepest point reached
@@ -99,14 +106,16 @@ def flow_ode(
     """Integrate the flow from time t0 to t1 (in [0, 1], either direction).
 
     t0 < t1 noises, t0 > t1 denoises; equal (snapped) endpoints return
-    the input unchanged with zero arithmetic applied.
+    the input unchanged with zero arithmetic applied.  x_start may be a
+    batch: each grid step is one model call on the whole batch, and a
+    non-finite value in any row stops the run at that node.
     """
-    x = np.asarray(x_start, dtype=np.float64)
+    x = np.array(x_start, dtype=np.float64)
     n = cfg.grid_steps
     k0 = round(cfg.snap(t0) * n)
     k1 = round(cfg.snap(t1) * n)
     if k0 == k1:
-        return x.copy()
+        return x
 
     sched = cfg.schedule
     nodes = np.arange(k0, k1 + (1 if k1 > k0 else -1), 1 if k1 > k0 else -1)
@@ -116,13 +125,23 @@ def flow_ode(
     if cfg.integrator == Integrator.DDIM:
         sqrt_ab = np.sqrt(ab)
         sqrt_1mab = np.sqrt(1.0 - ab)
+        # The step updates x in place through one scratch array: fresh
+        # batch-sized temporaries on every step make the C allocator hand
+        # pages back to the OS and fault them in again, at a cost that
+        # varies from run to run.  The operations and their order are
+        # those of x0_hat = (x - d * eps) / e; x = c * x0_hat + f * eps.
+        scratch = np.empty_like(x)
         # Non-finite intermediates raise NonFiniteStateError below; the
         # float warnings they would emit first are noise.
         with np.errstate(invalid="ignore", over="ignore"):
             for j in range(len(nodes) - 1):
                 eps = model.predict_epsilon(x, times[j] * sched.steps_T)
-                x0_hat = (x - sqrt_1mab[j] * eps) / sqrt_ab[j]
-                x = sqrt_ab[j + 1] * x0_hat + sqrt_1mab[j + 1] * eps
+                np.multiply(sqrt_1mab[j], eps, out=scratch)
+                np.subtract(x, scratch, out=scratch)
+                np.divide(scratch, sqrt_ab[j], out=scratch)      # x0_hat
+                np.multiply(sqrt_ab[j + 1], scratch, out=scratch)
+                np.multiply(sqrt_1mab[j + 1], eps, out=x)
+                x += scratch
                 _check_finite(x, nodes[j + 1], times[j + 1])
                 if snapshots is not None:
                     snapshots.append((times[j + 1], x.copy()))
@@ -133,21 +152,31 @@ def flow_ode(
     ab_eval = sched.alpha_bar_at(eval_times)
     beta_eval = sched.noise_rate_at(eval_times)
 
-    def drift(state, j):
+    def drift(state, j, out):
+        """0.5 * beta * (eps / score_scale - state), written into out."""
         eps = model.predict_epsilon(state, eval_times[j] * sched.steps_T)
-        score_scale = math.sqrt(1.0 - ab_eval[j])
-        return 0.5 * beta_eval[j] * (eps / score_scale - state)
+        np.divide(eps, math.sqrt(1.0 - ab_eval[j]), out=out)
+        np.subtract(out, state, out=out)
+        np.multiply(0.5 * beta_eval[j], out, out=out)
 
+    # In place, like the DDIM step: x + h * k_a, then x + 0.5 * h * (k_a + k_b).
     heun = cfg.integrator == Integrator.HEUN
+    k_a = np.empty_like(x)
+    if heun:
+        probe, k_b = np.empty_like(x), np.empty_like(x)
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(len(nodes) - 1):
             h = times[j + 1] - times[j]
-            k_a = drift(x, j)
+            drift(x, j, k_a)
             if heun:
-                k_b = drift(x + h * k_a, j + 1)
-                x = x + 0.5 * h * (k_a + k_b)
+                np.multiply(h, k_a, out=probe)
+                probe += x
+                drift(probe, j + 1, k_b)
+                k_a += k_b
+                k_a *= 0.5 * h
             else:
-                x = x + h * k_a
+                k_a *= h
+            x += k_a
             _check_finite(x, nodes[j + 1], times[j + 1])
             if snapshots is not None:
                 snapshots.append((times[j + 1], x.copy()))

@@ -128,17 +128,43 @@ def _is_image_pair(pair) -> bool:
 
 
 def _snap_grid(depths, bridge_cfg: BridgeConfig) -> tuple[float, ...]:
-    """The grid snapped to bridge nodes, in order; empty or colliding grids are errors."""
+    """The grid snapped to bridge nodes, in order.
+
+    Empty grids are errors, and so are two depths on one node or on two
+    nodes whose frame names (``d{depth:.4f}``) coincide.
+    """
     if not depths:
         raise ValueError("sweep_depths is empty")
     snapped = [bridge_cfg.snap(float(d)) for d in depths]
+    names = [f"d{node:.4f}" for node in snapped]
     for i, node in enumerate(snapped):
-        if node in snapped[:i]:
-            raise ValueError(
-                f"sweep depths {depths[snapped.index(node)]} and {depths[i]} snap to the same "
-                f"grid node {node} at {bridge_cfg.grid_steps} steps per unit time"
-            )
+        if names[i] not in names[:i]:
+            continue
+        j = names.index(names[i])
+        if snapped[j] == node:
+            why = f"snap to the same grid node {node}"
+        else:
+            why = f"snap to grid nodes {snapped[j]} and {node}, which share the frame name {names[i]}"
+        raise ValueError(
+            f"sweep depths {depths[j]} and {depths[i]} {why} "
+            f"at {bridge_cfg.grid_steps} steps per unit time"
+        )
     return tuple(snapped)
+
+
+def _check_targets(targets) -> tuple[float, ...]:
+    """Label targets as floats; targets outside [0, 1] or sharing a frame name are errors."""
+    targets = tuple(float(t) for t in targets)
+    names = [f"target{t:.2f}" for t in targets]
+    for i, target in enumerate(targets):
+        if not 0.0 <= target <= 1.0:
+            raise ValueError(f"label target {target} outside [0, 1]")
+        if names[i] in names[:i]:
+            raise ValueError(
+                f"label targets {targets[names.index(names[i])]} and {target} "
+                f"share the frame name {names[i]}"
+            )
+    return targets
 
 
 @dataclass(frozen=True)
@@ -153,9 +179,9 @@ class _Run:
     bridge: BridgeConfig | None
     depths: tuple[float, ...]   # snapped sweep grid, config order
 
-    def sweep(self, x):
-        """x's trajectories at the grid depths and its full-depth endpoint."""
-        *table, full = depth_sweep(x, *self.models, self.bridge, self.depths + (1.0,))
+    def sweep(self, sources):
+        """The batch's trajectories at the grid depths and its full-depth endpoints."""
+        *table, full = depth_sweep(sources, *self.models, self.bridge, self.depths + (1.0,))
         return table, full.migrated
 
 
@@ -163,6 +189,8 @@ def _open_run(cfg: RunConfig, command: str) -> _Run:
     """Build a command's setup; the model and grid checks run before any output."""
     manifest = RunManifest(cfg, command)
     pair = cfg.domains.build(cfg.seed)
+    if command == "label" and not _is_image_pair(pair):
+        raise ValueError("label calibration needs an image domain pair")
     schedule = None if command == "gen" else cfg.schedule.build()
     bridging = command in ("migrate", "sweep", "label")
     models = _build_models(cfg, pair, schedule) if bridging else None
@@ -227,7 +255,7 @@ def cmd_migrate(cfg: RunConfig) -> int:
     run = _open_run(cfg, "migrate")
     out, manifest, pair = run.out, run.manifest, run.pair
     sources = sample_domain(pair.source, cfg.gen_count, _role_seed(cfg.seed, "migrate"))
-    migrated = np.stack([migrate(x, *run.models, run.bridge).migrated for x in sources])
+    migrated = migrate(sources, *run.models, run.bridge).migrated
     if _is_image_pair(pair):
         for i, (src, mig) in enumerate(zip(sources, migrated)):
             sp = out / "frames" / f"source_{i:03d}.pgm"
@@ -268,19 +296,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     spec = cfg.highpass()
 
     if _is_image_pair(pair):
+        # Per-sample endpoints: each sample's own full-depth migration.
+        table, endpoints = run.sweep(sources)
         label_rows = []
         for i, x in enumerate(sources):
             sp = out / "frames" / f"sample{i:03d}_source.pgm"
             save_pgm(x, sp)
             manifest.add(sp, kind="source-sample", sample_id=i)
-            # Per-sample endpoints: the full-depth migration of this sample.
-            table, endpoint = run.sweep(x)
             a_s = highpass_magnitude(x, spec)
-            a_t = highpass_magnitude(endpoint, spec)
+            a_t = highpass_magnitude(endpoints[i], spec)
             for traj in table:
                 frame = out / "frames" / f"sample{i:03d}_d{traj.depth:.4f}.pgm"
-                save_pgm(np.clip(traj.migrated, -1.0, 1.0), frame)
-                a_i = highpass_magnitude(traj.migrated, spec)
+                save_pgm(np.clip(traj.migrated[i], -1.0, 1.0), frame)
+                a_i = highpass_magnitude(traj.migrated[i], spec)
                 label = soft_label(a_s, a_i, a_t)
                 label_rows.append(
                     [i, repr(traj.depth), repr(label.raw), repr(label.value),
@@ -296,11 +324,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         manifest.add(labels_path, kind="labels", rows=len(label_rows))
     else:
         # Point domains have no spectral labels; emit per-depth coordinates.
-        tables = [depth_sweep(x, *run.models, run.bridge, run.depths) for x in sources]
-        for j, depth in enumerate(run.depths):
+        table = depth_sweep(sources, *run.models, run.bridge, run.depths)
+        for depth, traj in zip(run.depths, table):
             path = out / "frames" / f"depth_{depth:.4f}.csv"
-            _write_points_csv(path, np.stack([table[j].migrated for table in tables]))
-            manifest.add(path, kind="sweep-frame", depth=depth, count=len(tables))
+            _write_points_csv(path, traj.migrated)
+            manifest.add(path, kind="sweep-frame", depth=depth, count=len(sources))
         manifest.note("labels", "point domains carry no spectral labels")
     manifest.finish(out)
     print(f"sweep: {cfg.sweep_count} samples x {len(cfg.sweep_depths)} depths under {out}")
@@ -308,31 +336,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_label(cfg: RunConfig, targets=None) -> int:
+    targets = _check_targets(targets if targets is not None else cfg.label_targets)
     run = _open_run(cfg, "label")
     out, manifest, pair = run.out, run.manifest, run.pair
-    if not _is_image_pair(pair):
-        raise ValueError("label calibration needs an image domain pair")
     spec = cfg.highpass()
-    targets = tuple(targets) if targets is not None else cfg.label_targets
     sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
+    table, endpoints = run.sweep(sources)
     rows = []
     for i, x in enumerate(sources):
-        table, endpoint = run.sweep(x)
         a_s = highpass_magnitude(x, spec)
-        a_t = highpass_magnitude(endpoint, spec)
-        labels = [soft_label(a_s, highpass_magnitude(t.migrated, spec), a_t) for t in table]
+        a_t = highpass_magnitude(endpoints[i], spec)
+        labels = [soft_label(a_s, highpass_magnitude(t.migrated[i], spec), a_t) for t in table]
         for target in targets:
-            best = nearest_label(float(target), run.depths, labels)
+            best = nearest_label(target, run.depths, labels)
             depth, label = run.depths[best], labels[best]
             frame = out / "frames" / f"sample{i:03d}_target{target:.2f}_d{depth:.4f}.pgm"
-            save_pgm(np.clip(table[best].migrated, -1.0, 1.0), frame)
+            save_pgm(np.clip(table[best].migrated[i], -1.0, 1.0), frame)
             manifest.add(
                 frame, kind="calibrated-frame", sample_id=i,
-                target_label=float(target), achieved_label=label.value,
+                target_label=target, achieved_label=label.value,
                 raw_label=label.raw, depth=depth,
             )
-            rows.append([i, repr(float(target)), repr(depth), repr(label.value), repr(label.raw)])
+            rows.append([i, repr(target), repr(depth), repr(label.value), repr(label.raw)])
     labels_path = out / "labels" / "calibrated.csv"
     header = ["sample_id", "target_label", "depth", "achieved_label", "raw_label"]
     _write_csv(labels_path, header, rows)

@@ -5,7 +5,9 @@ x's shape and t is a diffusion step in [0, T] (fractional steps are
 accepted so the continuous-time integrator can query between knots; at
 t = 0 the optimal prediction is exactly zero).  Prediction is pure:
 identical arguments give identical outputs, and models are safe to
-share read-only across workers.
+share read-only across workers.  Every model broadcasts over leading
+axes: a batch (..., *sample_shape) is scored in one call, and each of
+its samples gets the bytes a call on that sample alone would give.
 
 Three implementations:
 
@@ -42,7 +44,11 @@ class EpsilonModel(ABC):
 
     @abstractmethod
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Predicted noise for state x at step t; same shape as x."""
+        """Predicted noise for state x at step t; same shape as x.
+
+        x is one sample or a batch (..., *sample_shape); batch samples are
+        scored independently and bit-identically to one call each.
+        """
 
 
 def _check_step(t: float, steps_T: int) -> float:
@@ -92,7 +98,9 @@ class AnalyticFieldEpsilon(EpsilonModel):
 
     ``mode_variances`` are the covariance eigenvalues on the fft2 grid
     (unitary convention), as produced by domains.SpectralTexture.
-    Accepts one (H, W) field or a batch (..., H, W).
+    Accepts one (H, W) field or a batch (..., H, W).  The transforms run
+    in two complex work arrays kept per input shape, so a call allocates
+    only the array it returns; calls must not overlap across threads.
     """
 
     mode_variances: np.ndarray
@@ -100,6 +108,7 @@ class AnalyticFieldEpsilon(EpsilonModel):
 
     def __post_init__(self):
         object.__setattr__(self, "_by_step", {})
+        object.__setattr__(self, "_work", {})
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -117,8 +126,19 @@ class AnalyticFieldEpsilon(EpsilonModel):
         ab, noised_var = entry
         if noised_var is None:
             return np.zeros_like(x)
-        spectrum = np.fft.fft2(x, norm="ortho") / noised_var
-        return np.sqrt(1.0 - ab) * np.fft.ifft2(spectrum, norm="ortho").real
+        work = self._work.get(x.shape)
+        if work is None:
+            work = self._work[x.shape] = (np.empty(x.shape, complex), np.empty(x.shape, complex))
+        spectrum, partial = work
+        # fft2 and ifft2 as their two one-axis passes (last axis first),
+        # each into the other array: the same bytes as the library calls.
+        spectrum[...] = x
+        np.fft.fft(spectrum, axis=-1, norm="ortho", out=partial)
+        np.fft.fft(partial, axis=-2, norm="ortho", out=spectrum)
+        spectrum /= noised_var
+        np.fft.ifft(spectrum, axis=-1, norm="ortho", out=partial)
+        np.fft.ifft(partial, axis=-2, norm="ortho", out=spectrum)
+        return np.sqrt(1.0 - ab) * spectrum.real
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +172,16 @@ _ACTIVATIONS = {
 
 @dataclass
 class MlpGradients:
-    """Gradients of the squared-error loss for every trainable array."""
+    """Gradients of the squared-error loss for every trainable array.
+
+    ``prediction`` is the model output the gradients were taken at; it is
+    not a parameter gradient.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     attention: attn.AttentionGrads | None = None
+    prediction: np.ndarray | None = None
 
     def parameters(self) -> list[np.ndarray]:
         out = [*self.weights, *self.biases]
@@ -172,7 +197,8 @@ class MlpDenoiser(EpsilonModel):
     When ``attention`` is set, the field is first split into
     ``token_count`` patches of ``model_dim`` values and routed through
     the attention block, whose priority is fixed at construction (and
-    therefore at training time).
+    therefore at training time).  Inference accepts one field or a batch
+    (..., *field_shape); ``backward`` takes one field.
     """
 
     field_shape: tuple[int, ...]
@@ -216,37 +242,48 @@ class MlpDenoiser(EpsilonModel):
         return out
 
     def _forward(self, x: np.ndarray, t: float):
-        if x.shape != tuple(self.field_shape):
-            raise ValueError(f"field shape {x.shape} != model shape {self.field_shape}")
+        """Prediction for x of shape (..., *field_shape), plus the internals ``backward`` needs.
+
+        Each field is one (1, k) row of a stack, so every dense layer is the
+        same per-row BLAS call a single field makes: a batch's rows are
+        bit-identical to one call per field.
+        """
+        lead = x.shape[: max(x.ndim - len(self.field_shape), 0)]
+        if x.shape[len(lead):] != tuple(self.field_shape):
+            raise ValueError(f"field shape {x.shape} != model shape (..., {self.field_shape})")
         t = _check_step(t, self.steps_total)
         act, _ = _ACTIVATIONS[self.activation]
 
-        tokens = att_out = None
-        flat = x.reshape(-1)
+        tokens = None
         if self.attention is not None:
-            tokens = flat.reshape(self.attention.token_count, self.attention.model_dim)
-            att_out = attn.attention_forward(self.attention, tokens)
-            flat = att_out.reshape(-1)
-
-        z = np.concatenate([flat, time_embedding(t / self.steps_total, self.time_dim)])
+            tokens = x.reshape(*lead, self.attention.token_count, self.attention.model_dim)
+            x = attn.attention_forward(self.attention, tokens)
+        rows = x.reshape(*lead, 1, -1)
+        embed = time_embedding(t / self.steps_total, self.time_dim)
+        z = np.concatenate([rows, np.broadcast_to(embed, (*lead, 1, self.time_dim))], axis=-1)
         pre, post = [], [z]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = post[-1] @ w + b
             pre.append(a)
             post.append(act(a) if i < last else a)
-        out = post[-1].reshape(self.field_shape)
-        return out, (tokens, att_out, pre, post)
+        out = post[-1].reshape(*lead, *self.field_shape)
+        return out, (tokens, pre, post)
 
     # -- training ----------------------------------------------------------
 
     def backward(self, x: np.ndarray, t: float, target_eps: np.ndarray) -> MlpGradients:
-        """Reverse-mode gradients of ||target_eps - predict(x, t)||^2."""
+        """Reverse-mode gradients of ||target_eps - predict(x, t)||^2 for one field.
+
+        The prediction the gradients were taken at rides along on the result.
+        """
         x = np.asarray(x, dtype=np.float64)
         target_eps = np.asarray(target_eps, dtype=np.float64)
         if target_eps.shape != x.shape:
             raise ValueError("target shape must match input shape")
-        out, (tokens, _, pre, post) = self._forward(x, t)
+        if x.shape != tuple(self.field_shape):
+            raise ValueError(f"field shape {x.shape} != model shape {self.field_shape}")
+        out, (tokens, pre, post) = self._forward(x, t)
         _, act_grad = _ACTIVATIONS[self.activation]
 
         delta = 2.0 * (out - target_eps).reshape(-1)
@@ -255,7 +292,7 @@ class MlpDenoiser(EpsilonModel):
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
-                delta = delta * act_grad(pre[i])
+                delta = delta * act_grad(pre[i][0])
             d_weights[i] = np.outer(post[i], delta)
             d_biases[i] = delta.copy()
             delta = self.weights[i] @ delta
@@ -267,7 +304,9 @@ class MlpDenoiser(EpsilonModel):
                 self.attention.token_count, self.attention.model_dim
             )
             _, att_grads = attn.attention_backward(self.attention, tokens, d_att_out)
-        return MlpGradients(weights=d_weights, biases=d_biases, attention=att_grads)
+        return MlpGradients(
+            weights=d_weights, biases=d_biases, attention=att_grads, prediction=out
+        )
 
 
 def init_mlp(

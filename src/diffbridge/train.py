@@ -3,7 +3,8 @@
 Each example pairs a clean sample with a uniformly drawn step t and a
 fresh Gaussian noise draw; the loss is the mean squared error between
 that noise and the model's prediction at the noised state.  Gradients
-are exactly the model's manual reverse-mode gradients; training is
+are exactly the model's manual reverse-mode gradients, and each
+example's loss is read off the same forward pass; training is
 single-threaded and bit-reproducible under a fixed seed.
 """
 
@@ -150,9 +151,9 @@ def train_denoiser(
                     ab = cfg.schedule.alpha_bar(t)
                     eps = rng.standard_normal(field_shape)
                     x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-                    pred = model.predict_epsilon(x_t, t)
-                    loss_sum += float(np.mean((eps - pred) ** 2))
-                    grads = model.backward(x_t, t, eps).parameters()
+                    grad = model.backward(x_t, t, eps)
+                    loss_sum += float(np.mean((eps - grad.prediction) ** 2))
+                    grads = grad.parameters()
                     if grad_sum is None:
                         grad_sum = [g / field_size for g in grads]
                     else:
@@ -190,7 +191,6 @@ def evaluate_fit(
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     cfg = SamplerConfig(schedule=schedule, sigma_mode=SigmaMode.DETERMINISTIC)
-    latents = rng.standard_normal((n, mix.dimension))
-    samples = np.stack([ddim_sample(z, model, cfg, sample_index=i) for i, z in enumerate(latents)])
+    samples = ddim_sample(rng.standard_normal((n, mix.dimension)), model, cfg)
     reference = gmm_sample(mix, n, seed=seed + 1)
     return energy_distance(samples, reference)

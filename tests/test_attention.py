@@ -7,6 +7,8 @@ from diffbridge.attention import (
     AttentionConfig,
     Direction,
     Priority,
+    attention_backward,
+    attention_forward,
     attention_probabilities,
     global_priority_attention,
     init_attention,
@@ -151,3 +153,24 @@ class TestShapePreservation:
             g, l = make_pair(tokens, dim, heads, windows, seed=trial)
             assert global_priority_attention(g, x).shape == x.shape
             assert local_priority_attention(l, x).shape == x.shape
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("priority", list(Priority))
+    def test_stack_rows_byte_equal_single_calls(self, priority):
+        cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
+        x = np.random.default_rng(2).standard_normal((3, 2, 16, 16))
+        out = attention_forward(cfg, x)
+        probs = attention_probabilities(cfg, x)
+        assert out.shape == x.shape
+        for i in range(3):
+            for j in range(2):
+                assert out[i, j].tobytes() == attention_forward(cfg, x[i, j]).tobytes()
+                assert probs[i, j].tobytes() == attention_probabilities(cfg, x[i, j]).tobytes()
+
+    def test_backward_takes_one_matrix(self):
+        cfg = init_attention(4, 4, seed=0)
+        with pytest.raises(ValueError):
+            attention_backward(cfg, np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
+        with pytest.raises(ValueError):
+            attention_forward(cfg, np.zeros((2, 5, 4)))

@@ -104,6 +104,59 @@ class TestFlowOde:
         with pytest.raises(NonFiniteStateError, match="node"):
             flow_ode(np.zeros(2), ExplodingModel(), 0.0, 1.0, cfg)
 
+    def test_one_non_finite_row_stops_the_batch_at_a_node(self, gmm_setup):
+        class PoisonedRow(db.EpsilonModel):
+            """The analytic model, returning inf for row 2 from time 0.3 on."""
+
+            def predict_epsilon(self, x, t):
+                eps = gmm_setup["model_a"].predict_epsilon(x, t)
+                if t >= 300:
+                    eps[2] = np.inf
+                return eps
+
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=10)
+        x = gmm_setup["x"][:4]
+        with pytest.raises(NonFiniteStateError, match=r"grid node 4 \(time 0.400000\)"):
+            migrate(x, PoisonedRow(), gmm_setup["model_b"], cfg)
+        with pytest.raises(NonFiniteStateError, match="grid node"):
+            depth_sweep(x, PoisonedRow(), gmm_setup["model_b"], cfg, [0.2, 0.5])
+        # A sweep that never reaches the poisoned times completes.
+        depth_sweep(x, PoisonedRow(), gmm_setup["model_b"], cfg, [0.2])
+
+    @pytest.mark.parametrize("integrator", list(Integrator))
+    def test_in_place_steps_match_the_textbook_recursion(self, integrator):
+        """flow_ode steps in place; its bytes equal the plain out-of-place formulas."""
+        sched = db.linear_schedule(1000)
+        tex = db.make_texture_pair("bandsplit", 16, seed=4)
+        model = db.AnalyticFieldEpsilon(tex.source.mode_variances, sched)
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=40, integrator=integrator)
+        x = tex.source.sample(3, seed=5)
+        times = np.arange(0, 31) / 40
+        ab = sched.alpha_bar_at(times)
+        eval_times = np.maximum(times, cfg.drift_time_floor)
+        ab_eval, beta_eval = sched.alpha_bar_at(eval_times), sched.noise_rate_at(eval_times)
+
+        def drift(state, j):
+            eps = model.predict_epsilon(state, eval_times[j] * 1000)
+            return 0.5 * beta_eval[j] * (eps / np.sqrt(1.0 - ab_eval[j]) - state)
+
+        expected = x
+        for j in range(30):
+            h = times[j + 1] - times[j]
+            if integrator == Integrator.DDIM:
+                eps = model.predict_epsilon(expected, times[j] * 1000)
+                x0_hat = (expected - np.sqrt(1.0 - ab[j]) * eps) / np.sqrt(ab[j])
+                expected = np.sqrt(ab[j + 1]) * x0_hat + np.sqrt(1.0 - ab[j + 1]) * eps
+            elif integrator == Integrator.EULER:
+                expected = expected + h * drift(expected, j)
+            else:
+                k_a = drift(expected, j)
+                k_b = drift(expected + h * k_a, j + 1)
+                expected = expected + 0.5 * h * (k_a + k_b)
+        got = flow_ode(x, model, 0.0, 0.75, cfg)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, x)
+
     def test_snapshots_record_every_substep(self, gmm_setup):
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=10)
         snaps = []

@@ -6,9 +6,13 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import diffbridge as db
-from diffbridge.cli import _role_seed, main
+from diffbridge import cli
+from diffbridge.cli import _build_models, _role_seed, _write_csv, _write_points_csv, main
+from diffbridge.config import RunConfig
+from diffbridge.softlabel import highpass_magnitude, soft_label
 
 
 def write_config(tmp_path, **overrides):
@@ -215,8 +219,158 @@ class TestLabel:
             assert probe.read_bytes() == Path(rec["path"]).read_bytes()
 
     def test_point_domain_rejected_as_config_error(self, tmp_path):
-        cfg, _ = write_config(tmp_path)
+        cfg, out = write_config(tmp_path)
         assert main(["label", "--config", str(cfg)]) == 1
+        assert not out.exists()
+
+
+class _Setup:
+    """A command config and the library objects the command builds from it."""
+
+    def __init__(self, cfg_path, out):
+        self.cfg_path, self.out = cfg_path, out
+        self.cfg = RunConfig.from_file(cfg_path)
+        schedule = self.cfg.schedule.build()
+        self.pair = self.cfg.domains.build(self.cfg.seed)
+        self.models = _build_models(self.cfg, self.pair, schedule)
+        self.bridge = self.cfg.bridge.build(schedule)
+
+    def run(self, command, *args):
+        assert main([command, "--config", str(self.cfg_path), *args]) == 0
+
+    def sources(self, role, count):
+        return db.domains.sample_domain(self.pair.source, count, _role_seed(self.cfg.seed, role))
+
+    def one(self, x, depth=1.0):
+        """One sample's own bridge run to the given depth."""
+        return db.depth_migrate(x, *self.models, self.bridge, depth).migrated
+
+
+def _is_points(setup) -> bool:
+    return len(setup.pair.shape) == 1
+
+
+@pytest.fixture(params=["gmm", "texture", "mlp"])
+def setup(request, tmp_path):
+    if request.param == "gmm":
+        return _Setup(*write_config(tmp_path))
+    if request.param == "texture":
+        return _Setup(*texture_config(tmp_path, label_count=2))
+    # A trained pair: global-first source and local-first target attention.
+    domains = {"kind": "texture", "size": 16}
+    train = {"epochs": 1, "samples": 20, "hidden": [8], "batch_size": 10,
+             "attention": {"token_count": 16, "heads": 2, "windows": 4}}
+    cfg, trained = write_config(tmp_path, domains=domains, train=train, out=str(tmp_path / "t"))
+    assert main(["train", "--config", str(cfg)]) == 0
+    ckpt = trained / "checkpoints"
+    models = {"kind": "checkpoint", "source": str(ckpt / "source.ckpt"),
+              "target": str(ckpt / "target.ckpt")}
+    return _Setup(*write_config(
+        tmp_path, domains=domains, models=models, bridge={"steps_per_unit_time": 20},
+        label_count=2,
+    ))
+
+
+class TestBatchedCommandsEqualPerSampleRuns:
+    """Each command integrates its whole batch at once; every file equals per-sample runs."""
+
+    def test_migrate(self, setup, tmp_path):
+        setup.run("migrate")
+        sources = setup.sources("migrate", setup.cfg.gen_count)
+        migrated = [setup.one(x) for x in sources]
+        probe = tmp_path / "probe"
+        if _is_points(setup):
+            _write_points_csv(probe, np.stack(migrated))
+            assert probe.read_bytes() == (setup.out / "frames" / "migrated.csv").read_bytes()
+            return
+        for i, mig in enumerate(migrated):
+            db.save_pgm(np.clip(mig, -1.0, 1.0), probe)
+            assert probe.read_bytes() == (setup.out / "frames" / f"migrated_{i:03d}.pgm").read_bytes()
+
+    def test_sweep(self, setup, tmp_path):
+        setup.run("sweep")
+        sources = setup.sources("sweep", setup.cfg.sweep_count)
+        depths = setup.cfg.sweep_depths
+        probe = tmp_path / "probe"
+        if _is_points(setup):
+            for depth in depths:
+                _write_points_csv(probe, np.stack([setup.one(x, depth) for x in sources]))
+                frame = setup.out / "frames" / f"depth_{depth:.4f}.csv"
+                assert probe.read_bytes() == frame.read_bytes()
+            return
+        spec = setup.cfg.highpass()
+        rows = []
+        for i, x in enumerate(sources):
+            a_s, a_t = highpass_magnitude(x, spec), highpass_magnitude(setup.one(x), spec)
+            for depth in depths:
+                mig = setup.one(x, depth)
+                db.save_pgm(np.clip(mig, -1.0, 1.0), probe)
+                frame = setup.out / "frames" / f"sample{i:03d}_d{depth:.4f}.pgm"
+                assert probe.read_bytes() == frame.read_bytes()
+                a_i = highpass_magnitude(mig, spec)
+                label = soft_label(a_s, a_i, a_t)
+                rows.append([i, repr(depth), repr(label.raw), repr(label.value),
+                             repr(a_s), repr(a_i), repr(a_t)])
+        header = ["sample_id", "depth_snapped", "raw_label", "clamped_label", "A_s", "A_i", "A_t"]
+        _write_csv(probe, header, rows)
+        assert probe.read_bytes() == (setup.out / "labels" / "labels.csv").read_bytes()
+
+    @pytest.mark.parametrize("setup", ["texture", "mlp"], indirect=True)
+    def test_label(self, setup, tmp_path):
+        setup.run("label", "--targets", "0.0,0.4,1.0")
+        sources = setup.sources("label", setup.cfg.label_count)
+        spec = setup.cfg.highpass()
+        probe = tmp_path / "probe.pgm"
+        frames = [r for r in manifest_of(setup.out)["records"] if r["kind"] == "calibrated-frame"]
+        assert len(frames) == 3 * len(sources)
+        for rec in frames:
+            x = sources[rec["sample_id"]]
+            mig = setup.one(x, rec["depth"])
+            db.save_pgm(np.clip(mig, -1.0, 1.0), probe)
+            assert probe.read_bytes() == Path(rec["path"]).read_bytes()
+            a_s, a_t = highpass_magnitude(x, spec), highpass_magnitude(setup.one(x), spec)
+            label = soft_label(a_s, highpass_magnitude(mig, spec), a_t)
+            assert (rec["achieved_label"], rec["raw_label"]) == (label.value, label.raw)
+
+
+class _PoisonedRow(db.EpsilonModel):
+    """A model that returns inf for batch row 1."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict_epsilon(self, x, t):
+        eps = self.inner.predict_epsilon(x, t)
+        eps[1] = np.inf
+        return eps
+
+
+class TestChecksBeforeAnyOutput:
+    @pytest.mark.parametrize("command", ["migrate", "sweep"])
+    def test_one_poisoned_row_exits_two_naming_a_node(self, command, tmp_path, monkeypatch, capsys):
+        cfg, out = write_config(tmp_path)
+        real = cli._build_models
+        monkeypatch.setattr(
+            cli, "_build_models", lambda *a: (_PoisonedRow(real(*a)[0]), real(*a)[1])
+        )
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite state at grid node 1 " in err and len(err.splitlines()) == 1
+        assert not any((out / "frames").glob("*"))
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,args,message", [
+        ("label", ["--targets", "0.5,1.5"], "label target 1.5 outside [0, 1]"),
+        ("label", ["--targets", "0.501,0.504"], "share the frame name target0.50"),
+        ("sweep", ["--steps", "40000", "--depth-grid", "0.5,0.500025"],
+         "snap to grid nodes 0.5 and 0.500025, which share the frame name d0.5000"),
+    ])
+    def test_exit_one_and_leave_no_files(self, command, args, message, tmp_path, capsys):
+        cfg, out = texture_config(tmp_path)
+        assert main([command, "--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -227,7 +381,6 @@ class TestVerifyCommand:
         assert not any(l.startswith("[FAIL]") for l in lines)
 
     def test_failure_exits_three(self, monkeypatch, capsys):
-        from diffbridge import cli
         from diffbridge.verify import CheckResult
 
         monkeypatch.setattr(

@@ -122,6 +122,22 @@ class TestAnalyticFieldEpsilon:
             got = model.predict_epsilon(x, t)
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
+    def test_batch_bytes_equal_fft2_formula_across_calls(self):
+        """Work arrays are reused per shape; results equal fft2/ifft2 and are not overwritten."""
+        pair = db.make_texture_pair("bandsplit", 16, seed=4)
+        sched = db.linear_schedule(100)
+        model = db.AnalyticFieldEpsilon(pair.source.mode_variances, sched)
+        lam = pair.source.mode_variances
+        inputs = [pair.source.sample(4, seed=1), pair.source.sample(1, seed=2)[0],
+                  pair.source.sample(4, seed=3)]
+        calls = [(x, t) for t in (1, 40, 100) for x in inputs]
+        got = [model.predict_epsilon(x, t) for x, t in calls]
+        for (x, t), eps in zip(calls, got):
+            ab = sched.alpha_bar(t)
+            spectrum = np.fft.fft2(x, norm="ortho") / (ab * lam + (1.0 - ab))
+            expected = np.sqrt(1.0 - ab) * np.fft.ifft2(spectrum, norm="ortho").real
+            assert eps.tobytes() == expected.tobytes()
+
     def test_shape_mismatch_rejected(self):
         pair = db.make_texture_pair("bandsplit", 16, seed=0)
         model = db.AnalyticFieldEpsilon(pair.source.mode_variances, db.linear_schedule(10))
@@ -231,3 +247,32 @@ class TestCheckpointRoundTrip:
         bad.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             db.load_checkpoint(bad)
+
+
+class TestMlpBatched:
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    def test_batch_rows_byte_equal_single_calls(self, priority):
+        att = None
+        if priority is not None:
+            att = db.init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
+        m = db.init_mlp((16, 16), (32, 32), steps_total=100, attention=att, seed=2)
+        x = np.random.default_rng(3).standard_normal((2, 3, 16, 16))
+        out = m.predict_epsilon(x, 37.5)
+        assert out.shape == x.shape
+        for i in range(2):
+            for j in range(3):
+                assert out[i, j].tobytes() == m.predict_epsilon(x[i, j], 37.5).tobytes()
+
+    def test_backward_prediction_is_the_forward_pass(self):
+        att = db.init_attention(4, 4, heads=2, windows=2, priority=Priority.LOCAL_FIRST, seed=3)
+        m = db.init_mlp((16,), (12,), steps_total=100, time_dim=4, attention=att, seed=4)
+        x, target = np.random.default_rng(5).standard_normal((2, 16))
+        grads = m.backward(x, 60, target)
+        assert grads.prediction.tobytes() == m.predict_epsilon(x, 60).tobytes()
+
+    def test_batch_of_wrong_fields_rejected(self):
+        m = db.init_mlp((4,), (8,), steps_total=10, seed=0)
+        with pytest.raises(ValueError):
+            m.predict_epsilon(np.zeros((3, 5)), 3)
+        with pytest.raises(ValueError):
+            m.backward(np.zeros((2, 4)), 3, np.zeros((2, 4)))

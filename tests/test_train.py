@@ -159,3 +159,16 @@ class TestEvaluateFit:
         assert fit_trained < fit_untrained
         # The exact predictor is the floor, up to estimator noise.
         assert fit_trained >= fit_analytic - 0.05
+
+
+class TestEvaluateFitBatched:
+    def test_equals_the_per_latent_loop(self):
+        sched = db.linear_schedule(50)
+        mix = db.default_gmm_pair().source
+        model = db.init_mlp((2,), (16,), steps_total=50, seed=3)
+        n, seed = 12, 5
+        latents = np.random.default_rng(seed).standard_normal((n, mix.dimension))
+        cfg = SamplerConfig(schedule=sched)
+        samples = np.stack([ddim_sample(z, model, cfg) for z in latents])
+        reference = db.gmm_sample(mix, n, seed=seed + 1)
+        assert evaluate_fit(model, mix, n, sched, seed=seed) == energy_distance(samples, reference)
