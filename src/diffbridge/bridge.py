@@ -17,7 +17,7 @@ flows over adjacent spans compose bit-exactly.  Three realizations of
 the same flow are provided and are required (and tested) to converge
 toward one another as the grid refines:
 
-* DDIM: the zero-sigma DDIM recursion applied between adjacent grid
+* DDIM: the zero-sigma ``diffusion.ddim_transfer`` between adjacent grid
   nodes, with alpha_bar interpolated between the schedule's knots.
   First order.  Safe for epsilon-parameterized models at time 0 because
   the prediction is only ever multiplied by vanishing coefficients there.
@@ -27,9 +27,9 @@ toward one another as the grid refines:
 
 Converting a noise prediction to a score divides by sqrt(1 - alpha_bar),
 which vanishes at u = 0, so drift evaluations floor the time at
-``drift_time_floor`` (negligible for analytic models; raise it toward
-one sub-step for trained networks, whose raw output near u = 0 does not
-shrink with the divisor).
+``DRIFT_TIME_FLOOR``.  That is negligible for analytic models; a trained
+network's raw output near u = 0 does not shrink with the divisor, so
+trained models are best integrated with DDIM.
 """
 
 from __future__ import annotations
@@ -42,7 +42,10 @@ import numpy as np
 
 from .attention import Direction, select_priority
 from .denoiser import EpsilonModel
+from .diffusion import ddim_transfer
 from .schedule import NoiseSchedule
+
+DRIFT_TIME_FLOOR = 1e-9  # earliest time at which the drift-form integrators evaluate
 
 
 class Integrator(Enum):
@@ -60,14 +63,10 @@ class BridgeConfig:
     schedule: NoiseSchedule
     steps_per_unit_time: int | None = None  # defaults to the schedule's T
     integrator: Integrator = Integrator.DDIM
-    depth: float = 1.0
-    drift_time_floor: float = 1e-9
 
     def __post_init__(self):
         if self.steps_per_unit_time is not None and self.steps_per_unit_time < 1:
             raise ValueError("steps_per_unit_time must be >= 1")
-        if not 0.0 <= self.depth <= 1.0:
-            raise ValueError("depth must lie in [0, 1]")
 
     @property
     def grid_steps(self) -> int:
@@ -92,7 +91,6 @@ class BridgeTrajectory:
     latent: np.ndarray     # state at the deepest point reached
     migrated: np.ndarray
     depth: float           # snapped depth actually used
-    snapshots: tuple | None = None  # optional ((time, state), ...) per sub-step
 
 
 def flow_ode(
@@ -101,7 +99,6 @@ def flow_ode(
     t0: float,
     t1: float,
     cfg: BridgeConfig,
-    snapshots: list | None = None,
 ) -> np.ndarray:
     """Integrate the flow from time t0 to t1 (in [0, 1], either direction).
 
@@ -120,66 +117,47 @@ def flow_ode(
     sched = cfg.schedule
     nodes = np.arange(k0, k1 + (1 if k1 > k0 else -1), 1 if k1 > k0 else -1)
     times = nodes / n
-    ab = sched.alpha_bar_at(times)
-
-    if cfg.integrator == Integrator.DDIM:
-        sqrt_ab = np.sqrt(ab)
-        sqrt_1mab = np.sqrt(1.0 - ab)
-        # The step updates x in place through one scratch array: fresh
-        # batch-sized temporaries on every step make the C allocator hand
-        # pages back to the OS and fault them in again, at a cost that
-        # varies from run to run.  The operations and their order are
-        # those of x0_hat = (x - d * eps) / e; x = c * x0_hat + f * eps.
-        scratch = np.empty_like(x)
-        # Non-finite intermediates raise NonFiniteStateError below; the
-        # float warnings they would emit first are noise.
-        with np.errstate(invalid="ignore", over="ignore"):
-            for j in range(len(nodes) - 1):
-                eps = model.predict_epsilon(x, times[j] * sched.steps_T)
-                np.multiply(sqrt_1mab[j], eps, out=scratch)
-                np.subtract(x, scratch, out=scratch)
-                np.divide(scratch, sqrt_ab[j], out=scratch)      # x0_hat
-                np.multiply(sqrt_ab[j + 1], scratch, out=scratch)
-                np.multiply(sqrt_1mab[j + 1], eps, out=x)
-                x += scratch
-                _check_finite(x, nodes[j + 1], times[j + 1])
-                if snapshots is not None:
-                    snapshots.append((times[j + 1], x.copy()))
-        return x
-
-    # Drift-form integrators; evaluation times floored away from 0.
-    eval_times = np.maximum(times, cfg.drift_time_floor)
-    ab_eval = sched.alpha_bar_at(eval_times)
-    beta_eval = sched.noise_rate_at(eval_times)
-
-    def drift(state, j, out):
-        """0.5 * beta * (eps / score_scale - state), written into out."""
-        eps = model.predict_epsilon(state, eval_times[j] * sched.steps_T)
-        np.divide(eps, math.sqrt(1.0 - ab_eval[j]), out=out)
-        np.subtract(out, state, out=out)
-        np.multiply(0.5 * beta_eval[j], out, out=out)
-
-    # In place, like the DDIM step: x + h * k_a, then x + 0.5 * h * (k_a + k_b).
+    ddim = cfg.integrator == Integrator.DDIM
     heun = cfg.integrator == Integrator.HEUN
-    k_a = np.empty_like(x)
-    if heun:
-        probe, k_b = np.empty_like(x), np.empty_like(x)
+    scratch = np.empty_like(x)
+    if ddim:
+        ab = sched.alpha_bar_at(times)
+    else:
+        # Drift-form integrators; evaluation times floored away from 0.
+        eval_times = np.maximum(times, DRIFT_TIME_FLOOR)
+        ab_eval = sched.alpha_bar_at(eval_times)
+        beta_eval = sched.noise_rate_at(eval_times)
+        if heun:
+            probe, k_b = np.empty_like(x), np.empty_like(x)
+
+        def drift(state, j, out):
+            """0.5 * beta * (eps / score_scale - state), written into out."""
+            eps = model.predict_epsilon(state, eval_times[j] * sched.steps_T)
+            np.divide(eps, math.sqrt(1.0 - ab_eval[j]), out=out)
+            np.subtract(out, state, out=out)
+            np.multiply(0.5 * beta_eval[j], out, out=out)
+
+    # Non-finite intermediates raise NonFiniteStateError below; the float
+    # warnings they would emit first are noise.
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(len(nodes) - 1):
-            h = times[j + 1] - times[j]
-            drift(x, j, k_a)
-            if heun:
-                np.multiply(h, k_a, out=probe)
-                probe += x
-                drift(probe, j + 1, k_b)
-                k_a += k_b
-                k_a *= 0.5 * h
+            if ddim:
+                eps = model.predict_epsilon(x, times[j] * sched.steps_T)
+                ddim_transfer(x, eps, ab[j], ab[j + 1], x, scratch)
             else:
-                k_a *= h
-            x += k_a
+                # x + h * k_a (Euler) or x + 0.5 * h * (k_a + k_b) (Heun), k_a in scratch.
+                h = times[j + 1] - times[j]
+                drift(x, j, scratch)
+                if heun:
+                    np.multiply(h, scratch, out=probe)
+                    probe += x
+                    drift(probe, j + 1, k_b)
+                    scratch += k_b
+                    scratch *= 0.5 * h
+                else:
+                    scratch *= h
+                x += scratch
             _check_finite(x, nodes[j + 1], times[j + 1])
-            if snapshots is not None:
-                snapshots.append((times[j + 1], x.copy()))
     return x
 
 
@@ -207,7 +185,6 @@ def migrate(
     model_src: EpsilonModel,
     model_tgt: EpsilonModel,
     cfg: BridgeConfig,
-    record_snapshots: bool = False,
 ) -> BridgeTrajectory:
     """Full-depth migration: source flow 0 -> 1, then target flow 1 -> 0.
 
@@ -215,9 +192,7 @@ def migrate(
     leg (global-first forward, local-first reverse).  The latent is passed
     between the two flows unchanged.  Deterministic end to end.
     """
-    return depth_migrate(
-        x_source, model_src, model_tgt, cfg, depth=1.0, record_snapshots=record_snapshots
-    )
+    return depth_migrate(x_source, model_src, model_tgt, cfg, 1.0)
 
 
 def depth_migrate(
@@ -225,42 +200,17 @@ def depth_migrate(
     model_src: EpsilonModel,
     model_tgt: EpsilonModel,
     cfg: BridgeConfig,
-    depth: float | None = None,
-    record_snapshots: bool = False,
+    depth: float,
 ) -> BridgeTrajectory:
     """Depth-controlled migration: source flow 0 -> i, target flow i -> 0.
 
-    depth = 0 returns the source unchanged (no integration steps run);
-    depth = 1 coincides bit-for-bit with full migration on the same grid.
-    The depth snaps to the integration grid; the snapped value is
-    recorded on the trajectory.
+    depth = 0 returns the source unchanged (no integration steps run, and
+    the trajectory's three states are one copy of the source); depth = 1
+    coincides bit-for-bit with full migration on the same grid.  The
+    depth snaps to the integration grid; the snapped value is recorded
+    on the trajectory.  This is ``depth_sweep`` over a one-depth grid.
     """
-    x_source = np.asarray(x_source, dtype=np.float64)
-    if depth is None:
-        depth = cfg.depth
-    snapped = cfg.snap(depth)
-    _check_model_priority(model_src, Direction.FORWARD, "forward")
-    _check_model_priority(model_tgt, Direction.REVERSE, "reverse")
-
-    if snapped == 0.0:
-        return BridgeTrajectory(
-            source=x_source.copy(),
-            latent=x_source.copy(),
-            migrated=x_source.copy(),
-            depth=0.0,
-            snapshots=() if record_snapshots else None,
-        )
-
-    snaps: list | None = [] if record_snapshots else None
-    latent = flow_ode(x_source, model_src, 0.0, snapped, cfg, snapshots=snaps)
-    migrated = flow_ode(latent, model_tgt, snapped, 0.0, cfg, snapshots=snaps)
-    return BridgeTrajectory(
-        source=x_source.copy(),
-        latent=latent,
-        migrated=migrated,
-        depth=snapped,
-        snapshots=tuple(snaps) if snaps is not None else None,
-    )
+    return depth_sweep(x_source, model_src, model_tgt, cfg, [depth])[0]
 
 
 def depth_sweep(
@@ -275,7 +225,7 @@ def depth_sweep(
     One forward leg serves the whole grid: it runs from 0 to the deepest
     snapped depth, chained node to node between consecutive depths, and
     each depth then gets its own reverse leg.  Grid nodes are global, so
-    every trajectory is bit-identical to ``depth_migrate`` at its depth.
+    every trajectory is bit-identical to a one-depth sweep at its depth.
     Depths that snap to one node share one trajectory.
     """
     x_source = np.asarray(x_source, dtype=np.float64)

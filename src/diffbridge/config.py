@@ -55,14 +55,12 @@ class DomainSpec:
 class BridgeSpec:
     steps_per_unit_time: int | None = None
     integrator: str = "ddim"
-    depth: float = 1.0
 
     def build(self, schedule: NoiseSchedule) -> BridgeConfig:
         return BridgeConfig(
             schedule=schedule,
             steps_per_unit_time=self.steps_per_unit_time,
             integrator=Integrator(self.integrator),
-            depth=self.depth,
         )
 
 
@@ -131,6 +129,12 @@ class RunConfig:
     label_targets: tuple[float, ...] = (0.25, 0.5, 0.75)
     label_count: int = 2
 
+    def __post_init__(self):
+        for key, least in (("seed", 0), ("gen_count", 1), ("sweep_count", 1), ("label_count", 1)):
+            value = getattr(self, key)
+            if not isinstance(value, int) or value < least:
+                raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+
     def highpass(self) -> HighpassSpec:
         return HighpassSpec(self.highpass_cutoff)
 
@@ -139,7 +143,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        raw = dict(raw)
+        """The config a JSON object describes; any malformed field is a ValueError."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, not {type(raw).__name__}")
         nested = {
             "schedule": ScheduleSpec,
             "domains": DomainSpec,
@@ -148,16 +154,16 @@ class RunConfig:
             "train": TrainSpec,
         }
         kwargs = {}
-        for key, value in raw.items():
-            if key in nested:
-                if not isinstance(value, dict):
-                    raise ValueError(f"config section {key!r} must be an object")
-                kwargs[key] = nested[key](**value)
-            elif key in ("sweep_depths", "label_targets"):
-                kwargs[key] = tuple(float(v) for v in value)
-            else:
-                kwargs[key] = value
         try:
+            for key, value in raw.items():
+                if key in nested:
+                    if not isinstance(value, dict):
+                        raise ValueError(f"config section {key!r} must be an object")
+                    kwargs[key] = nested[key](**value)
+                elif key in ("sweep_depths", "label_targets"):
+                    kwargs[key] = tuple(float(v) for v in value)
+                else:
+                    kwargs[key] = value
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from exc

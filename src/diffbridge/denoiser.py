@@ -58,8 +58,31 @@ def _check_step(t: float, steps_T: int) -> float:
     return t
 
 
+class _AnalyticEpsilon(EpsilonModel):
+    """Per-step path of the analytic models.
+
+    The noised domain is built once per step (``_noised``); the prediction
+    is exactly zero where alpha_bar = 1, else the subclass's ``_epsilon``.
+    """
+
+    def __post_init__(self):
+        # Entries are immutable, so concurrent readers are safe.
+        object.__setattr__(self, "_by_step", {})
+
+    def _predict(self, x: np.ndarray, t: float) -> np.ndarray:
+        t = _check_step(t, self.schedule.steps_T)
+        entry = self._by_step.get(t)
+        if entry is None:
+            ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
+            entry = self._by_step[t] = (ab, self._noised(ab) if ab < 1.0 else None)
+        ab, noised = entry
+        if noised is None:
+            return np.zeros_like(x)
+        return self._epsilon(x, ab, noised)
+
+
 @dataclass(frozen=True)
-class AnalyticGmmEpsilon(EpsilonModel):
+class AnalyticGmmEpsilon(_AnalyticEpsilon):
     """Exact optimal noise prediction for a Gaussian-mixture domain.
 
     Accepts a single point of shape (d,) or a batch (..., d); batch rows
@@ -69,31 +92,18 @@ class AnalyticGmmEpsilon(EpsilonModel):
     mixture: GaussianMixture
     schedule: NoiseSchedule
 
-    def __post_init__(self):
-        # Noised-mixture parameters per step, filled on first use.  Entries
-        # are immutable, so concurrent readers are safe.
-        object.__setattr__(self, "_by_step", {})
-
-    def _noised_at(self, t: float):
-        entry = self._by_step.get(t)
-        if entry is None:
-            ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
-            noised = _noised_mixture_ab(self.mixture, ab) if ab < 1.0 else None
-            entry = (ab, noised)
-            self._by_step[t] = entry
-        return entry
-
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        t = _check_step(t, self.schedule.steps_T)
-        ab, noised = self._noised_at(t)
-        if noised is None:
-            return np.zeros_like(x)
+        return self._predict(np.asarray(x, dtype=np.float64), t)
+
+    def _noised(self, ab: float):
+        return _noised_mixture_ab(self.mixture, ab)
+
+    def _epsilon(self, x, ab, noised):
         return -np.sqrt(1.0 - ab) * gmm_score(noised, x)
 
 
 @dataclass(frozen=True)
-class AnalyticFieldEpsilon(EpsilonModel):
+class AnalyticFieldEpsilon(_AnalyticEpsilon):
     """Exact optimal noise prediction for a stationary Gaussian texture.
 
     ``mode_variances`` are the covariance eigenvalues on the fft2 grid
@@ -107,7 +117,7 @@ class AnalyticFieldEpsilon(EpsilonModel):
     schedule: NoiseSchedule
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_step", {})
+        super().__post_init__()
         object.__setattr__(self, "_work", {})
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -116,16 +126,12 @@ class AnalyticFieldEpsilon(EpsilonModel):
             raise ValueError(
                 f"field shape {x.shape} != domain shape {self.mode_variances.shape}"
             )
-        t = _check_step(t, self.schedule.steps_T)
-        entry = self._by_step.get(t)
-        if entry is None:
-            ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
-            noised_var = ab * self.mode_variances + (1.0 - ab) if ab < 1.0 else None
-            entry = (ab, noised_var)
-            self._by_step[t] = entry
-        ab, noised_var = entry
-        if noised_var is None:
-            return np.zeros_like(x)
+        return self._predict(x, t)
+
+    def _noised(self, ab: float) -> np.ndarray:
+        return ab * self.mode_variances + (1.0 - ab)
+
+    def _epsilon(self, x, ab, noised_var):
         work = self._work.get(x.shape)
         if work is None:
             work = self._work[x.shape] = (np.empty(x.shape, complex), np.empty(x.shape, complex))
@@ -405,14 +411,25 @@ def load_checkpoint(path) -> MlpDenoiser:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = {}
-        for meta in header["arrays"]:
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype=np.float64)
-            if data.size != count:
-                raise ValueError(f"truncated payload for array {meta['name']}")
-            payload[meta["name"]] = data.reshape(shape).copy()
+        if not isinstance(header, dict):
+            raise ValueError("checkpoint header is not a JSON object")
+        try:
+            return _from_header(header, fh)
+        except KeyError as exc:
+            raise ValueError(f"checkpoint header has no entry {exc}") from None
+
+
+def _from_header(header: dict, fh) -> MlpDenoiser:
+    payload = {}
+    for meta in header["arrays"]:
+        shape = tuple(meta["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        data = np.frombuffer(fh.read(count * 8), dtype=np.float64)
+        if data.size != count:
+            raise ValueError(f"truncated payload for array {meta['name']}")
+        payload[meta["name"]] = data.reshape(shape).copy()
+    if fh.read(1):
+        raise ValueError("checkpoint has bytes after its last payload")
 
     att_cfg = None
     if header["attention"] is not None:

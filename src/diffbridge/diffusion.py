@@ -15,6 +15,7 @@ convention.  Random draws come from counter-based streams keyed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,6 +69,31 @@ def forward_noise(
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
+def ddim_transfer(
+    x: np.ndarray,
+    eps: np.ndarray,
+    ab_from: float,
+    ab_to: float,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    sigma: float = 0.0,
+) -> np.ndarray:
+    """The DDIM update from alpha_bar ab_from to ab_to, less its noise term, written into out.
+
+    x0_hat = (x - sqrt(1 - ab_from) * eps) / sqrt(ab_from) and out = sqrt(ab_to) * x0_hat
+    + sqrt(1 - ab_to - sigma^2) * eps, in place through ``scratch`` (fresh batch-sized
+    temporaries on every step make the allocator return pages to the OS and fault them in
+    again, at a cost that varies between runs); ``out`` may be ``x``.
+    """
+    np.multiply(math.sqrt(1.0 - ab_from), eps, out=scratch)
+    np.subtract(x, scratch, out=scratch)
+    np.divide(scratch, math.sqrt(ab_from), out=scratch)      # x0_hat
+    np.multiply(math.sqrt(ab_to), scratch, out=scratch)
+    np.multiply(math.sqrt(1.0 - ab_to - sigma**2), eps, out=out)
+    out += scratch
+    return out
+
+
 def ddim_step(
     x_t: np.ndarray,
     t: int,
@@ -87,13 +113,12 @@ def ddim_step(
         raise ValueError(
             f"sigma_t^2 = {sigma_t**2} exceeds 1 - alpha_bar_{t - 1} = {1.0 - ab_prev}"
         )
+    if sigma_t > 0.0 and rng is None:
+        raise ValueError("stochastic step needs an rng")
     eps = model.predict_epsilon(x_t, t)
-    x0_hat = (x_t - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
-    out = np.sqrt(ab_prev) * x0_hat + np.sqrt(radicand) * eps
+    out = ddim_transfer(x_t, eps, ab_t, ab_prev, np.empty_like(x_t), np.empty_like(x_t), sigma_t)
     if sigma_t > 0.0:
-        if rng is None:
-            raise ValueError("stochastic step needs an rng")
-        out = out + sigma_t * rng.standard_normal(x_t.shape)
+        out += sigma_t * rng.standard_normal(x_t.shape)
     return out
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,48 @@ class TestChecksBeforeAnyOutput:
         assert main([command, "--config", str(cfg), *args]) == 1
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("gen", "gen_count", 0, "gen_count must be an integer >= 1, got 0"),
+        ("migrate", "gen_count", 0, "gen_count must be an integer >= 1, got 0"),
+        ("sweep", "sweep_count", 0, "sweep_count must be an integer >= 1, got 0"),
+        ("label", "label_count", 0, "label_count must be an integer >= 1, got 0"),
+        ("gen", "seed", "x", "seed must be an integer >= 0, got 'x'"),
+        ("migrate", "seed", -1, "seed must be an integer >= 0, got -1"),
+    ])
+    def test_bad_count_or_seed_exits_one_and_leaves_no_files(
+        self, command, key, value, message, tmp_path, capsys
+    ):
+        cfg, out = texture_config(tmp_path, **{key: value})
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw,message", [
+        ({"schedule": {"bogus": 1}}, "'bogus'"),
+        ([1, 2], "config must be a JSON object, not list"),
+        ({"bridge": {"depth": 1.0}}, "'depth'"),
+    ])
+    def test_malformed_config_exits_one_and_leaves_no_files(self, raw, message, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["migrate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_checkpoint_without_arrays_exits_one_and_leaves_no_files(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        blob = json.dumps({"kind": "mlp_denoiser"}).encode()
+        ckpt.write_bytes(db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob)
+        models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
+        cfg, out = texture_config(tmp_path, models=models)
+        assert main(["migrate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint header has no entry 'arrays'" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
 

@@ -39,6 +39,9 @@ class TestRunConfig:
             RunConfig.from_dict({"schedule": "linear"})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"no_such_key": 1})
+        for raw in ({"schedule": {"bogus": 1}}, [1, 2], {"bridge": {"depth": 1.0}}, {"gen_count": 0}):
+            with pytest.raises(ValueError):
+                RunConfig.from_dict(raw)
 
     def test_flag_overrides_beat_file_fields(self):
         cfg = RunConfig(seed=1, out="a", highpass_cutoff=0.25)

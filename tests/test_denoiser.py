@@ -1,5 +1,8 @@
 """Noise predictors against finite-difference and dense-algebra oracles."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,27 @@ class TestCheckpointRoundTrip:
         bad.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             db.load_checkpoint(bad)
+
+    def test_rejects_header_without_arrays(self, tmp_path):
+        good = tmp_path / "good.ckpt"
+        db.save_checkpoint(db.init_mlp((4,), (6,), steps_total=10, seed=5), good)
+        raw = good.read_bytes()
+        header_len = struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12 : 12 + header_len])
+        del header["arrays"]
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len :])
+        with pytest.raises(ValueError, match="'arrays'"):
+            db.load_checkpoint(bad)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        db.save_checkpoint(db.init_mlp((4,), (6,), steps_total=10, seed=5), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ValueError, match="after its last payload"):
+            db.load_checkpoint(path)
 
 
 class TestMlpBatched:

@@ -5,6 +5,7 @@ import pytest
 
 import diffbridge as db
 from diffbridge.diffusion import SamplerConfig, SigmaMode, ddim_sample, ddim_sigma, ddim_step
+from diffbridge.rng import step_rng
 from diffbridge.train import energy_distance
 
 
@@ -90,6 +91,29 @@ class TestDdimStep:
         sched = db.linear_schedule(100)
         with pytest.raises(ValueError):
             ddim_step(np.zeros(2), 50, ConstantEpsilon(np.zeros(2)), sched, 0.1)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7])
+    def test_bytes_equal_the_textbook_formula(self, eta):
+        """ddim_step runs the shared in-place transfer; its bytes equal the plain formula."""
+        sched = db.linear_schedule(1000)
+        tex = db.make_texture_pair("bandsplit", 16, seed=4)
+        model = db.AnalyticFieldEpsilon(tex.source.mode_variances, sched)
+        x = tex.source.sample(3, seed=5)
+        for t in (1000, 731, 402, 37, 2, 1):
+            sigma = ddim_sigma(sched, t, eta)
+            assert (sigma > 0.0) == (eta > 0.0 and t > 1)
+            ab_t, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
+            eps = model.predict_epsilon(x, t)
+            x0_hat = (x - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
+            expected = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev - sigma**2) * eps
+            rng = None
+            if sigma > 0.0:
+                expected = expected + sigma * step_rng(3, 0, t).standard_normal(x.shape)
+                rng = step_rng(3, 0, t)
+            got = ddim_step(x, t, model, sched, sigma, rng)
+            assert got.tobytes() == expected.tobytes()
+            assert not np.shares_memory(got, x)
+            x = expected
 
     def test_eta_sigma_vanishes_at_first_step(self):
         sched = db.linear_schedule(100)
