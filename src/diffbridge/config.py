@@ -12,8 +12,9 @@ config echo, the tool version, and coarse wall-clock timings.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,46 @@ from .softlabel import HighpassSpec
 from .train import AttentionLayout, TrainConfig
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+_SCALAR_CHECKS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_scalars(spec, section: str = "") -> None:
+    """ValueError naming the first scalar field of spec with a wrong type.
+
+    The field annotations say the type: "int" takes an int but not a
+    bool, "float" a finite int or float, "str" a string, and "X | None"
+    also None.  Other fields are left to their own checks.
+    """
+    for f in fields(spec):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(spec, f.name)
+        if kind not in _SCALAR_CHECKS or (optional == "None" and value is None):
+            continue
+        what, ok = _SCALAR_CHECKS[kind]
+        if not ok(value):
+            raise ValueError(f"{section}{f.name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScheduleSpec:
     steps: int = 1000
     beta_start: float = 1e-4
     beta_end: float = 0.02
+
+    def __post_init__(self):
+        _check_scalars(self, "schedule.")
 
     def build(self) -> NoiseSchedule:
         return linear_schedule(self.steps, self.beta_start, self.beta_end)
@@ -42,6 +78,9 @@ class DomainSpec:
     kind: str = "gmm"            # "gmm" or "texture"
     size: int = 32               # texture side length
     texture_kind: str = "bandsplit"
+
+    def __post_init__(self):
+        _check_scalars(self, "domains.")
 
     def build(self, seed: int) -> DomainPair:
         if self.kind == "gmm":
@@ -55,6 +94,9 @@ class DomainSpec:
 class BridgeSpec:
     steps_per_unit_time: int | None = None
     integrator: str = "ddim"
+
+    def __post_init__(self):
+        _check_scalars(self, "bridge.")
 
     def build(self, schedule: NoiseSchedule) -> BridgeConfig:
         return BridgeConfig(
@@ -70,6 +112,9 @@ class ModelSpec:
     source: str | None = None    # checkpoint paths
     target: str | None = None
 
+    def __post_init__(self):
+        _check_scalars(self, "models.")
+
 
 @dataclass(frozen=True)
 class TrainSpec:
@@ -84,15 +129,29 @@ class TrainSpec:
     attention: dict | None = None   # {"token_count":, "heads":, "windows":}
 
     def __post_init__(self):
+        _check_scalars(self, "train.")
+        if not isinstance(self.hidden, (list, tuple)) or not all(_is_int(h) for h in self.hidden):
+            raise ValueError(f"train.hidden must be a list of integers, got {self.hidden!r}")
+        att = self.attention
+        if att is not None and not (
+            isinstance(att, dict)
+            and "token_count" in att
+            and set(att) <= {"token_count", "heads", "windows"}
+            and all(_is_int(v) for v in att.values())
+        ):
+            raise ValueError(
+                "train.attention must map token_count and optionally heads and windows "
+                f"to integers, got {att!r}"
+            )
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
     def build(self, schedule: NoiseSchedule, priority: Priority, seed: int) -> TrainConfig:
         layout = None
         if self.attention is not None:
             layout = AttentionLayout(
-                token_count=int(self.attention["token_count"]),
-                heads=int(self.attention.get("heads", 1)),
-                windows=int(self.attention.get("windows", 1)),
+                token_count=self.attention["token_count"],
+                heads=self.attention.get("heads", 1),
+                windows=self.attention.get("windows", 1),
                 priority=priority,
             )
         return TrainConfig(
@@ -132,8 +191,9 @@ class RunConfig:
     def __post_init__(self):
         for key, least in (("seed", 0), ("gen_count", 1), ("sweep_count", 1), ("label_count", 1)):
             value = getattr(self, key)
-            if not isinstance(value, int) or value < least:
+            if not _is_int(value) or value < least:
                 raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+        _check_scalars(self)
 
     def highpass(self) -> HighpassSpec:
         return HighpassSpec(self.highpass_cutoff)
@@ -161,6 +221,8 @@ class RunConfig:
                         raise ValueError(f"config section {key!r} must be an object")
                     kwargs[key] = nested[key](**value)
                 elif key in ("sweep_depths", "label_targets"):
+                    if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
+                        raise ValueError(f"{key} must be a list of finite numbers, got {value!r}")
                     kwargs[key] = tuple(float(v) for v in value)
                 else:
                     kwargs[key] = value

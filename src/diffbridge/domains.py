@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rng import domain_rng
 from .schedule import NoiseSchedule
@@ -33,7 +32,12 @@ _TEXTURE_PIXEL_STD = 0.25
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Isotropic Gaussian mixture: weights (K,), means (K, d), variances (K,)."""
+    """Isotropic Gaussian mixture: weights (K,), means (K, d), variances (K,).
+
+    The x-free part of each component's log density, log w_k - d/2 *
+    log(2 pi v_k), is computed once here (read-only ``_log_norm``), so a
+    mixture scored many times pays for it once.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -47,11 +51,15 @@ class GaussianMixture:
             raise ValueError("weights and variances must be 1-D, means 2-D")
         if not (len(w) == len(m) == len(v)):
             raise ValueError("component counts disagree")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1 within 1e-12")
-        if np.any(v <= 0):
-            raise ValueError("variances must be positive")
         for name, arr in (("weights", w), ("means", m), ("variances", v)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        if (w <= 0).any() or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be positive and sum to 1 within 1e-12")
+        if (v <= 0).any():
+            raise ValueError("variances must be positive")
+        log_norm = np.log(w) - 0.5 * m.shape[1] * np.log(2.0 * np.pi * v)
+        for name, arr in (("weights", w), ("means", m), ("variances", v), ("_log_norm", log_norm)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -75,12 +83,32 @@ def _log_components(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
     d = mix.dimension
     if x.shape[-1] != d:
         raise ValueError(f"point dimension {x.shape[-1]} != mixture dimension {d}")
-    sq = np.sum((x[..., None, :] - mix.means) ** 2, axis=-1)
-    return (
-        np.log(mix.weights)
-        - 0.5 * d * np.log(2.0 * np.pi * mix.variances)
-        - 0.5 * sq / mix.variances
-    )
+    sq = ((x[..., None, :] - mix.means) ** 2).sum(axis=-1)
+    return mix._log_norm - 0.5 * sq / mix.variances
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, kept as a length-1 axis.
+
+    The arithmetic of scipy.special.logsumexp on real input, so the same
+    bytes: the row maximum is taken out of the sum, the m entries tied
+    with it are counted, the others are summed as exp(a - max) and
+    divided by m, and the result is log1p(s) + log(m) + max.  Where that
+    is not finite (a row of -inf, or one holding +inf or nan), the result
+    is log(sum(exp(a))) instead.
+    """
+    a_max = a.max(axis=-1, keepdims=True)
+    at_max = a == a_max
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = at_max.sum(axis=-1, keepdims=True, dtype=np.float64)
+        shifted = np.exp(a - a_max)
+        shifted[at_max] = 0.0
+        s = shifted.sum(axis=-1, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
+    return out
 
 
 def gmm_log_density(mix: GaussianMixture, x: np.ndarray):
@@ -89,7 +117,7 @@ def gmm_log_density(mix: GaussianMixture, x: np.ndarray):
     x may be a single point (d,) -> float, or a batch (..., d) -> (...,).
     """
     x = np.asarray(x, dtype=np.float64)
-    out = logsumexp(_log_components(mix, x), axis=-1)
+    out = _logsumexp(_log_components(mix, x))[..., 0]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -100,9 +128,9 @@ def gmm_score(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     log_comp = _log_components(mix, x)
-    resp = np.exp(log_comp - logsumexp(log_comp, axis=-1, keepdims=True))
+    resp = np.exp(log_comp - _logsumexp(log_comp))
     pulls = (mix.means - x[..., None, :]) / mix.variances[:, None]
-    return np.sum(resp[..., None] * pulls, axis=-2)
+    return (resp[..., None] * pulls).sum(axis=-2)
 
 
 def noised_mixture(mix: GaussianMixture, schedule: NoiseSchedule, t: int) -> GaussianMixture:
@@ -150,6 +178,8 @@ class SpectralTexture:
         mv = np.asarray(self.mode_variances, dtype=np.float64)
         if mv.shape != (self.size, self.size):
             raise ValueError("mode_variances must be (size, size)")
+        if not np.all(np.isfinite(mv)):
+            raise ValueError("mode_variances must be finite")
         if np.any(mv <= 0):
             raise ValueError("mode variances must be positive")
         mv.setflags(write=False)

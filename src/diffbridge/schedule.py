@@ -80,19 +80,31 @@ class NoiseSchedule:
         Accepts a scalar or array; exact at the knots time = t/T and
         log-monotone in between.
         """
-        time = np.asarray(time, dtype=np.float64)
-        if np.any(time < 0.0) or np.any(time > 1.0):
-            raise ValueError("time outside [0, 1]")
+        time = _checked_time(time)
         out = np.exp(self._log_ab(time * self.steps_T))
         return float(out) if out.ndim == 0 else out
 
     def noise_rate_at(self, time):
         """Instantaneous rate -d log(alpha_bar)/d time at normalized time."""
-        time = np.asarray(time, dtype=np.float64)
-        if np.any(time < 0.0) or np.any(time > 1.0):
-            raise ValueError("time outside [0, 1]")
+        time = _checked_time(time)
         out = -self._log_ab_deriv(time * self.steps_T) * self.steps_T
         return float(out) if out.ndim == 0 else out
+
+
+def _checked_time(time):
+    """time as a float, or as a float64 array; NaN or outside [0, 1] raises.
+
+    A float stays a float: the round trip through a 0-d array cost more
+    than the PCHIP call it feeds, and time * T is the same double.
+    """
+    if isinstance(time, float):
+        inside = 0.0 <= time <= 1.0
+    else:
+        time = np.asarray(time, dtype=np.float64)
+        inside = bool(np.all((time >= 0.0) & (time <= 1.0)))
+    if not inside:
+        raise ValueError("time outside [0, 1]")
+    return time
 
 
 def linear_schedule(

@@ -394,6 +394,21 @@ class TestChecksBeforeAnyOutput:
         ({"schedule": {"bogus": 1}}, "'bogus'"),
         ([1, 2], "config must be a JSON object, not list"),
         ({"bridge": {"depth": 1.0}}, "'depth'"),
+        ({"schedule": {"steps": "10"}}, "schedule.steps must be an integer, got '10'"),
+        ({"schedule": {"steps": True}}, "schedule.steps must be an integer, got True"),
+        ({"bridge": {"steps_per_unit_time": "5"}},
+         "bridge.steps_per_unit_time must be an integer, got '5'"),
+        ({"bridge": {"steps_per_unit_time": 5.0}},
+         "bridge.steps_per_unit_time must be an integer, got 5.0"),
+        ({"domains": {"kind": "texture", "size": "32"}}, "domains.size must be an integer, got '32'"),
+        ({"schedule": {"beta_start": "0.001"}},
+         "schedule.beta_start must be a finite number, got '0.001'"),
+        ({"highpass_cutoff": "x"}, "highpass_cutoff must be a finite number, got 'x'"),
+        ({"highpass_cutoff": False}, "highpass_cutoff must be a finite number, got False"),
+        ({"gen_count": True}, "gen_count must be an integer >= 1, got True"),
+        ({"train": {"hidden": [64, "64"]}}, "train.hidden must be a list of integers"),
+        ({"train": {"attention": {"token_count": 2.5}}}, "train.attention must map token_count"),
+        ({"label_targets": "0.5"}, "label_targets must be a list of finite numbers, got '0.5'"),
     ])
     def test_malformed_config_exits_one_and_leaves_no_files(self, raw, message, tmp_path, capsys):
         cfg = tmp_path / "config.json"

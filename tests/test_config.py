@@ -42,6 +42,37 @@ class TestRunConfig:
         for raw in ({"schedule": {"bogus": 1}}, [1, 2], {"bridge": {"depth": 1.0}}, {"gen_count": 0}):
             with pytest.raises(ValueError):
                 RunConfig.from_dict(raw)
+        wrong_types = [
+            ({"schedule": {"steps": "10"}}, "schedule.steps"),
+            ({"schedule": {"steps": 10.0}}, "schedule.steps"),
+            ({"schedule": {"beta_start": "0.001"}}, "schedule.beta_start"),
+            ({"schedule": {"beta_end": float("nan")}}, "schedule.beta_end"),
+            ({"bridge": {"steps_per_unit_time": "5"}}, "bridge.steps_per_unit_time"),
+            ({"bridge": {"integrator": 1}}, "bridge.integrator"),
+            ({"domains": {"kind": "texture", "size": "32"}}, "domains.size"),
+            ({"models": {"kind": "checkpoint", "source": 3, "target": "b"}}, "models.source"),
+            ({"train": {"epochs": True}}, "train.epochs"),
+            ({"train": {"learning_rate": "fast"}}, "train.learning_rate"),
+            ({"train": {"hidden": "64"}}, "train.hidden"),
+            ({"highpass_cutoff": "x"}, "highpass_cutoff"),
+            ({"highpass_cutoff": float("inf")}, "highpass_cutoff"),
+            ({"seed": True}, "seed"),
+            ({"out": 5}, "out"),
+            ({"train": {"attention": {"token_count": 2.7}}}, "train.attention"),
+            ({"train": {"attention": {"heads": 2}}}, "train.attention"),
+            ({"train": {"attention": {"token_count": 2, "head": 2}}}, "train.attention"),
+            ({"sweep_depths": [True, 0.5]}, "sweep_depths"),
+            ({"sweep_depths": 0.5}, "sweep_depths"),
+            ({"label_targets": "0.5"}, "label_targets"),
+            ({"label_targets": [0.5, float("nan")]}, "label_targets"),
+        ]
+        for raw, name in wrong_types:
+            with pytest.raises(ValueError, match=f"^{name} must "):
+                RunConfig.from_dict(raw)
+        # Ints stand for floats, and None for an unset optional field.
+        cfg = RunConfig.from_dict({"train": {"learning_rate": 1},
+                                   "bridge": {"steps_per_unit_time": None}})
+        assert cfg.train.learning_rate == 1 and cfg.bridge.steps_per_unit_time is None
 
     def test_flag_overrides_beat_file_fields(self):
         cfg = RunConfig(seed=1, out="a", highpass_cutoff=0.25)

@@ -1,10 +1,13 @@
 """Mixtures, texture pairs, and PGM round trips against direct oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import diffbridge as db
-from diffbridge.domains import GaussianMixture
+from diffbridge.domains import GaussianMixture, SpectralTexture, _logsumexp
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude
 from diffbridge.train import energy_distance
 
@@ -25,6 +28,18 @@ class TestGaussianMixture:
             GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [1.0, -1.0])
         with pytest.raises(ValueError):
             GaussianMixture([1.0], [[0.0, 0.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("field,args", [
+        ("weights", ([np.nan], [[0.0, 0.0]], [1.0])),
+        ("weights", ([np.inf, 0.5], [[0.0], [1.0]], [1.0, 1.0])),
+        ("means", ([1.0], [[np.inf, 0.0]], [1.0])),
+        ("means", ([0.5, 0.5], [[0.0], [np.nan]], [1.0, 1.0])),
+        ("variances", ([1.0], [[0.0, 0.0]], [np.nan])),
+        ("variances", ([1.0], [[0.0, 0.0]], [np.inf])),
+    ])
+    def test_rejects_non_finite_naming_the_field(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            GaussianMixture(*args)
 
     def test_degenerate_variance_collapses_to_mean(self):
         mix = GaussianMixture([1.0], [[0.4, -0.7]], [1e-14])
@@ -93,6 +108,123 @@ class TestLogDensity:
                 )
             oracle = float(mp.log(total))
             assert db.gmm_log_density(mix, x) == pytest.approx(oracle, abs=1e-10)
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _lse_cases():
+    rng = np.random.default_rng(11)
+    for shape in ((3,), (1, 3), (6, 3), (5, 9), (4, 3, 7), (2, 5, 1), (3, 300)):
+        yield rng.normal(scale=4.0, size=shape)
+        # Integer values tie exactly, often several times in a row.
+        yield rng.integers(-2, 3, size=shape).astype(np.float64)
+        yield np.full(shape, -1.5)
+        yield rng.normal(size=shape) + 700.0
+        yield rng.normal(size=shape) - 700.0
+        yield np.where(rng.random(shape) < 0.5, 709.5, -745.0)
+    edges = rng.normal(size=(9, 4))
+    edges[0] = -np.inf
+    edges[1, :2] = -np.inf
+    edges[2, 1] = np.inf
+    edges[3, [0, 3]] = np.inf
+    edges[4, 2] = np.nan
+    edges[5] = [np.inf, -np.inf, np.nan, 0.0]
+    edges[6] = [710.0, 710.0, 709.0, 0.0]
+    edges[7] = 1.7e308
+    edges[8] = [-1.7e308, 1.7e308, 0.0, 1.0]
+    yield edges
+    yield np.array([-np.inf])
+    yield np.array([np.nan])
+    # NaNs of both signs among infinities: which NaN comes out depends on
+    # the order the sum meets them in, so only scipy's fallback gives its bytes.
+    pool = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, 1.0, -3.0])
+    yield pool[rng.integers(0, len(pool), size=(64, 9))]
+
+
+class TestLogSumExp:
+    """The numpy kernel gives scipy.special.logsumexp's bytes (scipy is the oracle)."""
+
+    @pytest.mark.parametrize("a", list(_lse_cases()))
+    def test_bytes_equal_scipy(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(a)
+        with np.errstate(over="ignore"):
+            want = logsumexp(a, axis=-1, keepdims=True)
+        _assert_same_bytes(got, want)
+
+
+def _scipy_log_components(mix, x):
+    d = mix.dimension
+    sq = np.sum((x[..., None, :] - mix.means) ** 2, axis=-1)
+    return (
+        np.log(mix.weights)
+        - 0.5 * d * np.log(2.0 * np.pi * mix.variances)
+        - 0.5 * sq / mix.variances
+    )
+
+
+def _scipy_gmm_log_density(mix, x):
+    x = np.asarray(x, dtype=np.float64)
+    out = logsumexp(_scipy_log_components(mix, x), axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _scipy_gmm_score(mix, x):
+    x = np.asarray(x, dtype=np.float64)
+    log_comp = _scipy_log_components(mix, x)
+    resp = np.exp(log_comp - logsumexp(log_comp, axis=-1, keepdims=True))
+    pulls = (mix.means - x[..., None, :]) / mix.variances[:, None]
+    return np.sum(resp[..., None] * pulls, axis=-2)
+
+
+class TestScoreBytes:
+    """gmm_score and gmm_log_density keep the bytes of the scipy-based formula."""
+
+    @staticmethod
+    def mixtures():
+        pair = db.default_gmm_pair()
+        sched = db.linear_schedule(1000)
+        yield pair.source
+        for t in (1, 250, 999, 1000):
+            yield db.noised_mixture(pair.target, sched, t)
+        yield GaussianMixture([0.2, 0.3, 0.5], [[1.0, -2.0], [-1.5, 0.5], [2.0, 2.0]], [0.4, 0.8, 0.2])
+        # Two identical components tie exactly wherever they are scored.
+        yield GaussianMixture([0.25, 0.25, 0.5], [[1.0, 1.0], [1.0, 1.0], [-1.0, 0.0]], [0.5, 0.5, 2.0])
+        yield GaussianMixture([1.0], [[0.5, -0.5, 2.0]], [1e-3])
+
+    @staticmethod
+    def points(d):
+        rng = np.random.default_rng(d)
+        yield rng.normal(scale=3.0, size=d)
+        yield rng.normal(scale=3.0, size=(64, d))
+        yield rng.normal(scale=50.0, size=(4, 8, d))
+        yield np.zeros(d)
+        yield np.full((3, d), 1e3) * [[1.0], [-1.0], [0.5]]
+        yield np.full(d, 1e200)
+
+    def test_same_bytes_as_scipy_formula(self):
+        compared = 0
+        for mix in self.mixtures():
+            for x in self.points(mix.dimension):
+                with np.errstate(all="ignore"):
+                    _assert_same_bytes(db.gmm_score(mix, x), _scipy_gmm_score(mix, x))
+                    got = db.gmm_log_density(mix, x)
+                    want = _scipy_gmm_log_density(mix, x)
+                assert type(got) is type(want)
+                _assert_same_bytes(got, want)
+                compared += 1
+        assert compared == 48
+
+    def test_log_normaliser_is_read_only_and_not_a_field(self):
+        mix = db.default_gmm_pair().source
+        assert not mix._log_norm.flags.writeable
+        assert "_log_norm" not in repr(mix)
+        assert mix == GaussianMixture(mix.weights, mix.means, mix.variances)
 
 
 class TestNoisedMixture:
@@ -170,6 +302,13 @@ class TestTexturePair:
         for domain in (pair.source, pair.target):
             x = domain.sample(16, seed=3)
             assert x.min() >= -1.0 and x.max() <= 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_mode_variances(self, bad):
+        mv = np.ones((16, 16))
+        mv[3, 5] = bad
+        with pytest.raises(ValueError, match="^mode_variances must be finite$"):
+            SpectralTexture("bad", 16, mv)
 
     def test_rejects_bad_kind_and_size(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,23 @@ class TestContinuousExtension:
 
     def test_rejects_out_of_range_time(self):
         s = linear_schedule(10)
-        for u in (-0.01, 1.01):
-            with pytest.raises(ValueError):
-                s.alpha_bar_at(u)
+        bad = (-0.01, 1.01, float("nan"), np.nan, np.inf, np.array([0.5, np.nan]),
+               np.array([[0.0], [np.nan]]), np.array(np.nan), [0.2, -np.inf])
+        for u in bad:
+            for at in (s.alpha_bar_at, s.noise_rate_at):
+                with pytest.raises(ValueError, match="time outside"):
+                    at(u)
+
+    @pytest.mark.parametrize("steps,grid", [(1000, 1000), (1000, 300), (200, 200), (200, 1000)])
+    def test_scalar_time_gives_the_array_path_bytes(self, steps, grid):
+        # Grid node k of n reaches a model as step k/n * T, which it
+        # passes back as (k/n * T) / T; both forms of every node are checked.
+        s = linear_schedule(steps)
+        k = np.arange(grid + 1)
+        times = sorted({*(k / grid).tolist(), *((k / grid * steps) / steps).tolist()})
+        as_array = {f: f(np.array(times)) for f in (s.alpha_bar_at, s.noise_rate_at)}
+        for i, u in enumerate(times):
+            for f, column in as_array.items():
+                got = f(u)
+                assert type(got) is float
+                assert got.hex() == float(f(np.asarray(u))).hex() == float(column[i]).hex()
