@@ -61,6 +61,8 @@ class AttentionConfig:
     w_output: np.ndarray = None
 
     def __post_init__(self):
+        if min(self.token_count, self.model_dim, self.heads, self.windows) < 1:
+            raise ValueError("token_count, model_dim, heads and windows must be >= 1")
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
         if self.token_count % self.windows != 0:

@@ -6,7 +6,8 @@ flows: noise with the source model from 0 to 1, denoise with the target
 model from 1 back to 0.  Depth-controlled migration stops the descent
 early, noising only to an intermediate time i and denoising from i, which
 yields cross-domain intermediates whose migration extent grows with i.
-A depth sweep shares one forward leg across all its depths.  Every
+A depth sweep shares one forward leg and one reverse descent across all
+its depths; the models are pure and keep no per-step memo.  Every
 entry point takes one sample or a batch of samples along a leading axis;
 models broadcast over it, so a batch costs one model call per grid step
 and each row is bit-identical to that sample's own run.
@@ -222,11 +223,17 @@ def depth_sweep(
 ) -> list[BridgeTrajectory]:
     """Depth-controlled migration at every depth of a grid, in grid order.
 
-    One forward leg serves the whole grid: it runs from 0 to the deepest
-    snapped depth, chained node to node between consecutive depths, and
-    each depth then gets its own reverse leg.  Grid nodes are global, so
-    every trajectory is bit-identical to a one-depth sweep at its depth.
-    Depths that snap to one node share one trajectory.
+    One forward leg and one reverse descent serve the whole grid.  The
+    forward leg runs from 0 to the deepest snapped depth, chained node to
+    node between consecutive depths.  The descent runs the target model
+    from the deepest depth back to 0, chained the same way; each depth's
+    latent joins the descending batch, stacked along a new leading axis,
+    when the descent reaches that depth's node.  A sweep therefore calls
+    each model once per grid step between 0 and the deepest depth (twice
+    with Heun), whatever the number of depths.  Grid nodes are global and
+    models score rows independently, so every trajectory is bit-identical
+    to a one-depth sweep at its depth.  Depths that snap to one node share
+    one trajectory.
     """
     x_source = np.asarray(x_source, dtype=np.float64)
     snapped = [cfg.snap(float(d)) for d in depths]
@@ -234,11 +241,17 @@ def depth_sweep(
     _check_model_priority(model_tgt, Direction.REVERSE, "reverse")
 
     source = x_source.copy()
-    rows = {0.0: BridgeTrajectory(source, source, source, 0.0)}
-    latent, reached = source, 0.0
-    for depth in sorted(set(snapped) - {0.0}):
-        latent = flow_ode(latent, model_src, reached, depth, cfg)
-        reached = depth
-        migrated = flow_ode(latent, model_tgt, depth, 0.0, cfg)
-        rows[depth] = BridgeTrajectory(source, latent, migrated, depth)
+    ends = [0.0, *sorted(set(snapped) - {0.0})]
+    latents = [source]
+    for start, stop in zip(ends, ends[1:]):
+        latents.append(flow_ode(latents[-1], model_src, start, stop, cfg))
+    # Row r of the descending batch belongs to the r-th deepest depth.
+    batch = np.empty((0, *source.shape))
+    for j in range(len(ends) - 1, 0, -1):
+        batch = np.concatenate([batch, latents[j][None]])
+        batch = flow_ode(batch, model_tgt, ends[j], ends[j - 1], cfg)
+    rows = {
+        depth: BridgeTrajectory(source, latents[j], batch[-j] if j else source, depth)
+        for j, depth in enumerate(ends)
+    }
     return [rows[d] for d in snapped]

@@ -26,8 +26,14 @@ from .config import RunConfig, RunManifest
 from .denoiser import AnalyticFieldEpsilon, AnalyticGmmEpsilon, load_checkpoint, save_checkpoint
 from .domains import DomainPair, GaussianMixture, gmm_log_density, sample_domain, save_pgm
 from .schedule import NoiseSchedule
-from .softlabel import DegenerateEndpointsError, highpass_magnitude, nearest_label, soft_label
-from .train import TrainingDivergedError, train_denoiser
+from .softlabel import (
+    DegenerateEndpointsError,
+    HighpassSpec,
+    highpass_magnitude,
+    nearest_label,
+    soft_label,
+)
+from .train import TrainingDivergedError, init_model, train_denoiser
 from .verify import run_all
 
 _ROLE_SEEDS = {
@@ -178,6 +184,7 @@ class _Run:
     models: tuple | None
     bridge: BridgeConfig | None
     depths: tuple[float, ...]   # snapped sweep grid, config order
+    highpass: HighpassSpec | None
 
     def sweep(self, sources):
         """The batch's trajectories at the grid depths and its full-depth endpoints."""
@@ -186,20 +193,25 @@ class _Run:
 
 
 def _open_run(cfg: RunConfig, command: str) -> _Run:
-    """Build a command's setup; the model and grid checks run before any output."""
+    """Build a command's setup; the config, model and grid checks run before any output."""
     manifest = RunManifest(cfg, command)
     pair = cfg.domains.build(cfg.seed)
     if command == "label" and not _is_image_pair(pair):
         raise ValueError("label calibration needs an image domain pair")
     schedule = None if command == "gen" else cfg.schedule.build()
+    if command == "train":
+        # The training settings and the model geometry, as training will build them.
+        init_model(pair.shape, cfg.train.build(schedule, Priority.GLOBAL_FIRST, 0))
     bridging = command in ("migrate", "sweep", "label")
     models = _build_models(cfg, pair, schedule) if bridging else None
     bridge_cfg = cfg.bridge.build(schedule) if bridging else None
     depths = _snap_grid(cfg.sweep_depths, bridge_cfg) if command in ("sweep", "label") else ()
+    labelled = command in ("sweep", "label") or (command == "migrate" and _is_image_pair(pair))
+    highpass = cfg.highpass() if labelled else None
     out = Path(cfg.out)
     for sub in ("frames", "labels", "checkpoints"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    return _Run(out, manifest, pair, schedule, models, bridge_cfg, depths)
+    return _Run(out, manifest, pair, schedule, models, bridge_cfg, depths, highpass)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +276,7 @@ def cmd_migrate(cfg: RunConfig) -> int:
             save_pgm(np.clip(mig, -1.0, 1.0), mp)
             manifest.add(sp, kind="source-sample", sample_id=i)
             manifest.add(mp, kind="migrated-sample", sample_id=i)
-        spec = cfg.highpass()
+        spec = run.highpass
         manifest.note(
             "highpass_magnitude_mean",
             {
@@ -293,7 +305,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     run = _open_run(cfg, "sweep")
     out, manifest, pair = run.out, run.manifest, run.pair
     sources = sample_domain(pair.source, cfg.sweep_count, _role_seed(cfg.seed, "sweep"))
-    spec = cfg.highpass()
+    spec = run.highpass
 
     if _is_image_pair(pair):
         # Per-sample endpoints: each sample's own full-depth migration.
@@ -339,7 +351,7 @@ def cmd_label(cfg: RunConfig, targets=None) -> int:
     targets = _check_targets(targets if targets is not None else cfg.label_targets)
     run = _open_run(cfg, "label")
     out, manifest, pair = run.out, run.manifest, run.pair
-    spec = cfg.highpass()
+    spec = run.highpass
     sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
     table, endpoints = run.sweep(sources)

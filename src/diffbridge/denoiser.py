@@ -19,11 +19,18 @@ Three implementations:
 * MlpDenoiser -- a small dense network with sinusoidal time conditioning
   and an optional self-attention block over patch tokens, trained by the
   manual reverse-mode gradients in ``backward`` (no autodiff framework).
+
+The analytic models keep no per-step memo: each call computes its
+alpha_bar and noised domain afresh.  The only state they hold is the
+texture model's one pair of FFT work arrays, bounded by the largest
+batch it has scored; that model's calls must not overlap across threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -32,7 +39,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import attention as attn
-from .domains import GaussianMixture, _noised_mixture_ab, gmm_score
+from .domains import GaussianMixture, gmm_score, noised_mixture_at
 from .schedule import NoiseSchedule
 
 CHECKPOINT_MAGIC = b"DBCK"
@@ -61,24 +68,17 @@ def _check_step(t: float, steps_T: int) -> float:
 class _AnalyticEpsilon(EpsilonModel):
     """Per-step path of the analytic models.
 
-    The noised domain is built once per step (``_noised``); the prediction
-    is exactly zero where alpha_bar = 1, else the subclass's ``_epsilon``.
+    Every call builds the noised domain at its step (``_noised``); the
+    prediction is exactly zero where alpha_bar = 1, else the subclass's
+    ``_epsilon``.  Nothing is remembered between calls.
     """
-
-    def __post_init__(self):
-        # Entries are immutable, so concurrent readers are safe.
-        object.__setattr__(self, "_by_step", {})
 
     def _predict(self, x: np.ndarray, t: float) -> np.ndarray:
         t = _check_step(t, self.schedule.steps_T)
-        entry = self._by_step.get(t)
-        if entry is None:
-            ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
-            entry = self._by_step[t] = (ab, self._noised(ab) if ab < 1.0 else None)
-        ab, noised = entry
-        if noised is None:
-            return np.zeros_like(x)
-        return self._epsilon(x, ab, noised)
+        ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
+        if ab < 1.0:
+            return self._epsilon(x, ab, self._noised(ab))
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class AnalyticGmmEpsilon(_AnalyticEpsilon):
         return self._predict(np.asarray(x, dtype=np.float64), t)
 
     def _noised(self, ab: float):
-        return _noised_mixture_ab(self.mixture, ab)
+        return noised_mixture_at(self.mixture, ab)
 
     def _epsilon(self, x, ab, noised):
         return -np.sqrt(1.0 - ab) * gmm_score(noised, x)
@@ -109,16 +109,16 @@ class AnalyticFieldEpsilon(_AnalyticEpsilon):
     ``mode_variances`` are the covariance eigenvalues on the fft2 grid
     (unitary convention), as produced by domains.SpectralTexture.
     Accepts one (H, W) field or a batch (..., H, W).  The transforms run
-    in two complex work arrays kept per input shape, so a call allocates
-    only the array it returns; calls must not overlap across threads.
+    in one pair of flat complex work arrays, grown to the largest input
+    seen and viewed as each call's shape, so a call allocates only the
+    array it returns; calls must not overlap across threads.
     """
 
     mode_variances: np.ndarray
     schedule: NoiseSchedule
 
     def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "_work", {})
+        object.__setattr__(self, "_work", (np.empty(0, complex), np.empty(0, complex)))
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -132,10 +132,9 @@ class AnalyticFieldEpsilon(_AnalyticEpsilon):
         return ab * self.mode_variances + (1.0 - ab)
 
     def _epsilon(self, x, ab, noised_var):
-        work = self._work.get(x.shape)
-        if work is None:
-            work = self._work[x.shape] = (np.empty(x.shape, complex), np.empty(x.shape, complex))
-        spectrum, partial = work
+        if self._work[0].size < x.size:
+            object.__setattr__(self, "_work", (np.empty(x.size, complex), np.empty(x.size, complex)))
+        spectrum, partial = (w[: x.size].reshape(x.shape) for w in self._work)
         # fft2 and ifft2 as their two one-axis passes (last axis first),
         # each into the other array: the same bytes as the library calls.
         spectrum[...] = x
@@ -400,59 +399,97 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
 
 
 def load_checkpoint(path) -> MlpDenoiser:
+    """The model a checkpoint file holds.
+
+    Anything malformed -- magic, version, header JSON, a missing entry or
+    one of the wrong type, a truncated payload, trailing bytes, or
+    arrays that do not fit the header's geometry -- raises a one-line
+    ValueError that names what is wrong.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError("not a denoiser checkpoint (bad magic)")
-        fixed = fh.read(8)
-        if len(fixed) != 8:
-            raise ValueError("truncated checkpoint header")
-        version, header_len = struct.unpack("<II", fixed)
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ValueError("checkpoint header is not a JSON object")
-        try:
-            return _from_header(header, fh)
-        except KeyError as exc:
-            raise ValueError(f"checkpoint header has no entry {exc}") from None
+        blob = fh.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ValueError("not a denoiser checkpoint (bad magic)")
+    if len(blob) < 12:
+        raise ValueError("truncated checkpoint header")
+    version, header_len = struct.unpack_from("<II", blob, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    try:
+        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"checkpoint header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
+    return _from_header(header, blob, 12 + header_len)
 
 
-def _from_header(header: dict, fh) -> MlpDenoiser:
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+# What a header entry may hold, keyed by the words an error quotes.
+_ENTRY_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer >= 1": lambda v: _is_int(v, 1),
+    "a list of integers >= 0": lambda v: isinstance(v, list) and all(_is_int(i, 0) for i in v),
+    "a list of integers >= 1": lambda v: isinstance(v, list) and all(_is_int(i, 1) for i in v),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(i, dict) for i in v),
+    "an object or null": lambda v: v is None or isinstance(v, dict),
+}
+
+
+def _entry(obj: dict, key: str, kind: str, where: str = "checkpoint header"):
+    """obj[key], or a ValueError naming the entry when it is missing or not of ``kind``."""
+    if key not in obj:
+        raise ValueError(f"{where} has no entry {key!r}")
+    if not _ENTRY_KINDS[kind](obj[key]):
+        raise ValueError(f"{where} entry {key!r} must be {kind}, got {reprlib.repr(obj[key])}")
+    return obj[key]
+
+
+def _from_header(header: dict, blob: bytes, offset: int) -> MlpDenoiser:
     payload = {}
-    for meta in header["arrays"]:
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(fh.read(count * 8), dtype=np.float64)
-        if data.size != count:
-            raise ValueError(f"truncated payload for array {meta['name']}")
-        payload[meta["name"]] = data.reshape(shape).copy()
-    if fh.read(1):
+    for i, meta in enumerate(_entry(header, "arrays", "a list of objects")):
+        name = _entry(meta, "name", "a string", f"checkpoint array {i}")
+        shape = _entry(meta, "shape", "a list of integers >= 0", f"checkpoint array {i}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(blob):
+            raise ValueError(f"truncated payload for array {name}")
+        payload[name] = np.frombuffer(blob, np.float64, count, offset).reshape(shape).copy()
+        offset += 8 * count
+    if offset < len(blob):
         raise ValueError("checkpoint has bytes after its last payload")
 
+    def array(name):
+        if name not in payload:
+            raise ValueError(f"checkpoint has no array {name!r}")
+        return payload[name]
+
     att_cfg = None
-    if header["attention"] is not None:
-        am = header["attention"]
+    am = _entry(header, "attention", "an object or null")
+    if am is not None:
+        where = "checkpoint attention"
         att_cfg = attn.AttentionConfig(
-            token_count=am["token_count"],
-            model_dim=am["model_dim"],
-            heads=am["heads"],
-            windows=am["windows"],
-            priority=attn.Priority(am["priority"]),
-            w_query=payload["att_wq"],
-            w_key=payload["att_wk"],
-            w_value=payload["att_wv"],
-            w_output=payload["att_wo"],
+            **{
+                key: _entry(am, key, "an integer >= 1", where)
+                for key in ("token_count", "model_dim", "heads", "windows")
+            },
+            priority=attn.Priority(_entry(am, "priority", "a string", where)),
+            w_query=array("att_wq"),
+            w_key=array("att_wk"),
+            w_value=array("att_wv"),
+            w_output=array("att_wo"),
         )
-    n_layers = len(header["widths"]) + 1
+    widths = _entry(header, "widths", "a list of integers >= 1")
+    n_layers = len(widths) + 1
     return MlpDenoiser(
-        field_shape=tuple(header["field_shape"]),
-        widths=tuple(header["widths"]),
-        steps_total=header["steps_total"],
-        time_dim=header["time_dim"],
-        activation=header["activation"],
-        weights=[payload[f"w{i}"] for i in range(n_layers)],
-        biases=[payload[f"b{i}"] for i in range(n_layers)],
+        field_shape=tuple(_entry(header, "field_shape", "a list of integers >= 1")),
+        widths=tuple(widths),
+        steps_total=_entry(header, "steps_total", "an integer >= 1"),
+        time_dim=_entry(header, "time_dim", "an integer >= 1"),
+        activation=_entry(header, "activation", "a string"),
+        weights=[array(f"w{i}") for i in range(n_layers)],
+        biases=[array(f"b{i}") for i in range(n_layers)],
         attention=att_cfg,
     )

@@ -58,6 +58,10 @@ class GaussianMixture:
             raise ValueError("weights must be positive and sum to 1 within 1e-12")
         if (v <= 0).any():
             raise ValueError("variances must be positive")
+        self._set_arrays(w, m, v)
+
+    def _set_arrays(self, w: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+        """Store the arrays read-only beside their ``_log_norm``; no checks."""
         log_norm = np.log(w) - 0.5 * m.shape[1] * np.log(2.0 * np.pi * v)
         for name, arr in (("weights", w), ("means", m), ("variances", v), ("_log_norm", log_norm)):
             arr.setflags(write=False)
@@ -141,16 +145,23 @@ def noised_mixture(mix: GaussianMixture, schedule: NoiseSchedule, t: int) -> Gau
     """
     if not 1 <= t <= schedule.steps_T:
         raise ValueError(f"step {t} outside [1, {schedule.steps_T}]")
-    ab = schedule.alpha_bar(t)
-    return _noised_mixture_ab(mix, ab)
+    return noised_mixture_at(mix, schedule.alpha_bar(t))
 
 
-def _noised_mixture_ab(mix: GaussianMixture, alpha_bar: float) -> GaussianMixture:
-    return GaussianMixture(
-        weights=mix.weights.copy(),
-        means=np.sqrt(alpha_bar) * mix.means,
-        variances=alpha_bar * mix.variances + (1.0 - alpha_bar),
+def noised_mixture_at(mix: GaussianMixture, alpha_bar: float) -> GaussianMixture:
+    """``noised_mixture`` at a given alpha_bar in (0, 1], built without re-validation.
+
+    A valid mixture noised by a valid alpha_bar is valid, so the derived
+    mixture skips the constructor's checks and shares the read-only
+    weights; it gets the bytes the checked constructor would give.
+    """
+    out = object.__new__(GaussianMixture)
+    out._set_arrays(
+        mix.weights,
+        np.sqrt(alpha_bar) * mix.means,
+        alpha_bar * mix.variances + (1.0 - alpha_bar),
     )
+    return out
 
 
 # ---------------------------------------------------------------------------

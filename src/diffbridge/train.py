@@ -91,6 +91,40 @@ class _Sgd:
             p -= self.lr * g
 
 
+def init_model(field_shape, cfg: TrainConfig) -> MlpDenoiser:
+    """The untrained model ``train_denoiser`` starts from, seeded by cfg.seed.
+
+    A geometry that cannot be built (an attention layout that does not
+    tile the field, an unknown activation, ...) raises ValueError.
+    """
+    field_size = int(np.prod(field_shape))
+    init_seed = int(np.random.SeedSequence(cfg.seed).generate_state(2)[0])
+    att_cfg = None
+    if cfg.attention is not None:
+        lay = cfg.attention
+        if lay.token_count < 1 or field_size % lay.token_count != 0:
+            raise ValueError(
+                f"token_count {lay.token_count} must divide the field size {field_size}"
+            )
+        att_cfg = attn.init_attention(
+            token_count=lay.token_count,
+            model_dim=field_size // lay.token_count,
+            heads=lay.heads,
+            windows=lay.windows,
+            priority=lay.priority,
+            seed=init_seed,
+        )
+    return init_mlp(
+        field_shape,
+        cfg.hidden,
+        steps_total=cfg.schedule.steps_T,
+        time_dim=cfg.time_dim,
+        activation=cfg.activation,
+        attention=att_cfg,
+        seed=init_seed,
+    )
+
+
 def train_denoiser(
     data: np.ndarray, cfg: TrainConfig
 ) -> tuple[MlpDenoiser, list[float]]:
@@ -104,31 +138,9 @@ def train_denoiser(
         raise ValueError("data must be a nonempty (N, *field_shape) array")
     field_shape = data.shape[1:]
     field_size = int(np.prod(field_shape))
+    model = init_model(field_shape, cfg)
 
-    init_seed, loop_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
-    att_cfg = None
-    if cfg.attention is not None:
-        lay = cfg.attention
-        if field_size % lay.token_count != 0:
-            raise ValueError("token_count must divide the field size")
-        att_cfg = attn.init_attention(
-            token_count=lay.token_count,
-            model_dim=field_size // lay.token_count,
-            heads=lay.heads,
-            windows=lay.windows,
-            priority=lay.priority,
-            seed=int(init_seed),
-        )
-    model = init_mlp(
-        field_shape,
-        cfg.hidden,
-        steps_total=cfg.schedule.steps_T,
-        time_dim=cfg.time_dim,
-        activation=cfg.activation,
-        attention=att_cfg,
-        seed=int(init_seed),
-    )
-
+    _, loop_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
     rng = np.random.default_rng(int(loop_seed))
     opt_cls = _Adam if cfg.optimizer == "adam" else _Sgd
     opt = opt_cls(model.parameters(), cfg.learning_rate)

@@ -255,6 +255,17 @@ class TestDepthMigrate:
             )
 
 
+class _Counting(db.EpsilonModel):
+    """A model that records the input shape of each of its calls."""
+
+    def __init__(self, inner):
+        self.inner, self.shapes = inner, []
+
+    def predict_epsilon(self, x, t):
+        self.shapes.append(x.shape)
+        return self.inner.predict_epsilon(x, t)
+
+
 class TestDepthSweep:
     # Unsorted, and 0.34 snaps between the other nodes.
     GRID = [1.0, 0.0, 0.5, 0.25, 0.34, 0.75, 0.125]
@@ -288,6 +299,20 @@ class TestDepthSweep:
                 assert traj.depth == ref.depth
                 for field in ("source", "latent", "migrated"):
                     assert getattr(traj, field).tobytes() == getattr(ref, field).tobytes()
+
+    @pytest.mark.parametrize("pair", ["gmm", "texture"])
+    def test_one_descent_calls_the_target_model_once_per_grid_step(self, gmm_setup, pair):
+        m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
+        src, tgt = _Counting(m_src), _Counting(m_tgt)
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
+        grid = [0.75, 0.0, 0.5, 0.25, 0.34, 0.125]
+        table = depth_sweep(xs, src, tgt, cfg, grid)
+        assert len(src.shapes) == len(tgt.shapes) == round(max(grid) * steps)
+        # The descent starts with the deepest depth's rows and ends with all five depths'.
+        assert tgt.shapes[0] == (1, *xs.shape) and tgt.shapes[-1] == (5, *xs.shape)
+        for depth, traj in zip(grid, table):
+            ref = depth_migrate(xs, m_src, m_tgt, cfg, depth)
+            assert traj.migrated.tobytes() == ref.migrated.tobytes()
 
     def test_hybrid_priority_enforced(self, gmm_setup):
         att_fwd = db.init_attention(1, 2, priority=Priority.GLOBAL_FIRST, seed=0)

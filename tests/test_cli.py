@@ -380,6 +380,15 @@ class TestChecksBeforeAnyOutput:
         ("label", "label_count", 0, "label_count must be an integer >= 1, got 0"),
         ("gen", "seed", "x", "seed must be an integer >= 0, got 'x'"),
         ("migrate", "seed", -1, "seed must be an integer >= 0, got -1"),
+        ("migrate", "highpass_cutoff", 1.5, "cutoff_fraction must lie in (0, 1)"),
+        ("sweep", "highpass_cutoff", 1.5, "cutoff_fraction must lie in (0, 1)"),
+        ("label", "highpass_cutoff", 1.5, "cutoff_fraction must lie in (0, 1)"),
+        ("train", "train", {"samples": 0}, "train.samples must be an integer >= 1, got 0"),
+        ("train", "train", {"epochs": 0}, "epochs and batch_size must be positive"),
+        ("train", "train", {"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'"),
+        ("train", "train", {"activation": "relu"}, "unknown activation 'relu'"),
+        ("train", "train", {"attention": {"token_count": 3}},
+         "token_count 3 must divide the field size 256"),
     ])
     def test_bad_count_or_seed_exits_one_and_leaves_no_files(
         self, command, key, value, message, tmp_path, capsys
@@ -428,6 +437,32 @@ class TestChecksBeforeAnyOutput:
         assert main(["migrate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "checkpoint header has no entry 'arrays'" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry,value,message", [
+        ("arrays", 5, "checkpoint header entry 'arrays' must be a list of objects, got 5"),
+        ("shape", "ab", "checkpoint array 0 entry 'shape' must be a list of integers >= 0, got 'ab'"),
+        ("field_shape", "ab",
+         "checkpoint header entry 'field_shape' must be a list of integers >= 1, got 'ab'"),
+        ("widths", 5, "checkpoint header entry 'widths' must be a list of integers >= 1, got 5"),
+        ("attention", [1], "checkpoint header entry 'attention' must be an object or null, got [1]"),
+    ])
+    def test_checkpoint_entry_of_wrong_type_exits_one_and_leaves_no_files(
+        self, entry, value, message, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "bad.ckpt"
+        db.save_checkpoint(db.init_mlp((16, 16), (8,), steps_total=200, seed=0), ckpt)
+        raw = ckpt.read_bytes()
+        header_len = struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12 : 12 + header_len])
+        (header["arrays"][0] if entry == "shape" else header)[entry] = value
+        blob = json.dumps(header).encode()
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len :])
+        models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
+        cfg, out = texture_config(tmp_path, models=models)
+        assert main(["migrate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
 
 

@@ -126,13 +126,16 @@ class TestAnalyticFieldEpsilon:
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_batch_bytes_equal_fft2_formula_across_calls(self):
-        """Work arrays are reused per shape; results equal fft2/ifft2 and are not overwritten."""
+        """One pair of work arrays serves every shape; results equal fft2/ifft2 and are not overwritten."""
         pair = db.make_texture_pair("bandsplit", 16, seed=4)
         sched = db.linear_schedule(100)
         model = db.AnalyticFieldEpsilon(pair.source.mode_variances, sched)
         lam = pair.source.mode_variances
         inputs = [pair.source.sample(4, seed=1), pair.source.sample(1, seed=2)[0],
                   pair.source.sample(4, seed=3)]
+        # Grow, then shrink: a (3, 3) stack, a pair, one field, then the stack again.
+        stack = pair.source.sample(9, seed=6).reshape(3, 3, 16, 16)
+        inputs += [stack, pair.source.sample(2, seed=7), pair.source.sample(1, seed=8)[0], stack]
         calls = [(x, t) for t in (1, 40, 100) for x in inputs]
         got = [model.predict_epsilon(x, t) for x, t in calls]
         for (x, t), eps in zip(calls, got):
@@ -140,6 +143,7 @@ class TestAnalyticFieldEpsilon:
             spectrum = np.fft.fft2(x, norm="ortho") / (ab * lam + (1.0 - ab))
             expected = np.sqrt(1.0 - ab) * np.fft.ifft2(spectrum, norm="ortho").real
             assert eps.tobytes() == expected.tobytes()
+        assert [w.size for w in model._work] == [stack.size, stack.size]
 
     def test_shape_mismatch_rejected(self):
         pair = db.make_texture_pair("bandsplit", 16, seed=0)
