@@ -13,9 +13,9 @@ direction.
 
 Scaled dot-product uses 1/sqrt(head_dim); no masking, no dropout, both
 variants are deterministic shape-preserving maps of an (n, d) token
-matrix.  The forward maps broadcast over leading axes: a (..., n, d)
-stack is attended matrix by matrix, each row bit-identical to a call on
-that matrix alone.  The backward pass takes one (n, d) matrix.
+matrix.  Both the forward maps and the backward pass broadcast over
+leading axes: a (..., n, d) stack is attended, or differentiated, matrix
+by matrix, each row bit-identical to a call on that matrix alone.
 """
 
 from __future__ import annotations
@@ -198,44 +198,46 @@ def _forward(cfg, x):
 
 
 def _backward(cfg, x, grad_out):
+    lead = x.shape[:-2]
     n, h, dh = cfg.token_count, cfg.heads, cfg.head_dim
     qh, kh, probs, vh, merged = _internals(cfg, x)
-    w, nw = probs.shape[0], probs.shape[2]
+    w, nw = probs.shape[-4], probs.shape[-2]
 
-    d_wo = merged.T @ grad_out
+    d_wo = merged.swapaxes(-1, -2) @ grad_out
     d_merged = grad_out @ cfg.w_output.T
-    d_heads = d_merged.reshape(w, nw, h, dh).transpose(0, 2, 1, 3)
+    d_heads = d_merged.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
 
-    d_probs = d_heads @ vh.transpose(0, 1, 3, 2)
-    d_vh = probs.transpose(0, 1, 3, 2) @ d_heads
+    d_probs = d_heads @ vh.swapaxes(-1, -2)
+    d_vh = probs.swapaxes(-1, -2) @ d_heads
     d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
     d_qh = d_scores @ kh / math.sqrt(dh)
-    d_kh = d_scores.transpose(0, 1, 3, 2) @ qh / math.sqrt(dh)
+    d_kh = d_scores.swapaxes(-1, -2) @ qh / math.sqrt(dh)
 
-    dq = d_qh.transpose(0, 2, 1, 3).reshape(w, nw, h * dh)
-    dk = d_kh.transpose(0, 2, 1, 3).reshape(w, nw, h * dh)
-    dv = d_vh.transpose(0, 2, 1, 3).reshape(w, nw, h * dh)
+    dq = d_qh.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh)
+    dk = d_kh.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh)
+    dv = d_vh.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh)
 
-    xw = x.reshape(w, nw, cfg.model_dim)
-    xt = xw.transpose(0, 2, 1)
+    xt = x.reshape(*lead, w, nw, cfg.model_dim).swapaxes(-1, -2)
     grads = AttentionGrads(
-        (xt @ dq).sum(axis=0),
-        (xt @ dk).sum(axis=0),
-        (xt @ dv).sum(axis=0),
+        (xt @ dq).sum(axis=-3),
+        (xt @ dk).sum(axis=-3),
+        (xt @ dv).sum(axis=-3),
         d_wo,
     )
-    d_x = (dq @ cfg.w_query.T + dk @ cfg.w_key.T + dv @ cfg.w_value.T).reshape(n, -1)
+    d_x = (dq @ cfg.w_query.T + dk @ cfg.w_key.T + dv @ cfg.w_value.T).reshape(*lead, n, -1)
     return d_x, grads
 
 
 def attention_backward(cfg: AttentionConfig, tokens: np.ndarray, grad_out: np.ndarray):
-    """Gradients of a scalar loss through the attention block, for one (n, d) input.
+    """Gradients of a scalar loss through the attention block.
 
     Returns (grad_tokens, AttentionGrads) for ``grad_out`` = dLoss/dOutput.
+    A (..., n, d) stack gets one gradient per matrix: grad_tokens has the
+    tokens' shape and each weight gradient is (..., d, d), every matrix's
+    bytes equal to a call on that matrix alone.  Summing them is the
+    caller's choice.
     """
     tokens = _check_tokens(cfg, tokens)
-    if tokens.ndim != 2:
-        raise ValueError(f"backward takes one ({cfg.token_count}, {cfg.model_dim}) matrix")
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != tokens.shape:
         raise ValueError("grad_out shape must match tokens shape")

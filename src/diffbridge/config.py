@@ -132,8 +132,10 @@ class TrainSpec:
         _check_scalars(self, "train.")
         if self.samples < 1:
             raise ValueError(f"train.samples must be an integer >= 1, got {self.samples!r}")
-        if not isinstance(self.hidden, (list, tuple)) or not all(_is_int(h) for h in self.hidden):
-            raise ValueError(f"train.hidden must be a list of integers, got {self.hidden!r}")
+        if not isinstance(self.hidden, (list, tuple)) or not all(
+            _is_int(h) and h >= 1 for h in self.hidden
+        ):
+            raise ValueError(f"train.hidden must be a list of integers >= 1, got {self.hidden!r}")
         att = self.attention
         if att is not None and not (
             isinstance(att, dict)

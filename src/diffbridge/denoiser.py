@@ -19,6 +19,8 @@ Three implementations:
 * MlpDenoiser -- a small dense network with sinusoidal time conditioning
   and an optional self-attention block over patch tokens, trained by the
   manual reverse-mode gradients in ``backward`` (no autodiff framework).
+  ``backward`` takes one field or a (B, *field) minibatch with one step
+  per row, and returns the gradients summed over the rows in row order.
 
 The analytic models keep no per-step memo: each call computes its
 alpha_bar and noised domain afresh.  The only state they hold is the
@@ -151,13 +153,19 @@ class AnalyticFieldEpsilon(_AnalyticEpsilon):
 # ---------------------------------------------------------------------------
 
 
-def time_embedding(tau: float, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of normalized time tau in [0, 1]."""
+def time_embedding(tau, dim: int) -> np.ndarray:
+    """Sinusoidal embedding of normalized time tau in [0, 1].
+
+    A scalar tau gives shape (dim,); an array of taus gives one embedding
+    per entry, shape (*tau.shape, dim), each equal to the scalar call's.
+    """
     half = dim // 2
     exponents = np.arange(half) / max(half - 1, 1)
     freqs = 10000.0**exponents
+    if isinstance(tau, np.ndarray):
+        tau = tau[..., None]
     angles = tau * freqs
-    return np.concatenate([np.sin(angles), np.cos(angles)])
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
 def _silu(a):
@@ -179,8 +187,9 @@ _ACTIVATIONS = {
 class MlpGradients:
     """Gradients of the squared-error loss for every trainable array.
 
-    ``prediction`` is the model output the gradients were taken at; it is
-    not a parameter gradient.
+    For a minibatch each gradient is the sum over its rows, in row order.
+    ``prediction`` is the model output the gradients were taken at, one
+    field or (B, *field); it is not a parameter gradient.
     """
 
     weights: list[np.ndarray]
@@ -203,7 +212,9 @@ class MlpDenoiser(EpsilonModel):
     ``token_count`` patches of ``model_dim`` values and routed through
     the attention block, whose priority is fixed at construction (and
     therefore at training time).  Inference accepts one field or a batch
-    (..., *field_shape); ``backward`` takes one field.
+    (..., *field_shape); ``backward`` takes one field or a (B, *field_shape)
+    minibatch.  Both take one step for every field, or an array of steps
+    shaped like the leading axes.
     """
 
     field_shape: tuple[int, ...]
@@ -246,17 +257,18 @@ class MlpDenoiser(EpsilonModel):
         out, _ = self._forward(np.asarray(x, dtype=np.float64), t)
         return out
 
-    def _forward(self, x: np.ndarray, t: float):
+    def _forward(self, x: np.ndarray, t):
         """Prediction for x of shape (..., *field_shape), plus the internals ``backward`` needs.
 
-        Each field is one (1, k) row of a stack, so every dense layer is the
-        same per-row BLAS call a single field makes: a batch's rows are
-        bit-identical to one call per field.
+        ``t`` is one step for every field, or an array of steps shaped like
+        the leading axes.  Each field is one (1, k) row of a stack, so every
+        dense layer is the same per-row BLAS call a single field makes: a
+        batch's rows are bit-identical to one call per field at its step.
         """
         lead = x.shape[: max(x.ndim - len(self.field_shape), 0)]
         if x.shape[len(lead):] != tuple(self.field_shape):
             raise ValueError(f"field shape {x.shape} != model shape (..., {self.field_shape})")
-        t = _check_step(t, self.steps_total)
+        t = self._check_steps(t, lead)
         act, _ = _ACTIVATIONS[self.activation]
 
         tokens = None
@@ -265,6 +277,8 @@ class MlpDenoiser(EpsilonModel):
             x = attn.attention_forward(self.attention, tokens)
         rows = x.reshape(*lead, 1, -1)
         embed = time_embedding(t / self.steps_total, self.time_dim)
+        if embed.ndim > 1:  # one embedding per leading row
+            embed = embed[..., None, :]
         z = np.concatenate([rows, np.broadcast_to(embed, (*lead, 1, self.time_dim))], axis=-1)
         pre, post = [], [z]
         last = len(self.weights) - 1
@@ -275,42 +289,72 @@ class MlpDenoiser(EpsilonModel):
         out = post[-1].reshape(*lead, *self.field_shape)
         return out, (tokens, pre, post)
 
+    def _check_steps(self, t, lead: tuple[int, ...]):
+        """t as one checked float, or as a float64 array of one step per leading row."""
+        if not isinstance(t, np.ndarray) or t.ndim == 0:
+            return _check_step(t, self.steps_total)
+        t = np.asarray(t, dtype=np.float64)
+        if t.shape != lead:
+            raise ValueError(f"steps of shape {t.shape} for fields of leading shape {lead}")
+        if not np.all((t >= 0.0) & (t <= self.steps_total)):
+            raise ValueError(f"a step outside [0, {self.steps_total}]")
+        return t
+
     # -- training ----------------------------------------------------------
 
-    def backward(self, x: np.ndarray, t: float, target_eps: np.ndarray) -> MlpGradients:
-        """Reverse-mode gradients of ||target_eps - predict(x, t)||^2 for one field.
+    def backward(self, x: np.ndarray, t, target_eps: np.ndarray) -> MlpGradients:
+        """Reverse-mode gradients of the squared error ||target_eps - predict(x, t)||^2.
 
-        The prediction the gradients were taken at rides along on the result.
+        x is one field with a scalar step, or a (B, *field_shape) minibatch
+        with a scalar step or B steps; the loss is then summed over rows.
+        Every gradient is the sum of the rows' one-field gradients taken in
+        row order, with the same bytes (up to the sign of an exact zero):
+        dense weights by a row-ordered einsum, biases by a row-ordered
+        reduce, and each row's delta pulled back by its own matrix-vector
+        product.  The prediction the gradients were taken at, shaped like
+        x, rides along on the result.
         """
         x = np.asarray(x, dtype=np.float64)
         target_eps = np.asarray(target_eps, dtype=np.float64)
         if target_eps.shape != x.shape:
             raise ValueError("target shape must match input shape")
-        if x.shape != tuple(self.field_shape):
-            raise ValueError(f"field shape {x.shape} != model shape {self.field_shape}")
+        one = x.shape == tuple(self.field_shape)
+        if one:
+            if np.ndim(t) != 0:
+                raise ValueError("one field takes one step")
+            x, target_eps = x[None], target_eps[None]
+        elif x.shape[1:] != tuple(self.field_shape):
+            raise ValueError(
+                f"field shape {x.shape} != model shape {self.field_shape} or (B, *{self.field_shape})"
+            )
         out, (tokens, pre, post) = self._forward(x, t)
         _, act_grad = _ACTIVATIONS[self.activation]
 
-        delta = 2.0 * (out - target_eps).reshape(-1)
+        rows = x.shape[0]
+        delta = 2.0 * (out - target_eps).reshape(rows, -1)
         d_weights = [None] * len(self.weights)
         d_biases = [None] * len(self.biases)
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
-                delta = delta * act_grad(pre[i][0])
-            d_weights[i] = np.outer(post[i], delta)
-            d_biases[i] = delta.copy()
-            delta = self.weights[i] @ delta
+                delta = delta * act_grad(pre[i][:, 0])
+            d_weights[i] = np.einsum("bi,bj->ij", post[i][:, 0], delta, optimize=False)
+            d_biases[i] = np.add.reduce(delta, axis=0)
+            delta = (self.weights[i] @ delta[..., None])[..., 0]
 
         att_grads = None
         if self.attention is not None:
             field_size = int(np.prod(self.field_shape))
-            d_att_out = delta[:field_size].reshape(
-                self.attention.token_count, self.attention.model_dim
+            d_att_out = delta[:, :field_size].reshape(
+                rows, self.attention.token_count, self.attention.model_dim
             )
-            _, att_grads = attn.attention_backward(self.attention, tokens, d_att_out)
+            _, per_row = attn.attention_backward(self.attention, tokens, d_att_out)
+            att_grads = attn.AttentionGrads(
+                *(np.add.reduce(g, axis=0) for g in per_row.parameters())
+            )
         return MlpGradients(
-            weights=d_weights, biases=d_biases, attention=att_grads, prediction=out
+            weights=d_weights, biases=d_biases, attention=att_grads,
+            prediction=out[0] if one else out,
         )
 
 

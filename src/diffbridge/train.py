@@ -6,6 +6,14 @@ that noise and the model's prediction at the noised state.  Gradients
 are exactly the model's manual reverse-mode gradients, and each
 example's loss is read off the same forward pass; training is
 single-threaded and bit-reproducible under a fixed seed.
+
+A minibatch is one batched forward and backward pass: its examples'
+(t, noise) pairs are drawn one example after another from the one
+generator, and the model sums their gradients in example order.  The
+sum is divided by the field size once, which equals dividing each
+example's gradient when the field size is a power of two (2 for the
+point domains, n^2 for power-of-two textures); other field sizes can
+differ from per-example division in the last bit.
 """
 
 from __future__ import annotations
@@ -155,24 +163,23 @@ def train_denoiser(
             epoch_losses = []
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                grad_sum = None
+                rows = len(batch)
+                ts = np.empty(rows, dtype=np.int64)
+                eps = np.empty((rows, *field_shape))
+                for row in range(rows):
+                    ts[row] = rng.integers(1, cfg.schedule.steps_T + 1)
+                    rng.standard_normal(field_shape, out=eps[row])
+                ab = cfg.schedule.alpha_bars[ts].reshape(-1, *(1,) * len(field_shape))
+                x_t = np.sqrt(ab) * data[batch] + np.sqrt(1.0 - ab) * eps
+                grad = model.backward(x_t, ts, eps)
+                row_losses = np.mean(((eps - grad.prediction) ** 2).reshape(rows, -1), axis=1)
+                # Added one at a time, in row order: the built-in sum
+                # compensates its rounding from Python 3.12 on.
                 loss_sum = 0.0
-                for idx in batch:
-                    x0 = data[idx]
-                    t = int(rng.integers(1, cfg.schedule.steps_T + 1))
-                    ab = cfg.schedule.alpha_bar(t)
-                    eps = rng.standard_normal(field_shape)
-                    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-                    grad = model.backward(x_t, t, eps)
-                    loss_sum += float(np.mean((eps - grad.prediction) ** 2))
-                    grads = grad.parameters()
-                    if grad_sum is None:
-                        grad_sum = [g / field_size for g in grads]
-                    else:
-                        for acc, g in zip(grad_sum, grads):
-                            acc += g / field_size
-                scale = 1.0 / len(batch)
-                opt.step([g * scale for g in grad_sum])
+                for loss in row_losses.tolist():
+                    loss_sum += loss
+                scale = 1.0 / rows
+                opt.step([g / field_size * scale for g in grad.parameters()])
                 epoch_losses.append(loss_sum * scale)
             epoch_loss = float(np.mean(epoch_losses))
             if not np.isfinite(epoch_loss):

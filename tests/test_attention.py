@@ -155,7 +155,7 @@ class TestShapePreservation:
             assert local_priority_attention(l, x).shape == x.shape
 
 
-class TestBatchedForward:
+class TestBatched:
     @pytest.mark.parametrize("priority", list(Priority))
     def test_stack_rows_byte_equal_single_calls(self, priority):
         cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
@@ -168,9 +168,23 @@ class TestBatchedForward:
                 assert out[i, j].tobytes() == attention_forward(cfg, x[i, j]).tobytes()
                 assert probs[i, j].tobytes() == attention_probabilities(cfg, x[i, j]).tobytes()
 
-    def test_backward_takes_one_matrix(self):
+    @pytest.mark.parametrize("priority", list(Priority))
+    def test_backward_stack_rows_byte_equal_single_calls(self, priority):
+        cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
+        x, g = np.random.default_rng(3).standard_normal((2, 3, 2, 16, 16))
+        d_x, grads = attention_backward(cfg, x, g)
+        assert d_x.shape == x.shape
+        for i in range(3):
+            for j in range(2):
+                one_dx, one = attention_backward(cfg, x[i, j], g[i, j])
+                assert d_x[i, j].tobytes() == one_dx.tobytes()
+                for stacked, single in zip(grads.parameters(), one.parameters()):
+                    assert stacked.shape == (3, 2, 16, 16)
+                    assert stacked[i, j].tobytes() == single.tobytes()
+
+    def test_wrong_shapes_rejected(self):
         cfg = init_attention(4, 4, seed=0)
         with pytest.raises(ValueError):
-            attention_backward(cfg, np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
+            attention_backward(cfg, np.zeros((2, 4, 4)), np.zeros((3, 4, 4)))
         with pytest.raises(ValueError):
             attention_forward(cfg, np.zeros((2, 5, 4)))

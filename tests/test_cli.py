@@ -389,6 +389,10 @@ class TestChecksBeforeAnyOutput:
         ("train", "train", {"activation": "relu"}, "unknown activation 'relu'"),
         ("train", "train", {"attention": {"token_count": 3}},
          "token_count 3 must divide the field size 256"),
+        ("train", "train", {"hidden": [0]}, "train.hidden must be a list of integers >= 1, got [0]"),
+        ("train", "train", {"hidden": [-1]}, "train.hidden must be a list of integers >= 1, got [-1]"),
+        ("train", "train", {"hidden": [64, 0]},
+         "train.hidden must be a list of integers >= 1, got [64, 0]"),
     ])
     def test_bad_count_or_seed_exits_one_and_leaves_no_files(
         self, command, key, value, message, tmp_path, capsys

@@ -54,6 +54,9 @@ class TestRunConfig:
             ({"train": {"epochs": True}}, "train.epochs"),
             ({"train": {"learning_rate": "fast"}}, "train.learning_rate"),
             ({"train": {"hidden": "64"}}, "train.hidden"),
+            ({"train": {"hidden": [0]}}, "train.hidden"),
+            ({"train": {"hidden": [-1]}}, "train.hidden"),
+            ({"train": {"hidden": [64, 0]}}, "train.hidden"),
             ({"highpass_cutoff": "x"}, "highpass_cutoff"),
             ({"highpass_cutoff": float("inf")}, "highpass_cutoff"),
             ({"seed": True}, "seed"),

@@ -303,4 +303,82 @@ class TestMlpBatched:
         with pytest.raises(ValueError):
             m.predict_epsilon(np.zeros((3, 5)), 3)
         with pytest.raises(ValueError):
-            m.backward(np.zeros((2, 4)), 3, np.zeros((2, 4)))
+            m.backward(np.zeros((2, 5)), 3, np.zeros((2, 5)))
+
+
+class TestMlpBatchedBackward:
+    """A minibatch backward equals its rows' one-field backwards, added in row order."""
+
+    def model(self, priority):
+        att = None
+        if priority is not None:
+            att = db.init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
+        return db.init_mlp((16, 16), (32, 24), steps_total=100, attention=att, seed=2)
+
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 33])
+    def test_rows_byte_equal_one_field_calls(self, priority, rows):
+        m = self.model(priority)
+        rng = np.random.default_rng(rows)
+        x, target = rng.standard_normal((2, rows, 16, 16))
+        steps = rng.uniform(0.0, 100.0, rows)
+        steps[::2] = rng.integers(0, 101, steps[::2].size)   # integer and fractional steps
+        grads = m.backward(x, steps, target)
+        assert grads.prediction.shape == x.shape
+        expected = None
+        for b in range(rows):
+            assert grads.prediction[b].tobytes() == m.predict_epsilon(x[b], steps[b]).tobytes()
+            one = m.backward(x[b], steps[b], target[b]).parameters()
+            if expected is None:
+                expected = [g.copy() for g in one]
+            else:
+                for acc, g in zip(expected, one):
+                    acc += g
+        for got, want in zip(grads.parameters(), expected, strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("priority", [None, Priority.LOCAL_FIRST])
+    def test_scalar_step_equals_that_step_per_row(self, priority):
+        m = self.model(priority)
+        x, target = np.random.default_rng(4).standard_normal((2, 5, 16, 16))
+        shared = m.backward(x, 37, target)
+        per_row = m.backward(x, np.full(5, 37), target)
+        for a, b in zip([shared.prediction, *shared.parameters()],
+                        [per_row.prediction, *per_row.parameters()]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_one_field_keeps_its_shapes(self):
+        m = self.model(Priority.GLOBAL_FIRST)
+        x, target = np.random.default_rng(5).standard_normal((2, 16, 16))
+        grads = m.backward(x, 12, target)
+        assert grads.prediction.shape == (16, 16)
+        assert [g.shape for g in grads.parameters()] == [p.shape for p in m.parameters()]
+
+    def test_bad_shapes_and_steps_rejected(self):
+        m = db.init_mlp((4,), (8,), steps_total=10, seed=0)
+        with pytest.raises(ValueError):
+            m.backward(np.zeros((3, 5)), 3, np.zeros((3, 5)))        # wrong field shape
+        with pytest.raises(ValueError):
+            m.backward(np.zeros((2, 3, 4)), 3, np.zeros((2, 3, 4)))  # two leading axes
+        with pytest.raises(ValueError):
+            m.backward(np.zeros((3, 4)), np.ones(2), np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            m.backward(np.zeros((3, 4)), np.ones(4), np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            m.backward(np.zeros(4), np.ones(1), np.zeros(4))       # one field, one step
+        with pytest.raises(ValueError):
+            m.backward(np.zeros((3, 4)), np.array([1.0, np.nan, 2.0]), np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            m.backward(np.zeros((3, 4)), np.array([1.0, 11.0, 2.0]), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("priority", [None, Priority.LOCAL_FIRST])
+    def test_batch_loss_gradients_match_finite_differences(self, priority):
+        att = None
+        if priority is not None:
+            att = db.init_attention(4, 4, heads=2, windows=2, priority=priority, seed=7)
+        m = db.init_mlp((16,), (12,), steps_total=100, time_dim=4, attention=att, seed=8)
+        x, target = np.random.default_rng(9).standard_normal((2, 3, 16))
+        # predict_epsilon takes the same per-row steps, so the loss
+        # mlp_gradcheck differentiates is the batch's summed loss.
+        assert mlp_gradcheck(m, x, np.array([5.0, 48.5, 90.0]), target) < 1e-4

@@ -4,14 +4,64 @@ import numpy as np
 import pytest
 
 import diffbridge as db
+from diffbridge.attention import Priority
 from diffbridge.diffusion import SamplerConfig, ddim_sample
+from diffbridge.domains import make_texture_pair, sample_domain
 from diffbridge.train import (
+    AttentionLayout,
     TrainConfig,
     TrainingDivergedError,
+    _Adam,
+    _Sgd,
     energy_distance,
     evaluate_fit,
+    init_model,
     train_denoiser,
 )
+
+
+def per_example_training(data, cfg):
+    """Reference: the loop train_denoiser ran before it batched its minibatches.
+
+    One backward call per example, each example's gradient divided by the
+    field size before it joins the minibatch sum.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    field_shape = data.shape[1:]
+    field_size = int(np.prod(field_shape))
+    model = init_model(field_shape, cfg)
+    _, loop_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
+    rng = np.random.default_rng(int(loop_seed))
+    opt_cls = _Adam if cfg.optimizer == "adam" else _Sgd
+    opt = opt_cls(model.parameters(), cfg.learning_rate)
+    n = data.shape[0]
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grad_sum = None
+            loss_sum = 0.0
+            for idx in batch:
+                x0 = data[idx]
+                t = int(rng.integers(1, cfg.schedule.steps_T + 1))
+                ab = cfg.schedule.alpha_bar(t)
+                eps = rng.standard_normal(field_shape)
+                x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+                grad = model.backward(x_t, t, eps)
+                loss_sum += float(np.mean((eps - grad.prediction) ** 2))
+                grads = grad.parameters()
+                if grad_sum is None:
+                    grad_sum = [g / field_size for g in grads]
+                else:
+                    for acc, g in zip(grad_sum, grads):
+                        acc += g / field_size
+            scale = 1.0 / len(batch)
+            opt.step([g * scale for g in grad_sum])
+            epoch_losses.append(loss_sum * scale)
+        history.append(float(np.mean(epoch_losses)))
+    return model, history
 
 
 class TestEnergyDistance:
@@ -138,6 +188,59 @@ class TestTrainDenoiser:
             TrainConfig(schedule=self.sched, optimizer="newton")
         with pytest.raises(ValueError):
             TrainConfig(schedule=self.sched, epochs=0)
+
+
+class TestMinibatchTraining:
+    """One backward call per minibatch gives the per-example loop's bytes.
+
+    Exact where the field size is a power of two, so that dividing the
+    summed gradient by it equals dividing each example's gradient.
+    """
+
+    @staticmethod
+    def assert_same_bytes(data, cfg):
+        model, history = train_denoiser(data, cfg)
+        ref_model, ref_history = per_example_training(data, cfg)
+        assert history == ref_history
+        for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [20, 32, 80])   # 20 and 80 divide N = 80
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_gmm_matches_per_example_loop(self, batch_size, optimizer):
+        data = db.gmm_sample(db.default_gmm_pair().source, 80, seed=0)
+        cfg = TrainConfig(
+            schedule=db.linear_schedule(200), epochs=3, batch_size=batch_size,
+            learning_rate=1e-2, optimizer=optimizer, seed=6, hidden=(16, 16),
+        )
+        self.assert_same_bytes(data, cfg)
+
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    @pytest.mark.parametrize("batch_size", [12, 16])   # 12 divides N = 36
+    def test_texture_matches_per_example_loop(self, priority, batch_size):
+        data = sample_domain(make_texture_pair("bandsplit", 16, 0).source, 36, seed=1)
+        layout = None
+        if priority is not None:
+            layout = AttentionLayout(token_count=16, heads=2, windows=4, priority=priority)
+        cfg = TrainConfig(
+            schedule=db.linear_schedule(1000), epochs=2, batch_size=batch_size,
+            seed=2, hidden=(32, 32), attention=layout,
+        )
+        self.assert_same_bytes(data, cfg)
+
+    def test_field_size_three_within_tolerance(self):
+        # 3 is not a power of two: dividing the summed gradient by it once
+        # rounds differently from dividing each example's gradient.
+        data = np.random.default_rng(3).standard_normal((60, 3))
+        cfg = TrainConfig(
+            schedule=db.linear_schedule(200), epochs=3, batch_size=16,
+            learning_rate=3e-3, seed=4, hidden=(16,),
+        )
+        model, history = train_denoiser(data, cfg)
+        ref_model, ref_history = per_example_training(data, cfg)
+        np.testing.assert_allclose(history, ref_history, rtol=1e-12, atol=0)
+        for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestEvaluateFit:
