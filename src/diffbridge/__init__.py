@@ -59,6 +59,7 @@ from .softlabel import (
     calibrate_depth,
     highpass_magnitude,
     label_intermediate,
+    label_sweep,
     soft_label,
 )
 from .train import (

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import Priority
+from .attention import Direction, select_priority
 from .bridge import BridgeConfig, NonFiniteStateError, depth_sweep, migrate
 from .config import RunConfig, RunManifest
 from .denoiser import AnalyticFieldEpsilon, AnalyticGmmEpsilon, load_checkpoint, save_checkpoint
@@ -30,8 +30,8 @@ from .softlabel import (
     DegenerateEndpointsError,
     HighpassSpec,
     highpass_magnitude,
+    label_sweep,
     nearest_label,
-    soft_label,
 )
 from .train import TrainingDivergedError, init_model, train_denoiser
 from .verify import run_all
@@ -186,11 +186,6 @@ class _Run:
     depths: tuple[float, ...]   # snapped sweep grid, config order
     highpass: HighpassSpec | None
 
-    def sweep(self, sources):
-        """The batch's trajectories at the grid depths and its full-depth endpoints."""
-        *table, full = depth_sweep(sources, *self.models, self.bridge, self.depths + (1.0,))
-        return table, full.migrated
-
 
 def _open_run(cfg: RunConfig, command: str) -> _Run:
     """Build a command's setup; the config, model and grid checks run before any output."""
@@ -201,7 +196,7 @@ def _open_run(cfg: RunConfig, command: str) -> _Run:
     schedule = None if command == "gen" else cfg.schedule.build()
     if command == "train":
         # The training settings and the model geometry, as training will build them.
-        init_model(pair.shape, cfg.train.build(schedule, Priority.GLOBAL_FIRST, 0))
+        init_model(pair.shape, cfg.train.build(schedule, select_priority(Direction.FORWARD), 0))
     bridging = command in ("migrate", "sweep", "label")
     models = _build_models(cfg, pair, schedule) if bridging else None
     bridge_cfg = cfg.bridge.build(schedule) if bridging else None
@@ -214,6 +209,24 @@ def _open_run(cfg: RunConfig, command: str) -> _Run:
     return _Run(out, manifest, pair, schedule, models, bridge_cfg, depths, highpass)
 
 
+def _write_frame(run: _Run, name: str, x, **record) -> None:
+    """One field as ``frames/{name}``, clipped to [-1, 1], and its manifest record."""
+    path = run.out / "frames" / name
+    save_pgm(np.clip(x, -1.0, 1.0), path)
+    run.manifest.add(path, **record)
+
+
+def _write_samples(run: _Run, stem: str, samples) -> None:
+    """A batch as ``{stem}_NNN.pgm`` frames, or points as one ``{stem}.csv``."""
+    if _is_image_pair(run.pair):
+        for i, x in enumerate(samples):
+            _write_frame(run, f"{stem}_{i:03d}.pgm", x, kind=f"{stem}-sample", sample_id=i)
+    else:
+        path = run.out / "frames" / f"{stem}.csv"
+        _write_points_csv(path, samples)
+        run.manifest.add(path, kind=f"{stem}-samples", count=int(len(samples)))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -221,21 +234,12 @@ def _open_run(cfg: RunConfig, command: str) -> _Run:
 
 def cmd_gen(cfg: RunConfig) -> int:
     run = _open_run(cfg, "gen")
-    out, manifest, pair = run.out, run.manifest, run.pair
-    for role, domain in (("source", pair.source), ("target", pair.target)):
-        samples = sample_domain(domain, cfg.gen_count, _role_seed(cfg.seed, f"{role}-samples"))
-        if _is_image_pair(pair):
-            for i, x in enumerate(samples):
-                path = out / "frames" / f"{role}_{i:03d}.pgm"
-                save_pgm(x, path)
-                manifest.add(path, kind=f"{role}-sample", sample_id=i)
-        else:
-            path = out / "frames" / f"{role}.csv"
-            _write_points_csv(path, samples)
-            manifest.add(path, kind=f"{role}-samples", count=int(len(samples)))
-    manifest.note("sample_count", cfg.gen_count)
-    manifest.finish(out)
-    print(f"gen: wrote {2 * cfg.gen_count} samples under {out}")
+    for role, domain in (("source", run.pair.source), ("target", run.pair.target)):
+        seed = _role_seed(cfg.seed, f"{role}-samples")
+        _write_samples(run, role, sample_domain(domain, cfg.gen_count, seed))
+    run.manifest.note("sample_count", cfg.gen_count)
+    run.manifest.finish(run.out)
+    print(f"gen: wrote {2 * cfg.gen_count} samples under {run.out}")
     return 0
 
 
@@ -245,8 +249,8 @@ def cmd_train(cfg: RunConfig) -> int:
     # Hybrid rule at training time: the source model serves forward legs,
     # the target model reverse legs.
     roles = (
-        ("source", pair.source, Priority.GLOBAL_FIRST, "train-source"),
-        ("target", pair.target, Priority.LOCAL_FIRST, "train-target"),
+        ("source", pair.source, select_priority(Direction.FORWARD), "train-source"),
+        ("target", pair.target, select_priority(Direction.REVERSE), "train-target"),
     )
     for role, domain, priority, seed_role in roles:
         data = sample_domain(domain, cfg.train.samples, _role_seed(cfg.seed, seed_role))
@@ -268,29 +272,12 @@ def cmd_migrate(cfg: RunConfig) -> int:
     out, manifest, pair = run.out, run.manifest, run.pair
     sources = sample_domain(pair.source, cfg.gen_count, _role_seed(cfg.seed, "migrate"))
     migrated = migrate(sources, *run.models, run.bridge).migrated
+    _write_samples(run, "source", sources)
+    _write_samples(run, "migrated", migrated)
     if _is_image_pair(pair):
-        for i, (src, mig) in enumerate(zip(sources, migrated)):
-            sp = out / "frames" / f"source_{i:03d}.pgm"
-            mp = out / "frames" / f"migrated_{i:03d}.pgm"
-            save_pgm(src, sp)
-            save_pgm(np.clip(mig, -1.0, 1.0), mp)
-            manifest.add(sp, kind="source-sample", sample_id=i)
-            manifest.add(mp, kind="migrated-sample", sample_id=i)
-        spec = run.highpass
-        manifest.note(
-            "highpass_magnitude_mean",
-            {
-                "source": float(np.mean([highpass_magnitude(x, spec) for x in sources])),
-                "migrated": float(np.mean([highpass_magnitude(x, spec) for x in migrated])),
-            },
-        )
+        means = [float(np.mean(highpass_magnitude(v, run.highpass))) for v in (sources, migrated)]
+        manifest.note("highpass_magnitude_mean", dict(zip(("source", "migrated"), means)))
     else:
-        sp = out / "frames" / "source.csv"
-        mp = out / "frames" / "migrated.csv"
-        _write_points_csv(sp, sources)
-        _write_points_csv(mp, migrated)
-        manifest.add(sp, kind="source-samples", count=int(len(sources)))
-        manifest.add(mp, kind="migrated-samples", count=int(len(migrated)))
         gain = gmm_log_density(pair.target, migrated) - gmm_log_density(pair.target, sources)
         manifest.note(
             "target_log_density_gain",
@@ -305,30 +292,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
     run = _open_run(cfg, "sweep")
     out, manifest, pair = run.out, run.manifest, run.pair
     sources = sample_domain(pair.source, cfg.sweep_count, _role_seed(cfg.seed, "sweep"))
-    spec = run.highpass
 
     if _is_image_pair(pair):
-        # Per-sample endpoints: each sample's own full-depth migration.
-        table, endpoints = run.sweep(sources)
+        sweep = label_sweep(sources, *run.models, run.bridge, run.depths, run.highpass)
         label_rows = []
         for i, x in enumerate(sources):
-            sp = out / "frames" / f"sample{i:03d}_source.pgm"
-            save_pgm(x, sp)
-            manifest.add(sp, kind="source-sample", sample_id=i)
-            a_s = highpass_magnitude(x, spec)
-            a_t = highpass_magnitude(endpoints[i], spec)
-            for traj in table:
-                frame = out / "frames" / f"sample{i:03d}_d{traj.depth:.4f}.pgm"
-                save_pgm(np.clip(traj.migrated[i], -1.0, 1.0), frame)
-                a_i = highpass_magnitude(traj.migrated[i], spec)
-                label = soft_label(a_s, a_i, a_t)
+            _write_frame(run, f"sample{i:03d}_source.pgm", x, kind="source-sample", sample_id=i)
+            for traj, label, a_i in zip(sweep.table, sweep.labels[i], sweep.a_frame[i]):
+                _write_frame(
+                    run, f"sample{i:03d}_d{traj.depth:.4f}.pgm", traj.migrated[i],
+                    kind="sweep-frame", sample_id=i, depth=traj.depth, soft_label=label.value,
+                )
                 label_rows.append(
                     [i, repr(traj.depth), repr(label.raw), repr(label.value),
-                     repr(a_s), repr(a_i), repr(a_t)]
-                )
-                manifest.add(
-                    frame, kind="sweep-frame", sample_id=i,
-                    depth=traj.depth, soft_label=label.value,
+                     repr(sweep.a_source[i]), repr(a_i), repr(sweep.a_target[i])]
                 )
         labels_path = out / "labels" / "labels.csv"
         header = ["sample_id", "depth_snapped", "raw_label", "clamped_label", "A_s", "A_i", "A_t"]
@@ -351,24 +328,18 @@ def cmd_label(cfg: RunConfig, targets=None) -> int:
     targets = _check_targets(targets if targets is not None else cfg.label_targets)
     run = _open_run(cfg, "label")
     out, manifest, pair = run.out, run.manifest, run.pair
-    spec = run.highpass
     sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
-    table, endpoints = run.sweep(sources)
+    sweep = label_sweep(sources, *run.models, run.bridge, run.depths, run.highpass)
     rows = []
-    for i, x in enumerate(sources):
-        a_s = highpass_magnitude(x, spec)
-        a_t = highpass_magnitude(endpoints[i], spec)
-        labels = [soft_label(a_s, highpass_magnitude(t.migrated[i], spec), a_t) for t in table]
+    for i, labels in enumerate(sweep.labels):
         for target in targets:
             best = nearest_label(target, run.depths, labels)
             depth, label = run.depths[best], labels[best]
-            frame = out / "frames" / f"sample{i:03d}_target{target:.2f}_d{depth:.4f}.pgm"
-            save_pgm(np.clip(table[best].migrated[i], -1.0, 1.0), frame)
-            manifest.add(
-                frame, kind="calibrated-frame", sample_id=i,
-                target_label=target, achieved_label=label.value,
-                raw_label=label.raw, depth=depth,
+            _write_frame(
+                run, f"sample{i:03d}_target{target:.2f}_d{depth:.4f}.pgm",
+                sweep.table[best].migrated[i], kind="calibrated-frame", sample_id=i,
+                target_label=target, achieved_label=label.value, raw_label=label.raw, depth=depth,
             )
             rows.append([i, repr(target), repr(depth), repr(label.value), repr(label.raw)])
     labels_path = out / "labels" / "calibrated.csv"

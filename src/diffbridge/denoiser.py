@@ -231,6 +231,8 @@ class MlpDenoiser(EpsilonModel):
             raise ValueError("time_dim must be an even integer >= 2")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if not all(w >= 1 for w in self.widths):
+            raise ValueError(f"widths must be integers >= 1, got {tuple(self.widths)}")
         size = int(np.prod(self.field_shape))
         if self.attention is not None:
             if self.attention.token_count * self.attention.model_dim != size:

@@ -53,15 +53,6 @@ class NoiseSchedule:
         object.__setattr__(self, "_log_ab", interp)
         object.__setattr__(self, "_log_ab_deriv", interp.derivative())
 
-    @property
-    def is_valid(self) -> bool:
-        return bool(
-            np.all(self.betas > 0)
-            and np.all(self.betas < 1)
-            and self.alpha_bars[0] == 1.0
-            and np.all(np.diff(self.alpha_bars) < 0)
-        )
-
     def beta(self, t: int) -> float:
         """Step-t beta, t in 1..T."""
         if not 1 <= t <= self.steps_T:

@@ -10,6 +10,10 @@ clamped to [0, 1], with endpoints labeled 0 (source) and 1 (target).
 The FFT is the plain unnormalized forward transform; the label is a
 ratio of magnitudes, so it is invariant to any global rescaling of the
 transform.
+
+Batch contract: ``highpass_magnitude`` takes a field ``(H, W)`` or a stack
+``(..., H, W)``, each magnitude with the bytes of a one-field call, and
+``label_sweep`` labels every frame of one depth sweep of a batch ``(B, H, W)``.
 """
 
 from __future__ import annotations
@@ -61,19 +65,23 @@ class SoftLabel:
     raw: float
 
 
-def highpass_magnitude(x: np.ndarray, spec: HighpassSpec) -> float:
-    """Average FFT magnitude over the mask-passed bins of a 2-D field."""
+def highpass_magnitude(x: np.ndarray, spec: HighpassSpec):
+    """Average FFT magnitude over the mask-passed bins of each 2-D field.
+
+    A field gives a float; a stack ``(..., H, W)`` an array of one magnitude per field.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
-        raise ValueError(f"expected a 2-D field of size >= 2x2, got shape {x.shape}")
-    mask = spec.mask(x.shape)
+    if x.ndim < 2 or x.shape[-2] < 2 or x.shape[-1] < 2:
+        raise ValueError(f"expected 2-D fields of size >= 2x2, got shape {x.shape}")
+    mask = spec.mask(x.shape[-2:])
     count = int(mask.sum())
     if count == 0:
         raise ValueError(
             f"cutoff {spec.cutoff_fraction} passes no frequency bins for shape {x.shape}"
         )
-    spectrum = np.fft.fft2(x)
-    return float(np.abs(spectrum[mask]).sum() / count)
+    # A contiguous copy sums each field's bins in the one-field order.
+    magnitudes = np.ascontiguousarray(np.abs(np.fft.fft2(x)[..., mask])).sum(axis=-1) / count
+    return float(magnitudes) if x.ndim == 2 else magnitudes
 
 
 def soft_label(a_source: float, a_intermediate: float, a_target: float) -> SoftLabel:
@@ -103,10 +111,7 @@ def label_intermediate(
     """Soft label of an intermediate field given both endpoint fields."""
     if not (x_intermediate.shape == x_source.shape == x_target.shape):
         raise ValueError("intermediate and endpoint fields must share one shape")
-    a_s = highpass_magnitude(x_source, spec)
-    a_i = highpass_magnitude(x_intermediate, spec)
-    a_t = highpass_magnitude(x_target, spec)
-    return soft_label(a_s, a_i, a_t)
+    return soft_label(*highpass_magnitude(np.stack([x_source, x_intermediate, x_target]), spec))
 
 
 def nearest_label(target_label: float, depths, labels) -> int:
@@ -116,6 +121,41 @@ def nearest_label(target_label: float, depths, labels) -> int:
     return min(
         range(len(labels)), key=lambda k: (abs(labels[k].value - target_label), depths[k])
     )
+
+
+@dataclass(frozen=True)
+class SweepLabels:
+    """A labelled sweep; ``labels[i][k]`` and ``a_frame[i][k]`` are sample i's at depth k."""
+
+    table: list                     # one BridgeTrajectory per grid depth, grid order
+    labels: list[list[SoftLabel]]
+    a_source: list[float]           # magnitudes as Python floats, one per sample
+    a_frame: list[list[float]]
+    a_target: list[float]
+
+
+def label_sweep(x_sources, model_src, model_tgt, cfg, depths, spec: HighpassSpec,
+                x_targets=None) -> SweepLabels:
+    """Soft label of every frame of one ``bridge.depth_sweep`` of a batch ``(B, H, W)``.
+
+    Sample i's target endpoint is ``x_targets[i]`` or, when that is omitted,
+    its full-depth migration, which rides along in the same sweep.
+    """
+    from . import bridge
+
+    if len(depths) == 0:
+        raise ValueError("depth grid must be nonempty")
+    if np.ndim(x_sources) != 3 or (x_targets is not None and len(x_targets) != len(x_sources)):
+        raise ValueError("label_sweep needs a batch of fields and one target per field")
+    full = [1.0] if x_targets is None else []
+    table = bridge.depth_sweep(x_sources, model_src, model_tgt, cfg, [*depths, *full])
+    if x_targets is None:
+        x_targets = table.pop().migrated
+    a_s = highpass_magnitude(x_sources, spec).tolist()
+    a_t = highpass_magnitude(x_targets, spec).tolist()
+    a_i = highpass_magnitude(np.stack([t.migrated for t in table], axis=1), spec).tolist()
+    labels = [[soft_label(s, a, t) for a in row] for s, row, t in zip(a_s, a_i, a_t)]
+    return SweepLabels(table, labels, a_s, a_i, a_t)
 
 
 def calibrate_depth(
@@ -130,26 +170,15 @@ def calibrate_depth(
 ):
     """Find the sweep depth whose label lands nearest the target label.
 
-    The label-depth relation is not a simple invertible curve, so every
-    grid depth is labeled, all from one ``bridge.depth_sweep``.  Ties
-    break toward the smaller depth.  When ``x_target_ref`` is omitted the
-    full-depth migration of ``x_source`` serves as the per-sample target
-    endpoint; it rides along in the same sweep.
+    The label-depth relation is not a simple invertible curve, so one
+    ``label_sweep`` labels every grid depth; ties break toward the smaller
+    depth.  ``x_target_ref`` defaults to the full-depth migration of ``x_source``.
 
     Returns ``(best_depth, SoftLabel)`` for the winning grid point.
     """
-    from . import bridge
-
     depth_grid = sorted(float(d) for d in depth_grid)
-    if not depth_grid:
-        raise ValueError("depth grid must be nonempty")
-
-    full = [1.0] if x_target_ref is None else []
-    table = bridge.depth_sweep(x_source, model_src, model_tgt, cfg, depth_grid + full)
-    if x_target_ref is None:
-        x_target_ref = table.pop().migrated
-    a_s = highpass_magnitude(x_source, spec)
-    a_t = highpass_magnitude(x_target_ref, spec)
-    labels = [soft_label(a_s, highpass_magnitude(t.migrated, spec), a_t) for t in table]
+    x_targets = None if x_target_ref is None else [x_target_ref]
+    sweep = label_sweep([x_source], model_src, model_tgt, cfg, depth_grid, spec, x_targets)
+    labels = sweep.labels[0]
     best = nearest_label(target_label, depth_grid, labels)
-    return table[best].depth, labels[best]
+    return sweep.table[best].depth, labels[best]

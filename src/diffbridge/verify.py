@@ -57,7 +57,7 @@ def check_forward_noise_moments(schedule: NoiseSchedule, seed: int = 0) -> Check
     ab = schedule.alpha_bar(t)
     x0 = np.array([1.0, -2.0])
     n = 4000
-    draws = np.stack([forward_noise(x0, t, schedule, rng) for _ in range(n)])
+    draws = forward_noise(np.broadcast_to(x0, (n, 2)), t, schedule, rng)
     se = np.sqrt((1 - ab) / n)
     mean_dev = np.abs(draws.mean(axis=0) - np.sqrt(ab) * x0).max() / se
     var_dev = np.abs(draws.var(axis=0) / (1 - ab) - 1.0).max()

@@ -1,0 +1,55 @@
+"""The benchmark's span tracer still finds every traced name, and puts each one back.
+
+``perfbench/spans.py`` wraps diffbridge functions and methods by name, so a
+renamed function breaks ``perfbench/run.py --trace 1``.  This test installs
+the tracer and uninstalls it again, and reads nothing else from perfbench.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
+
+import diffbridge  # noqa: E402
+
+
+def _bindings() -> dict:
+    """Every name bound in a diffbridge module or class namespace, and its value."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not name.startswith("diffbridge"):
+            continue
+        for key, value in vars(mod).items():
+            out[(name, key)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for attr, member in vars(value).items():
+                    out[(name, key, attr)] = member
+    return out
+
+
+def test_tracer_install_wraps_traced_names_and_uninstall_restores_them():
+    assert diffbridge.softlabel is spans.softlabel
+    before = _bindings()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        during = _bindings()
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+    wrapped = {k for k in before if during[k] is not before[k]}
+    traced = {
+        ("diffbridge.softlabel", "highpass_magnitude"),
+        ("diffbridge.softlabel", "calibrate_depth"),
+        ("diffbridge.diffusion", "ddim_step"),
+        ("diffbridge.bridge", "flow_ode"),
+        ("diffbridge.denoiser", "MlpDenoiser", "backward"),
+        *(("diffbridge.cli", f"cmd_{command}") for command in spans.COMMANDS),
+        *(("diffbridge.verify", f"check_{check}") for check in spans.VERIFY_CHECKS),
+    }
+    assert traced <= wrapped

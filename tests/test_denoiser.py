@@ -223,6 +223,12 @@ class TestMlpDenoiser:
         np.testing.assert_array_equal(grads.weights[0][:, 2], np.zeros(7))
         assert grads.biases[0][2] == 0.0
 
+    @pytest.mark.parametrize("widths", [(0,), (-1,), (64, 0)])
+    def test_widths_below_one_rejected(self, widths):
+        with pytest.raises(ValueError, match="widths") as err:
+            db.init_mlp((2,), widths, steps_total=50)
+        assert "\n" not in str(err.value)
+
     def test_shape_mismatch_rejected(self):
         m = db.init_mlp((4,), (8,), steps_total=10, seed=0)
         with pytest.raises(ValueError):

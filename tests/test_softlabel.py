@@ -9,6 +9,7 @@ from diffbridge.softlabel import (
     HighpassSpec,
     highpass_magnitude,
     label_intermediate,
+    label_sweep,
     radial_frequency_grid,
     soft_label,
 )
@@ -95,12 +96,23 @@ class TestHighpassMagnitude:
                 abs(c) * base, rel=1e-12
             )
 
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (64, 64), (16, 24)])
+    def test_stack_rows_equal_one_field_calls_bytewise(self, shape):
+        spec = HighpassSpec(0.25)
+        fields = np.random.default_rng(4).standard_normal((3, 2, *shape))
+        single = highpass_magnitude(fields[0, 0], spec)
+        assert type(single) is float
+        for stack in (fields[0], fields):  # (B, H, W) and (D, B, H, W)
+            got = highpass_magnitude(stack, spec)
+            assert got.shape == stack.shape[:-2]
+            want = np.array([highpass_magnitude(x, spec) for x in stack.reshape(-1, *shape)])
+            assert got.reshape(-1).tobytes() == want.tobytes()
+
     def test_degenerate_inputs_rejected(self):
         spec = HighpassSpec(0.25)
-        with pytest.raises(ValueError):
-            highpass_magnitude(np.zeros((1, 8)), spec)
-        with pytest.raises(ValueError):
-            highpass_magnitude(np.zeros(16), spec)
+        for shape in ((1, 8), (4, 1, 8), (3, 8, 1), (16,)):
+            with pytest.raises(ValueError):
+                highpass_magnitude(np.zeros(shape), spec)
         # Odd dims have no exact-Nyquist bin: a 3x3 grid tops out at
         # radius ~0.94, so a 0.99 cutoff passes nothing.
         with pytest.raises(ValueError):
@@ -181,6 +193,38 @@ def setup():
         "x": pair.source.sample(1, seed=2)[0],
         "spec": HighpassSpec(0.25),
     }
+
+
+class TestLabelSweep:
+    @pytest.mark.parametrize("grid", [[0.0, 0.3, 0.7, 1.0], [0.75, 0.25, 0.5]])
+    @pytest.mark.parametrize("given_targets", [False, True])
+    def test_rows_equal_per_sample_labels(self, setup, grid, given_targets):
+        cfg, m_src, m_tgt, spec = setup["cfg"], setup["m_src"], setup["m_tgt"], setup["spec"]
+        xs = np.stack([setup["x"], -setup["x"], 0.5 * setup["x"]])
+
+        def one(x, depth):
+            return db.depth_migrate(x, m_src, m_tgt, cfg, depth).migrated
+
+        targets = np.stack([one(x, 0.9) for x in xs]) if given_targets else None
+        sweep = label_sweep(xs, m_src, m_tgt, cfg, grid, spec, targets)
+        assert [t.depth for t in sweep.table] == [cfg.snap(d) for d in grid]
+        for i, x in enumerate(xs):
+            a_s = highpass_magnitude(x, spec)
+            a_t = highpass_magnitude(one(x, 1.0) if targets is None else targets[i], spec)
+            assert (sweep.a_source[i], sweep.a_target[i]) == (a_s, a_t)
+            for k, depth in enumerate(grid):
+                frame = one(x, depth)
+                assert sweep.table[k].migrated[i].tobytes() == frame.tobytes()
+                a_i = highpass_magnitude(frame, spec)
+                assert type(sweep.a_frame[i][k]) is float and sweep.a_frame[i][k] == a_i
+                assert sweep.labels[i][k] == soft_label(a_s, a_i, a_t)
+
+    def test_rejects_unbatched_sources_and_mismatched_targets(self, setup):
+        x, models = setup["x"], (setup["m_src"], setup["m_tgt"], setup["cfg"])
+        with pytest.raises(ValueError):
+            label_sweep(x, *models, [0.5], setup["spec"])
+        with pytest.raises(ValueError):
+            label_sweep(np.stack([x, x]), *models, [0.5], setup["spec"], x_targets=x[None])
 
 
 class TestCalibrateDepth:

@@ -189,6 +189,11 @@ class TestTrainDenoiser:
         with pytest.raises(ValueError):
             TrainConfig(schedule=self.sched, epochs=0)
 
+    @pytest.mark.parametrize("hidden", [(0,), (-1,), (64, 0)])
+    def test_hidden_widths_below_one_rejected(self, hidden):
+        with pytest.raises(ValueError, match="widths"):
+            train_denoiser(self.data, TrainConfig(schedule=self.sched, hidden=hidden))
+
 
 class TestMinibatchTraining:
     """One backward call per minibatch gives the per-example loop's bytes.
