@@ -159,8 +159,13 @@ def _snap_grid(depths, bridge_cfg: BridgeConfig) -> tuple[float, ...]:
 
 
 def _check_targets(targets) -> tuple[float, ...]:
-    """Label targets as floats; targets outside [0, 1] or sharing a frame name are errors."""
+    """Label targets as floats.
+
+    No targets, a target outside [0, 1] and targets sharing a frame name are errors.
+    """
     targets = tuple(float(t) for t in targets)
+    if not targets:
+        raise ValueError("label_targets is empty")
     names = [f"target{t:.2f}" for t in targets]
     for i, target in enumerate(targets):
         if not 0.0 <= target <= 1.0:
@@ -173,18 +178,24 @@ def _check_targets(targets) -> tuple[float, ...]:
     return targets
 
 
+def _settings(cfg: RunConfig) -> tuple[NoiseSchedule, BridgeConfig, HighpassSpec]:
+    """The schedule, bridge and high-pass settings; every command builds them, so checks them."""
+    schedule = cfg.schedule.build()
+    return schedule, cfg.bridge.build(schedule), cfg.highpass()
+
+
 @dataclass(frozen=True)
 class _Run:
-    """One command's setup: what it needs is built, what it lacks is None."""
+    """One command's setup; models is None and depths is empty where a command has none."""
 
     out: Path
     manifest: RunManifest
     pair: DomainPair
-    schedule: NoiseSchedule | None
+    schedule: NoiseSchedule
     models: tuple | None
-    bridge: BridgeConfig | None
+    bridge: BridgeConfig
     depths: tuple[float, ...]   # snapped sweep grid, config order
-    highpass: HighpassSpec | None
+    highpass: HighpassSpec
 
 
 def _open_run(cfg: RunConfig, command: str) -> _Run:
@@ -193,16 +204,14 @@ def _open_run(cfg: RunConfig, command: str) -> _Run:
     pair = cfg.domains.build(cfg.seed)
     if command == "label" and not _is_image_pair(pair):
         raise ValueError("label calibration needs an image domain pair")
-    schedule = None if command == "gen" else cfg.schedule.build()
+    schedule, bridge_cfg, highpass = _settings(cfg)
     if command == "train":
         # The training settings and the model geometry, as training will build them.
         init_model(pair.shape, cfg.train.build(schedule, select_priority(Direction.FORWARD), 0))
+    # Models may read checkpoint files, and the default grid collides at small --steps.
     bridging = command in ("migrate", "sweep", "label")
     models = _build_models(cfg, pair, schedule) if bridging else None
-    bridge_cfg = cfg.bridge.build(schedule) if bridging else None
     depths = _snap_grid(cfg.sweep_depths, bridge_cfg) if command in ("sweep", "label") else ()
-    labelled = command in ("sweep", "label") or (command == "migrate" and _is_image_pair(pair))
-    highpass = cfg.highpass() if labelled else None
     out = Path(cfg.out)
     for sub in ("frames", "labels", "checkpoints"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -352,7 +361,8 @@ def cmd_label(cfg: RunConfig, targets=None) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    results = run_all(schedule=cfg.schedule.build(), seed=cfg.seed)
+    schedule, _, _ = _settings(cfg)
+    results = run_all(schedule=schedule, seed=cfg.seed)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

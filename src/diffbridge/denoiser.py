@@ -277,7 +277,8 @@ class MlpDenoiser(EpsilonModel):
         if self.attention is not None:
             tokens = x.reshape(*lead, self.attention.token_count, self.attention.model_dim)
             x = attn.attention_forward(self.attention, tokens)
-        rows = x.reshape(*lead, 1, -1)
+        # C order: concatenate keeps a strided input's layout, and matmul's bytes depend on it.
+        rows = np.ascontiguousarray(x).reshape(*lead, 1, -1)
         embed = time_embedding(t / self.steps_total, self.time_dim)
         if embed.ndim > 1:  # one embedding per leading row
             embed = embed[..., None, :]

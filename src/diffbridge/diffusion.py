@@ -10,12 +10,13 @@ with ab the cumulative alpha_bar table and eps the model prediction at
 step t.  With sigma_t = 0 the update is a deterministic function of
 (x_t, t); the ancestral family is parameterized by the usual eta
 convention.  Random draws come from counter-based streams keyed by
-(seed, sample_index, t), so batch execution order cannot change results.
+(seed, sample_index, t), so neither batching nor order can change results.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +38,10 @@ class SamplerConfig:
     sigma_mode: SigmaMode = SigmaMode.DETERMINISTIC
     eta: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.eta < math.inf:  # no cap at 1: ddim_step refuses too large a sigma
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta!r}")
 
     def sigma(self, t: int) -> float:
         if self.sigma_mode == SigmaMode.DETERMINISTIC:
@@ -100,9 +105,9 @@ def ddim_step(
     model: EpsilonModel,
     schedule: NoiseSchedule,
     sigma_t: float = 0.0,
-    rng: np.random.Generator | None = None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One reverse step t -> t-1; deterministic when sigma_t = 0."""
+    """One reverse step t -> t-1; sigma_t > 0 adds sigma_t * noise, standard normal like x_t."""
     x_t = np.asarray(x_t, dtype=np.float64)
     if not 1 <= t <= schedule.steps_T:
         raise ValueError(f"step {t} outside [1, {schedule.steps_T}]")
@@ -113,12 +118,12 @@ def ddim_step(
         raise ValueError(
             f"sigma_t^2 = {sigma_t**2} exceeds 1 - alpha_bar_{t - 1} = {1.0 - ab_prev}"
         )
-    if sigma_t > 0.0 and rng is None:
-        raise ValueError("stochastic step needs an rng")
+    if sigma_t > 0.0 and (noise is None or np.shape(noise) != x_t.shape):
+        raise ValueError(f"stochastic step needs noise shaped {x_t.shape}")
     eps = model.predict_epsilon(x_t, t)
     out = ddim_transfer(x_t, eps, ab_t, ab_prev, np.empty_like(x_t), np.empty_like(x_t), sigma_t)
     if sigma_t > 0.0:
-        out += sigma_t * rng.standard_normal(x_t.shape)
+        out += sigma_t * noise
     return out
 
 
@@ -126,19 +131,24 @@ def ddim_sample(
     x_T: np.ndarray,
     model: EpsilonModel,
     cfg: SamplerConfig,
-    sample_index: int = 0,
+    sample_index: int | Sequence[int] = 0,
 ) -> np.ndarray:
-    """Iterate the reverse update from t = T down to 1.
+    """Iterate the reverse update from t = T down to 1, one model call per step.
 
-    In deterministic mode the result is a pure function of x_T, and a
-    model that broadcasts over leading axes may be fed a whole batch at
-    once (bit-identical to per-sample runs).  In ancestral mode each
-    step's noise comes from the stream keyed by (cfg.seed, sample_index,
-    t), so x_T must be a single sample's state, one call per sample.
+    Ancestral row r's step-t noise comes from the stream keyed by (cfg.seed,
+    sample_index[r], t), so each row equals its own single-sample run, as in
+    deterministic mode; an int sample_index keys all of x_T as one sample.
     """
     x = np.asarray(x_T, dtype=np.float64)
+    indices = np.asarray(sample_index)
+    if indices.ndim > 1 or indices.ndim == 1 and indices.shape != x.shape[:1]:
+        raise ValueError(f"sample_index of shape {indices.shape} for x_T of shape {x.shape}")
+    noise = np.empty(x.shape)  # C order, so each row's draws are one contiguous run
+    rows = list(zip(noise.reshape(indices.size, -1), indices.ravel().tolist()))
     for t in range(cfg.schedule.steps_T, 0, -1):
         sigma_t = cfg.sigma(t)
-        rng = step_rng(cfg.seed, sample_index, t) if sigma_t > 0.0 else None
-        x = ddim_step(x, t, model, cfg.schedule, sigma_t, rng)
+        if sigma_t > 0.0:
+            for row, i in rows:
+                step_rng(cfg.seed, i, t).standard_normal(out=row)
+        x = ddim_step(x, t, model, cfg.schedule, sigma_t, noise)
     return x

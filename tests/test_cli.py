@@ -373,6 +373,25 @@ class TestChecksBeforeAnyOutput:
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,args,overrides,message", [
+        ("gen", ["--cutoff", "5"], {}, "cutoff_fraction must lie in (0, 1)"),
+        ("migrate", ["--cutoff", "5"], {}, "cutoff_fraction must lie in (0, 1)"),
+        ("train", ["--cutoff", "5"], {}, "cutoff_fraction must lie in (0, 1)"),
+        ("verify", ["--cutoff", "5"], {}, "cutoff_fraction must lie in (0, 1)"),
+        ("verify", ["--steps", "0"], {}, "steps_per_unit_time must be >= 1"),
+        ("gen", ["--steps", "0"], {}, "steps_per_unit_time must be >= 1"),
+        ("gen", [], {"schedule": {"steps": 0}}, "steps_T must be >= 1"),
+        ("gen", [], {"bridge": {"integrator": "rk4"}}, "'rk4' is not a valid Integrator"),
+    ])
+    def test_settings_a_command_does_not_use_are_checked_too(
+        self, command, args, overrides, message, tmp_path, capsys
+    ):
+        cfg, out = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,key,value,message", [
         ("gen", "gen_count", 0, "gen_count must be an integer >= 1, got 0"),
         ("migrate", "gen_count", 0, "gen_count must be an integer >= 1, got 0"),
@@ -383,6 +402,7 @@ class TestChecksBeforeAnyOutput:
         ("migrate", "highpass_cutoff", 1.5, "cutoff_fraction must lie in (0, 1)"),
         ("sweep", "highpass_cutoff", 1.5, "cutoff_fraction must lie in (0, 1)"),
         ("label", "highpass_cutoff", 1.5, "cutoff_fraction must lie in (0, 1)"),
+        ("label", "label_targets", [], "label_targets is empty"),
         ("train", "train", {"samples": 0}, "train.samples must be an integer >= 1, got 0"),
         ("train", "train", {"epochs": 0}, "epochs and batch_size must be positive"),
         ("train", "train", {"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'"),

@@ -87,10 +87,11 @@ class TestDdimStep:
         with pytest.raises(ValueError):
             ddim_step(np.zeros(2), t, ConstantEpsilon(np.zeros(2)), sched, too_big)
 
-    def test_stochastic_step_needs_rng(self):
+    def test_stochastic_step_needs_noise_shaped_like_the_state(self):
         sched = db.linear_schedule(100)
-        with pytest.raises(ValueError):
-            ddim_step(np.zeros(2), 50, ConstantEpsilon(np.zeros(2)), sched, 0.1)
+        for noise in (None, np.zeros(1), np.zeros((3, 2))):
+            with pytest.raises(ValueError):
+                ddim_step(np.zeros(2), 50, ConstantEpsilon(np.zeros(2)), sched, 0.1, noise)
 
     @pytest.mark.parametrize("eta", [0.0, 0.7])
     def test_bytes_equal_the_textbook_formula(self, eta):
@@ -106,11 +107,11 @@ class TestDdimStep:
             eps = model.predict_epsilon(x, t)
             x0_hat = (x - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
             expected = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev - sigma**2) * eps
-            rng = None
+            noise = None
             if sigma > 0.0:
-                expected = expected + sigma * step_rng(3, 0, t).standard_normal(x.shape)
-                rng = step_rng(3, 0, t)
-            got = ddim_step(x, t, model, sched, sigma, rng)
+                noise = step_rng(3, 0, t).standard_normal(x.shape)
+                expected = expected + sigma * noise
+            got = ddim_step(x, t, model, sched, sigma, noise)
             assert got.tobytes() == expected.tobytes()
             assert not np.shares_memory(got, x)
             x = expected
@@ -165,12 +166,7 @@ class TestDdimSample:
             schedule=self.sched, sigma_mode=SigmaMode.ANCESTRAL, eta=1.0, seed=11
         )
         latents = np.random.default_rng(11).standard_normal((4, 2))
-        runs = [
-            np.stack(
-                [ddim_sample(x, self.model, cfg, sample_index=i) for i, x in enumerate(latents)]
-            )
-            for _ in range(2)
-        ]
+        runs = [ddim_sample(latents, self.model, cfg, sample_index=range(4)) for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_ancestral_seeds_decorrelate(self):
@@ -183,9 +179,7 @@ class TestDdimSample:
                 schedule=sched, sigma_mode=SigmaMode.ANCESTRAL, eta=1.0, seed=seed
             )
             latents = np.random.default_rng(seed).standard_normal((n, 2))
-            outs[seed] = np.stack(
-                [ddim_sample(x, model, cfg, sample_index=i) for i, x in enumerate(latents)]
-            )
+            outs[seed] = ddim_sample(latents, model, cfg, sample_index=range(n))
         # Per-coordinate correlation: raveling would conflate the two
         # coordinates' different population means into spurious structure.
         for axis in range(2):
@@ -209,3 +203,41 @@ class TestDdimSample:
         ][::-1]
         for a, b in zip(forward_order, reverse_order):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["gmm", "field", "mlp"])
+    def test_ancestral_batch_rows_equal_single_sample_runs(self, kind):
+        """Row r of a batched ancestral call is byte-equal to a single-sample call with its index.
+
+        The indices are shuffled and repeated, and the batch is F-ordered, so
+        its rows are not contiguous in memory.
+        """
+        sched = db.linear_schedule(60)
+        if kind == "field":
+            tex = db.make_texture_pair("bandsplit", 16, seed=4)
+            model = db.AnalyticFieldEpsilon(tex.source.mode_variances, sched)
+            latents = np.asfortranarray(tex.source.sample(5, seed=5))
+        else:
+            model = (
+                db.AnalyticGmmEpsilon(self.mix, sched) if kind == "gmm"
+                else db.init_mlp((2,), (16,), steps_total=60, seed=3)
+            )
+            latents = np.random.default_rng(9).standard_normal((2, 5)).T
+        assert not latents.flags.c_contiguous
+        cfg = SamplerConfig(schedule=sched, sigma_mode=SigmaMode.ANCESTRAL, eta=0.8, seed=13)
+        indices = [3, 0, 7, 3, 1]
+        batch = ddim_sample(latents, model, cfg, sample_index=indices)
+        for row, x, i in zip(batch, latents, indices):
+            assert row.tobytes() == ddim_sample(x, model, cfg, sample_index=i).tobytes()
+        assert not np.array_equal(batch[0], batch[3])  # same index, different latents
+
+    def test_sample_index_needs_one_index_per_row(self):
+        cfg = SamplerConfig(schedule=db.linear_schedule(5), sigma_mode=SigmaMode.ANCESTRAL)
+        latents = np.zeros((3, 2))
+        for bad in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]], np.zeros((3, 1), dtype=int)):
+            with pytest.raises(ValueError):
+                ddim_sample(latents, self.model, cfg, sample_index=bad)
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_sampler_config_refuses_a_non_finite_or_negative_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+            SamplerConfig(schedule=self.sched, sigma_mode=SigmaMode.ANCESTRAL, eta=eta)

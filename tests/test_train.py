@@ -115,12 +115,8 @@ class TestTrainDenoiser:
         untrained = db.init_mlp((2,), (32, 32), steps_total=200, seed=77)
         scfg = SamplerConfig(schedule=self.sched)
         latents = np.random.default_rng(8).standard_normal((60, 2))
-        norm_trained = np.mean(
-            [np.linalg.norm(ddim_sample(z, model, scfg)) for z in latents]
-        )
-        norm_untrained = np.mean(
-            [np.linalg.norm(ddim_sample(z, untrained, scfg)) for z in latents]
-        )
+        norm_trained = np.mean(np.linalg.norm(ddim_sample(latents, model, scfg), axis=1))
+        norm_untrained = np.mean(np.linalg.norm(ddim_sample(latents, untrained, scfg), axis=1))
         assert norm_untrained >= 5.0 * norm_trained
 
     def test_loss_decreases_on_gmm_data(self):
