@@ -1,9 +1,11 @@
 """Command-line surface: gen, train, migrate, sweep, label, verify.
 
-Every command reads an optional JSON config (defaults apply otherwise),
-applies flag overrides, writes its outputs under one run directory
-(frames/, labels/, checkpoints/) and finishes with a manifest.json that
-lists every emitted file exactly once.
+Every command reads an optional JSON config (defaults apply otherwise)
+and applies its flags as RunConfig overrides, so the manifest's config
+echo records them.  It writes its outputs under one run directory, in
+the subdirectories it uses (frames/, labels/, checkpoints/), created
+with their first file, and finishes with a manifest.json that lists
+every emitted file exactly once.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 verification failure.
@@ -33,7 +35,7 @@ from .softlabel import (
     label_sweep,
     nearest_label,
 )
-from .train import TrainingDivergedError, init_model, train_denoiser
+from .train import TrainingDivergedError, train_denoiser
 from .verify import run_all
 
 _ROLE_SEEDS = {
@@ -85,17 +87,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _floats(text: str | None) -> tuple[float, ...] | None:
+    return None if text is None else tuple(float(v) for v in text.split(","))
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    depth_grid = None
-    if args.depth_grid is not None:
-        depth_grid = tuple(float(v) for v in args.depth_grid.split(","))
     return cfg.with_overrides(
         seed=args.seed,
         out=args.out,
         steps=args.steps,
-        depth_grid=depth_grid,
+        depth_grid=_floats(args.depth_grid),
         cutoff=args.cutoff,
+        targets=_floats(getattr(args, "targets", None)),
     )
 
 
@@ -186,41 +190,30 @@ def _settings(cfg: RunConfig) -> tuple[NoiseSchedule, BridgeConfig, HighpassSpec
 
 @dataclass(frozen=True)
 class _Run:
-    """One command's setup; models is None and depths is empty where a command has none."""
+    """The setup every writing command shares; building it writes nothing."""
 
     out: Path
     manifest: RunManifest
     pair: DomainPair
     schedule: NoiseSchedule
-    models: tuple | None
     bridge: BridgeConfig
-    depths: tuple[float, ...]   # snapped sweep grid, config order
     highpass: HighpassSpec
+
+    def file(self, sub: str, name: str) -> Path:
+        """The path ``out/sub/name``; ``out/sub`` is created with its first file."""
+        (self.out / sub).mkdir(parents=True, exist_ok=True)
+        return self.out / sub / name
 
 
 def _open_run(cfg: RunConfig, command: str) -> _Run:
-    """Build a command's setup; the config, model and grid checks run before any output."""
+    """The manifest, domain pair and settings; each command builds the rest before computing."""
     manifest = RunManifest(cfg, command)
-    pair = cfg.domains.build(cfg.seed)
-    if command == "label" and not _is_image_pair(pair):
-        raise ValueError("label calibration needs an image domain pair")
-    schedule, bridge_cfg, highpass = _settings(cfg)
-    if command == "train":
-        # The training settings and the model geometry, as training will build them.
-        init_model(pair.shape, cfg.train.build(schedule, select_priority(Direction.FORWARD), 0))
-    # Models may read checkpoint files, and the default grid collides at small --steps.
-    bridging = command in ("migrate", "sweep", "label")
-    models = _build_models(cfg, pair, schedule) if bridging else None
-    depths = _snap_grid(cfg.sweep_depths, bridge_cfg) if command in ("sweep", "label") else ()
-    out = Path(cfg.out)
-    for sub in ("frames", "labels", "checkpoints"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-    return _Run(out, manifest, pair, schedule, models, bridge_cfg, depths, highpass)
+    return _Run(Path(cfg.out), manifest, cfg.domains.build(cfg.seed), *_settings(cfg))
 
 
 def _write_frame(run: _Run, name: str, x, **record) -> None:
     """One field as ``frames/{name}``, clipped to [-1, 1], and its manifest record."""
-    path = run.out / "frames" / name
+    path = run.file("frames", name)
     save_pgm(np.clip(x, -1.0, 1.0), path)
     run.manifest.add(path, **record)
 
@@ -231,7 +224,7 @@ def _write_samples(run: _Run, stem: str, samples) -> None:
         for i, x in enumerate(samples):
             _write_frame(run, f"{stem}_{i:03d}.pgm", x, kind=f"{stem}-sample", sample_id=i)
     else:
-        path = run.out / "frames" / f"{stem}.csv"
+        path = run.file("frames", f"{stem}.csv")
         _write_points_csv(path, samples)
         run.manifest.add(path, kind=f"{stem}-samples", count=int(len(samples)))
 
@@ -265,10 +258,10 @@ def cmd_train(cfg: RunConfig) -> int:
         data = sample_domain(domain, cfg.train.samples, _role_seed(cfg.seed, seed_role))
         train_cfg = cfg.train.build(run.schedule, priority, _role_seed(cfg.seed, seed_role))
         model, losses = train_denoiser(data, train_cfg)
-        ckpt = out / "checkpoints" / f"{role}.ckpt"
+        ckpt = run.file("checkpoints", f"{role}.ckpt")
         save_checkpoint(model, ckpt)
         manifest.add(ckpt, kind=f"{role}-checkpoint", final_loss=losses[-1])
-        loss_csv = out / "checkpoints" / f"{role}_loss.csv"
+        loss_csv = run.file("checkpoints", f"{role}_loss.csv")
         _write_csv(loss_csv, ["epoch", "loss"], ([e, repr(loss)] for e, loss in enumerate(losses)))
         manifest.add(loss_csv, kind=f"{role}-loss-history", epochs=len(losses))
         print(f"train[{role}]: loss {losses[0]:.4f} -> {losses[-1]:.4f}")
@@ -279,8 +272,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_migrate(cfg: RunConfig) -> int:
     run = _open_run(cfg, "migrate")
     out, manifest, pair = run.out, run.manifest, run.pair
+    models = _build_models(cfg, pair, run.schedule)
     sources = sample_domain(pair.source, cfg.gen_count, _role_seed(cfg.seed, "migrate"))
-    migrated = migrate(sources, *run.models, run.bridge).migrated
+    migrated = migrate(sources, *models, run.bridge).migrated
     _write_samples(run, "source", sources)
     _write_samples(run, "migrated", migrated)
     if _is_image_pair(pair):
@@ -300,10 +294,12 @@ def cmd_migrate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     run = _open_run(cfg, "sweep")
     out, manifest, pair = run.out, run.manifest, run.pair
+    models = _build_models(cfg, pair, run.schedule)
+    depths = _snap_grid(cfg.sweep_depths, run.bridge)
     sources = sample_domain(pair.source, cfg.sweep_count, _role_seed(cfg.seed, "sweep"))
 
     if _is_image_pair(pair):
-        sweep = label_sweep(sources, *run.models, run.bridge, run.depths, run.highpass)
+        sweep = label_sweep(sources, *models, run.bridge, depths, run.highpass)
         label_rows = []
         for i, x in enumerate(sources):
             _write_frame(run, f"sample{i:03d}_source.pgm", x, kind="source-sample", sample_id=i)
@@ -316,15 +312,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     [i, repr(traj.depth), repr(label.raw), repr(label.value),
                      repr(sweep.a_source[i]), repr(a_i), repr(sweep.a_target[i])]
                 )
-        labels_path = out / "labels" / "labels.csv"
+        labels_path = run.file("labels", "labels.csv")
         header = ["sample_id", "depth_snapped", "raw_label", "clamped_label", "A_s", "A_i", "A_t"]
         _write_csv(labels_path, header, label_rows)
         manifest.add(labels_path, kind="labels", rows=len(label_rows))
     else:
         # Point domains have no spectral labels; emit per-depth coordinates.
-        table = depth_sweep(sources, *run.models, run.bridge, run.depths)
-        for depth, traj in zip(run.depths, table):
-            path = out / "frames" / f"depth_{depth:.4f}.csv"
+        table = depth_sweep(sources, *models, run.bridge, depths)
+        for depth, traj in zip(depths, table):
+            path = run.file("frames", f"depth_{depth:.4f}.csv")
             _write_points_csv(path, traj.migrated)
             manifest.add(path, kind="sweep-frame", depth=depth, count=len(sources))
         manifest.note("labels", "point domains carry no spectral labels")
@@ -333,25 +329,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_label(cfg: RunConfig, targets=None) -> int:
-    targets = _check_targets(targets if targets is not None else cfg.label_targets)
+def cmd_label(cfg: RunConfig) -> int:
     run = _open_run(cfg, "label")
     out, manifest, pair = run.out, run.manifest, run.pair
+    if not _is_image_pair(pair):
+        raise ValueError("label calibration needs an image domain pair")
+    targets = _check_targets(cfg.label_targets)
+    models = _build_models(cfg, pair, run.schedule)
+    depths = _snap_grid(cfg.sweep_depths, run.bridge)
     sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
-    sweep = label_sweep(sources, *run.models, run.bridge, run.depths, run.highpass)
+    sweep = label_sweep(sources, *models, run.bridge, depths, run.highpass)
     rows = []
     for i, labels in enumerate(sweep.labels):
         for target in targets:
-            best = nearest_label(target, run.depths, labels)
-            depth, label = run.depths[best], labels[best]
+            best = nearest_label(target, depths, labels)
+            depth, label = depths[best], labels[best]
             _write_frame(
                 run, f"sample{i:03d}_target{target:.2f}_d{depth:.4f}.pgm",
                 sweep.table[best].migrated[i], kind="calibrated-frame", sample_id=i,
                 target_label=target, achieved_label=label.value, raw_label=label.raw, depth=depth,
             )
             rows.append([i, repr(target), repr(depth), repr(label.value), repr(label.raw)])
-    labels_path = out / "labels" / "calibrated.csv"
+    labels_path = run.file("labels", "calibrated.csv")
     header = ["sample_id", "target_label", "depth", "achieved_label", "raw_label"]
     _write_csv(labels_path, header, rows)
     manifest.add(labels_path, kind="labels", rows=len(rows))
@@ -376,31 +376,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Looked up per call, so a wrapper set on a module-level cmd_* is the one run.
+    commands = {"gen": cmd_gen, "train": cmd_train, "migrate": cmd_migrate,
+                "sweep": cmd_sweep, "label": cmd_label, "verify": cmd_verify}
     try:
-        cfg = _load_config(args)
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "migrate":
-            return cmd_migrate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "label":
-            targets = None
-            if getattr(args, "targets", None):
-                targets = tuple(float(v) for v in args.targets.split(","))
-            return cmd_label(cfg, targets)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](_load_config(args))
     except (NonFiniteStateError, TrainingDivergedError, DegenerateEndpointsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

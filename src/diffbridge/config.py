@@ -198,6 +198,13 @@ class RunConfig:
             if not _is_int(value) or value < least:
                 raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
         _check_scalars(self)
+        if not self.out:
+            raise ValueError("out must be a nonempty path")
+        for key in ("sweep_depths", "label_targets"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
+                raise ValueError(f"{key} must be a list of finite numbers, got {value!r}")
+            object.__setattr__(self, key, tuple(float(v) for v in value))
 
     def highpass(self) -> HighpassSpec:
         return HighpassSpec(self.highpass_cutoff)
@@ -224,10 +231,6 @@ class RunConfig:
                     if not isinstance(value, dict):
                         raise ValueError(f"config section {key!r} must be an object")
                     kwargs[key] = nested[key](**value)
-                elif key in ("sweep_depths", "label_targets"):
-                    if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
-                        raise ValueError(f"{key} must be a list of finite numbers, got {value!r}")
-                    kwargs[key] = tuple(float(v) for v in value)
                 else:
                     kwargs[key] = value
             return cls(**kwargs)
@@ -250,6 +253,7 @@ class RunConfig:
         steps: int | None = None,
         depth_grid: tuple[float, ...] | None = None,
         cutoff: float | None = None,
+        targets: tuple[float, ...] | None = None,
     ) -> "RunConfig":
         """Apply command-line flag overrides (flags beat file fields)."""
         cfg = self
@@ -260,9 +264,11 @@ class RunConfig:
         if steps is not None:
             cfg = replace(cfg, bridge=replace(cfg.bridge, steps_per_unit_time=steps))
         if depth_grid is not None:
-            cfg = replace(cfg, sweep_depths=tuple(depth_grid))
+            cfg = replace(cfg, sweep_depths=depth_grid)
         if cutoff is not None:
             cfg = replace(cfg, highpass_cutoff=cutoff)
+        if targets is not None:
+            cfg = replace(cfg, label_targets=targets)
         return cfg
 
 

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import domain_rng
 from .schedule import NoiseSchedule
-from .softlabel import radial_frequency_grid
 
 # Pixel standard deviation for texture samples; small enough that the
 # [-1, 1] clip almost never engages (4 sigma).
@@ -76,7 +74,7 @@ def gmm_sample(mix: GaussianMixture, count: int, seed: int) -> np.ndarray:
     """count i.i.d. draws, shape (count, d); deterministic given seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = domain_rng(seed)
+    rng = np.random.default_rng(seed)
     comps = rng.choice(len(mix.weights), size=count, p=mix.weights)
     noise = rng.standard_normal((count, mix.dimension))
     return mix.means[comps] + np.sqrt(mix.variances[comps])[:, None] * noise
@@ -200,7 +198,7 @@ class SpectralTexture:
         """count fields of shape (size, size) in [-1, 1]; seeded."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        rng = domain_rng(seed)
+        rng = np.random.default_rng(seed)
         white = rng.standard_normal((count, self.size, self.size))
         spectrum = np.fft.fft2(white, norm="ortho")
         spectrum *= np.sqrt(self.mode_variances)[None, :, :]
@@ -249,6 +247,17 @@ def default_gmm_pair() -> DomainPair:
     return DomainPair(name="gmm-default", source=a, target=b, shape=(2,))
 
 
+def radial_frequency_grid(shape: tuple[int, int]) -> np.ndarray:
+    """Radial frequency of each FFT2 bin as a fraction of Nyquist.
+
+    DC is 0; an axis-aligned Nyquist bin is 1; corners reach sqrt(2).
+    """
+    h, w = shape
+    fu = np.fft.fftfreq(h)[:, None]
+    fv = np.fft.fftfreq(w)[None, :]
+    return np.sqrt(fu * fu + fv * fv) / 0.5
+
+
 def _band_profile(kind: str, size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode variance maps (source, target) for a texture pair."""
     if kind != "bandsplit":
@@ -262,7 +271,7 @@ def _band_profile(kind: str, size: int, seed: int) -> tuple[np.ndarray, np.ndarr
     # pixel covariance is exactly real.
     angle = np.arctan2(fu + 0.0 * fv, fv + 0.0 * fu)
 
-    theta = domain_rng(seed).uniform(0.0, np.pi)
+    theta = np.random.default_rng(seed).uniform(0.0, np.pi)
     # Source: smooth isotropic blobs, power confined well below the
     # default 0.25-Nyquist high-pass cutoff.
     low = np.exp(-((radius / 0.10) ** 2))

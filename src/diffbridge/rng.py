@@ -26,8 +26,3 @@ def step_rng(seed: int, sample_index: int, step: int) -> np.random.Generator:
     # blocks apart, so in-step draws can never run into a neighbour.
     counter = np.array([0, step & _MASK64, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def domain_rng(seed: int) -> np.random.Generator:
-    """Plain seeded generator for one-shot domain sampling."""
-    return np.random.default_rng(seed)

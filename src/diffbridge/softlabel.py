@@ -22,20 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bridge
+from .domains import radial_frequency_grid
+
 
 class DegenerateEndpointsError(ValueError):
     """Source and target spectral magnitudes are indistinguishable."""
-
-
-def radial_frequency_grid(shape: tuple[int, int]) -> np.ndarray:
-    """Radial frequency of each FFT2 bin as a fraction of Nyquist.
-
-    DC is 0; an axis-aligned Nyquist bin is 1; corners reach sqrt(2).
-    """
-    h, w = shape
-    fu = np.fft.fftfreq(h)[:, None]
-    fv = np.fft.fftfreq(w)[None, :]
-    return np.sqrt(fu * fu + fv * fv) / 0.5
 
 
 @dataclass(frozen=True)
@@ -141,8 +133,6 @@ def label_sweep(x_sources, model_src, model_tgt, cfg, depths, spec: HighpassSpec
     Sample i's target endpoint is ``x_targets[i]`` or, when that is omitted,
     its full-depth migration, which rides along in the same sweep.
     """
-    from . import bridge
-
     if len(depths) == 0:
         raise ValueError("depth grid must be nonempty")
     if np.ndim(x_sources) != 3 or (x_targets is not None and len(x_targets) != len(x_sources)):

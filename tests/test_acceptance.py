@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 
 import diffbridge as db
 from diffbridge.attention import Priority
-from diffbridge.bridge import BridgeConfig, Integrator, depth_migrate, flow_ode, migrate
+from diffbridge.bridge import BridgeConfig, Integrator, depth_sweep, flow_ode, migrate
 from diffbridge.cli import main as cli_main
 from diffbridge.domains import gmm_log_density, gmm_sample, noised_mixture
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude, soft_label
@@ -153,16 +153,14 @@ def test_criterion_6_depth_control(sched):
     cfg = BridgeConfig(schedule=sched, steps_per_unit_time=200, integrator=Integrator.DDIM)
     spec = HighpassSpec(0.25)
     grid = np.linspace(0.0, 1.0, 17)
+    xs = tex.source.sample(20, seed=7)
+    # One batched sweep; its last depth, 1.0, is each sample's full migration.
+    table = depth_sweep(xs, m_src, m_tgt, cfg, grid.tolist())
+    all_mags = highpass_magnitude(np.stack([t.migrated for t in table], axis=1), spec)
     rhos = []
     endpoint_ok = True
-    for x in tex.source.sample(20, seed=7):
-        endpoint = migrate(x, m_src, m_tgt, cfg).migrated
-        a_s = highpass_magnitude(x, spec)
-        a_t = highpass_magnitude(endpoint, spec)
-        mags = []
-        for depth in grid:
-            traj = depth_migrate(x, m_src, m_tgt, cfg, float(depth))
-            mags.append(highpass_magnitude(traj.migrated, spec))
+    for a_s, mags in zip(highpass_magnitude(xs, spec), all_mags):
+        a_t = mags[-1]
         rhos.append(spearmanr(grid, mags).statistic)
         labels = (soft_label(a_s, mags[0], a_t).value, soft_label(a_s, mags[-1], a_t).value)
         endpoint_ok = endpoint_ok and labels == (0.0, 1.0)

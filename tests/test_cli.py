@@ -359,6 +359,7 @@ class TestChecksBeforeAnyOutput:
         assert "non-finite state at grid node 1 " in err and len(err.splitlines()) == 1
         assert not any((out / "frames").glob("*"))
         assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,args,message", [
         ("label", ["--targets", "0.5,1.5"], "label target 1.5 outside [0, 1]"),
@@ -372,6 +373,25 @@ class TestChecksBeforeAnyOutput:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    @pytest.mark.parametrize("args,message", [
+        (["--depth-grid", "nan,inf"],
+         "sweep_depths must be a list of finite numbers, got (nan, inf)"),
+        (["--out", ""], "out must be a nonempty path"),
+    ], ids=["depth-grid", "out"])
+    def test_malformed_flag_exits_one_and_leaves_no_files(
+        self, command, args, message, tmp_path, monkeypatch, capsys
+    ):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cfg, out = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+        assert not any(cwd.iterdir())
 
     @pytest.mark.parametrize("command,args,overrides,message", [
         ("gen", ["--cutoff", "5"], {}, "cutoff_fraction must lie in (0, 1)"),
@@ -488,6 +508,25 @@ class TestChecksBeforeAnyOutput:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+
+class TestFlagsAreConfigOverrides:
+    @pytest.mark.parametrize("flag,value,keys,echo", [
+        ("--seed", "9", ("seed",), 9),
+        ("--out", "flagged", ("out",), "flagged"),
+        ("--steps", "40", ("bridge", "steps_per_unit_time"), 40),
+        ("--depth-grid", "0,0.25,1", ("sweep_depths",), [0.0, 0.25, 1.0]),
+        ("--cutoff", "0.3", ("highpass_cutoff",), 0.3),
+        ("--targets", "0.3,0.7", ("label_targets",), [0.3, 0.7]),
+    ])
+    def test_manifest_echoes_every_flag(self, flag, value, keys, echo, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg, out = texture_config(tmp_path)
+        assert main(["label", "--config", str(cfg), flag, value]) == 0
+        config = manifest_of(Path(value) if flag == "--out" else out)["config"]
+        for key in keys:
+            config = config[key]
+        assert config == echo
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 """RunConfig serialization, overrides, and manifest bookkeeping."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -79,14 +80,26 @@ class TestRunConfig:
 
     def test_flag_overrides_beat_file_fields(self):
         cfg = RunConfig(seed=1, out="a", highpass_cutoff=0.25)
-        over = cfg.with_overrides(seed=2, out="b", steps=50, depth_grid=(0.0, 1.0), cutoff=0.4)
+        over = cfg.with_overrides(
+            seed=2, out="b", steps=50, depth_grid=(0.0, 1.0), cutoff=0.4, targets=(0.3, 0.7)
+        )
         assert over.seed == 2
         assert over.out == "b"
         assert over.bridge.steps_per_unit_time == 50
         assert over.sweep_depths == (0.0, 1.0)
         assert over.highpass_cutoff == 0.4
+        assert over.label_targets == (0.3, 0.7)
         # None overrides leave fields alone.
         assert cfg.with_overrides() == cfg
+
+    def test_every_construction_checks_lists_and_out(self):
+        with pytest.raises(ValueError, match="^sweep_depths must be a list of finite numbers"):
+            RunConfig(sweep_depths=(float("nan"),))
+        with pytest.raises(ValueError, match="^label_targets must be a list of finite numbers"):
+            replace(RunConfig(), label_targets=("x",))
+        with pytest.raises(ValueError, match="^out must be a nonempty path"):
+            RunConfig(out="")
+        assert RunConfig(sweep_depths=[0, 1]).sweep_depths == (0.0, 1.0)
 
     def test_domain_build_dispatch(self):
         assert RunConfig().domains.build(0).shape == (2,)
