@@ -163,17 +163,14 @@ def _snap_grid(depths, bridge_cfg: BridgeConfig) -> tuple[float, ...]:
 
 
 def _check_targets(targets) -> tuple[float, ...]:
-    """Label targets as floats.
+    """The label targets, which RunConfig has checked to lie in [0, 1].
 
-    No targets, a target outside [0, 1] and targets sharing a frame name are errors.
+    No targets and targets sharing a frame name are errors.
     """
-    targets = tuple(float(t) for t in targets)
     if not targets:
         raise ValueError("label_targets is empty")
     names = [f"target{t:.2f}" for t in targets]
     for i, target in enumerate(targets):
-        if not 0.0 <= target <= 1.0:
-            raise ValueError(f"label target {target} outside [0, 1]")
         if names[i] in names[:i]:
             raise ValueError(
                 f"label targets {targets[names.index(names[i])]} and {target} "

@@ -200,11 +200,15 @@ class RunConfig:
         _check_scalars(self)
         if not self.out:
             raise ValueError("out must be a nonempty path")
-        for key in ("sweep_depths", "label_targets"):
+        for key, noun in (("sweep_depths", "sweep depth"), ("label_targets", "label target")):
             value = getattr(self, key)
             if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
                 raise ValueError(f"{key} must be a list of finite numbers, got {value!r}")
-            object.__setattr__(self, key, tuple(float(v) for v in value))
+            value = tuple(float(v) for v in value)
+            for v in value:
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{noun} {v} outside [0, 1]")
+            object.__setattr__(self, key, value)
 
     def highpass(self) -> HighpassSpec:
         return HighpassSpec(self.highpass_cutoff)

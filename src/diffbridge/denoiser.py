@@ -38,7 +38,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import attention as attn
 from .domains import GaussianMixture, gmm_score, noised_mixture_at
@@ -168,12 +167,19 @@ def time_embedding(tau, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
+def _sigmoid(a):
+    # exp(-a) overflows to inf for a < -709, and 1 / (1 + inf) is the
+    # correct limit 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a))
+
+
 def _silu(a):
-    return a * expit(a)
+    return a * _sigmoid(a)
 
 
 def _silu_grad(a):
-    s = expit(a)
+    s = _sigmoid(a)
     return s * (1.0 + a * (1.0 - s))
 
 

@@ -16,7 +16,10 @@ the forward process at step t is
 ``alpha_bars`` is the exact sequential product of the stored alphas; no
 consumer recomputes it.  For continuous-time integration the table is
 extended to real steps by monotone (PCHIP) interpolation of
-log(alpha_bar), which passes through every stored knot.
+log(alpha_bar), which passes through every stored knot.  The PCHIP is
+Fritsch & Carlson's (SIAM J. Numer. Anal. 17(2), 1980) as
+``scipy.interpolate.PchipInterpolator`` builds and evaluates it, step
+for step, so it gives that interpolant's bytes without importing scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -38,20 +40,26 @@ class NoiseSchedule:
     betas: np.ndarray        # (T,), betas[t-1] is the step-t beta
     alphas: np.ndarray       # (T,), 1 - betas
     alpha_bars: np.ndarray   # (T+1,), cumulative product, alpha_bars[0] = 1
-    _log_ab: PchipInterpolator = field(repr=False, compare=False, default=None)
-    _log_ab_deriv: PchipInterpolator = field(repr=False, compare=False, default=None)
+    # PCHIP of log(alpha_bar) over the unit knots 0..T: _log_ab[:, i] holds
+    # the coefficients of s**3, s**2, s, 1 on [i, i + 1], s the offset into
+    # it; _log_ab_deriv[:, i] those of s**2, s, 1 of its derivative.  The
+    # _rows fields hold the same columns as Python floats, for float times.
+    _log_ab: np.ndarray = field(repr=False, compare=False, default=None)
+    _log_ab_deriv: np.ndarray = field(repr=False, compare=False, default=None)
+    _log_ab_rows: list = field(repr=False, compare=False, default=None)
+    _log_ab_deriv_rows: list = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for arr in (self.betas, self.alphas, self.alpha_bars):
             arr.setflags(write=False)
-        # Monotone interpolant of log(alpha_bar) over integer steps 0..T.
         # PCHIP reproduces the knots exactly and preserves monotonicity,
         # giving a smooth alpha_bar(t) for fractional steps.
-        interp = PchipInterpolator(
-            np.arange(self.steps_T + 1), np.log(self.alpha_bars)
-        )
-        object.__setattr__(self, "_log_ab", interp)
-        object.__setattr__(self, "_log_ab_deriv", interp.derivative())
+        coef = _pchip_coefficients(np.log(self.alpha_bars))
+        deriv = coef[:3] * np.array([[3.0], [2.0], [1.0]])
+        for name, table in (("_log_ab", coef), ("_log_ab_deriv", deriv)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+            object.__setattr__(self, name + "_rows", table.T.tolist())
 
     def beta(self, t: int) -> float:
         """Step-t beta, t in 1..T."""
@@ -71,22 +79,76 @@ class NoiseSchedule:
         Accepts a scalar or array; exact at the knots time = t/T and
         log-monotone in between.
         """
-        time = _checked_time(time)
-        out = np.exp(self._log_ab(time * self.steps_T))
-        return float(out) if out.ndim == 0 else out
+        (c0, c1, c2, c3), s = self._piece(time, self._log_ab_rows, self._log_ab)
+        z = s * s
+        # scipy's term order: c3 + c2*s, then + c1*s**2, then + c0*s**3
+        # (s**3 as (s*s)*s).  Horner's order rounds differently.
+        out = np.exp(c3 + c2 * s + c1 * z + c0 * (z * s))
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def noise_rate_at(self, time):
         """Instantaneous rate -d log(alpha_bar)/d time at normalized time."""
-        time = _checked_time(time)
-        out = -self._log_ab_deriv(time * self.steps_T) * self.steps_T
-        return float(out) if out.ndim == 0 else out
+        (c0, c1, c2), s = self._piece(time, self._log_ab_deriv_rows, self._log_ab_deriv)
+        out = -(c2 + c1 * s + c0 * (s * s)) * self.steps_T
+        return out if isinstance(out, np.ndarray) else float(out)
+
+    def _piece(self, time, rows, table):
+        """(coefficients of the piece holding step time * T, offset s into it).
+
+        A float time gives a row of Python floats and a float s; anything
+        else gives coefficient arrays indexed like the time array.  Step T
+        belongs to the last piece, as in scipy's interval search.
+        """
+        u = _checked_time(time) * self.steps_T
+        if isinstance(u, float):
+            i = min(int(u), self.steps_T - 1)
+            return rows[i], u - i
+        i = np.minimum(u.astype(np.intp), self.steps_T - 1)
+        return table[:, i], u - i
+
+
+def _pchip_coefficients(y: np.ndarray) -> np.ndarray:
+    """(4, n - 1) power-basis coefficients of the PCHIP through (k, y[k]).
+
+    scipy's PchipInterpolator on the knots 0..n-1, operation for
+    operation: its ``_find_derivatives`` (with the one-sided
+    ``_edge_case`` at both ends, and the straight line when there are
+    only two knots) and the CubicHermiteSpline coefficients
+    ``[t, slope - d0 - t, d0, y0]`` with ``t = d0 + d1 - 2 slope``.  The
+    knot spacing is 1, so its divisions by the spacing are left out; they
+    are exact.
+    """
+    m = np.diff(y)
+    if len(m) == 1:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.zeros_like(y)
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # weighted harmonic mean of the two slopes, weights 2h + h = 3
+            whmean = (3.0 / m[:-1] + 3.0 / m[1:]) / 6.0
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _edge_derivative(m[0], m[1])
+        d[-1] = _edge_derivative(m[-1], m[-2])
+    t = d[:-1] + d[1:] - 2 * m
+    return np.stack((t, m - d[:-1] - t, d[:-1], y[:-1]))
+
+
+def _edge_derivative(m0: float, m1: float) -> float:
+    """One-sided three-point end derivative, clipped to keep the shape."""
+    d = (3.0 * m0 - m1) / 2.0
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def _checked_time(time):
     """time as a float, or as a float64 array; NaN or outside [0, 1] raises.
 
-    A float stays a float: the round trip through a 0-d array cost more
-    than the PCHIP call it feeds, and time * T is the same double.
+    A float stays a float, so that it is evaluated in Python floats:
+    time * T is the same double either way.
     """
     if isinstance(time, float):
         inside = 0.0 <= time <= 1.0

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import attention as attn
 from .denoiser import MlpDenoiser, init_mlp
@@ -188,14 +187,40 @@ def train_denoiser(
     return model, history
 
 
+_DISTANCE_BLOCK_ROWS = 256
+
+
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Multivariate energy distance between two sample sets (rows)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    xy = cdist(x, y).mean()
-    xx = cdist(x, x).mean()
-    yy = cdist(y, y).mean()
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ValueError(
+            f"need two sets of rows of one length, got shapes {x.shape} and {y.shape}"
+        )
+    xy = _mean_distance(x, y)
+    xx = _mean_distance(x, x)
+    yy = _mean_distance(y, y)
     return float(2.0 * xy - xx - yy)
+
+
+def _mean_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Mean Euclidean distance over all (row of x, row of y) pairs.
+
+    The squares are summed one coordinate at a time, in coordinate
+    order.  scipy's ``cdist`` sums in that order too, so this gives the
+    bytes of ``cdist(x, y).mean()``; the tests require them in two
+    dimensions.  Rows of x go in blocks, so the temporaries beside the
+    (n, m) distance matrix, which the mean needs whole, stay small.
+    """
+    dist = np.zeros((len(x), len(y)))
+    for lo in range(0, len(x), _DISTANCE_BLOCK_ROWS):
+        block = dist[lo:lo + _DISTANCE_BLOCK_ROWS]
+        diff = np.empty_like(block)
+        for xk, yk in zip(x[lo:lo + _DISTANCE_BLOCK_ROWS].T, y.T):
+            block += np.square(np.subtract.outer(xk, yk, out=diff), out=diff)
+        np.sqrt(block, out=block)
+    return dist.mean()
 
 
 def evaluate_fit(

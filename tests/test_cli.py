@@ -3,7 +3,10 @@
 import csv
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +382,8 @@ class TestChecksBeforeAnyOutput:
         (["--depth-grid", "nan,inf"],
          "sweep_depths must be a list of finite numbers, got (nan, inf)"),
         (["--out", ""], "out must be a nonempty path"),
-    ], ids=["depth-grid", "out"])
+        (["--depth-grid", "0,2"], "sweep depth 2.0 outside [0, 1]"),
+    ], ids=["depth-grid", "out", "depth-range"])
     def test_malformed_flag_exits_one_and_leaves_no_files(
         self, command, args, message, tmp_path, monkeypatch, capsys
     ):
@@ -392,6 +396,22 @@ class TestChecksBeforeAnyOutput:
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
         assert not any(cwd.iterdir())
+
+    @pytest.mark.parametrize("command", ["gen", "migrate", "train", "verify"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("sweep_depths", [0.5, -0.25], "sweep depth -0.25 outside [0, 1]"),
+        ("label_targets", [1.5], "label target 1.5 outside [0, 1]"),
+    ])
+    def test_depth_or_target_outside_unit_interval_exits_one_for_every_command(
+        self, command, key, value, message, tmp_path, capsys
+    ):
+        # A command that never reads the list still refuses it, so no
+        # manifest records a config that sweep or label would refuse.
+        cfg, out = write_config(tmp_path, **{key: value})
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,args,overrides,message", [
         ("gen", ["--cutoff", "5"], {}, "cutoff_fraction must lie in (0, 1)"),
@@ -562,3 +582,19 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert db.__version__ in capsys.readouterr().out
+
+
+def test_start_up_imports_no_scipy():
+    """scipy is a test-only oracle: a fresh `import diffbridge.cli` never loads it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import diffbridge.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

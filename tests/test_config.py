@@ -99,6 +99,11 @@ class TestRunConfig:
             replace(RunConfig(), label_targets=("x",))
         with pytest.raises(ValueError, match="^out must be a nonempty path"):
             RunConfig(out="")
+        with pytest.raises(ValueError, match=r"^sweep depth 1.5 outside \[0, 1\]$"):
+            RunConfig(sweep_depths=(0.0, 1.5))
+        with pytest.raises(ValueError, match=r"^label target -0.1 outside \[0, 1\]$"):
+            RunConfig().with_overrides(targets=(0.5, -0.1))
+        assert RunConfig(label_targets=[0, 1]).label_targets == (0.0, 1.0)
         assert RunConfig(sweep_depths=[0, 1]).sweep_depths == (0.0, 1.0)
 
     def test_domain_build_dispatch(self):

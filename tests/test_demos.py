@@ -1,4 +1,4 @@
-"""Every walkthrough under demos/ runs to completion in a fresh interpreter."""
+"""Every walkthrough under demos/ runs to completion in a fresh interpreter without scipy."""
 
 import os
 import subprocess
@@ -15,6 +15,13 @@ def test_every_demo_is_listed():
     assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05", "06"]
 
 
+# Runs a script with scipy unimportable: the demos need numpy alone.
+WITHOUT_SCIPY = (
+    "import runpy, sys; sys.modules['scipy'] = None; "
+    "runpy.run_path(sys.argv[1], run_name='__main__')"
+)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
@@ -22,7 +29,7 @@ def test_demo_runs(demo, tmp_path):
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-c", WITHOUT_SCIPY, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from diffbridge.schedule import linear_schedule, state_coordinate
 
@@ -132,3 +133,35 @@ class TestContinuousExtension:
                 got = f(u)
                 assert type(got) is float
                 assert got.hex() == float(f(np.asarray(u))).hex() == float(column[i]).hex()
+
+
+class TestPchipIsScipys:
+    """The numpy PCHIP gives PchipInterpolator's bytes (scipy is the oracle)."""
+
+    @staticmethod
+    def _same_bytes(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 10, 1000, 4000])
+    def test_coefficients_values_and_rates(self, steps):
+        s = linear_schedule(steps)
+        interp = PchipInterpolator(np.arange(steps + 1), np.log(s.alpha_bars))
+        deriv = interp.derivative()
+        self._same_bytes(s._log_ab, interp.c)
+        self._same_bytes(s._log_ab_deriv, deriv.c)
+
+        rng = np.random.default_rng(steps)
+        times = np.concatenate((rng.random(20000), np.arange(steps + 1) / steps, [1.0]))
+        want_ab = np.exp(interp(times * steps))
+        want_rate = -deriv(times * steps) * steps
+        self._same_bytes(s.alpha_bar_at(times), want_ab)
+        self._same_bytes(s.noise_rate_at(times), want_rate)
+        # Float times take the Python-float path: every knot, t = 1 and a
+        # random subset.
+        picks = np.concatenate((np.arange(steps + 1), [len(times) - 1], np.arange(0, 20000, 40)))
+        for i in picks.tolist():
+            u = times[i].item()
+            assert s.alpha_bar_at(u).hex() == float(want_ab[i]).hex()
+            assert s.noise_rate_at(u).hex() == float(want_rate[i]).hex()

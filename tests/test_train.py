@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import diffbridge as db
 from diffbridge.attention import Priority
@@ -80,6 +81,32 @@ class TestEnergyDistance:
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal((60, 3))
         assert energy_distance(x, y) == pytest.approx(energy_distance(y, x), rel=1e-12)
+
+    @pytest.mark.parametrize("shapes", [((5, 2), (5, 3)), ((2, 2, 2), (2, 2))])
+    def test_rejects_sets_of_different_dimension(self, shapes):
+        x, y = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="need two sets of rows of one length"):
+            energy_distance(x, y)
+
+    @staticmethod
+    def _cdist_form(x, y):
+        return float(2.0 * cdist(x, y).mean() - cdist(x, x).mean() - cdist(y, y).mean())
+
+    def test_bytes_equal_cdist_in_two_dimensions(self):
+        # scipy is the oracle; the points are the shape evaluate_fit scores.
+        rng = np.random.default_rng(3)
+        for n, m in ((1, 1), (1, 7), (150, 150), (300, 200)):
+            x = rng.standard_normal((n, 2)) * 3.0
+            y = rng.standard_normal((m, 2)) + 1.0
+            assert energy_distance(x, y).hex() == self._cdist_form(x, y).hex()
+
+    def test_close_to_cdist_in_many_dimensions(self):
+        # cdist's summation order in many dimensions is its own choice, so
+        # only closeness is required here.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((60, 256))
+        y = rng.standard_normal((80, 256)) + 0.3
+        assert energy_distance(x, y) == pytest.approx(self._cdist_form(x, y), rel=1e-12)
 
 
 class TestTrainDenoiser:
