@@ -42,12 +42,9 @@ class NoiseSchedule:
     alpha_bars: np.ndarray   # (T+1,), cumulative product, alpha_bars[0] = 1
     # PCHIP of log(alpha_bar) over the unit knots 0..T: _log_ab[:, i] holds
     # the coefficients of s**3, s**2, s, 1 on [i, i + 1], s the offset into
-    # it; _log_ab_deriv[:, i] those of s**2, s, 1 of its derivative.  The
-    # _rows fields hold the same columns as Python floats, for float times.
+    # it; _log_ab_deriv[:, i] those of s**2, s, 1 of its derivative.
     _log_ab: np.ndarray = field(repr=False, compare=False, default=None)
     _log_ab_deriv: np.ndarray = field(repr=False, compare=False, default=None)
-    _log_ab_rows: list = field(repr=False, compare=False, default=None)
-    _log_ab_deriv_rows: list = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for arr in (self.betas, self.alphas, self.alpha_bars):
@@ -59,7 +56,6 @@ class NoiseSchedule:
         for name, table in (("_log_ab", coef), ("_log_ab_deriv", deriv)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
-            object.__setattr__(self, name + "_rows", table.T.tolist())
 
     def beta(self, t: int) -> float:
         """Step-t beta, t in 1..T."""
@@ -79,7 +75,7 @@ class NoiseSchedule:
         Accepts a scalar or array; exact at the knots time = t/T and
         log-monotone in between.
         """
-        (c0, c1, c2, c3), s = self._piece(time, self._log_ab_rows, self._log_ab)
+        (c0, c1, c2, c3), s = self._piece(time, self._log_ab)
         z = s * s
         # scipy's term order: c3 + c2*s, then + c1*s**2, then + c0*s**3
         # (s**3 as (s*s)*s).  Horner's order rounds differently.
@@ -88,11 +84,11 @@ class NoiseSchedule:
 
     def noise_rate_at(self, time):
         """Instantaneous rate -d log(alpha_bar)/d time at normalized time."""
-        (c0, c1, c2), s = self._piece(time, self._log_ab_deriv_rows, self._log_ab_deriv)
+        (c0, c1, c2), s = self._piece(time, self._log_ab_deriv)
         out = -(c2 + c1 * s + c0 * (s * s)) * self.steps_T
         return out if isinstance(out, np.ndarray) else float(out)
 
-    def _piece(self, time, rows, table):
+    def _piece(self, time, table):
         """(coefficients of the piece holding step time * T, offset s into it).
 
         A float time gives a row of Python floats and a float s; anything
@@ -102,7 +98,7 @@ class NoiseSchedule:
         u = _checked_time(time) * self.steps_T
         if isinstance(u, float):
             i = min(int(u), self.steps_T - 1)
-            return rows[i], u - i
+            return table[:, i].tolist(), u - i
         i = np.minimum(u.astype(np.intp), self.steps_T - 1)
         return table[:, i], u - i
 

@@ -187,9 +187,6 @@ def train_denoiser(
     return model, history
 
 
-_DISTANCE_BLOCK_ROWS = 256
-
-
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Multivariate energy distance between two sample sets (rows)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -210,17 +207,12 @@ def _mean_distance(x: np.ndarray, y: np.ndarray) -> float:
     The squares are summed one coordinate at a time, in coordinate
     order.  scipy's ``cdist`` sums in that order too, so this gives the
     bytes of ``cdist(x, y).mean()``; the tests require them in two
-    dimensions.  Rows of x go in blocks, so the temporaries beside the
-    (n, m) distance matrix, which the mean needs whole, stay small.
+    dimensions.
     """
-    dist = np.zeros((len(x), len(y)))
-    for lo in range(0, len(x), _DISTANCE_BLOCK_ROWS):
-        block = dist[lo:lo + _DISTANCE_BLOCK_ROWS]
-        diff = np.empty_like(block)
-        for xk, yk in zip(x[lo:lo + _DISTANCE_BLOCK_ROWS].T, y.T):
-            block += np.square(np.subtract.outer(xk, yk, out=diff), out=diff)
-        np.sqrt(block, out=block)
-    return dist.mean()
+    sq = np.zeros((len(x), len(y)))
+    for xk, yk in zip(x.T, y.T):
+        sq += np.square(np.subtract.outer(xk, yk))
+    return np.sqrt(sq).mean()
 
 
 def evaluate_fit(
