@@ -140,11 +140,9 @@ def _is_image_pair(pair) -> bool:
 def _snap_grid(depths, bridge_cfg: BridgeConfig) -> tuple[float, ...]:
     """The grid snapped to bridge nodes, in order.
 
-    Empty grids are errors, and so are two depths on one node or on two
-    nodes whose frame names (``d{depth:.4f}``) coincide.
+    Two depths on one node, or on two nodes whose frame names
+    (``d{depth:.4f}``) coincide, are errors.  RunConfig refuses an empty grid.
     """
-    if not depths:
-        raise ValueError("sweep_depths is empty")
     snapped = [bridge_cfg.snap(float(d)) for d in depths]
     names = [f"d{node:.4f}" for node in snapped]
     for i, node in enumerate(snapped):
@@ -163,12 +161,10 @@ def _snap_grid(depths, bridge_cfg: BridgeConfig) -> tuple[float, ...]:
 
 
 def _check_targets(targets) -> tuple[float, ...]:
-    """The label targets, which RunConfig has checked to lie in [0, 1].
+    """The label targets, which RunConfig has checked to be nonempty and in [0, 1].
 
-    No targets and targets sharing a frame name are errors.
+    Targets sharing a frame name are errors.
     """
-    if not targets:
-        raise ValueError("label_targets is empty")
     names = [f"target{t:.2f}" for t in targets]
     for i, target in enumerate(targets):
         if names[i] in names[:i]:

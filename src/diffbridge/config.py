@@ -33,7 +33,13 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    """An int or float that is finite as a float: JSON gives ints of any size."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 _SCALAR_CHECKS = {
@@ -204,6 +210,8 @@ class RunConfig:
             value = getattr(self, key)
             if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
                 raise ValueError(f"{key} must be a list of finite numbers, got {value!r}")
+            if not value:
+                raise ValueError(f"{key} is empty")
             value = tuple(float(v) for v in value)
             for v in value:
                 if not 0.0 <= v <= 1.0:

@@ -22,10 +22,13 @@ Three implementations:
   ``backward`` takes one field or a (B, *field) minibatch with one step
   per row, and returns the gradients summed over the rows in row order.
 
-The analytic models keep no per-step memo: each call computes its
-alpha_bar and noised domain afresh.  The only state they hold is the
-texture model's one pair of FFT work arrays, bounded by the largest
-batch it has scored; that model's calls must not overlap across threads.
+The analytic models hold two kinds of state, both bounded.  The mixture
+model tabulates, once per model, each integer step's alpha_bar,
+-sqrt(1 - alpha_bar), sqrt(alpha_bar) and noised variances and
+log-normaliser: read-only arrays of T+1 rows of 3 + 2K floats for K
+components, whatever the dimension.  The texture model keeps one pair of FFT work arrays,
+bounded by the largest batch it has scored; its calls must not overlap
+across threads.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention as attn
-from .domains import GaussianMixture, gmm_score, noised_mixture_at
+from .domains import GaussianMixture, gmm_score, noised_constants, noised_mixture_from
 from .schedule import NoiseSchedule
 
 CHECKPOINT_MAGIC = b"DBCK"
@@ -61,56 +64,64 @@ class EpsilonModel(ABC):
 
 def _check_step(t: float, steps_T: int) -> float:
     t = float(t)
-    if not np.isfinite(t) or not 0.0 <= t <= steps_T:
+    if not 0.0 <= t <= steps_T:  # False for NaN too
         raise ValueError(f"step {t} outside [0, {steps_T}]")
     return t
 
 
-class _AnalyticEpsilon(EpsilonModel):
-    """Per-step path of the analytic models.
-
-    Every call builds the noised domain at its step (``_noised``); the
-    prediction is exactly zero where alpha_bar = 1, else the subclass's
-    ``_epsilon``.  Nothing is remembered between calls.
-    """
-
-    def _predict(self, x: np.ndarray, t: float) -> np.ndarray:
-        t = _check_step(t, self.schedule.steps_T)
-        ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
-        if ab < 1.0:
-            return self._epsilon(x, ab, self._noised(ab))
-        return np.zeros_like(x)
-
-
 @dataclass(frozen=True)
-class AnalyticGmmEpsilon(_AnalyticEpsilon):
+class AnalyticGmmEpsilon(EpsilonModel):
     """Exact optimal noise prediction for a Gaussian-mixture domain.
 
     Accepts a single point of shape (d,) or a batch (..., d); batch rows
-    are scored independently.
+    are scored independently.  Construction tabulates every integer
+    step's constants in one vectorised pass (``_step_constants``), so a
+    call at an integer step reads its row; a fractional step builds its
+    one row with the same function.
     """
 
     mixture: GaussianMixture
     schedule: NoiseSchedule
 
+    def __post_init__(self):
+        steps = np.arange(self.schedule.steps_T + 1)
+        object.__setattr__(self, "_table", self._step_constants(steps))
+
+    def _step_constants(self, steps) -> tuple[np.ndarray, ...]:
+        """alpha_bar, -sqrt(1 - alpha_bar) and ``noised_constants`` at a step or steps.
+
+        Read-only; for n steps, n rows of 3 + 2K floats, K the component
+        count: about 72 KB for three components and T = 1000.
+        """
+        ab = np.asarray(self.schedule.alpha_bar_at(steps / self.schedule.steps_T))
+        gain = -np.sqrt(1.0 - ab)
+        for arr in (ab, gain):
+            arr.setflags(write=False)
+        return (ab, gain, *noised_constants(self.mixture, ab))
+
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self._predict(np.asarray(x, dtype=np.float64), t)
-
-    def _noised(self, ab: float):
-        return noised_mixture_at(self.mixture, ab)
-
-    def _epsilon(self, x, ab, noised):
-        return -np.sqrt(1.0 - ab) * gmm_score(noised, x)
+        x = np.asarray(x, dtype=np.float64)
+        t = _check_step(t, self.schedule.steps_T)
+        if t.is_integer():
+            row = (column[int(t)] for column in self._table)
+        else:
+            row = self._step_constants(t)
+        ab, gain, scale, variances, log_norm = row
+        if ab < 1.0:
+            noised = noised_mixture_from(self.mixture, scale, variances, log_norm)
+            return gain * gmm_score(noised, x)
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
-class AnalyticFieldEpsilon(_AnalyticEpsilon):
+class AnalyticFieldEpsilon(EpsilonModel):
     """Exact optimal noise prediction for a stationary Gaussian texture.
 
     ``mode_variances`` are the covariance eigenvalues on the fft2 grid
     (unitary convention), as produced by domains.SpectralTexture.
-    Accepts one (H, W) field or a batch (..., H, W).  The transforms run
-    in one pair of flat complex work arrays, grown to the largest input
+    Accepts one (H, W) field or a batch (..., H, W).  Each call computes
+    its alpha_bar and noised variances afresh.  The transforms run in
+    one pair of flat complex work arrays, grown to the largest input
     seen and viewed as each call's shape, so a call allocates only the
     array it returns; calls must not overlap across threads.
     """
@@ -127,12 +138,10 @@ class AnalyticFieldEpsilon(_AnalyticEpsilon):
             raise ValueError(
                 f"field shape {x.shape} != domain shape {self.mode_variances.shape}"
             )
-        return self._predict(x, t)
-
-    def _noised(self, ab: float) -> np.ndarray:
-        return ab * self.mode_variances + (1.0 - ab)
-
-    def _epsilon(self, x, ab, noised_var):
+        t = _check_step(t, self.schedule.steps_T)
+        ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
+        if ab >= 1.0:
+            return np.zeros_like(x)
         if self._work[0].size < x.size:
             object.__setattr__(self, "_work", (np.empty(x.size, complex), np.empty(x.size, complex)))
         spectrum, partial = (w[: x.size].reshape(x.shape) for w in self._work)
@@ -141,7 +150,7 @@ class AnalyticFieldEpsilon(_AnalyticEpsilon):
         spectrum[...] = x
         np.fft.fft(spectrum, axis=-1, norm="ortho", out=partial)
         np.fft.fft(partial, axis=-2, norm="ortho", out=spectrum)
-        spectrum /= noised_var
+        spectrum /= ab * self.mode_variances + (1.0 - ab)
         np.fft.ifft(spectrum, axis=-1, norm="ortho", out=partial)
         np.fft.ifft(partial, axis=-2, norm="ortho", out=spectrum)
         return np.sqrt(1.0 - ab) * spectrum.real

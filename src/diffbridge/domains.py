@@ -56,18 +56,23 @@ class GaussianMixture:
             raise ValueError("weights must be positive and sum to 1 within 1e-12")
         if (v <= 0).any():
             raise ValueError("variances must be positive")
-        self._set_arrays(w, m, v)
-
-    def _set_arrays(self, w: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
-        """Store the arrays read-only beside their ``_log_norm``; no checks."""
-        log_norm = np.log(w) - 0.5 * m.shape[1] * np.log(2.0 * np.pi * v)
-        for name, arr in (("weights", w), ("means", m), ("variances", v), ("_log_norm", log_norm)):
+        log_norm = _log_normaliser(w, m.shape[1], v)
+        for arr in (w, m, v, log_norm):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._set_arrays(w, m, v, log_norm)
+
+    def _set_arrays(self, w, m, v, log_norm) -> None:
+        """Store the read-only arrays and their ``_log_norm``; no checks."""
+        vars(self).update(weights=w, means=m, variances=v, _log_norm=log_norm)
 
     @property
     def dimension(self) -> int:
         return self.means.shape[1]
+
+
+def _log_normaliser(weights: np.ndarray, d: int, variances: np.ndarray) -> np.ndarray:
+    """log w_k - d/2 * log(2 pi v_k); variances may carry leading axes."""
+    return np.log(weights) - 0.5 * d * np.log(2.0 * np.pi * variances)
 
 
 def gmm_sample(mix: GaussianMixture, count: int, seed: int) -> np.ndarray:
@@ -80,13 +85,20 @@ def gmm_sample(mix: GaussianMixture, count: int, seed: int) -> np.ndarray:
     return mix.means[comps] + np.sqrt(mix.variances[comps])[:, None] * noise
 
 
-def _log_components(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """Per-component log(w_k N_k(x)) for x of shape (..., d)."""
+def _offsets(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
+    """means - x per component, shape (..., K, d), for x of shape (..., d)."""
     d = mix.dimension
     if x.shape[-1] != d:
         raise ValueError(f"point dimension {x.shape[-1]} != mixture dimension {d}")
-    sq = ((x[..., None, :] - mix.means) ** 2).sum(axis=-1)
-    return mix._log_norm - 0.5 * sq / mix.variances
+    return mix.means - x[..., None, :]
+
+
+def _log_components(mix: GaussianMixture, offsets: np.ndarray) -> np.ndarray:
+    """Per-component log(w_k N_k(x)), shape (..., K), from ``_offsets(mix, x)``."""
+    log_comp = np.square(offsets).sum(axis=-1)
+    log_comp *= 0.5
+    log_comp /= mix.variances
+    return np.subtract(mix._log_norm, log_comp, out=log_comp)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -119,20 +131,25 @@ def gmm_log_density(mix: GaussianMixture, x: np.ndarray):
     x may be a single point (d,) -> float, or a batch (..., d) -> (...,).
     """
     x = np.asarray(x, dtype=np.float64)
-    out = _logsumexp(_log_components(mix, x))[..., 0]
+    out = _logsumexp(_log_components(mix, _offsets(mix, x)))[..., 0]
     return float(out) if np.ndim(out) == 0 else out
 
 
 def gmm_score(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """Gradient of the log density: responsibility-weighted component pulls.
 
-    Broadcasts over leading axes of x like gmm_log_density.
+    Broadcasts over leading axes of x like gmm_log_density.  The offsets
+    array becomes the pulls in place; every operation rounds as in
+    resp * (means - x) / variances summed over the components.
     """
     x = np.asarray(x, dtype=np.float64)
-    log_comp = _log_components(mix, x)
-    resp = np.exp(log_comp - _logsumexp(log_comp))
-    pulls = (mix.means - x[..., None, :]) / mix.variances[:, None]
-    return (resp[..., None] * pulls).sum(axis=-2)
+    pulls = _offsets(mix, x)
+    resp = _log_components(mix, pulls)
+    resp -= _logsumexp(resp)
+    np.exp(resp, out=resp)
+    pulls /= mix.variances[:, None]
+    pulls *= resp[..., None]
+    return pulls.sum(axis=-2)
 
 
 def noised_mixture(mix: GaussianMixture, schedule: NoiseSchedule, t: int) -> GaussianMixture:
@@ -146,20 +163,44 @@ def noised_mixture(mix: GaussianMixture, schedule: NoiseSchedule, t: int) -> Gau
     return noised_mixture_at(mix, schedule.alpha_bar(t))
 
 
+def noised_constants(mix: GaussianMixture, alpha_bar) -> tuple[np.ndarray, ...]:
+    """The x-free parts of ``noised_mixture_at``, at one alpha_bar or an array of them.
+
+    sqrt(alpha_bar), which scales the means, then the noised variances
+    and log-normaliser, each with a trailing K axis: for n alpha_bars,
+    shapes (n,), (n, K) and (n, K).  All three are read-only.  The
+    (K, d) means are left out, so the rows do not grow with the dimension.
+    """
+    ab = np.asarray(alpha_bar, dtype=np.float64)[..., None]
+    variances = ab * mix.variances + (1.0 - ab)
+    out = (np.sqrt(ab[..., 0]), variances, _log_normaliser(mix.weights, mix.dimension, variances))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def noised_mixture_from(
+    mix: GaussianMixture, scale: float, variances: np.ndarray, log_norm: np.ndarray
+) -> GaussianMixture:
+    """The noised mixture that one alpha_bar's ``noised_constants`` describe.
+
+    A valid mixture noised by a valid alpha_bar is valid, so this skips
+    the constructor's checks.  It shares the read-only weights and row
+    arrays, and scales only the means.
+    """
+    means = scale * mix.means
+    means.setflags(write=False)
+    out = object.__new__(GaussianMixture)
+    out._set_arrays(mix.weights, means, variances, log_norm)
+    return out
+
+
 def noised_mixture_at(mix: GaussianMixture, alpha_bar: float) -> GaussianMixture:
     """``noised_mixture`` at a given alpha_bar in (0, 1], built without re-validation.
 
-    A valid mixture noised by a valid alpha_bar is valid, so the derived
-    mixture skips the constructor's checks and shares the read-only
-    weights; it gets the bytes the checked constructor would give.
+    It gets the bytes the checked constructor would give.
     """
-    out = object.__new__(GaussianMixture)
-    out._set_arrays(
-        mix.weights,
-        np.sqrt(alpha_bar) * mix.means,
-        alpha_bar * mix.variances + (1.0 - alpha_bar),
-    )
-    return out
+    return noised_mixture_from(mix, *noised_constants(mix, alpha_bar))
 
 
 # ---------------------------------------------------------------------------

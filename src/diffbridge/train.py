@@ -207,12 +207,14 @@ def _mean_distance(x: np.ndarray, y: np.ndarray) -> float:
     The squares are summed one coordinate at a time, in coordinate
     order.  scipy's ``cdist`` sums in that order too, so this gives the
     bytes of ``cdist(x, y).mean()``; the tests require them in two
-    dimensions.
+    dimensions.  It works in two (len(x), len(y)) buffers.
     """
     sq = np.zeros((len(x), len(y)))
+    diff = np.empty_like(sq)
     for xk, yk in zip(x.T, y.T):
-        sq += np.square(np.subtract.outer(xk, yk))
-    return np.sqrt(sq).mean()
+        np.subtract.outer(xk, yk, out=diff)
+        sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq).mean()
 
 
 def evaluate_fit(

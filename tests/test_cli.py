@@ -117,6 +117,27 @@ class TestMigrate:
         assert main(["migrate", "--config", str(cfg)]) == 0
         assert tree_digest(out) == first
 
+    def test_gmm_alpha_bar_work_does_not_grow_with_the_step_count(self, tmp_path, monkeypatch):
+        # The exact GMM epsilon tabulates its steps once per model, so a
+        # default-grid migrate (two flows of 1000 steps) interpolates
+        # alpha_bar a handful of times, not once per model call.
+        counts = {"alpha_bar_at": 0, "predict_epsilon": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(db.NoiseSchedule, "alpha_bar_at",
+                            counted("alpha_bar_at", db.NoiseSchedule.alpha_bar_at))
+        monkeypatch.setattr(db.AnalyticGmmEpsilon, "predict_epsilon",
+                            counted("predict_epsilon", db.AnalyticGmmEpsilon.predict_epsilon))
+        out = tmp_path / "run"
+        assert main(["migrate", "--out", str(out)]) == 0
+        assert counts["predict_epsilon"] == 2000
+        assert counts["alpha_bar_at"] <= 8
+
 
 class TestSweep:
     def test_depth_zero_frame_equals_source_byte_for_byte(self, tmp_path):
@@ -411,6 +432,17 @@ class TestChecksBeforeAnyOutput:
         assert main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "migrate"])
+    @pytest.mark.parametrize("key", ["sweep_depths", "label_targets"])
+    def test_empty_depths_or_targets_exit_one_for_commands_that_do_not_read_them(
+        self, command, key, tmp_path, capsys
+    ):
+        cfg, out = write_config(tmp_path, **{key: []})
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} is empty" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command,args,overrides,message", [

@@ -60,6 +60,9 @@ class TestRunConfig:
             ({"train": {"hidden": [64, 0]}}, "train.hidden"),
             ({"highpass_cutoff": "x"}, "highpass_cutoff"),
             ({"highpass_cutoff": float("inf")}, "highpass_cutoff"),
+            # An int past the float range, as json.loads reads a long literal.
+            ({"highpass_cutoff": 10**400}, "highpass_cutoff"),
+            ({"schedule": {"beta_start": -(10**400)}}, "schedule.beta_start"),
             ({"seed": True}, "seed"),
             ({"out": 5}, "out"),
             ({"train": {"attention": {"token_count": 2.7}}}, "train.attention"),
@@ -69,6 +72,7 @@ class TestRunConfig:
             ({"sweep_depths": 0.5}, "sweep_depths"),
             ({"label_targets": "0.5"}, "label_targets"),
             ({"label_targets": [0.5, float("nan")]}, "label_targets"),
+            ({"sweep_depths": [0.5, 10**400]}, "sweep_depths"),
         ]
         for raw, name in wrong_types:
             with pytest.raises(ValueError, match=f"^{name} must "):
@@ -105,6 +109,14 @@ class TestRunConfig:
             RunConfig().with_overrides(targets=(0.5, -0.1))
         assert RunConfig(label_targets=[0, 1]).label_targets == (0.0, 1.0)
         assert RunConfig(sweep_depths=[0, 1]).sweep_depths == (0.0, 1.0)
+
+    def test_every_construction_refuses_empty_lists(self):
+        with pytest.raises(ValueError, match="^sweep_depths is empty$"):
+            RunConfig(sweep_depths=())
+        with pytest.raises(ValueError, match="^label_targets is empty$"):
+            RunConfig.from_dict({"label_targets": []})
+        with pytest.raises(ValueError, match="^sweep_depths is empty$"):
+            RunConfig().with_overrides(depth_grid=())
 
     def test_domain_build_dispatch(self):
         assert RunConfig().domains.build(0).shape == (2,)

@@ -11,7 +11,7 @@ from scipy.special import expit
 import diffbridge as db
 from diffbridge.attention import Priority
 from diffbridge.denoiser import _silu, _silu_grad
-from diffbridge.domains import GaussianMixture, gmm_log_density, noised_mixture
+from diffbridge.domains import GaussianMixture, gmm_log_density, gmm_score, noised_mixture
 
 
 def finite_difference_score(mix, x, h=1e-4):
@@ -95,9 +95,60 @@ class TestAnalyticGmmEpsilon:
         np.testing.assert_array_equal(self.model.predict_epsilon(x, 0), np.zeros(2))
 
     def test_rejects_bad_step(self):
-        for t in (-1, 1001, np.nan):
+        for t in (-1, -1e-12, 1000.000001, 1001, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 self.model.predict_epsilon(np.zeros(2), t)
+
+
+class TestGmmStepTable:
+    """The tabulated steps against the per-call formula of the exact epsilon.
+
+    The expected value builds the noised mixture with the checked
+    constructor and alpha_bar with a scalar ``alpha_bar_at`` call, so it
+    shares no code with the table.
+    """
+
+    MIXTURES = {
+        "default-pair": db.default_gmm_pair().source,
+        "three-component": GaussianMixture(
+            weights=[0.3, 0.5, 0.2],
+            means=[[1.0, -2.0], [-1.5, 0.5], [2.0, 2.0]],
+            variances=[0.4, 0.8, 0.2],
+        ),
+    }
+
+    @staticmethod
+    def expected(mix, sched, x, t):
+        ab = sched.alpha_bar_at(t / sched.steps_T)
+        if ab == 1.0:  # step 0, or a fractional step that rounds to it
+            return np.zeros_like(x)
+        noised = GaussianMixture(mix.weights, np.sqrt(ab) * mix.means, ab * mix.variances + (1.0 - ab))
+        return -np.sqrt(1 - ab) * gmm_score(noised, x)
+
+    @pytest.mark.parametrize("name", MIXTURES)
+    @pytest.mark.parametrize("steps_T", [1, 7, 1000])
+    def test_bytes_equal_per_call_formula(self, name, steps_T):
+        mix = self.MIXTURES[name]
+        sched = db.linear_schedule(steps_T)
+        model = db.AnalyticGmmEpsilon(mix, sched)
+        rng = np.random.default_rng(steps_T)
+        inputs = (rng.normal(scale=3.0, size=2), rng.normal(scale=3.0, size=(4, 8, 2)))
+        fractional = [*rng.uniform(0.0, steps_T, 40), 1e-9 * steps_T, 0.5, steps_T - 1e-9]
+        for t in [*range(1, steps_T + 1), *fractional]:
+            for x in inputs:
+                got = model.predict_epsilon(x, t)
+                assert got.tobytes() == self.expected(mix, sched, x, t).tobytes(), t
+        for x in inputs:
+            zero = model.predict_epsilon(x, 0)
+            assert zero.shape == x.shape and zero.tobytes() == np.zeros_like(x).tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2, 16])
+    def test_table_is_read_only_with_one_row_per_step_whatever_the_dimension(self, dimension):
+        mix = GaussianMixture([0.5, 0.5], np.ones((2, dimension)) * [[1.0], [-1.0]], [0.5, 2.0])
+        model = db.AnalyticGmmEpsilon(mix, db.linear_schedule(7))
+        shapes = [column.shape for column in model._table]
+        assert shapes == [(8,), (8,), (8,), (8, 2), (8, 2)]
+        assert not any(column.flags.writeable for column in model._table)
 
 
 class TestAnalyticFieldEpsilon:

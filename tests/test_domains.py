@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 import diffbridge as db
-from diffbridge.domains import GaussianMixture, SpectralTexture, _logsumexp
+from diffbridge.domains import GaussianMixture, SpectralTexture, _logsumexp, noised_mixture_at
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude
 from diffbridge.train import energy_distance
 
@@ -270,6 +270,15 @@ class TestNoisedMixture:
             assert abs(pushed[:, axis].mean() - direct[:, axis].mean()) < 3 * np.sqrt(2) * se_mean
             ratio = pushed[:, axis].var() / direct[:, axis].var()
             assert 0.9 < ratio < 1.1
+
+    def test_bytes_equal_checked_constructor_and_read_only(self):
+        mix = GaussianMixture([0.2, 0.3, 0.5], [[1.0, -2.0], [-1.5, 0.5], [2.0, 2.0]], [0.4, 0.8, 0.2])
+        for ab in (1e-5, 0.3, 0.999999, 1.0):
+            got = noised_mixture_at(mix, ab)
+            want = GaussianMixture(mix.weights, np.sqrt(ab) * mix.means, ab * mix.variances + (1.0 - ab))
+            for name in ("weights", "means", "variances", "_log_norm"):
+                _assert_same_bytes(getattr(got, name), getattr(want, name))
+                assert not getattr(got, name).flags.writeable
 
     def test_rejects_bad_step(self):
         sched = db.linear_schedule(100)

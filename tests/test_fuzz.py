@@ -3,12 +3,14 @@
 import copy
 import json
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 import diffbridge as db
 from diffbridge.attention import Priority
+from diffbridge.config import RunConfig
 
 pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
@@ -99,3 +101,32 @@ def test_pgm_with_generated_bytes(files, data):
         return
     assert isinstance(field, np.ndarray) and field.ndim == 2
     assert np.all((field >= -1.0) & (field <= 1.0))
+
+
+# Each config section and the field names it takes.
+SECTIONS = {
+    f.name: [g.name for g in fields(f.default_factory)]
+    for f in fields(RunConfig)
+    if is_dataclass(f.default_factory)
+}
+# Integers past the float range too: json.loads gives them for long literals.
+NUMBER = st.floats() | st.integers(-(2**1030), 2**1030)
+CONFIG_VALUE = JSON | NUMBER | st.lists(NUMBER, max_size=4)
+
+
+@given(data=st.data())
+def test_config_with_generated_fields(data):
+    """Only parsed: building a fuzzed config could allocate without bound."""
+    keys = [f.name for f in fields(RunConfig)] + ["extra"]
+    raw = {}
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=6, unique=True)):
+        if key in SECTIONS and data.draw(st.booleans()):
+            names = st.sampled_from(SECTIONS[key] + ["extra"])
+            raw[key] = data.draw(st.dictionaries(names, CONFIG_VALUE, max_size=4))
+        else:
+            raw[key] = data.draw(CONFIG_VALUE)
+    try:
+        cfg = RunConfig.from_dict(raw)
+    except ValueError:
+        return
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
