@@ -13,10 +13,7 @@ sched = db.linear_schedule(1000)
 print("linear schedule: T=1000, beta 1e-4 -> 0.02")
 print(f"{'t':>6} {'beta_t':>10} {'alpha_bar_t':>12} {'t/T':>6}")
 for t in (1, 100, 350, 700, 1000):
-    print(
-        f"{t:6d} {sched.beta(t):10.5f} {sched.alpha_bar(t):12.6f} "
-        f"{db.state_coordinate(t, sched):6.2f}"
-    )
+    print(f"{t:6d} {sched.beta(t):10.5f} {sched.alpha_bar(t):12.6f} {t / sched.steps_T:6.2f}")
 
 print("\nforward noising x_t = sqrt(ab_t) x0 + sqrt(1-ab_t) eps at t=400:")
 t = 400

@@ -53,7 +53,5 @@ print(f"frames written to {out}/")
 
 print("\ninverting the relation: pick depths for requested labels")
 for target in (0.25, 0.5, 0.75):
-    depth, achieved = db.calibrate_depth(
-        target, x, m_src, m_tgt, cfg, np.linspace(0, 1, 17), spec, x_target_ref=endpoint
-    )
+    depth, achieved = db.calibrate_depth(target, x, m_src, m_tgt, cfg, np.linspace(0, 1, 17), spec)
     print(f"  target {target:.2f} -> depth {depth:.4f} (achieved {achieved.value:.3f})")

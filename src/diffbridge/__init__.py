@@ -51,14 +51,13 @@ from .domains import (
     noised_mixture,
     save_pgm,
 )
-from .schedule import NoiseSchedule, linear_schedule, state_coordinate
+from .schedule import NoiseSchedule, linear_schedule
 from .softlabel import (
     DegenerateEndpointsError,
     HighpassSpec,
     SoftLabel,
     calibrate_depth,
     highpass_magnitude,
-    label_intermediate,
     label_sweep,
     soft_label,
 )

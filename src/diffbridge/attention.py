@@ -155,15 +155,6 @@ def attention_forward(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
     return _forward(cfg, _check_tokens(cfg, tokens))
 
 
-def attention_probabilities(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
-    """Softmax attention matrices for inspection.
-
-    Global: shape (..., heads, n, n).  Local: shape (..., windows, heads, nw, nw).
-    """
-    probs = _internals(cfg, _check_tokens(cfg, tokens))[2]
-    return probs[..., 0, :, :, :] if cfg.priority == Priority.GLOBAL_FIRST else probs
-
-
 # ---------------------------------------------------------------------------
 # One windowed kernel: segment into windows, then multi-head inside each.
 # Global priority is the single-window case, whatever cfg.windows says.

@@ -2,10 +2,12 @@
 
 Every command reads an optional JSON config (defaults apply otherwise)
 and applies its flags as RunConfig overrides, so the manifest's config
-echo records them.  It writes its outputs under one run directory, in
-the subdirectories it uses (frames/, labels/, checkpoints/), created
-with their first file, and finishes with a manifest.json that lists
-every emitted file exactly once.
+echo records them.  Before it writes anything, every command builds,
+and so checks, every setting, those only other commands use included.
+It writes its outputs under one run directory, in the subdirectories it
+uses (frames/, labels/, checkpoints/), created with their first file,
+and finishes with a manifest.json that lists every emitted file exactly
+once.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 verification failure.
@@ -35,7 +37,7 @@ from .softlabel import (
     label_sweep,
     nearest_label,
 )
-from .train import TrainingDivergedError, train_denoiser
+from .train import TrainingDivergedError, init_model, train_denoiser
 from .verify import run_all
 
 _ROLE_SEEDS = {
@@ -116,21 +118,17 @@ def _write_points_csv(path, points: np.ndarray) -> None:
 
 
 def _build_models(cfg: RunConfig, pair, schedule):
-    if cfg.models.kind == "analytic":
-        if isinstance(pair.source, GaussianMixture):
-            return (
-                AnalyticGmmEpsilon(pair.source, schedule),
-                AnalyticGmmEpsilon(pair.target, schedule),
-            )
-        return (
-            AnalyticFieldEpsilon(pair.source.mode_variances, schedule),
-            AnalyticFieldEpsilon(pair.target.mode_variances, schedule),
-        )
     if cfg.models.kind == "checkpoint":
-        if not cfg.models.source or not cfg.models.target:
-            raise ValueError("checkpoint models need both source and target paths")
         return load_checkpoint(cfg.models.source), load_checkpoint(cfg.models.target)
-    raise ValueError(f"unknown models kind {cfg.models.kind!r}")
+    if isinstance(pair.source, GaussianMixture):
+        return (
+            AnalyticGmmEpsilon(pair.source, schedule),
+            AnalyticGmmEpsilon(pair.target, schedule),
+        )
+    return (
+        AnalyticFieldEpsilon(pair.source.mode_variances, schedule),
+        AnalyticFieldEpsilon(pair.target.mode_variances, schedule),
+    )
 
 
 def _is_image_pair(pair) -> bool:
@@ -175,10 +173,16 @@ def _check_targets(targets) -> tuple[float, ...]:
     return targets
 
 
-def _settings(cfg: RunConfig) -> tuple[NoiseSchedule, BridgeConfig, HighpassSpec]:
-    """The schedule, bridge and high-pass settings; every command builds them, so checks them."""
+def _settings(cfg: RunConfig) -> tuple[DomainPair, NoiseSchedule, BridgeConfig, HighpassSpec]:
+    """The domain pair, schedule, bridge and high-pass settings.
+
+    Every command builds them, and the untrained model ``train`` would
+    start from, so every command checks every setting.
+    """
+    pair = cfg.domains.build(cfg.seed)
     schedule = cfg.schedule.build()
-    return schedule, cfg.bridge.build(schedule), cfg.highpass()
+    init_model(pair.shape, cfg.train.build(schedule, select_priority(Direction.FORWARD), cfg.seed))
+    return pair, schedule, cfg.bridge.build(schedule), cfg.highpass()
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,7 @@ class _Run:
 def _open_run(cfg: RunConfig, command: str) -> _Run:
     """The manifest, domain pair and settings; each command builds the rest before computing."""
     manifest = RunManifest(cfg, command)
-    return _Run(Path(cfg.out), manifest, cfg.domains.build(cfg.seed), *_settings(cfg))
+    return _Run(Path(cfg.out), manifest, *_settings(cfg))
 
 
 def _write_frame(run: _Run, name: str, x, **record) -> None:
@@ -354,7 +358,7 @@ def cmd_label(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    schedule, _, _ = _settings(cfg)
+    _, schedule, _, _ = _settings(cfg)
     results = run_all(schedule=schedule, seed=cfg.seed)
     for result in results:
         print(result.line())

@@ -120,6 +120,10 @@ class ModelSpec:
 
     def __post_init__(self):
         _check_scalars(self, "models.")
+        if self.kind not in ("analytic", "checkpoint"):
+            raise ValueError(f"unknown models kind {self.kind!r}")
+        if self.kind == "checkpoint" and not (self.source and self.target):
+            raise ValueError("checkpoint models need both source and target paths")
 
 
 @dataclass(frozen=True)

@@ -160,11 +160,11 @@ def noised_mixture(mix: GaussianMixture, schedule: NoiseSchedule, t: int) -> Gau
     """
     if not 1 <= t <= schedule.steps_T:
         raise ValueError(f"step {t} outside [1, {schedule.steps_T}]")
-    return noised_mixture_at(mix, schedule.alpha_bar(t))
+    return noised_mixture_from(mix, *noised_constants(mix, schedule.alpha_bar(t)))
 
 
 def noised_constants(mix: GaussianMixture, alpha_bar) -> tuple[np.ndarray, ...]:
-    """The x-free parts of ``noised_mixture_at``, at one alpha_bar or an array of them.
+    """The x-free parts of ``noised_mixture``, at one alpha_bar or an array of them.
 
     sqrt(alpha_bar), which scales the means, then the noised variances
     and log-normaliser, each with a trailing K axis: for n alpha_bars,
@@ -195,14 +195,6 @@ def noised_mixture_from(
     return out
 
 
-def noised_mixture_at(mix: GaussianMixture, alpha_bar: float) -> GaussianMixture:
-    """``noised_mixture`` at a given alpha_bar in (0, 1], built without re-validation.
-
-    It gets the bytes the checked constructor would give.
-    """
-    return noised_mixture_from(mix, *noised_constants(mix, alpha_bar))
-
-
 # ---------------------------------------------------------------------------
 # Texture domains
 # ---------------------------------------------------------------------------
@@ -220,20 +212,22 @@ class SpectralTexture:
     negligible-mass tail event.
     """
 
-    name: str
-    size: int
     mode_variances: np.ndarray  # (size, size), symmetric under negation
 
     def __post_init__(self):
         mv = np.asarray(self.mode_variances, dtype=np.float64)
-        if mv.shape != (self.size, self.size):
-            raise ValueError("mode_variances must be (size, size)")
+        if mv.ndim != 2 or mv.shape[0] != mv.shape[1]:
+            raise ValueError(f"mode_variances must be square, got shape {mv.shape}")
         if not np.all(np.isfinite(mv)):
             raise ValueError("mode_variances must be finite")
         if np.any(mv <= 0):
             raise ValueError("mode variances must be positive")
         mv.setflags(write=False)
         object.__setattr__(self, "mode_variances", mv)
+
+    @property
+    def size(self) -> int:
+        return self.mode_variances.shape[0]
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """count fields of shape (size, size) in [-1, 1]; seeded."""
@@ -249,22 +243,26 @@ class SpectralTexture:
 
 @dataclass(frozen=True)
 class DomainPair:
-    """Named source/target domains producing fields of one shared shape."""
+    """Source/target domains producing fields of one shared shape."""
 
-    name: str
     source: GaussianMixture | SpectralTexture
     target: GaussianMixture | SpectralTexture
-    shape: tuple[int, ...]
 
     def __post_init__(self):
-        for member in (self.source, self.target):
-            got = (
-                (member.dimension,)
-                if isinstance(member, GaussianMixture)
-                else (member.size, member.size)
-            )
-            if got != tuple(self.shape):
-                raise ValueError(f"domain shape {got} != pair shape {self.shape}")
+        got = _field_shape(self.target)
+        if got != self.shape:
+            raise ValueError(f"target shape {got} != source shape {self.shape}")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of one sample: (d,) for mixtures, (size, size) for textures."""
+        return _field_shape(self.source)
+
+
+def _field_shape(domain) -> tuple[int, ...]:
+    if isinstance(domain, GaussianMixture):
+        return (domain.dimension,)
+    return domain.mode_variances.shape
 
 
 def sample_domain(domain, count: int, seed: int) -> np.ndarray:
@@ -285,7 +283,7 @@ def default_gmm_pair() -> DomainPair:
     w = np.array([1 / 3, 1 / 3, 1 / 3])
     a = GaussianMixture(w, np.array([[-3.6, 0.0], [-2.4, 1.2], [-2.4, -1.2]]), var)
     b = GaussianMixture(w, np.array([[3.6, 0.0], [2.4, 1.2], [2.4, -1.2]]), var)
-    return DomainPair(name="gmm-default", source=a, target=b, shape=(2,))
+    return DomainPair(source=a, target=b)
 
 
 def radial_frequency_grid(shape: tuple[int, int]) -> np.ndarray:
@@ -336,9 +334,7 @@ def make_texture_pair(kind: str, size: int, seed: int) -> DomainPair:
     if size < 16 or size & (size - 1) != 0:
         raise ValueError("size must be a power of two >= 16")
     low, high = _band_profile(kind, size, seed)
-    src = SpectralTexture(name=f"{kind}-low-{size}", size=size, mode_variances=low)
-    tgt = SpectralTexture(name=f"{kind}-high-{size}", size=size, mode_variances=high)
-    return DomainPair(name=f"texture-{kind}-{size}", source=src, target=tgt, shape=(size, size))
+    return DomainPair(source=SpectralTexture(low), target=SpectralTexture(high))
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,3 @@ def linear_schedule(
     alpha_bars = np.concatenate(([1.0], np.cumprod(alphas)))
     return NoiseSchedule(steps_T, betas, alphas, alpha_bars)
 
-
-def state_coordinate(t: int, schedule: NoiseSchedule) -> float:
-    """Normalized intermediate-state coordinate t/T in [0, 1]."""
-    if not 0 <= t <= schedule.steps_T:
-        raise ValueError(f"step {t} outside [0, {schedule.steps_T}]")
-    return t / schedule.steps_T

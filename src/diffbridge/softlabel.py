@@ -94,18 +94,6 @@ def soft_label(a_source: float, a_intermediate: float, a_target: float) -> SoftL
     return SoftLabel(value=float(np.clip(raw, 0.0, 1.0)) + 0.0, raw=float(raw))
 
 
-def label_intermediate(
-    x_intermediate: np.ndarray,
-    x_source: np.ndarray,
-    x_target: np.ndarray,
-    spec: HighpassSpec,
-) -> SoftLabel:
-    """Soft label of an intermediate field given both endpoint fields."""
-    if not (x_intermediate.shape == x_source.shape == x_target.shape):
-        raise ValueError("intermediate and endpoint fields must share one shape")
-    return soft_label(*highpass_magnitude(np.stack([x_source, x_intermediate, x_target]), spec))
-
-
 def nearest_label(target_label: float, depths, labels) -> int:
     """Index of the label nearest the target; ties break toward the smaller depth."""
     if not 0.0 <= target_label <= 1.0:
@@ -126,21 +114,18 @@ class SweepLabels:
     a_target: list[float]
 
 
-def label_sweep(x_sources, model_src, model_tgt, cfg, depths, spec: HighpassSpec,
-                x_targets=None) -> SweepLabels:
+def label_sweep(x_sources, model_src, model_tgt, cfg, depths, spec: HighpassSpec) -> SweepLabels:
     """Soft label of every frame of one ``bridge.depth_sweep`` of a batch ``(B, H, W)``.
 
-    Sample i's target endpoint is ``x_targets[i]`` or, when that is omitted,
-    its full-depth migration, which rides along in the same sweep.
+    Sample i's target endpoint is its full-depth migration, which rides
+    along in the same sweep.
     """
     if len(depths) == 0:
         raise ValueError("depth grid must be nonempty")
-    if np.ndim(x_sources) != 3 or (x_targets is not None and len(x_targets) != len(x_sources)):
-        raise ValueError("label_sweep needs a batch of fields and one target per field")
-    full = [1.0] if x_targets is None else []
-    table = bridge.depth_sweep(x_sources, model_src, model_tgt, cfg, [*depths, *full])
-    if x_targets is None:
-        x_targets = table.pop().migrated
+    if np.ndim(x_sources) != 3:
+        raise ValueError("label_sweep needs a batch of fields")
+    table = bridge.depth_sweep(x_sources, model_src, model_tgt, cfg, [*depths, 1.0])
+    x_targets = table.pop().migrated
     a_s = highpass_magnitude(x_sources, spec).tolist()
     a_t = highpass_magnitude(x_targets, spec).tolist()
     a_i = highpass_magnitude(np.stack([t.migrated for t in table], axis=1), spec).tolist()
@@ -156,19 +141,17 @@ def calibrate_depth(
     cfg,
     depth_grid,
     spec: HighpassSpec,
-    x_target_ref: np.ndarray | None = None,
 ):
     """Find the sweep depth whose label lands nearest the target label.
 
     The label-depth relation is not a simple invertible curve, so one
-    ``label_sweep`` labels every grid depth; ties break toward the smaller
-    depth.  ``x_target_ref`` defaults to the full-depth migration of ``x_source``.
+    ``label_sweep`` labels every grid depth against the full-depth
+    migration of ``x_source``; ties break toward the smaller depth.
 
     Returns ``(best_depth, SoftLabel)`` for the winning grid point.
     """
     depth_grid = sorted(float(d) for d in depth_grid)
-    x_targets = None if x_target_ref is None else [x_target_ref]
-    sweep = label_sweep([x_source], model_src, model_tgt, cfg, depth_grid, spec, x_targets)
+    sweep = label_sweep([x_source], model_src, model_tgt, cfg, depth_grid, spec)
     labels = sweep.labels[0]
     best = nearest_label(target_label, depth_grid, labels)
     return sweep.table[best].depth, labels[best]

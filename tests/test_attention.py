@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from diffbridge import attention
 from diffbridge.attention import (
     AttentionConfig,
     Direction,
     Priority,
     attention_backward,
     attention_forward,
-    attention_probabilities,
     global_priority_attention,
     init_attention,
     local_priority_attention,
@@ -133,10 +133,10 @@ class TestSoftmaxRows:
         rng = np.random.default_rng(9)
         g, l = make_pair(12, 6, heads=3, windows=2, seed=11)
         x = rng.standard_normal((12, 6))
-        probs_g = attention_probabilities(g, x)
-        assert probs_g.shape == (3, 12, 12)
+        probs_g = attention._internals(g, x)[2]
+        assert probs_g.shape == (1, 3, 12, 12)
         np.testing.assert_allclose(probs_g.sum(axis=-1), 1.0, atol=1e-9)
-        probs_l = attention_probabilities(l, x)
+        probs_l = attention._internals(l, x)[2]
         assert probs_l.shape == (2, 3, 6, 6)
         np.testing.assert_allclose(probs_l.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -161,12 +161,12 @@ class TestBatched:
         cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
         x = np.random.default_rng(2).standard_normal((3, 2, 16, 16))
         out = attention_forward(cfg, x)
-        probs = attention_probabilities(cfg, x)
+        probs = attention._internals(cfg, x)[2]
         assert out.shape == x.shape
         for i in range(3):
             for j in range(2):
                 assert out[i, j].tobytes() == attention_forward(cfg, x[i, j]).tobytes()
-                assert probs[i, j].tobytes() == attention_probabilities(cfg, x[i, j]).tobytes()
+                assert probs[i, j].tobytes() == attention._internals(cfg, x[i, j])[2].tobytes()
 
     @pytest.mark.parametrize("priority", list(Priority))
     def test_backward_stack_rows_byte_equal_single_calls(self, priority):

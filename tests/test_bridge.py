@@ -297,7 +297,7 @@ class TestDepthSweep:
             for depth, traj in zip(self.GRID, table):
                 ref = depth_migrate(x, m_src, m_tgt, cfg, depth)
                 assert traj.depth == ref.depth
-                for field in ("source", "latent", "migrated"):
+                for field in ("latent", "migrated"):
                     assert getattr(traj, field).tobytes() == getattr(ref, field).tobytes()
 
     @pytest.mark.parametrize("pair", ["gmm", "texture"])

@@ -454,6 +454,22 @@ class TestChecksBeforeAnyOutput:
         ("gen", ["--steps", "0"], {}, "steps_per_unit_time must be >= 1"),
         ("gen", [], {"schedule": {"steps": 0}}, "steps_T must be >= 1"),
         ("gen", [], {"bridge": {"integrator": "rk4"}}, "'rk4' is not a valid Integrator"),
+        *[
+            (command, [], {"train": {key: value}}, message)
+            for command in ("gen", "migrate", "sweep", "label", "verify")
+            for key, value, message in [
+                ("optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+                ("batch_size", 0, "epochs and batch_size must be positive"),
+                ("learning_rate", -1, "learning_rate must be nonnegative"),
+                ("activation", "relu", "unknown activation 'relu'"),
+                ("time_dim", 3, "time_dim must be an even integer >= 2"),
+            ]
+        ],
+        *[
+            (command, [], {"models": {"kind": "bogus"}}, "unknown models kind 'bogus'")
+            for command in ("gen", "train", "verify")
+        ],
+        ("verify", [], {"domains": {"kind": "bogus"}}, "unknown domain kind 'bogus'"),
     ])
     def test_settings_a_command_does_not_use_are_checked_too(
         self, command, args, overrides, message, tmp_path, capsys
@@ -461,6 +477,22 @@ class TestChecksBeforeAnyOutput:
         cfg, out = write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg), *args]) == 1
         err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["migrate", "sweep", "label"])
+    def test_checkpoint_of_another_step_count_exits_one_and_leaves_no_files(
+        self, command, tmp_path, capsys
+    ):
+        # The model embeds t / 1000 while the bridge passes steps of a
+        # 200-step schedule, so it would read every step at a fifth of its time.
+        ckpt = tmp_path / "other.ckpt"
+        db.save_checkpoint(db.init_mlp((16, 16), (8,), steps_total=1000, seed=0), ckpt)
+        models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
+        cfg, out = texture_config(tmp_path, models=models)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        message = "forward leg model was trained on 1000 steps, the schedule has 200"
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
 

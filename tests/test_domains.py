@@ -7,7 +7,13 @@ import pytest
 from scipy.special import logsumexp
 
 import diffbridge as db
-from diffbridge.domains import GaussianMixture, SpectralTexture, _logsumexp, noised_mixture_at
+from diffbridge.domains import (
+    GaussianMixture,
+    SpectralTexture,
+    _logsumexp,
+    noised_constants,
+    noised_mixture_from,
+)
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude
 from diffbridge.train import energy_distance
 
@@ -274,7 +280,7 @@ class TestNoisedMixture:
     def test_bytes_equal_checked_constructor_and_read_only(self):
         mix = GaussianMixture([0.2, 0.3, 0.5], [[1.0, -2.0], [-1.5, 0.5], [2.0, 2.0]], [0.4, 0.8, 0.2])
         for ab in (1e-5, 0.3, 0.999999, 1.0):
-            got = noised_mixture_at(mix, ab)
+            got = noised_mixture_from(mix, *noised_constants(mix, ab))
             want = GaussianMixture(mix.weights, np.sqrt(ab) * mix.means, ab * mix.variances + (1.0 - ab))
             for name in ("weights", "means", "variances", "_log_norm"):
                 _assert_same_bytes(getattr(got, name), getattr(want, name))
@@ -317,7 +323,16 @@ class TestTexturePair:
         mv = np.ones((16, 16))
         mv[3, 5] = bad
         with pytest.raises(ValueError, match="^mode_variances must be finite$"):
-            SpectralTexture("bad", 16, mv)
+            SpectralTexture(mv)
+
+    def test_rejects_non_square_mode_variances_and_mismatched_members(self):
+        with pytest.raises(ValueError, match="^mode_variances must be square, got shape"):
+            SpectralTexture(np.ones((16, 8)))
+        small, large = (SpectralTexture(np.ones((n, n))) for n in (16, 32))
+        with pytest.raises(ValueError, match=r"^target shape \(32, 32\) != source shape"):
+            db.DomainPair(small, large)
+        with pytest.raises(ValueError, match=r"^target shape \(32, 32\) != source shape \(2,\)"):
+            db.DomainPair(db.default_gmm_pair().source, large)
 
     def test_rejects_bad_kind_and_size(self):
         with pytest.raises(ValueError):

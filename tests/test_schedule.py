@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from diffbridge.schedule import linear_schedule, state_coordinate
+from diffbridge.schedule import linear_schedule
 
 
 class TestLinearSchedule:
@@ -75,20 +75,6 @@ class TestLinearSchedule:
         s = linear_schedule(10)
         with pytest.raises(ValueError):
             s.betas[0] = 0.5
-
-
-class TestStateCoordinate:
-    def test_endpoints_and_interior(self):
-        s = linear_schedule(1000)
-        assert state_coordinate(0, s) == 0.0
-        assert state_coordinate(1000, s) == 1.0
-        assert state_coordinate(350, s) == 0.35
-
-    def test_rejects_out_of_range(self):
-        s = linear_schedule(100)
-        for t in (-1, 101):
-            with pytest.raises(ValueError):
-                state_coordinate(t, s)
 
 
 class TestContinuousExtension:

@@ -7,9 +7,10 @@ import diffbridge as db
 from diffbridge.softlabel import (
     DegenerateEndpointsError,
     HighpassSpec,
+    SoftLabel,
     highpass_magnitude,
-    label_intermediate,
     label_sweep,
+    nearest_label,
     radial_frequency_grid,
     soft_label,
 )
@@ -157,14 +158,17 @@ class TestSoftLabel:
             )
 
 
-class TestLabelIntermediate:
+def label_of_fields(x_i, x_s, x_t, spec):
+    return soft_label(*highpass_magnitude(np.stack([x_s, x_i, x_t]), spec))
+
+
+class TestLabelOfFields:
     def test_endpoint_fields(self):
-        rng = np.random.default_rng(3)
         spec = HighpassSpec(0.25)
         x_s = cosine_image((16, 16), 5, 3, amplitude=0.3)
         x_t = cosine_image((16, 16), 5, 3, amplitude=0.9)
-        assert label_intermediate(x_s, x_s, x_t, spec).value == 0.0
-        assert label_intermediate(x_t, x_s, x_t, spec).value == 1.0
+        assert label_of_fields(x_s, x_s, x_t, spec).value == 0.0
+        assert label_of_fields(x_t, x_s, x_t, spec).value == 1.0
 
     def test_aligned_spectra_mean_gives_half(self):
         # Same mode, same phase: magnitudes add linearly, so the pixel
@@ -173,13 +177,8 @@ class TestLabelIntermediate:
         x_s = cosine_image((32, 32), 9, 4, amplitude=0.2)
         x_t = cosine_image((32, 32), 9, 4, amplitude=0.8)
         x_mid = 0.5 * (x_s + x_t)
-        label = label_intermediate(x_mid, x_s, x_t, spec)
+        label = label_of_fields(x_mid, x_s, x_t, spec)
         assert label.value == pytest.approx(0.5, abs=1e-9)
-
-    def test_shape_mismatch_rejected(self):
-        spec = HighpassSpec(0.25)
-        with pytest.raises(ValueError):
-            label_intermediate(np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((16, 16)), spec)
 
 
 @pytest.fixture(scope="module")
@@ -197,20 +196,18 @@ def setup():
 
 class TestLabelSweep:
     @pytest.mark.parametrize("grid", [[0.0, 0.3, 0.7, 1.0], [0.75, 0.25, 0.5]])
-    @pytest.mark.parametrize("given_targets", [False, True])
-    def test_rows_equal_per_sample_labels(self, setup, grid, given_targets):
+    def test_rows_equal_per_sample_labels(self, setup, grid):
         cfg, m_src, m_tgt, spec = setup["cfg"], setup["m_src"], setup["m_tgt"], setup["spec"]
         xs = np.stack([setup["x"], -setup["x"], 0.5 * setup["x"]])
 
         def one(x, depth):
             return db.depth_migrate(x, m_src, m_tgt, cfg, depth).migrated
 
-        targets = np.stack([one(x, 0.9) for x in xs]) if given_targets else None
-        sweep = label_sweep(xs, m_src, m_tgt, cfg, grid, spec, targets)
+        sweep = label_sweep(xs, m_src, m_tgt, cfg, grid, spec)
         assert [t.depth for t in sweep.table] == [cfg.snap(d) for d in grid]
         for i, x in enumerate(xs):
             a_s = highpass_magnitude(x, spec)
-            a_t = highpass_magnitude(one(x, 1.0) if targets is None else targets[i], spec)
+            a_t = highpass_magnitude(one(x, 1.0), spec)
             assert (sweep.a_source[i], sweep.a_target[i]) == (a_s, a_t)
             for k, depth in enumerate(grid):
                 frame = one(x, depth)
@@ -219,12 +216,22 @@ class TestLabelSweep:
                 assert type(sweep.a_frame[i][k]) is float and sweep.a_frame[i][k] == a_i
                 assert sweep.labels[i][k] == soft_label(a_s, a_i, a_t)
 
-    def test_rejects_unbatched_sources_and_mismatched_targets(self, setup):
+    def test_rejects_unbatched_sources(self, setup):
         x, models = setup["x"], (setup["m_src"], setup["m_tgt"], setup["cfg"])
         with pytest.raises(ValueError):
             label_sweep(x, *models, [0.5], setup["spec"])
-        with pytest.raises(ValueError):
-            label_sweep(np.stack([x, x]), *models, [0.5], setup["spec"], x_targets=x[None])
+
+
+class TestNearestLabel:
+    def test_ties_break_toward_smaller_depth(self):
+        # Labels clamped to 1.0 at several depths are a multi-way tie that
+        # must resolve to the smallest tying depth, whatever its index.
+        clamped = [SoftLabel(1.0, raw) for raw in (1.4, 1.0, 1.2)]
+        assert nearest_label(1.0, [1.0, 0.5, 0.75], clamped) == 1
+        # Equal distances on either side of the target tie as well.
+        around = [SoftLabel(0.75, 0.75), SoftLabel(0.25, 0.25)]
+        assert nearest_label(0.5, [0.8, 0.3], around) == 1
+        assert nearest_label(0.5, [0.3, 0.8], around) == 0
 
 
 class TestCalibrateDepth:
@@ -257,20 +264,6 @@ class TestCalibrateDepth:
             val = soft_label(a_s, highpass_magnitude(traj.migrated, setup["spec"]), a_t).value
             gaps.append(abs(val - 0.5))
         assert abs(label.value - 0.5) <= min(gaps) + 1e-12
-
-    def test_ties_break_toward_smaller_depth(self, setup):
-        # Referencing the depth-0.5 intermediate itself makes every deeper
-        # depth overshoot and clamp to exactly 1.0: a multi-way tie that
-        # must resolve to the smallest tying depth.
-        x, cfg = setup["x"], setup["cfg"]
-        m_src, m_tgt, spec = setup["m_src"], setup["m_tgt"], setup["spec"]
-        ref = db.depth_migrate(x, m_src, m_tgt, cfg, 0.5).migrated
-        grid = [0.5, 0.75, 1.0]
-        depth, label = db.calibrate_depth(
-            1.0, x, m_src, m_tgt, cfg, grid, spec, x_target_ref=ref
-        )
-        assert depth == 0.5
-        assert label.value == 1.0
 
     def test_empty_grid_rejected(self, setup):
         with pytest.raises(ValueError):

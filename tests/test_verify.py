@@ -41,6 +41,13 @@ class TestVerifySuite:
             assert r.name in line and ("PASS" in line or "FAIL" in line)
             assert "measured=" in line and "threshold=" in line
 
+    @pytest.mark.parametrize("steps", [2, 10, 100])
+    def test_no_check_raises_on_short_schedules(self, steps):
+        # At T <= 100 the default betas' interpolated alpha_bar rounds to
+        # 1 at the drift's first node, where eps / sqrt(1 - alpha_bar) was 0/0.
+        results = run_all(schedule=linear_schedule(steps))
+        assert [r.detail for r in results if "raised" in r.detail] == []
+
     def test_schedule_corruption_fails_round_trip(self):
         results = {r.name: r for r in run_all(schedule=corrupted_schedule())}
         assert not results["flow-round-trip-ddim"].passed
