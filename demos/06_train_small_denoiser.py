@@ -15,12 +15,9 @@ sched = db.linear_schedule(1000)
 mix = db.default_gmm_pair().source
 data = db.gmm_sample(mix, 2000, seed=0)
 
-cfg = TrainConfig(
-    schedule=sched, epochs=15, batch_size=128, learning_rate=3e-3,
-    seed=1, hidden=(64, 64),
-)
+cfg = TrainConfig(epochs=15, batch_size=128, learning_rate=3e-3, hidden=(64, 64))
 print("training a (64, 64) denoiser on 2000 mixture points...")
-model, losses = train_denoiser(data, cfg)
+model, losses = train_denoiser(data, cfg, sched, seed=1)
 print(f"{'epoch':>6} {'loss':>8}")
 for e, loss in enumerate(losses):
     print(f"{e:6d} {loss:8.4f}")

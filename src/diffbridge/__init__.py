@@ -8,6 +8,9 @@ hand-written gradients -- all on domains simple enough that every
 operation has an independent oracle.
 """
 
+# Bound before the submodules load: config reads it, and train imports config.
+__version__ = "0.1.0"
+
 from . import attention, bridge, denoiser, diffusion, domains, schedule, softlabel, train
 from .attention import (
     AttentionConfig,
@@ -62,12 +65,9 @@ from .softlabel import (
     soft_label,
 )
 from .train import (
-    AttentionLayout,
     TrainConfig,
     TrainingDivergedError,
     energy_distance,
     evaluate_fit,
     train_denoiser,
 )
-
-__version__ = "0.1.0"

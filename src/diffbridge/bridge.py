@@ -178,10 +178,12 @@ def _check_finite(x: np.ndarray, node: int, time: float) -> None:
 
 
 def _check_model(model, direction: Direction, leg: str, schedule: NoiseSchedule) -> None:
-    """A trained model must use the leg's attention priority and the schedule's T.
+    """A model must use the leg's attention priority and the bridge's schedule.
 
-    Such a model embeds its step as t / steps_total, so a model trained
-    on another step count would read every step at the wrong time.
+    A trained model embeds its step as t / steps_total, so one trained on
+    another step count would read every step at the wrong time.  An
+    analytic model reads its own schedule, which must equal the bridge's
+    in T and alpha_bars (by value: two equal schedules may be two objects).
     """
     att_cfg = getattr(model, "attention", None)
     wanted = select_priority(direction)
@@ -196,6 +198,14 @@ def _check_model(model, direction: Direction, leg: str, schedule: NoiseSchedule)
             f"{leg} leg model was trained on {steps} steps, "
             f"the schedule has {schedule.steps_T}"
         )
+    built = getattr(model, "schedule", schedule)
+    if built.steps_T != schedule.steps_T:
+        raise ValueError(
+            f"{leg} leg model was built on a {built.steps_T}-step schedule, "
+            f"the bridge's has {schedule.steps_T}"
+        )
+    if not np.array_equal(built.alpha_bars, schedule.alpha_bars):
+        raise ValueError(f"{leg} leg model was built on other alpha_bars than the bridge's schedule")
 
 
 def migrate(

@@ -181,7 +181,7 @@ def _settings(cfg: RunConfig) -> tuple[DomainPair, NoiseSchedule, BridgeConfig, 
     """
     pair = cfg.domains.build(cfg.seed)
     schedule = cfg.schedule.build()
-    init_model(pair.shape, cfg.train.build(schedule, select_priority(Direction.FORWARD), cfg.seed))
+    init_model(pair.shape, cfg.train, schedule)
     return pair, schedule, cfg.bridge.build(schedule), cfg.highpass()
 
 
@@ -252,9 +252,9 @@ def cmd_train(cfg: RunConfig) -> int:
         ("target", pair.target, select_priority(Direction.REVERSE), "train-target"),
     )
     for role, domain, priority, seed_role in roles:
-        data = sample_domain(domain, cfg.train.samples, _role_seed(cfg.seed, seed_role))
-        train_cfg = cfg.train.build(run.schedule, priority, _role_seed(cfg.seed, seed_role))
-        model, losses = train_denoiser(data, train_cfg)
+        seed = _role_seed(cfg.seed, seed_role)
+        data = sample_domain(domain, cfg.train.samples, seed)
+        model, losses = train_denoiser(data, cfg.train, run.schedule, seed, priority)
         ckpt = run.file("checkpoints", f"{role}.ckpt")
         save_checkpoint(model, ckpt)
         manifest.add(ckpt, kind=f"{role}-checkpoint", final_loss=losses[-1])

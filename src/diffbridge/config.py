@@ -5,6 +5,9 @@ settings, model source, and per-command parameters, all serializable to
 JSON.  Re-running any command with the same config and tool version
 reproduces the primary outputs byte for byte.
 
+The ``train`` section is the library's TrainConfig.  ``train`` imports
+it from here, so the package binds ``__version__`` before its submodules.
+
 The RunManifest lists every file a command emitted (exactly once), the
 config echo, the tool version, and coarse wall-clock timings.
 """
@@ -20,12 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import Priority
 from .bridge import BridgeConfig, Integrator
 from .domains import DomainPair, default_gmm_pair, make_texture_pair
 from .schedule import NoiseSchedule, linear_schedule
 from .softlabel import HighpassSpec
-from .train import AttentionLayout, TrainConfig
 
 
 def _is_int(value) -> bool:
@@ -124,19 +125,28 @@ class ModelSpec:
             raise ValueError(f"unknown models kind {self.kind!r}")
         if self.kind == "checkpoint" and not (self.source and self.target):
             raise ValueError("checkpoint models need both source and target paths")
+        if self.kind == "analytic" and (self.source is not None or self.target is not None):
+            raise ValueError("analytic models take no source or target checkpoint paths")
 
 
 @dataclass(frozen=True)
-class TrainSpec:
+class TrainConfig:
+    """How one denoiser trains: the JSON ``train`` section.
+
+    The schedule, the seed and the attention priority are arguments of
+    ``train.train_denoiser``; the rules that need the field shape are
+    ``train.init_model``'s.
+    """
+
     epochs: int = 15
     batch_size: int = 128
     learning_rate: float = 3e-3
-    optimizer: str = "adam"
+    optimizer: str = "adam"          # or "sgd"
     hidden: tuple[int, ...] = (64, 64)
     time_dim: int = 16
     activation: str = "silu"
-    samples: int = 2000
-    attention: dict | None = None   # {"token_count":, "heads":, "windows":}
+    samples: int = 2000              # training samples the CLI draws per domain
+    attention: dict | None = None    # {"token_count":, "heads":, "windows":}
 
     def __post_init__(self):
         _check_scalars(self, "train.")
@@ -157,29 +167,13 @@ class TrainSpec:
                 "train.attention must map token_count and optionally heads and windows "
                 f"to integers, got {att!r}"
             )
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be nonnegative")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
-
-    def build(self, schedule: NoiseSchedule, priority: Priority, seed: int) -> TrainConfig:
-        layout = None
-        if self.attention is not None:
-            layout = AttentionLayout(
-                token_count=self.attention["token_count"],
-                heads=self.attention.get("heads", 1),
-                windows=self.attention.get("windows", 1),
-                priority=priority,
-            )
-        return TrainConfig(
-            schedule=schedule,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            optimizer=self.optimizer,
-            seed=seed,
-            hidden=tuple(self.hidden),
-            time_dim=self.time_dim,
-            activation=self.activation,
-            attention=layout,
-        )
 
 
 def _default_depth_grid() -> tuple[float, ...]:
@@ -194,7 +188,7 @@ class RunConfig:
     domains: DomainSpec = field(default_factory=DomainSpec)
     bridge: BridgeSpec = field(default_factory=BridgeSpec)
     models: ModelSpec = field(default_factory=ModelSpec)
-    train: TrainSpec = field(default_factory=TrainSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
     highpass_cutoff: float = 0.25
     gen_count: int = 16
     sweep_count: int = 4
@@ -238,7 +232,7 @@ class RunConfig:
             "domains": DomainSpec,
             "bridge": BridgeSpec,
             "models": ModelSpec,
-            "train": TrainSpec,
+            "train": TrainConfig,
         }
         kwargs = {}
         try:

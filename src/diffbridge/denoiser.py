@@ -242,6 +242,9 @@ class MlpDenoiser(EpsilonModel):
     attention: attn.AttentionConfig | None = None
 
     def __post_init__(self):
+        # A shape () would score each coordinate of a batch as its own field.
+        if not self.field_shape:
+            raise ValueError("field_shape must have at least one axis, got ()")
         if self.time_dim < 2 or self.time_dim % 2 != 0:
             raise ValueError("time_dim must be an even integer >= 2")
         if self.activation not in _ACTIVATIONS:

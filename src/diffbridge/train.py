@@ -14,15 +14,18 @@ sum is divided by the field size once, which equals dividing each
 example's gradient when the field size is a power of two (2 for the
 point domains, n^2 for power-of-two textures); other field sizes can
 differ from per-example division in the last bit.
+
+A TrainConfig (``config``'s JSON ``train`` section, re-exported here)
+says how to train; the schedule, the seed and the attention priority
+are arguments, so one section trains both of the CLI's models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import attention as attn
+from .config import TrainConfig
 from .denoiser import MlpDenoiser, init_mlp
 from .diffusion import SamplerConfig, SigmaMode, ddim_sample
 from .domains import GaussianMixture, gmm_sample
@@ -31,38 +34,6 @@ from .schedule import NoiseSchedule
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; message names the offending epoch."""
-
-
-@dataclass(frozen=True)
-class AttentionLayout:
-    """Serializable geometry for an optional attention block."""
-
-    token_count: int
-    heads: int = 1
-    windows: int = 1
-    priority: attn.Priority = attn.Priority.GLOBAL_FIRST
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    schedule: NoiseSchedule
-    epochs: int = 20
-    batch_size: int = 64
-    learning_rate: float = 3e-3
-    optimizer: str = "adam"  # or "sgd"
-    seed: int = 0
-    hidden: tuple[int, ...] = (64, 64)
-    time_dim: int = 16
-    activation: str = "silu"
-    attention: AttentionLayout | None = None
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 class _Adam:
@@ -98,33 +69,38 @@ class _Sgd:
             p -= self.lr * g
 
 
-def init_model(field_shape, cfg: TrainConfig) -> MlpDenoiser:
-    """The untrained model ``train_denoiser`` starts from, seeded by cfg.seed.
+def init_model(
+    field_shape,
+    cfg: TrainConfig,
+    schedule: NoiseSchedule,
+    seed: int = 0,
+    priority: attn.Priority = attn.Priority.GLOBAL_FIRST,
+) -> MlpDenoiser:
+    """The untrained model ``train_denoiser`` starts from.
 
-    A geometry that cannot be built (an attention layout that does not
-    tile the field, an unknown activation, ...) raises ValueError.
+    Its attention block, if cfg has one, takes ``priority``.  A geometry
+    that cannot be built (an attention layout that does not tile the
+    field, an unknown activation, ...) raises ValueError.
     """
     field_size = int(np.prod(field_shape))
-    init_seed = int(np.random.SeedSequence(cfg.seed).generate_state(2)[0])
+    init_seed = int(np.random.SeedSequence(seed).generate_state(2)[0])
     att_cfg = None
     if cfg.attention is not None:
-        lay = cfg.attention
-        if lay.token_count < 1 or field_size % lay.token_count != 0:
-            raise ValueError(
-                f"token_count {lay.token_count} must divide the field size {field_size}"
-            )
+        token_count = cfg.attention["token_count"]
+        if token_count < 1 or field_size % token_count != 0:
+            raise ValueError(f"token_count {token_count} must divide the field size {field_size}")
         att_cfg = attn.init_attention(
-            token_count=lay.token_count,
-            model_dim=field_size // lay.token_count,
-            heads=lay.heads,
-            windows=lay.windows,
-            priority=lay.priority,
+            token_count=token_count,
+            model_dim=field_size // token_count,
+            heads=cfg.attention.get("heads", 1),
+            windows=cfg.attention.get("windows", 1),
+            priority=priority,
             seed=init_seed,
         )
     return init_mlp(
         field_shape,
         cfg.hidden,
-        steps_total=cfg.schedule.steps_T,
+        steps_total=schedule.steps_T,
         time_dim=cfg.time_dim,
         activation=cfg.activation,
         attention=att_cfg,
@@ -133,9 +109,16 @@ def init_model(field_shape, cfg: TrainConfig) -> MlpDenoiser:
 
 
 def train_denoiser(
-    data: np.ndarray, cfg: TrainConfig
+    data: np.ndarray,
+    cfg: TrainConfig,
+    schedule: NoiseSchedule,
+    seed: int = 0,
+    priority: attn.Priority = attn.Priority.GLOBAL_FIRST,
 ) -> tuple[MlpDenoiser, list[float]]:
     """Train a denoiser on the samples in ``data`` (shape (N, *field)).
+
+    ``seed`` seeds the initial weights and the training draws, and
+    ``priority`` is the attention block's (see ``init_model``).
 
     Returns the trained model and the per-epoch mean loss history.
     Raises TrainingDivergedError if the loss goes non-finite.
@@ -145,9 +128,9 @@ def train_denoiser(
         raise ValueError("data must be a nonempty (N, *field_shape) array")
     field_shape = data.shape[1:]
     field_size = int(np.prod(field_shape))
-    model = init_model(field_shape, cfg)
+    model = init_model(field_shape, cfg, schedule, seed, priority)
 
-    _, loop_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
+    _, loop_seed = np.random.SeedSequence(seed).generate_state(2)
     rng = np.random.default_rng(int(loop_seed))
     opt_cls = _Adam if cfg.optimizer == "adam" else _Sgd
     opt = opt_cls(model.parameters(), cfg.learning_rate)
@@ -166,9 +149,9 @@ def train_denoiser(
                 ts = np.empty(rows, dtype=np.int64)
                 eps = np.empty((rows, *field_shape))
                 for row in range(rows):
-                    ts[row] = rng.integers(1, cfg.schedule.steps_T + 1)
+                    ts[row] = rng.integers(1, schedule.steps_T + 1)
                     rng.standard_normal(field_shape, out=eps[row])
-                ab = cfg.schedule.alpha_bars[ts].reshape(-1, *(1,) * len(field_shape))
+                ab = schedule.alpha_bars[ts].reshape(-1, *(1,) * len(field_shape))
                 x_t = np.sqrt(ab) * data[batch] + np.sqrt(1.0 - ab) * eps
                 grad = model.backward(x_t, ts, eps)
                 row_losses = np.mean(((eps - grad.prediction) ** 2).reshape(rows, -1), axis=1)

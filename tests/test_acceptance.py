@@ -287,11 +287,8 @@ def test_criterion_9_gradient_check():
 def test_criterion_10_training_smoke(sched, pair):
     start = time.monotonic()
     data = gmm_sample(pair.source, 2000, seed=0)
-    cfg = TrainConfig(
-        schedule=sched, epochs=15, batch_size=128, learning_rate=3e-3,
-        seed=1, hidden=(64, 64),
-    )
-    model, losses = train_denoiser(data, cfg)
+    cfg = TrainConfig(epochs=15, batch_size=128, learning_rate=3e-3, hidden=(64, 64))
+    model, losses = train_denoiser(data, cfg, sched, seed=1)
     ratio = losses[-1] / losses[0]
     untrained = db.init_mlp((2,), (64, 64), steps_total=1000, seed=99)
     fit_trained = evaluate_fit(model, pair.source, 150, sched, seed=5)

@@ -5,6 +5,7 @@ import pytest
 
 import diffbridge as db
 from diffbridge.attention import Priority
+from diffbridge.domains import sample_domain
 from diffbridge.bridge import (
     DRIFT_TIME_FLOOR,
     BridgeConfig,
@@ -320,6 +321,58 @@ class TestDepthSweep:
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=5)
         with pytest.raises(ValueError, match="reverse leg"):
             depth_sweep(np.zeros(2), m_fwd, m_fwd, cfg, [0.5])
+
+
+class TestModelSchedule:
+    """An analytic model must be built on the bridge's schedule, compared by value."""
+
+    @staticmethod
+    def _models(kind, sched):
+        if kind == "gmm":
+            pair = db.default_gmm_pair()
+            make = lambda domain: db.AnalyticGmmEpsilon(domain, sched)
+            xs = db.gmm_sample(pair.source, 4, seed=0)
+        else:
+            pair = db.make_texture_pair("bandsplit", 16, 0)
+            make = lambda domain: db.AnalyticFieldEpsilon(domain.mode_variances, sched)
+            xs = sample_domain(pair.source, 2, seed=1)
+        return make(pair.source), make(pair.target), xs
+
+    @staticmethod
+    def _run(call, xs, m_src, m_tgt, cfg):
+        if call == "migrate":
+            return [migrate(xs, m_src, m_tgt, cfg)]
+        return depth_sweep(xs, m_src, m_tgt, cfg, [0.5, 1.0])
+
+    @pytest.mark.parametrize("kind", ["gmm", "texture"])
+    @pytest.mark.parametrize("call", ["migrate", "depth_sweep"])
+    def test_other_step_count_refused(self, kind, call):
+        m_src, m_tgt, xs = self._models(kind, db.linear_schedule(1000))
+        cfg = BridgeConfig(schedule=db.linear_schedule(200), steps_per_unit_time=20)
+        with pytest.raises(
+            ValueError, match="^forward leg model was built on a 1000-step schedule, the bridge's has 200$"
+        ):
+            self._run(call, xs, m_src, m_tgt, cfg)
+
+    @pytest.mark.parametrize("kind", ["gmm", "texture"])
+    @pytest.mark.parametrize("call", ["migrate", "depth_sweep"])
+    def test_other_alpha_bars_refused(self, kind, call):
+        sched = db.linear_schedule(200)
+        m_src, _, xs = self._models(kind, sched)
+        _, m_tgt, _ = self._models(kind, db.linear_schedule(200, beta_end=0.03))
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=20)
+        with pytest.raises(ValueError, match="^reverse leg model was built on other alpha_bars"):
+            self._run(call, xs, m_src, m_tgt, cfg)
+
+    @pytest.mark.parametrize("kind", ["gmm", "texture"])
+    @pytest.mark.parametrize("call", ["migrate", "depth_sweep"])
+    def test_equal_schedule_of_another_object_runs(self, kind, call):
+        m_src, m_tgt, xs = self._models(kind, db.linear_schedule(200))
+        same = BridgeConfig(schedule=m_src.schedule, steps_per_unit_time=20)
+        equal = BridgeConfig(schedule=db.linear_schedule(200), steps_per_unit_time=20)
+        for a, b in zip(self._run(call, xs, m_src, m_tgt, same),
+                        self._run(call, xs, m_src, m_tgt, equal), strict=True):
+            assert a.migrated.tobytes() == b.migrated.tobytes()
 
 
 class TestBridgeConfig:

@@ -54,6 +54,19 @@ def manifest_of(out: Path) -> dict:
     return json.loads((out / "manifest.json").read_text())
 
 
+def _read_header(ckpt: Path) -> dict:
+    raw = ckpt.read_bytes()
+    return json.loads(raw[12 : 12 + struct.unpack("<I", raw[8:12])[0]])
+
+
+def _write_header(ckpt: Path, header: dict) -> None:
+    """Replace a checkpoint's JSON header, keeping its payload."""
+    raw = ckpt.read_bytes()
+    payload = raw[12 + struct.unpack("<I", raw[8:12])[0] :]
+    blob = json.dumps(header).encode()
+    ckpt.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + payload)
+
+
 class TestGen:
     def test_outputs_manifest_and_determinism(self, tmp_path):
         cfg, out = write_config(tmp_path)
@@ -580,12 +593,9 @@ class TestChecksBeforeAnyOutput:
     ):
         ckpt = tmp_path / "bad.ckpt"
         db.save_checkpoint(db.init_mlp((16, 16), (8,), steps_total=200, seed=0), ckpt)
-        raw = ckpt.read_bytes()
-        header_len = struct.unpack("<I", raw[8:12])[0]
-        header = json.loads(raw[12 : 12 + header_len])
+        header = _read_header(ckpt)
         (header["arrays"][0] if entry == "shape" else header)[entry] = value
-        blob = json.dumps(header).encode()
-        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len :])
+        _write_header(ckpt, header)
         models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
         cfg, out = texture_config(tmp_path, models=models)
         assert main(["migrate", "--config", str(cfg)]) == 1
@@ -593,6 +603,21 @@ class TestChecksBeforeAnyOutput:
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+
+    def test_checkpoint_of_empty_field_shape_exits_one_and_leaves_no_files(
+        self, tmp_path, capsys
+    ):
+        # A shape () model would score each coordinate of a point as its own field.
+        ckpt = tmp_path / "scalar.ckpt"
+        db.save_checkpoint(db.init_mlp((1,), (4,), steps_total=200, seed=0), ckpt)
+        _write_header(ckpt, {**_read_header(ckpt), "field_shape": []})
+        models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
+        cfg, out = write_config(tmp_path, models=models)
+        assert main(["migrate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "field_shape must have at least one axis, got ()" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
 class TestFlagsAreConfigOverrides:
     @pytest.mark.parametrize("flag,value,keys,echo", [

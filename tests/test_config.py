@@ -82,6 +82,17 @@ class TestRunConfig:
                                    "bridge": {"steps_per_unit_time": None}})
         assert cfg.train.learning_rate == 1 and cfg.bridge.steps_per_unit_time is None
 
+    @pytest.mark.parametrize("models", [
+        {"kind": "analytic", "source": "a.ckpt"},
+        {"kind": "analytic", "target": "b.ckpt"},
+        {"source": "a.ckpt", "target": "b.ckpt"},
+    ])
+    def test_analytic_models_refuse_checkpoint_paths(self, models):
+        with pytest.raises(
+            ValueError, match="^analytic models take no source or target checkpoint paths$"
+        ):
+            RunConfig.from_dict({"models": models})
+
     def test_flag_overrides_beat_file_fields(self):
         cfg = RunConfig(seed=1, out="a", highpass_cutoff=0.25)
         over = cfg.with_overrides(

@@ -321,6 +321,10 @@ class TestMlpDenoiser:
             db.init_mlp((2,), widths, steps_total=50)
         assert "\n" not in str(err.value)
 
+    def test_empty_field_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^field_shape must have at least one axis, got \(\)$"):
+            db.init_mlp((), (4,), steps_total=1000)
+
     def test_shape_mismatch_rejected(self):
         m = db.init_mlp((4,), (8,), steps_total=10, seed=0)
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
-"""The package exports only names that the library, the demos or the benchmark use."""
+"""The package imports cleanly, and exports only names that the library, the demos or the benchmark use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "diffbridge"
@@ -35,3 +40,15 @@ def names_used_outside_tests() -> set[str]:
 def test_every_export_has_a_caller_outside_tests():
     used = names_used_outside_tests()
     assert [name for name in exported_names() if name not in used] == []
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("[!_]*.py")))
+def test_each_module_imports_in_a_fresh_interpreter(module):
+    # train imports config, which reads the package's __version__: a
+    # cycle or a late __version__ fails here whichever module comes first.
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", f"import diffbridge.{module}"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

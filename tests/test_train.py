@@ -9,7 +9,6 @@ from diffbridge.attention import Priority
 from diffbridge.diffusion import SamplerConfig, ddim_sample
 from diffbridge.domains import make_texture_pair, sample_domain
 from diffbridge.train import (
-    AttentionLayout,
     TrainConfig,
     TrainingDivergedError,
     _Adam,
@@ -21,7 +20,7 @@ from diffbridge.train import (
 )
 
 
-def per_example_training(data, cfg):
+def per_example_training(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST):
     """Reference: the loop train_denoiser ran before it batched its minibatches.
 
     One backward call per example, each example's gradient divided by the
@@ -30,8 +29,8 @@ def per_example_training(data, cfg):
     data = np.asarray(data, dtype=np.float64)
     field_shape = data.shape[1:]
     field_size = int(np.prod(field_shape))
-    model = init_model(field_shape, cfg)
-    _, loop_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
+    model = init_model(field_shape, cfg, schedule, seed, priority)
+    _, loop_seed = np.random.SeedSequence(seed).generate_state(2)
     rng = np.random.default_rng(int(loop_seed))
     opt_cls = _Adam if cfg.optimizer == "adam" else _Sgd
     opt = opt_cls(model.parameters(), cfg.learning_rate)
@@ -46,8 +45,8 @@ def per_example_training(data, cfg):
             loss_sum = 0.0
             for idx in batch:
                 x0 = data[idx]
-                t = int(rng.integers(1, cfg.schedule.steps_T + 1))
-                ab = cfg.schedule.alpha_bar(t)
+                t = int(rng.integers(1, schedule.steps_T + 1))
+                ab = schedule.alpha_bar(t)
                 eps = rng.standard_normal(field_shape)
                 x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
                 grad = model.backward(x_t, t, eps)
@@ -118,14 +117,11 @@ class TestTrainDenoiser:
         # More epochs of zero-rate training change nothing, and the weights
         # equal a freshly initialized model built from the same seed.
         cfgs = [
-            TrainConfig(
-                schedule=self.sched, epochs=e, batch_size=32, learning_rate=0.0,
-                seed=3, hidden=(8,),
-            )
+            TrainConfig(epochs=e, batch_size=32, learning_rate=0.0, hidden=(8,))
             for e in (1, 5)
         ]
-        m1, _ = train_denoiser(self.data, cfgs[0])
-        m5, _ = train_denoiser(self.data, cfgs[1])
+        m1, _ = train_denoiser(self.data, cfgs[0], self.sched, seed=3)
+        m5, _ = train_denoiser(self.data, cfgs[1], self.sched, seed=3)
         for a, b in zip(m1.parameters(), m5.parameters()):
             np.testing.assert_array_equal(a, b)
         init_seed = int(np.random.SeedSequence(3).generate_state(2)[0])
@@ -134,11 +130,8 @@ class TestTrainDenoiser:
             np.testing.assert_array_equal(a, b)
 
     def test_single_point_dataset_collapses_samples_to_origin(self):
-        cfg = TrainConfig(
-            schedule=self.sched, epochs=40, batch_size=32, learning_rate=3e-3,
-            seed=3, hidden=(32, 32),
-        )
-        model, _ = train_denoiser(self.data, cfg)
+        cfg = TrainConfig(epochs=40, batch_size=32, learning_rate=3e-3, hidden=(32, 32))
+        model, _ = train_denoiser(self.data, cfg, self.sched, seed=3)
         untrained = db.init_mlp((2,), (32, 32), steps_total=200, seed=77)
         scfg = SamplerConfig(schedule=self.sched)
         latents = np.random.default_rng(8).standard_normal((60, 2))
@@ -149,21 +142,15 @@ class TestTrainDenoiser:
     def test_loss_decreases_on_gmm_data(self):
         mix = db.default_gmm_pair().source
         data = db.gmm_sample(mix, 1200, seed=0)
-        cfg = TrainConfig(
-            schedule=db.linear_schedule(1000), epochs=10, batch_size=128,
-            learning_rate=3e-3, seed=1, hidden=(32, 32),
-        )
-        _, losses = train_denoiser(data, cfg)
+        cfg = TrainConfig(epochs=10, batch_size=128, learning_rate=3e-3, hidden=(32, 32))
+        _, losses = train_denoiser(data, cfg, db.linear_schedule(1000), seed=1)
         assert losses[-1] < 0.7 * losses[0]
 
     def test_training_deterministic_under_seed(self):
-        cfg = TrainConfig(
-            schedule=self.sched, epochs=3, batch_size=16, learning_rate=1e-3,
-            seed=11, hidden=(12,),
-        )
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-3, hidden=(12,))
         data = np.random.default_rng(4).standard_normal((40, 2))
-        m1, h1 = train_denoiser(data, cfg)
-        m2, h2 = train_denoiser(data, cfg)
+        m1, h1 = train_denoiser(data, cfg, self.sched, seed=11)
+        m2, h2 = train_denoiser(data, cfg, self.sched, seed=11)
         assert h1 == h2
         for a, b in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(a, b)
@@ -172,50 +159,45 @@ class TestTrainDenoiser:
         mix = db.default_gmm_pair().source
         data = db.gmm_sample(mix, 1200, seed=0)
         cfg = TrainConfig(
-            schedule=db.linear_schedule(1000), epochs=10, batch_size=128,
-            learning_rate=2e-2, optimizer="sgd", seed=2, hidden=(32,),
+            epochs=10, batch_size=128, learning_rate=2e-2, optimizer="sgd", hidden=(32,),
         )
-        _, losses = train_denoiser(data, cfg)
+        _, losses = train_denoiser(data, cfg, db.linear_schedule(1000), seed=2)
         assert losses[-1] < 0.8 * losses[0]
 
     def test_attention_model_trains(self):
-        from diffbridge.attention import Priority
-        from diffbridge.train import AttentionLayout
-
         mix = db.default_gmm_pair().source
         data = np.hstack(
             [db.gmm_sample(mix, 400, seed=3), db.gmm_sample(mix, 400, seed=4)]
         )
         cfg = TrainConfig(
-            schedule=db.linear_schedule(1000), epochs=8, batch_size=64,
-            learning_rate=3e-3, seed=7, hidden=(24,),
-            attention=AttentionLayout(token_count=2, heads=2, windows=1,
-                                      priority=Priority.GLOBAL_FIRST),
+            epochs=8, batch_size=64, learning_rate=3e-3, hidden=(24,),
+            attention={"token_count": 2, "heads": 2, "windows": 1},
         )
-        model, losses = train_denoiser(data, cfg)
+        model, losses = train_denoiser(
+            data, cfg, db.linear_schedule(1000), seed=7, priority=Priority.GLOBAL_FIRST
+        )
         assert model.attention is not None
         assert losses[-1] < 0.8 * losses[0]
 
     def test_divergence_aborts_with_epoch(self):
         cfg = TrainConfig(
-            schedule=self.sched, epochs=3, batch_size=32, learning_rate=1e6,
-            optimizer="sgd", seed=1, hidden=(32,),
+            epochs=3, batch_size=32, learning_rate=1e6, optimizer="sgd", hidden=(32,),
         )
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            train_denoiser(self.data, cfg)
+            train_denoiser(self.data, cfg, self.sched, seed=1)
 
     def test_rejects_empty_data_and_bad_config(self):
         with pytest.raises(ValueError):
-            train_denoiser(np.zeros((0, 2)), TrainConfig(schedule=self.sched))
+            train_denoiser(np.zeros((0, 2)), TrainConfig(), self.sched)
         with pytest.raises(ValueError):
-            TrainConfig(schedule=self.sched, optimizer="newton")
+            TrainConfig(optimizer="newton")
         with pytest.raises(ValueError):
-            TrainConfig(schedule=self.sched, epochs=0)
+            TrainConfig(epochs=0)
 
     @pytest.mark.parametrize("hidden", [(0,), (-1,), (64, 0)])
     def test_hidden_widths_below_one_rejected(self, hidden):
-        with pytest.raises(ValueError, match="widths"):
-            train_denoiser(self.data, TrainConfig(schedule=self.sched, hidden=hidden))
+        with pytest.raises(ValueError, match="train.hidden must be a list of integers >= 1"):
+            train_denoiser(self.data, TrainConfig(hidden=hidden), self.sched)
 
 
 class TestMinibatchTraining:
@@ -226,9 +208,9 @@ class TestMinibatchTraining:
     """
 
     @staticmethod
-    def assert_same_bytes(data, cfg):
-        model, history = train_denoiser(data, cfg)
-        ref_model, ref_history = per_example_training(data, cfg)
+    def assert_same_bytes(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST):
+        model, history = train_denoiser(data, cfg, schedule, seed, priority)
+        ref_model, ref_history = per_example_training(data, cfg, schedule, seed, priority)
         assert history == ref_history
         for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
             assert got.tobytes() == want.tobytes()
@@ -238,34 +220,30 @@ class TestMinibatchTraining:
     def test_gmm_matches_per_example_loop(self, batch_size, optimizer):
         data = db.gmm_sample(db.default_gmm_pair().source, 80, seed=0)
         cfg = TrainConfig(
-            schedule=db.linear_schedule(200), epochs=3, batch_size=batch_size,
-            learning_rate=1e-2, optimizer=optimizer, seed=6, hidden=(16, 16),
+            epochs=3, batch_size=batch_size, learning_rate=1e-2, optimizer=optimizer,
+            hidden=(16, 16),
         )
-        self.assert_same_bytes(data, cfg)
+        self.assert_same_bytes(data, cfg, db.linear_schedule(200), seed=6)
 
     @pytest.mark.parametrize("priority", [None, *Priority])
     @pytest.mark.parametrize("batch_size", [12, 16])   # 12 divides N = 36
     def test_texture_matches_per_example_loop(self, priority, batch_size):
         data = sample_domain(make_texture_pair("bandsplit", 16, 0).source, 36, seed=1)
-        layout = None
-        if priority is not None:
-            layout = AttentionLayout(token_count=16, heads=2, windows=4, priority=priority)
-        cfg = TrainConfig(
-            schedule=db.linear_schedule(1000), epochs=2, batch_size=batch_size,
-            seed=2, hidden=(32, 32), attention=layout,
+        layout = None if priority is None else {"token_count": 16, "heads": 2, "windows": 4}
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, hidden=(32, 32), attention=layout)
+        self.assert_same_bytes(
+            data, cfg, db.linear_schedule(1000), seed=2,
+            priority=priority or Priority.GLOBAL_FIRST,
         )
-        self.assert_same_bytes(data, cfg)
 
     def test_field_size_three_within_tolerance(self):
         # 3 is not a power of two: dividing the summed gradient by it once
         # rounds differently from dividing each example's gradient.
         data = np.random.default_rng(3).standard_normal((60, 3))
-        cfg = TrainConfig(
-            schedule=db.linear_schedule(200), epochs=3, batch_size=16,
-            learning_rate=3e-3, seed=4, hidden=(16,),
-        )
-        model, history = train_denoiser(data, cfg)
-        ref_model, ref_history = per_example_training(data, cfg)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=3e-3, hidden=(16,))
+        sched = db.linear_schedule(200)
+        model, history = train_denoiser(data, cfg, sched, seed=4)
+        ref_model, ref_history = per_example_training(data, cfg, sched, seed=4)
         np.testing.assert_allclose(history, ref_history, rtol=1e-12, atol=0)
         for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -276,11 +254,8 @@ class TestEvaluateFit:
         sched = db.linear_schedule(200)
         mix = db.default_gmm_pair().source
         data = db.gmm_sample(mix, 600, seed=0)
-        cfg = TrainConfig(
-            schedule=sched, epochs=12, batch_size=128, learning_rate=3e-3,
-            seed=1, hidden=(32, 32),
-        )
-        model, _ = train_denoiser(data, cfg)
+        cfg = TrainConfig(epochs=12, batch_size=128, learning_rate=3e-3, hidden=(32, 32))
+        model, _ = train_denoiser(data, cfg, sched, seed=1)
         untrained = db.init_mlp((2,), (32, 32), steps_total=200, seed=42)
         analytic = db.AnalyticGmmEpsilon(mix, sched)
         n = 100
