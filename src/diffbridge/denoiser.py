@@ -26,9 +26,11 @@ The analytic models hold two kinds of state, both bounded.  The mixture
 model tabulates, once per model, each integer step's alpha_bar,
 -sqrt(1 - alpha_bar), sqrt(alpha_bar) and noised variances and
 log-normaliser: read-only arrays of T+1 rows of 3 + 2K floats for K
-components, whatever the dimension.  The texture model keeps one pair of FFT work arrays,
-bounded by the largest batch it has scored; its calls must not overlap
-across threads.
+components, whatever the dimension.  A call hands its step's row to
+``domains.gmm_score``, which scales the means and scores the noised
+mixture without building it.  The texture model keeps one pair of FFT
+work arrays, bounded by the largest batch it has scored; its calls must
+not overlap across threads.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention as attn
-from .domains import GaussianMixture, gmm_score, noised_constants, noised_mixture_from
+from .domains import GaussianMixture, gmm_points, gmm_score, noised_constants
 from .schedule import NoiseSchedule
 
 CHECKPOINT_MAGIC = b"DBCK"
@@ -77,7 +79,8 @@ class AnalyticGmmEpsilon(EpsilonModel):
     are scored independently.  Construction tabulates every integer
     step's constants in one vectorised pass (``_step_constants``), so a
     call at an integer step reads its row; a fractional step builds its
-    one row with the same function.
+    one row with the same function.  Where alpha_bar is 1 the epsilon is
+    0, and the point's dimension is still checked.
     """
 
     mixture: GaussianMixture
@@ -100,17 +103,18 @@ class AnalyticGmmEpsilon(EpsilonModel):
         return (ab, gain, *noised_constants(self.mixture, ab))
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
         t = _check_step(t, self.schedule.steps_T)
         if t.is_integer():
-            row = (column[int(t)] for column in self._table)
+            i = int(t)
+            ab, gain, scale, variances, log_norm = self._table
+            ab, gain, noised = ab[i], gain[i], (scale[i], variances[i], log_norm[i])
         else:
-            row = self._step_constants(t)
-        ab, gain, scale, variances, log_norm = row
+            ab, gain, *noised = self._step_constants(t)
         if ab < 1.0:
-            noised = noised_mixture_from(self.mixture, scale, variances, log_norm)
-            return gain * gmm_score(noised, x)
-        return np.zeros_like(x)
+            eps = gmm_score(self.mixture, x, noised)
+            eps *= gain
+            return eps
+        return np.zeros_like(gmm_points(self.mixture, x))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ Samples are plain float64 numpy arrays: shape (d,) for points and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ class GaussianMixture:
             raise ValueError("weights and variances must be 1-D, means 2-D")
         if not (len(w) == len(m) == len(v)):
             raise ValueError("component counts disagree")
+        if m.shape[1] < 1:
+            raise ValueError("means must have at least one coordinate")
         for name, arr in (("weights", w), ("means", m), ("variances", v)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
@@ -85,43 +88,107 @@ def gmm_sample(mix: GaussianMixture, count: int, seed: int) -> np.ndarray:
     return mix.means[comps] + np.sqrt(mix.variances[comps])[:, None] * noise
 
 
-def _offsets(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """means - x per component, shape (..., K, d), for x of shape (..., d)."""
-    d = mix.dimension
-    if x.shape[-1] != d:
-        raise ValueError(f"point dimension {x.shape[-1]} != mixture dimension {d}")
-    return mix.means - x[..., None, :]
+def gmm_points(mix: GaussianMixture, x) -> np.ndarray:
+    """x as float64 points of the mixture's dimension, shape (..., d)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != mix.means.shape[1:]:
+        got = x.shape[-1] if x.ndim else "()"
+        raise ValueError(f"point dimension {got} != mixture dimension {mix.dimension}")
+    return x
 
 
-def _log_components(mix: GaussianMixture, offsets: np.ndarray) -> np.ndarray:
-    """Per-component log(w_k N_k(x)), shape (..., K), from ``_offsets(mix, x)``."""
-    log_comp = np.square(offsets).sum(axis=-1)
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """terms summed along axis 0 in order, from the first term."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """terms summed along axis 0 in the order numpy sums a contiguous last axis.
+
+    Below 8 terms that is in order.  Up to 128, terms j, j+8, j+16, ...
+    are summed in order into 8 partial sums, which are added as a
+    balanced tree, then the remaining terms in order; above 128 the two
+    halves (the first a multiple of 8) are summed so and added.  numpy
+    also adds the result to +0.0, which only turns a -0.0 sum into +0.0;
+    callers whose terms can be -0.0 add it.
+    """
+    n = len(terms)
+    if n < 8:
+        return _sum_in_order(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    whole = n - n % 8
+    r = terms[:8].copy()
+    for start in range(8, whole, 8):
+        r += terms[start : start + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in terms[whole:]:
+        total += term
+    return total
+
+
+def _log_components(x, means, variances, log_norm) -> tuple[np.ndarray, np.ndarray]:
+    """means - x and log(w_k N_k(x)) for points x of shape (..., d).
+
+    Component-major, shapes (K, d, n) and (K, n): the n points (the
+    flattened leading axes of x) are the last axis, so each reduction
+    runs over a leading axis and numpy's inner loops run over the points.
+    The squared distance is summed over d as numpy sums the last axis of
+    (..., K, d) offsets: in order below 8 coordinates, pairwise from 8.
+    """
+    d = means.shape[1]
+    offsets = means[:, :, None] - np.ascontiguousarray(x.reshape(-1, d).T)
+    squares = np.square(offsets)
+    log_comp = np.add.reduce(squares, 1) if d < 8 else _pairwise_sum(squares.transpose(1, 0, 2))
     log_comp *= 0.5
-    log_comp /= mix.variances
-    return np.subtract(mix._log_norm, log_comp, out=log_comp)
+    log_comp /= variances[:, None]
+    return offsets, np.subtract(log_norm[:, None], log_comp, out=log_comp)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, kept as a length-1 axis.
+    """log(sum(exp(a))) over axis 0, the K components of a (K, n) array.
 
     The arithmetic of scipy.special.logsumexp on real input, so the same
-    bytes: the row maximum is taken out of the sum, the m entries tied
-    with it are counted, the others are summed as exp(a - max) and
-    divided by m, and the result is log1p(s) + log(m) + max.  Where that
-    is not finite (a row of -inf, or one holding +inf or nan), the result
-    is log(sum(exp(a))) instead.
+    bytes: the maximum is taken out of the sum, the m entries tied with
+    it (a - max == 0) are counted, the others are summed as exp(a - max),
+    pairwise as numpy sums a contiguous axis, and divided by m, and the
+    result is log1p(s) + log(m) + max.  Where that is not finite (all
+    -inf, or holding +inf or nan), the result is log(sum(exp(a))), NaN
+    signs included.
+
+    With one maximum in a row, m = 1 and log1p(s) + max has the same
+    bytes, so when every row has one the count is skipped.  A row whose
+    maximum is infinite counts no ties (inf - inf is nan) and gets
+    log(sum(exp(a))), which is that infinity, as scipy's formula gives.
     """
-    a_max = a.max(axis=-1, keepdims=True)
-    at_max = a == a_max
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = at_max.sum(axis=-1, keepdims=True, dtype=np.float64)
-        shifted = np.exp(a - a_max)
-        shifted[at_max] = 0.0
-        s = shifted.sum(axis=-1, keepdims=True) / m
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
+    a_max = np.maximum.reduce(a, 0)
+    s = np.subtract(a, a_max)
+    at_max = s == 0.0
+    np.exp(s, out=s)
+    np.putmask(s, at_max, 0.0)
+    s = np.add.reduce(s, 0) if len(s) < 8 else _pairwise_sum(s)
+    if np.count_nonzero(at_max) == s.size:
+        # One maximum in every row, unless a row with none (a nan or an
+        # infinite maximum) offsets a tie; such a row makes out non-finite.
+        out = np.log1p(s)
+        out += a_max
+        if math.isfinite(out @ out):
+            return out
+    m = np.add.reduce(at_max, 0, np.float64)
+    out = s / m
+    np.log1p(out, out=out)
+    out += np.log(m)
+    out += a_max
+    finite = np.isfinite(out)
+    if not finite.all():
+        # Summed by numpy in scipy's (n, K) layout: which NaN a sum of NaNs
+        # returns depends on numpy's loop, so only that gives scipy's bytes.
+        out = np.where(finite, out, np.log(np.ascontiguousarray(np.exp(a).T).sum(axis=-1)))
     return out
 
 
@@ -130,26 +197,42 @@ def gmm_log_density(mix: GaussianMixture, x: np.ndarray):
 
     x may be a single point (d,) -> float, or a batch (..., d) -> (...,).
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = _logsumexp(_log_components(mix, _offsets(mix, x)))[..., 0]
-    return float(out) if np.ndim(out) == 0 else out
+    x = gmm_points(mix, x)
+    _, log_comp = _log_components(x, mix.means, mix.variances, mix._log_norm)
+    out = _logsumexp(log_comp).reshape(x.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
-def gmm_score(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
+def gmm_score(mix: GaussianMixture, x: np.ndarray, noised=None) -> np.ndarray:
     """Gradient of the log density: responsibility-weighted component pulls.
 
-    Broadcasts over leading axes of x like gmm_log_density.  The offsets
-    array becomes the pulls in place; every operation rounds as in
-    resp * (means - x) / variances summed over the components.
+    Broadcasts over leading axes of x like gmm_log_density.  With
+    ``noised``, one alpha_bar's ``noised_constants`` (scale, variances,
+    log-normaliser), it scores that noised mixture without building it:
+    the means are scaled here.  The offsets array becomes the pulls in
+    place; every operation rounds as in resp * (means - x) / variances
+    summed over the components as numpy sums (..., K, d) pulls over K:
+    in order, or pairwise for d = 1 and 8 or more components.
     """
-    x = np.asarray(x, dtype=np.float64)
-    pulls = _offsets(mix, x)
-    resp = _log_components(mix, pulls)
+    x = gmm_points(mix, x)
+    if noised is None:
+        means, variances, log_norm = mix.means, mix.variances, mix._log_norm
+    else:
+        scale, variances, log_norm = noised
+        means = scale * mix.means
+    pulls, resp = _log_components(x, means, variances, log_norm)
     resp -= _logsumexp(resp)
     np.exp(resp, out=resp)
-    pulls /= mix.variances[:, None]
-    pulls *= resp[..., None]
-    return pulls.sum(axis=-2)
+    pulls /= variances[:, None, None]
+    pulls *= resp[:, None]
+    out = np.empty(x.shape)
+    total = out.reshape(-1, x.shape[-1]).T
+    if len(pulls) < 8:
+        np.add.reduce(pulls, 0, None, total)
+    else:
+        total[...] = _pairwise_sum(pulls) if x.shape[-1] == 1 else _sum_in_order(pulls)
+        total += 0.0  # numpy's sums start from +0.0, so -0.0 pulls sum to +0.0
+    return out
 
 
 def noised_mixture(mix: GaussianMixture, schedule: NoiseSchedule, t: int) -> GaussianMixture:
@@ -170,6 +253,8 @@ def noised_constants(mix: GaussianMixture, alpha_bar) -> tuple[np.ndarray, ...]:
     and log-normaliser, each with a trailing K axis: for n alpha_bars,
     shapes (n,), (n, K) and (n, K).  All three are read-only.  The
     (K, d) means are left out, so the rows do not grow with the dimension.
+    One alpha_bar's three are the ``noised`` argument of ``gmm_score``,
+    which scores the noised mixture without building it.
     """
     ab = np.asarray(alpha_bar, dtype=np.float64)[..., None]
     variances = ab * mix.variances + (1.0 - ab)
@@ -184,9 +269,9 @@ def noised_mixture_from(
 ) -> GaussianMixture:
     """The noised mixture that one alpha_bar's ``noised_constants`` describe.
 
-    A valid mixture noised by a valid alpha_bar is valid, so this skips
-    the constructor's checks.  It shares the read-only weights and row
-    arrays, and scales only the means.
+    ``noised_mixture`` builds through it.  A valid mixture noised by a
+    valid alpha_bar is valid, so this skips the constructor's checks.  It
+    shares the read-only weights and row arrays, and scales only the means.
     """
     means = scale * mix.means
     means.setflags(write=False)

@@ -48,6 +48,8 @@ def test_tracer_install_wraps_traced_names_and_uninstall_restores_them():
         ("diffbridge.softlabel", "calibrate_depth"),
         ("diffbridge.diffusion", "ddim_step"),
         ("diffbridge.bridge", "flow_ode"),
+        ("diffbridge.domains", "gmm_score"),
+        ("diffbridge.denoiser", "gmm_score"),
         ("diffbridge.denoiser", "MlpDenoiser", "backward"),
         *(("diffbridge.cli", f"cmd_{command}") for command in spans.COMMANDS),
         *(("diffbridge.verify", f"check_{check}") for check in spans.VERIFY_CHECKS),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import diffbridge as db
-from diffbridge import cli
+from diffbridge import cli, domains
 from diffbridge.cli import _build_models, _role_seed, _write_csv, _write_points_csv, main
 from diffbridge.config import RunConfig
 from diffbridge.softlabel import highpass_magnitude, soft_label
@@ -150,6 +150,43 @@ class TestMigrate:
         assert main(["migrate", "--out", str(out)]) == 0
         assert counts["predict_epsilon"] == 2000
         assert counts["alpha_bar_at"] <= 8
+
+    def test_gmm_epsilon_scores_once_per_call_and_builds_no_mixture(self, tmp_path, monkeypatch):
+        # Each exact GMM epsilon call off step 0 is one gmm_score call, the
+        # span the benchmark traces, and scores the noised mixture without
+        # building it, so a default migrate builds its few mixtures up front.
+        counts = dict.fromkeys(("gmm_score", "GaussianMixture", "noised_mixture_from"), 0)
+        steps = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        def count_everywhere(name, original):
+            # Modules import these functions by name: patch every binding.
+            wrapper = counted(name, original)
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("diffbridge"):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, wrapper)
+
+        def predict_epsilon(model, x, t, original=db.AnalyticGmmEpsilon.predict_epsilon):
+            steps.append(t)
+            return original(model, x, t)
+
+        count_everywhere("gmm_score", domains.gmm_score)
+        count_everywhere("noised_mixture_from", domains.noised_mixture_from)
+        monkeypatch.setattr(db.GaussianMixture, "__post_init__",
+                            counted("GaussianMixture", db.GaussianMixture.__post_init__))
+        monkeypatch.setattr(db.AnalyticGmmEpsilon, "predict_epsilon", predict_epsilon)
+        assert main(["migrate", "--out", str(tmp_path / "run")]) == 0
+        assert len(steps) == 2000
+        # At step 0 alpha_bar is 1: the epsilon is 0 and nothing is scored.
+        assert counts["gmm_score"] == len(steps) - steps.count(0) == 1999
+        assert counts["GaussianMixture"] + counts["noised_mixture_from"] <= 8
 
 
 class TestSweep:

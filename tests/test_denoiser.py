@@ -10,6 +10,7 @@ from scipy.special import expit
 
 import diffbridge as db
 from diffbridge.attention import Priority
+from diffbridge.bridge import DRIFT_TIME_FLOOR
 from diffbridge.denoiser import _silu, _silu_grad
 from diffbridge.domains import GaussianMixture, gmm_log_density, gmm_score, noised_mixture
 
@@ -98,6 +99,20 @@ class TestAnalyticGmmEpsilon:
         for t in (-1, -1e-12, 1000.000001, 1001, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 self.model.predict_epsilon(np.zeros(2), t)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 5)])
+    def test_rejects_wrong_dimension_where_alpha_bar_is_one(self, shape):
+        # Step 0, and the drift integrators' first node on a 50-step
+        # schedule, whose alpha_bar rounds to 1: the epsilon there is 0,
+        # but a point of the wrong dimension is still refused.
+        sched = db.linear_schedule(50)
+        model = db.AnalyticGmmEpsilon(self.mix, sched)
+        steps = (0, DRIFT_TIME_FLOOR * 50)
+        assert [sched.alpha_bar_at(t / 50) for t in steps] == [1.0, 1.0]
+        for m, t in ((self.model, 0), *((model, t) for t in steps)):
+            with pytest.raises(ValueError, match=f"^point dimension {shape[-1]} != mixture dimension 2$"):
+                m.predict_epsilon(np.zeros(shape), t)
+            assert m.predict_epsilon(np.ones((*shape[:-1], 2)), t).tobytes() == np.zeros((*shape[:-1], 2)).tobytes()
 
 
 class TestGmmStepTable:

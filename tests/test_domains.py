@@ -34,6 +34,8 @@ class TestGaussianMixture:
             GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [1.0, -1.0])
         with pytest.raises(ValueError):
             GaussianMixture([1.0], [[0.0, 0.0]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^means must have at least one coordinate$"):
+            GaussianMixture([1.0], [[]], [1.0])
 
     @pytest.mark.parametrize("field,args", [
         ("weights", ([np.nan], [[0.0, 0.0]], [1.0])),
@@ -149,18 +151,24 @@ def _lse_cases():
     # the order the sum meets them in, so only scipy's fallback gives its bytes.
     pool = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, 1.0, -3.0])
     yield pool[rng.integers(0, len(pool), size=(64, 9))]
+    yield pool[rng.integers(0, len(pool), size=(13, 3))]
+    yield pool[rng.integers(0, len(pool), size=(21, 300))]
 
 
 class TestLogSumExp:
-    """The numpy kernel gives scipy.special.logsumexp's bytes (scipy is the oracle)."""
+    """The numpy kernel gives scipy.special.logsumexp's bytes (scipy is the oracle).
+
+    The kernel sums the components on axis 0 of a (K, n) array; each case
+    holds its components on the last axis, as scipy is given them.
+    """
 
     @pytest.mark.parametrize("a", list(_lse_cases()))
     def test_bytes_equal_scipy(self, a):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _logsumexp(a)
+            got = _logsumexp(a.reshape(-1, a.shape[-1]).T)
         with np.errstate(over="ignore"):
-            want = logsumexp(a, axis=-1, keepdims=True)
+            want = logsumexp(a, axis=-1).reshape(-1)
         _assert_same_bytes(got, want)
 
 
@@ -225,6 +233,71 @@ class TestScoreBytes:
                 _assert_same_bytes(got, want)
                 compared += 1
         assert compared == 48
+
+    @staticmethod
+    def wide_mixtures():
+        """K of 8 or more components, or d of 8 or more coordinates, change
+        the order numpy sums in: pairwise on a contiguous axis, in order
+        across an inner one."""
+        rng = np.random.default_rng(17)
+        for k in (1, 7, 8, 9, 17, 130):
+            for d in (1, 8, 9):
+                weights = rng.uniform(0.5, 1.5, k)
+                yield GaussianMixture(
+                    weights / weights.sum(), rng.normal(scale=1.5, size=(k, d)), rng.uniform(0.5, 2.0, k)
+                )
+
+    def test_wide_mixtures_same_bytes_as_scipy_formula(self):
+        compared = 0
+        for mix in self.wide_mixtures():
+            d = mix.dimension
+            rng = np.random.default_rng(d)
+            for shape in ((d,), (64, d), (4, 8, d), (0, d)):
+                x = rng.normal(scale=1.5, size=shape)
+                _assert_same_bytes(db.gmm_score(mix, x), _scipy_gmm_score(mix, x))
+                got, want = db.gmm_log_density(mix, x), _scipy_gmm_log_density(mix, x)
+                assert type(got) is type(want)
+                _assert_same_bytes(got, want)
+                compared += 1
+        assert compared == 72
+
+    @pytest.mark.parametrize("mix", [
+        # The first two components tie wherever the second coordinate is 0.
+        GaussianMixture([0.25, 0.25, 0.5], [[0.0, 1.0], [0.0, -1.0], [3.0, 0.0]], [0.5, 0.5, 0.5]),
+        # Eight equal components on two rings: ties between mirror images.
+        GaussianMixture(np.full(8, 0.125), [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                                            [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0], [0.0, -2.0]],
+                        np.ones(8)),
+    ], ids=["K3", "K8"])
+    def test_tied_and_non_finite_rows_score_as_their_own_calls(self, mix):
+        x = np.array([
+            [0.0, 0.0], [0.7, 0.0], [0.0, -0.3], [0.3, 0.2], [-1.1, 0.4],
+            [np.nan, 0.0], [np.inf, 0.0], [-np.inf, np.inf], [1e200, 1e200], [0.0, -np.nan],
+        ])
+        with np.errstate(all="ignore"):
+            score, density = db.gmm_score(mix, x), db.gmm_log_density(mix, x)
+            _assert_same_bytes(score, _scipy_gmm_score(mix, x))
+            _assert_same_bytes(density, _scipy_gmm_log_density(mix, x))
+            for i, row in enumerate(x):
+                _assert_same_bytes(score[i], db.gmm_score(mix, row))
+                _assert_same_bytes(score[i : i + 1], db.gmm_score(mix, x[i : i + 1]))
+                _assert_same_bytes(density[i], db.gmm_log_density(mix, row))
+        # The batch holds tied rows (more than one component at the maximum), untied and non-finite ones.
+        comps = _scipy_log_components(mix, x[:5])
+        ties = (comps == comps.max(axis=-1, keepdims=True)).sum(axis=-1)
+        assert (ties > 1).any() and (ties == 1).any()
+        assert not np.isfinite(score[5:]).any()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pulls_of_negative_zero_sum_to_positive_zero(self, d):
+        # -0.0 - 0.0 is -0.0, so every pull on the first coordinate is -0.0;
+        # numpy's sums start from +0.0 and return +0.0 for them.
+        means = np.column_stack([np.full(9, -0.0), np.arange(9.0)])[:, :d]
+        mix = GaussianMixture(np.full(9, 1 / 9), means, np.ones(9))
+        x = np.array([[0.0, 4.0], [0.0, 1.5]])[:, :d]
+        got = db.gmm_score(mix, x)
+        _assert_same_bytes(got, _scipy_gmm_score(mix, x))
+        assert not np.signbit(got[:, 0]).any()
 
     def test_log_normaliser_is_read_only_and_not_a_field(self):
         mix = db.default_gmm_pair().source
