@@ -28,9 +28,10 @@ model tabulates, once per model, each integer step's alpha_bar,
 log-normaliser: read-only arrays of T+1 rows of 3 + 2K floats for K
 components, whatever the dimension.  A call hands its step's row to
 ``domains.gmm_score``, which scales the means and scores the noised
-mixture without building it.  The texture model keeps one pair of FFT
-work arrays, bounded by the largest batch it has scored; its calls must
-not overlap across threads.
+mixture without building it.  The texture model transforms a real field
+with a real-input FFT pair and keeps one pair of half-spectrum work
+arrays, bounded by the largest batch it has scored; its calls must not
+overlap across threads.
 """
 
 from __future__ import annotations
@@ -60,7 +61,10 @@ class EpsilonModel(ABC):
         """Predicted noise for state x at step t; same shape as x.
 
         x is one sample or a batch (..., *sample_shape); batch samples are
-        scored independently and bit-identically to one call each.
+        scored independently and bit-identically to one call each.  The
+        sign of a NaN is outside that promise: a sample holding NaNs of
+        both signs gets its NaNs where one call puts them, but which NaN
+        depends on its position in the batch (numpy's loops).
         """
 
 
@@ -122,18 +126,32 @@ class AnalyticFieldEpsilon(EpsilonModel):
     """Exact optimal noise prediction for a stationary Gaussian texture.
 
     ``mode_variances`` are the covariance eigenvalues on the fft2 grid
-    (unitary convention), as produced by domains.SpectralTexture.
-    Accepts one (H, W) field or a batch (..., H, W).  Each call computes
-    its alpha_bar and noised variances afresh.  The transforms run in
-    one pair of flat complex work arrays, grown to the largest input
-    seen and viewed as each call's shape, so a call allocates only the
-    array it returns; calls must not overlap across threads.
+    (unitary convention), as produced by domains.SpectralTexture: a
+    finite, positive (H, W) array, even under frequency negation
+    (``v[i, j] == v[-i, -j]`` to a relative 1e-6), since a real field's
+    transform reads only the half plane ``[:, :W//2+1]``.  Accepts one
+    (H, W) field or a batch (..., H, W).  Each call computes its
+    alpha_bar and noised variances afresh.  The transforms run in one
+    pair of flat complex work arrays holding the half spectrum
+    (H x (W//2+1) values a field), grown to the largest input seen and
+    viewed as each call's shape, so a call allocates only the array it
+    returns; calls must not overlap across threads.
     """
 
     mode_variances: np.ndarray
     schedule: NoiseSchedule
 
     def __post_init__(self):
+        lam = np.asarray(self.mode_variances, dtype=np.float64)
+        if lam.ndim != 2 or lam.size == 0:
+            raise ValueError(f"mode_variances must be a nonempty 2-D array, got shape {lam.shape}")
+        if not np.all(np.isfinite(lam) & (lam > 0)):
+            raise ValueError("mode_variances must be finite and positive")
+        negated = np.roll(lam[::-1, ::-1], 1, axis=(0, 1))  # negated[i, j] = lam[-i, -j]
+        if np.any(np.abs(lam - negated) > 1e-6 * lam):
+            raise ValueError("mode_variances must be even under frequency negation")
+        object.__setattr__(self, "mode_variances", lam)
+        object.__setattr__(self, "_half", lam[:, : lam.shape[1] // 2 + 1])
         object.__setattr__(self, "_work", (np.empty(0, complex), np.empty(0, complex)))
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -146,18 +164,18 @@ class AnalyticFieldEpsilon(EpsilonModel):
         ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
         if ab >= 1.0:
             return np.zeros_like(x)
-        if self._work[0].size < x.size:
-            object.__setattr__(self, "_work", (np.empty(x.size, complex), np.empty(x.size, complex)))
-        spectrum, partial = (w[: x.size].reshape(x.shape) for w in self._work)
-        # fft2 and ifft2 as their two one-axis passes (last axis first),
-        # each into the other array: the same bytes as the library calls.
-        spectrum[...] = x
-        np.fft.fft(spectrum, axis=-1, norm="ortho", out=partial)
+        half_shape = (*x.shape[:-1], self._half.shape[1])
+        size = math.prod(half_shape)
+        if self._work[0].size < size:
+            object.__setattr__(self, "_work", (np.empty(size, complex), np.empty(size, complex)))
+        spectrum, partial = (w[:size].reshape(half_shape) for w in self._work)
+        # rfft2 and irfft2 as their one-axis passes, each into the other
+        # array; sqrt(1 - ab) rides on the divisor, not on the output.
+        np.fft.rfft(x, axis=-1, norm="ortho", out=partial)
         np.fft.fft(partial, axis=-2, norm="ortho", out=spectrum)
-        spectrum /= ab * self.mode_variances + (1.0 - ab)
-        np.fft.ifft(spectrum, axis=-1, norm="ortho", out=partial)
-        np.fft.ifft(partial, axis=-2, norm="ortho", out=spectrum)
-        return np.sqrt(1.0 - ab) * spectrum.real
+        spectrum /= (ab * self._half + (1.0 - ab)) / math.sqrt(1.0 - ab)
+        np.fft.ifft(spectrum, axis=-2, norm="ortho", out=partial)
+        return np.fft.irfft(partial, n=self.mode_variances.shape[1], axis=-1, norm="ortho")
 
 
 # ---------------------------------------------------------------------------

@@ -390,9 +390,11 @@ def _band_profile(kind: str, size: int, seed: int) -> tuple[np.ndarray, np.ndarr
     radius = radial_frequency_grid((size, size))
     fu = np.fft.fftfreq(size)[:, None]
     fv = np.fft.fftfreq(size)[None, :]
-    # Both profiles are even under frequency negation (radius trivially,
-    # sin^2 of the angle because negation shifts it by pi), so the implied
-    # pixel covariance is exactly real.
+    # Both profiles are even under frequency negation up to rounding: the
+    # radius exactly, the orientation term because negation shifts the
+    # angle by pi, but sin(angle - theta) rounds differently at angle + pi,
+    # so the target is even only to about 2e-9 relative and the implied
+    # pixel covariance is real only to that accuracy.
     angle = np.arctan2(fu + 0.0 * fv, fv + 0.0 * fu)
 
     theta = np.random.default_rng(seed).uniform(0.0, np.pi)

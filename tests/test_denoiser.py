@@ -95,6 +95,21 @@ class TestAnalyticGmmEpsilon:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(self.model.predict_epsilon(x, 0), np.zeros(2))
 
+    def test_nan_rows_of_both_signs_keep_their_positions(self):
+        """NaN positions and finite rows equal the one-row calls; NaN signs need not.
+
+        Which NaN a row of NaNs of both signs gets depends on its position
+        in the batch (numpy's loops).
+        """
+        rows = np.array([[np.nan, -np.nan], [0.3, -0.2], [-np.nan, np.nan], [1.5, 0.5]])
+        for n in range(1, 40):
+            x = rows[np.arange(n) % 4]
+            got = self.model.predict_epsilon(x, 300)
+            single = np.stack([self.model.predict_epsilon(row, 300) for row in x])
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(single))
+            finite = np.isfinite(x).all(axis=-1)
+            assert got[finite].tobytes() == single[finite].tobytes()
+
     def test_rejects_bad_step(self):
         for t in (-1, -1e-12, 1000.000001, 1001, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
@@ -166,36 +181,58 @@ class TestGmmStepTable:
         assert not any(column.flags.writeable for column in model._table)
 
 
+def even_variances(shape, seed):
+    """Positive mode variances with v[i, j] == v[-i, -j] exactly."""
+    v = np.random.default_rng(seed).uniform(0.05, 2.0, shape)
+    return (v + np.roll(v[::-1, ::-1], 1, axis=(0, 1))) / 2
+
+
+def fft2_epsilon(lam, ab, x):
+    """The exact texture epsilon through the full complex spectrum."""
+    spectrum = np.fft.fft2(x, norm="ortho") / (ab * lam + (1.0 - ab))
+    return np.sqrt(1.0 - ab) * np.fft.ifft2(spectrum, norm="ortho").real
+
+
 class TestAnalyticFieldEpsilon:
-    def test_matches_dense_covariance_oracle(self):
-        size = 16
-        pair = db.make_texture_pair("bandsplit", size, seed=4)
+    @pytest.mark.parametrize("shape", [(16, 16), (6, 9), (5, 4)], ids=["bandsplit-16x16", "6x9", "5x4"])
+    def test_matches_dense_covariance_oracle(self, shape):
+        """Square bandsplit variances, an odd width and a rectangular grid."""
         sched = db.linear_schedule(100)
-        model = db.AnalyticFieldEpsilon(pair.target.mode_variances, sched)
+        if shape == (16, 16):
+            pair = db.make_texture_pair("bandsplit", 16, seed=4)
+            lam = pair.target.mode_variances
+            x = pair.target.sample(1, seed=2)[0]
+        else:
+            lam = even_variances(shape, seed=sum(shape))
+            x = 0.3 * np.random.default_rng(2).standard_normal(shape)
+        model = db.AnalyticFieldEpsilon(lam, sched)
 
         # Oracle: materialize the circulant covariance as a dense matrix by
         # applying it to every basis vector, then solve directly.
-        lam = pair.target.mode_variances
-        dim = size * size
+        dim = lam.size
         cov = np.empty((dim, dim))
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = 1.0
-            ce = np.fft.ifft2(lam * np.fft.fft2(e.reshape(size, size), norm="ortho"), norm="ortho").real
+            ce = np.fft.ifft2(lam * np.fft.fft2(e.reshape(shape), norm="ortho"), norm="ortho").real
             cov[:, j] = ce.reshape(-1)
 
-        rng = np.random.default_rng(1)
-        x = pair.target.sample(1, seed=2)[0]
         for t in (1, 40, 100):
             ab = sched.alpha_bar(t)
             cov_t = ab * cov + (1 - ab) * np.eye(dim)
             score = -np.linalg.solve(cov_t, x.reshape(-1))
-            expected = -np.sqrt(1 - ab) * score.reshape(size, size)
+            expected = -np.sqrt(1 - ab) * score.reshape(shape)
             got = model.predict_epsilon(x, t)
             np.testing.assert_allclose(got, expected, atol=1e-10)
+            if shape != (16, 16):  # the bandsplit target is even only to 2.2e-9
+                np.testing.assert_allclose(got, fft2_epsilon(lam, ab, x), rtol=0, atol=1e-14)
 
-    def test_batch_bytes_equal_fft2_formula_across_calls(self):
-        """One pair of work arrays serves every shape; results equal fft2/ifft2 and are not overwritten."""
+    def test_batch_bytes_equal_rfft_formula_across_calls(self):
+        """One pair of half-spectrum work arrays serves every shape; results are not overwritten.
+
+        They have the bytes of the real-input transform pair and lie
+        within 1e-14 of the fft2/ifft2 formula.
+        """
         pair = db.make_texture_pair("bandsplit", 16, seed=4)
         sched = db.linear_schedule(100)
         model = db.AnalyticFieldEpsilon(pair.source.mode_variances, sched)
@@ -209,10 +246,49 @@ class TestAnalyticFieldEpsilon:
         got = [model.predict_epsilon(x, t) for x, t in calls]
         for (x, t), eps in zip(calls, got):
             ab = sched.alpha_bar(t)
-            spectrum = np.fft.fft2(x, norm="ortho") / (ab * lam + (1.0 - ab))
-            expected = np.sqrt(1.0 - ab) * np.fft.ifft2(spectrum, norm="ortho").real
+            half = np.fft.fft(np.fft.rfft(x, axis=-1, norm="ortho"), axis=-2, norm="ortho")
+            half /= (ab * lam[:, :9] + (1.0 - ab)) / np.sqrt(1.0 - ab)
+            expected = np.fft.irfft(np.fft.ifft(half, axis=-2, norm="ortho"), n=16, axis=-1, norm="ortho")
             assert eps.tobytes() == expected.tobytes()
-        assert [w.size for w in model._work] == [stack.size, stack.size]
+            np.testing.assert_allclose(eps, fft2_epsilon(lam, ab, x), rtol=0, atol=1e-14)
+        assert [w.size for w in model._work] == [9 * 16 * 9, 9 * 16 * 9]
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_batch_rows_byte_equal_single_calls(self, size):
+        pair = db.make_texture_pair("bandsplit", size, seed=1)
+        sched = db.linear_schedule(1000)
+        model = db.AnalyticFieldEpsilon(pair.target.mode_variances, sched)
+        fields = pair.source.sample(9, seed=5)
+        batches = [fields[:n] for n in range(1, 10)] + [fields.reshape(3, 3, size, size)]
+        for t in (1, 37.5, 1000):
+            for batch in batches:
+                got = model.predict_epsilon(batch, t).reshape(-1, size, size)
+                for row, field in zip(got, batch.reshape(-1, size, size)):
+                    assert row.tobytes() == model.predict_epsilon(field, t).tobytes()
+
+    @pytest.mark.parametrize("lam,message", [
+        (np.ones(4), "must be a nonempty 2-D array, got shape \\(4,\\)"),
+        (np.ones((2, 2, 2)), "must be a nonempty 2-D array"),
+        (np.ones((0, 3)), "must be a nonempty 2-D array"),
+        (np.array([[1.0, np.nan], [1.0, 1.0]]), "must be finite and positive"),
+        (np.array([[1.0, np.inf], [1.0, 1.0]]), "must be finite and positive"),
+        (np.array([[1.0, 0.0], [1.0, 1.0]]), "must be finite and positive"),
+        (np.array([[1.0, -1.0], [1.0, 1.0]]), "must be finite and positive"),
+        # v[0, 1] pairs with v[0, -1] = v[0, 2], which differs by 2e-6.
+        (np.array([[1.0, 1.0, 1.000002], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), "must be even"),
+    ])
+    def test_variances_the_half_plane_cannot_represent_rejected(self, lam, message):
+        with pytest.raises(ValueError, match=f"^mode_variances {message}") as err:
+            db.AnalyticFieldEpsilon(lam, db.linear_schedule(10))
+        assert "\n" not in str(err.value)
+
+    def test_evenness_tolerance_is_relative(self):
+        lam = 1e-3 * even_variances((6, 9), seed=3)
+        lam[1, 2] *= 1.0 + 5e-7
+        assert db.AnalyticFieldEpsilon(lam, db.linear_schedule(10)).mode_variances is lam
+        lam[1, 2] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="even under frequency negation"):
+            db.AnalyticFieldEpsilon(lam, db.linear_schedule(10))
 
     def test_shape_mismatch_rejected(self):
         pair = db.make_texture_pair("bandsplit", 16, seed=0)
