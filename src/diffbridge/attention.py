@@ -13,9 +13,17 @@ direction.
 
 Scaled dot-product uses 1/sqrt(head_dim); no masking, no dropout, both
 variants are deterministic shape-preserving maps of an (n, d) token
-matrix.  Both the forward maps and the backward pass broadcast over
-leading axes: a (..., n, d) stack is attended, or differentiated, matrix
-by matrix, each row bit-identical to a call on that matrix alone.
+matrix.  Q, K and V come from one product of the tokens with the three
+weights side by side.  Both the forward maps and the backward pass
+broadcast over leading axes: a (..., n, d) stack is attended, or
+differentiated, matrix by matrix, each row bit-identical to a call on
+that matrix alone.
+
+``attention_forward`` is the inference call.  Training calls
+``attention_forward_saved``, which also returns the arrays the forward
+computed (``SavedForward``), and hands them to ``attention_backward``:
+one forward per step, and the backward returns the weight gradients
+only, since no caller reads a token gradient.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +104,17 @@ class AttentionGrads:
         return [self.w_query, self.w_key, self.w_value, self.w_output]
 
 
+class SavedForward(NamedTuple):
+    """A forward pass's arrays: tokens (..., n, d), per-window heads, merged heads."""
+
+    tokens: np.ndarray
+    q: np.ndarray          # q, k, v: (..., w, h, nw, dh)
+    k: np.ndarray
+    v: np.ndarray
+    probs: np.ndarray      # (..., w, h, nw, nw)
+    merged: np.ndarray     # (..., n, d), before the output projection
+
+
 def init_attention(
     token_count: int,
     model_dim: int,
@@ -121,8 +141,14 @@ def init_attention(
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    # The row max as a reduce over the first axis of the rows' transposed
+    # copy: on short rows that is a few elementwise maxima instead of one
+    # reduce per row, and a max rounds nothing, so the bytes are
+    # max(axis=-1)'s.
+    n = scores.shape[-1]
+    rows_first = np.ascontiguousarray(scores.reshape(-1, n).T)
+    peak = np.maximum.reduce(rows_first, axis=0).reshape(*scores.shape[:-1], 1)
+    e = np.exp(scores - peak)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -140,19 +166,44 @@ def global_priority_attention(cfg: AttentionConfig, tokens: np.ndarray) -> np.nd
     """Full-sequence projection first, then per-head split; span is all tokens."""
     if cfg.priority != Priority.GLOBAL_FIRST:
         raise ValueError("config priority is not GLOBAL_FIRST")
-    return _forward(cfg, _check_tokens(cfg, tokens))
+    return attention_forward_saved(cfg, tokens)[0]
 
 
 def local_priority_attention(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
     """Window segmentation first, then multi-head attention inside each window."""
     if cfg.priority != Priority.LOCAL_FIRST:
         raise ValueError("config priority is not LOCAL_FIRST")
-    return _forward(cfg, _check_tokens(cfg, tokens))
+    return attention_forward_saved(cfg, tokens)[0]
 
 
 def attention_forward(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
     """Dispatch on the config's priority."""
-    return _forward(cfg, _check_tokens(cfg, tokens))
+    return attention_forward_saved(cfg, tokens)[0]
+
+
+def attention_forward_saved(
+    cfg: AttentionConfig, tokens: np.ndarray
+) -> tuple[np.ndarray, SavedForward]:
+    """``attention_forward``'s output, and the arrays ``attention_backward`` reads."""
+    saved = _internals(cfg, _check_tokens(cfg, tokens))
+    return saved.merged @ cfg.w_output, saved
+
+
+def attention_backward(
+    cfg: AttentionConfig, saved: SavedForward, grad_out: np.ndarray
+) -> AttentionGrads:
+    """Weight gradients of a scalar loss through the attention block.
+
+    ``saved`` is the forward pass's arrays (``attention_forward_saved``)
+    and ``grad_out`` = dLoss/dOutput, shaped like its tokens.  A
+    (..., n, d) stack gets one gradient per matrix: each is (..., d, d),
+    every matrix's bytes equal to a call on that matrix alone.  Summing
+    them is the caller's choice.  No token gradient is computed.
+    """
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != saved.tokens.shape:
+        raise ValueError("grad_out shape must match tokens shape")
+    return _backward(cfg, saved, grad_out)
 
 
 # ---------------------------------------------------------------------------
@@ -163,35 +214,30 @@ def attention_forward(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _internals(cfg, x):
+def _internals(cfg, x) -> SavedForward:
     lead = x.shape[:-2]
-    n, h, dh = cfg.token_count, cfg.heads, cfg.head_dim
+    n, d, h, dh = cfg.token_count, cfg.model_dim, cfg.heads, cfg.head_dim
     w = 1 if cfg.priority == Priority.GLOBAL_FIRST else cfg.windows
     nw = n // w
-    xw = x.reshape(*lead, w, nw, cfg.model_dim)
-    q = xw @ cfg.w_query
-    k = xw @ cfg.w_key
-    v = xw @ cfg.w_value
-    # (..., w, nw, d) -> (..., w, h, nw, dh)
-    qh = q.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
-    kh = k.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
-    vh = v.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
+    # One product for Q, K and V.  The weights are joined per call: the
+    # optimiser updates them in place, so a kept copy would go stale.
+    qkv = x @ np.concatenate([cfg.w_query, cfg.w_key, cfg.w_value], axis=1)
+    # (..., n, 3d) -> 3 x (..., w, h, nw, dh), views into qkv
+    qh, kh, vh = (
+        qkv[..., i * d : (i + 1) * d].reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
+        for i in range(3)
+    )
     scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(dh)
     probs = _softmax_rows(scores)
     heads_out = probs @ vh                          # (..., w, h, nw, dh)
     merged = heads_out.swapaxes(-3, -2).reshape(*lead, n, h * dh)
-    return qh, kh, probs, vh, merged
+    return SavedForward(x, qh, kh, vh, probs, merged)
 
 
-def _forward(cfg, x):
-    *_, merged = _internals(cfg, x)
-    return merged @ cfg.w_output
-
-
-def _backward(cfg, x, grad_out):
+def _backward(cfg, saved, grad_out):
+    x, qh, kh, vh, probs, merged = saved
     lead = x.shape[:-2]
-    n, h, dh = cfg.token_count, cfg.heads, cfg.head_dim
-    qh, kh, probs, vh, merged = _internals(cfg, x)
+    h, dh = cfg.heads, cfg.head_dim
     w, nw = probs.shape[-4], probs.shape[-2]
 
     d_wo = merged.swapaxes(-1, -2) @ grad_out
@@ -204,32 +250,6 @@ def _backward(cfg, x, grad_out):
     d_qh = d_scores @ kh / math.sqrt(dh)
     d_kh = d_scores.swapaxes(-1, -2) @ qh / math.sqrt(dh)
 
-    dq = d_qh.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh)
-    dk = d_kh.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh)
-    dv = d_vh.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh)
-
     xt = x.reshape(*lead, w, nw, cfg.model_dim).swapaxes(-1, -2)
-    grads = AttentionGrads(
-        (xt @ dq).sum(axis=-3),
-        (xt @ dk).sum(axis=-3),
-        (xt @ dv).sum(axis=-3),
-        d_wo,
-    )
-    d_x = (dq @ cfg.w_query.T + dk @ cfg.w_key.T + dv @ cfg.w_value.T).reshape(*lead, n, -1)
-    return d_x, grads
-
-
-def attention_backward(cfg: AttentionConfig, tokens: np.ndarray, grad_out: np.ndarray):
-    """Gradients of a scalar loss through the attention block.
-
-    Returns (grad_tokens, AttentionGrads) for ``grad_out`` = dLoss/dOutput.
-    A (..., n, d) stack gets one gradient per matrix: grad_tokens has the
-    tokens' shape and each weight gradient is (..., d, d), every matrix's
-    bytes equal to a call on that matrix alone.  Summing them is the
-    caller's choice.
-    """
-    tokens = _check_tokens(cfg, tokens)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != tokens.shape:
-        raise ValueError("grad_out shape must match tokens shape")
-    return _backward(cfg, tokens, grad_out)
+    d_proj = (g.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh) for g in (d_qh, d_kh, d_vh))
+    return AttentionGrads(*((xt @ g).sum(axis=-3) for g in d_proj), d_wo)

@@ -46,7 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention as attn
-from .domains import GaussianMixture, gmm_points, gmm_score, noised_constants
+from .domains import (
+    GaussianMixture,
+    check_negation_even,
+    gmm_points,
+    gmm_score,
+    noised_constants,
+)
 from .schedule import NoiseSchedule
 
 CHECKPOINT_MAGIC = b"DBCK"
@@ -147,9 +153,7 @@ class AnalyticFieldEpsilon(EpsilonModel):
             raise ValueError(f"mode_variances must be a nonempty 2-D array, got shape {lam.shape}")
         if not np.all(np.isfinite(lam) & (lam > 0)):
             raise ValueError("mode_variances must be finite and positive")
-        negated = np.roll(lam[::-1, ::-1], 1, axis=(0, 1))  # negated[i, j] = lam[-i, -j]
-        if np.any(np.abs(lam - negated) > 1e-6 * lam):
-            raise ValueError("mode_variances must be even under frequency negation")
+        check_negation_even(lam)
         object.__setattr__(self, "mode_variances", lam)
         object.__setattr__(self, "_half", lam[:, : lam.shape[1] // 2 + 1])
         object.__setattr__(self, "_work", (np.empty(0, complex), np.empty(0, complex)))
@@ -296,27 +300,29 @@ class MlpDenoiser(EpsilonModel):
     # -- inference ---------------------------------------------------------
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
-        out, _ = self._forward(np.asarray(x, dtype=np.float64), t)
-        return out
-
-    def _forward(self, x: np.ndarray, t):
-        """Prediction for x of shape (..., *field_shape), plus the internals ``backward`` needs.
-
-        ``t`` is one step for every field, or an array of steps shaped like
-        the leading axes.  Each field is one (1, k) row of a stack, so every
-        dense layer is the same per-row BLAS call a single field makes: a
-        batch's rows are bit-identical to one call per field at its step.
-        """
+        x = np.asarray(x, dtype=np.float64)
         lead = x.shape[: max(x.ndim - len(self.field_shape), 0)]
         if x.shape[len(lead):] != tuple(self.field_shape):
             raise ValueError(f"field shape {x.shape} != model shape (..., {self.field_shape})")
         t = self._check_steps(t, lead)
-        act, _ = _ACTIVATIONS[self.activation]
-
-        tokens = None
         if self.attention is not None:
-            tokens = x.reshape(*lead, self.attention.token_count, self.attention.model_dim)
-            x = attn.attention_forward(self.attention, tokens)
+            x = attn.attention_forward(self.attention, self._tokens(x, lead))
+        out, _, _ = self._dense(x, t, lead)
+        return out
+
+    def _tokens(self, x: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+        return x.reshape(*lead, self.attention.token_count, self.attention.model_dim)
+
+    def _dense(self, x: np.ndarray, t, lead: tuple[int, ...]):
+        """The dense layers' prediction for x (..., *field), and their pre- and post-activations.
+
+        ``x`` is the field, or the attention block's output; ``t`` is one
+        checked step for every field, or an array of steps shaped like the
+        leading axes.  Each field is one (1, k) row of a stack, so every
+        dense layer is the same per-row BLAS call a single field makes: a
+        batch's rows are bit-identical to one call per field at its step.
+        """
+        act, _ = _ACTIVATIONS[self.activation]
         # C order: concatenate keeps a strided input's layout, and matmul's bytes depend on it.
         rows = np.ascontiguousarray(x).reshape(*lead, 1, -1)
         embed = time_embedding(t / self.steps_total, self.time_dim)
@@ -329,8 +335,7 @@ class MlpDenoiser(EpsilonModel):
             a = post[-1] @ w + b
             pre.append(a)
             post.append(act(a) if i < last else a)
-        out = post[-1].reshape(*lead, *self.field_shape)
-        return out, (tokens, pre, post)
+        return post[-1].reshape(*lead, *self.field_shape), pre, post
 
     def _check_steps(self, t, lead: tuple[int, ...]):
         """t as one checked float, or as a float64 array of one step per leading row."""
@@ -354,8 +359,9 @@ class MlpDenoiser(EpsilonModel):
         row order, with the same bytes (up to the sign of an exact zero):
         dense weights by a row-ordered einsum, biases by a row-ordered
         reduce, and each row's delta pulled back by its own matrix-vector
-        product.  The prediction the gradients were taken at, shaped like
-        x, rides along on the result.
+        product.  The attention block runs forward once, and its
+        backward reads the arrays that forward saved.  The prediction the
+        gradients were taken at, shaped like x, rides along on the result.
         """
         x = np.asarray(x, dtype=np.float64)
         target_eps = np.asarray(target_eps, dtype=np.float64)
@@ -370,10 +376,14 @@ class MlpDenoiser(EpsilonModel):
             raise ValueError(
                 f"field shape {x.shape} != model shape {self.field_shape} or (B, *{self.field_shape})"
             )
-        out, (tokens, pre, post) = self._forward(x, t)
+        rows = x.shape[0]
+        t = self._check_steps(t, (rows,))
+        h, saved = x, None
+        if self.attention is not None:
+            h, saved = attn.attention_forward_saved(self.attention, self._tokens(x, (rows,)))
+        out, pre, post = self._dense(h, t, (rows,))
         _, act_grad = _ACTIVATIONS[self.activation]
 
-        rows = x.shape[0]
         delta = 2.0 * (out - target_eps).reshape(rows, -1)
         d_weights = [None] * len(self.weights)
         d_biases = [None] * len(self.biases)
@@ -388,10 +398,8 @@ class MlpDenoiser(EpsilonModel):
         att_grads = None
         if self.attention is not None:
             field_size = int(np.prod(self.field_shape))
-            d_att_out = delta[:, :field_size].reshape(
-                rows, self.attention.token_count, self.attention.model_dim
-            )
-            _, per_row = attn.attention_backward(self.attention, tokens, d_att_out)
+            d_att_out = self._tokens(delta[:, :field_size], (rows,))
+            per_row = attn.attention_backward(self.attention, saved, d_att_out)
             att_grads = attn.AttentionGrads(
                 *(np.add.reduce(g, axis=0) for g in per_row.parameters())
             )

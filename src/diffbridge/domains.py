@@ -285,6 +285,19 @@ def noised_mixture_from(
 # ---------------------------------------------------------------------------
 
 
+def check_negation_even(mode_variances: np.ndarray) -> None:
+    """Raise unless positive mode variances are even under frequency negation.
+
+    A real field's spectrum pairs mode (i, j) with (-i, -j), so a real
+    texture's variances must have ``v[i, j] == v[-i, -j]``; this allows
+    a relative 1e-6.
+    """
+    v = mode_variances
+    negated = np.roll(v[::-1, ::-1], 1, axis=(0, 1))  # negated[i, j] = v[-i, -j]
+    if np.any(np.abs(v - negated) > 1e-6 * v):
+        raise ValueError("mode_variances must be even under frequency negation")
+
+
 @dataclass(frozen=True)
 class SpectralTexture:
     """Stationary Gaussian texture with known per-mode variances.
@@ -292,12 +305,14 @@ class SpectralTexture:
     ``mode_variances`` holds the eigenvalues of the (circulant) pixel
     covariance on the full fft2 grid under the unitary transform
     convention, so a sample is white noise filtered by
-    sqrt(mode_variances).  Samples are clipped to [-1, 1]; the pixel
-    standard deviation is kept small enough that clipping is a
+    sqrt(mode_variances).  The variances must be finite, positive and
+    even under frequency negation (``check_negation_even``), the maps
+    ``AnalyticFieldEpsilon`` accepts.  Samples are clipped to [-1, 1];
+    the pixel standard deviation is kept small enough that clipping is a
     negligible-mass tail event.
     """
 
-    mode_variances: np.ndarray  # (size, size), symmetric under negation
+    mode_variances: np.ndarray  # (size, size)
 
     def __post_init__(self):
         mv = np.asarray(self.mode_variances, dtype=np.float64)
@@ -307,6 +322,7 @@ class SpectralTexture:
             raise ValueError("mode_variances must be finite")
         if np.any(mv <= 0):
             raise ValueError("mode variances must be positive")
+        check_negation_even(mv)
         mv.setflags(write=False)
         object.__setattr__(self, "mode_variances", mv)
 

@@ -37,13 +37,20 @@ class TrainingDivergedError(RuntimeError):
 
 
 class _Adam:
-    """First/second-moment adaptive updates, decay 0.9/0.999, eps 1e-8."""
+    """First/second-moment adaptive updates, decay 0.9/0.999, eps 1e-8.
+
+    ``step`` evaluates the textbook update's operations in their order,
+    into two work arrays the size of the largest parameter, so it
+    allocates nothing.
+    """
 
     def __init__(self, params: list[np.ndarray], lr: float):
         self.params = params
         self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        largest = max(p.size for p in params)
+        self._work = (np.empty(largest), np.empty(largest))
         self.step_count = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
@@ -52,11 +59,19 @@ class _Adam:
         correction1 = 1.0 - b1**self.step_count
         correction2 = 1.0 - b2**self.step_count
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            a, b = (w[: p.size].reshape(p.shape) for w in self._work)
+            # m = b1 m + (1 - b1) g
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=a)
+            # v = b2 v + (1 - b2) g g
             v *= b2
-            v += (1 - b2) * g * g
-            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+            np.multiply(1 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            # p -= lr (m / correction1) / (sqrt(v / correction2) + eps)
+            np.multiply(self.lr, np.divide(m, correction1, out=a), out=a)
+            np.sqrt(np.divide(v, correction2, out=b), out=b)
+            b += eps
+            p -= np.divide(a, b, out=a)
 
 
 class _Sgd:

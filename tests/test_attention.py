@@ -10,6 +10,7 @@ from diffbridge.attention import (
     Priority,
     attention_backward,
     attention_forward,
+    attention_forward_saved,
     global_priority_attention,
     init_attention,
     local_priority_attention,
@@ -128,17 +129,66 @@ class TestLocalPriority:
             global_priority_attention(l, np.zeros((4, 4)))
 
 
+def _softmax_by_last_axis_max(s):
+    """The row softmax before the max became a first-axis reduce."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _special_row(kind, n, rng):
+    row = rng.standard_normal(n) * 30.0
+    if kind == "neg-inf":
+        row[rng.integers(n)] = -np.inf
+    elif kind == "all-neg-inf":
+        row[:] = -np.inf
+    elif kind == "pos-inf":
+        row[rng.integers(n)] = np.inf
+    elif kind == "signed-zero-ties":
+        row[:] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    elif kind == "signed-zero-max":
+        row = -np.abs(row)
+        row[rng.integers(n, size=2)] = (0.0, -0.0)
+    elif kind == "huge":
+        row[rng.integers(n, size=2)] = (1e300, -1e300)
+    elif kind == "nan":
+        row[rng.integers(n)] = np.nan
+    return row
+
+
 class TestSoftmaxRows:
     def test_row_stochastic_in_every_head_and_window(self):
         rng = np.random.default_rng(9)
         g, l = make_pair(12, 6, heads=3, windows=2, seed=11)
         x = rng.standard_normal((12, 6))
-        probs_g = attention._internals(g, x)[2]
+        probs_g = attention._internals(g, x).probs
         assert probs_g.shape == (1, 3, 12, 12)
         np.testing.assert_allclose(probs_g.sum(axis=-1), 1.0, atol=1e-9)
-        probs_l = attention._internals(l, x)[2]
+        probs_l = attention._internals(l, x).probs
         assert probs_l.shape == (2, 3, 6, 6)
         np.testing.assert_allclose(probs_l.sum(axis=-1), 1.0, atol=1e-9)
+
+    KINDS = ("plain", "neg-inf", "all-neg-inf", "pos-inf", "signed-zero-ties",
+             "signed-zero-max", "huge", "nan")
+
+    @pytest.mark.parametrize("lead", [(), (3,), (16, 4, 2)])
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 16, 130])
+    def test_bytes_equal_the_last_axis_max_formula(self, lead, n):
+        rng = np.random.default_rng(n)
+        if lead:
+            rows = [_special_row(self.KINDS[i % len(self.KINDS)], n, rng)
+                    for i in range(int(np.prod(lead)))]
+            cases = [np.stack(rows).reshape(*lead, n)]
+        else:
+            cases = [_special_row(kind, n, rng) for kind in self.KINDS]
+        for s in cases:
+            before = s.copy()
+            with np.errstate(invalid="ignore"):
+                got, want = attention._softmax_rows(s), _softmax_by_last_axis_max(s)
+            assert s.tobytes() == before.tobytes()
+            assert got.shape == want.shape == s.shape
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestShapePreservation:
@@ -161,23 +211,23 @@ class TestBatched:
         cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
         x = np.random.default_rng(2).standard_normal((3, 2, 16, 16))
         out = attention_forward(cfg, x)
-        probs = attention._internals(cfg, x)[2]
+        probs = attention._internals(cfg, x).probs
         assert out.shape == x.shape
         for i in range(3):
             for j in range(2):
                 assert out[i, j].tobytes() == attention_forward(cfg, x[i, j]).tobytes()
-                assert probs[i, j].tobytes() == attention._internals(cfg, x[i, j])[2].tobytes()
+                assert probs[i, j].tobytes() == attention._internals(cfg, x[i, j]).probs.tobytes()
 
     @pytest.mark.parametrize("priority", list(Priority))
     def test_backward_stack_rows_byte_equal_single_calls(self, priority):
         cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
         x, g = np.random.default_rng(3).standard_normal((2, 3, 2, 16, 16))
-        d_x, grads = attention_backward(cfg, x, g)
-        assert d_x.shape == x.shape
+        _, saved = attention_forward_saved(cfg, x)
+        grads = attention_backward(cfg, saved, g)
         for i in range(3):
             for j in range(2):
-                one_dx, one = attention_backward(cfg, x[i, j], g[i, j])
-                assert d_x[i, j].tobytes() == one_dx.tobytes()
+                _, one_saved = attention_forward_saved(cfg, x[i, j])
+                one = attention_backward(cfg, one_saved, g[i, j])
                 for stacked, single in zip(grads.parameters(), one.parameters()):
                     assert stacked.shape == (3, 2, 16, 16)
                     assert stacked[i, j].tobytes() == single.tobytes()
@@ -185,6 +235,7 @@ class TestBatched:
     def test_wrong_shapes_rejected(self):
         cfg = init_attention(4, 4, seed=0)
         with pytest.raises(ValueError):
-            attention_backward(cfg, np.zeros((2, 4, 4)), np.zeros((3, 4, 4)))
+            attention_backward(cfg, attention_forward_saved(cfg, np.zeros((2, 4, 4)))[1],
+                               np.zeros((3, 4, 4)))
         with pytest.raises(ValueError):
             attention_forward(cfg, np.zeros((2, 5, 4)))

@@ -51,6 +51,8 @@ def test_tracer_install_wraps_traced_names_and_uninstall_restores_them():
         ("diffbridge.domains", "gmm_score"),
         ("diffbridge.denoiser", "gmm_score"),
         ("diffbridge.denoiser", "MlpDenoiser", "backward"),
+        ("diffbridge.attention", "attention_forward"),
+        ("diffbridge.attention", "attention_backward"),
         *(("diffbridge.cli", f"cmd_{command}") for command in spans.COMMANDS),
         *(("diffbridge.verify", f"check_{check}") for check in spans.VERIFY_CHECKS),
     }

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import expit
 
 import diffbridge as db
+from diffbridge import attention
 from diffbridge.attention import Priority
 from diffbridge.bridge import DRIFT_TIME_FLOOR
 from diffbridge.denoiser import _silu, _silu_grad
@@ -547,6 +548,33 @@ class TestMlpBatchedBackward:
         grads = m.backward(x, 12, target)
         assert grads.prediction.shape == (16, 16)
         assert [g.shape for g in grads.parameters()] == [p.shape for p in m.parameters()]
+
+    @pytest.mark.parametrize("priority", list(Priority))
+    def test_minibatch_backward_runs_the_attention_forward_once(self, priority, monkeypatch):
+        m = self.model(priority)
+        x, target = np.random.default_rng(6).standard_normal((2, 5, 16, 16))
+        calls = []
+        internals = attention._internals
+        monkeypatch.setattr(
+            attention, "_internals", lambda *args: calls.append(1) or internals(*args)
+        )
+        m.backward(x, np.arange(5) * 20.0, target)
+        assert len(calls) == 1
+
+    def test_inference_and_training_take_their_attention_entry_points(self, monkeypatch):
+        m = self.model(Priority.LOCAL_FIRST)
+        x, target = np.random.default_rng(7).standard_normal((2, 5, 16, 16))
+        seen = []
+        for name in ("attention_forward", "attention_backward"):
+            def traced(*args, _name=name, _fn=getattr(attention, name)):
+                seen.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(attention, name, traced)
+        m.predict_epsilon(x, 30)
+        assert seen == ["attention_forward"]
+        seen.clear()
+        m.backward(x, 30, target)
+        assert seen == ["attention_backward"]
 
     def test_bad_shapes_and_steps_rejected(self):
         m = db.init_mlp((4,), (8,), steps_total=10, seed=0)

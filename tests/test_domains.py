@@ -398,6 +398,23 @@ class TestTexturePair:
         with pytest.raises(ValueError, match="^mode_variances must be finite$"):
             SpectralTexture(mv)
 
+    def test_rejects_variances_uneven_under_negation_like_the_exact_model(self):
+        # v[0, 1] pairs with v[0, -1] = v[0, 15], which stays 1.0.
+        mv = np.ones((16, 16))
+        mv[0, 1] = 2.0
+        exact = lambda v: db.AnalyticFieldEpsilon(v, db.linear_schedule(10))  # noqa: E731
+        message = "^mode_variances must be even under frequency negation$"
+        for build in (SpectralTexture, exact):
+            with pytest.raises(ValueError, match=message):
+                build(mv)
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_texture_pair_maps_are_even_enough(self, size, seed):
+        pair = db.make_texture_pair("bandsplit", size, seed=seed)
+        for domain in (pair.source, pair.target):
+            db.AnalyticFieldEpsilon(domain.mode_variances, db.linear_schedule(10))
+
     def test_rejects_non_square_mode_variances_and_mismatched_members(self):
         with pytest.raises(ValueError, match="^mode_variances must be square, got shape"):
             SpectralTexture(np.ones((16, 8)))

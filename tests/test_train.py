@@ -249,6 +249,31 @@ class TestMinibatchTraining:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+class TestAdam:
+    def test_bytes_equal_the_textbook_update_and_params_update_in_place(self):
+        rng = np.random.default_rng(0)
+        params = [rng.standard_normal((5, 3)), rng.standard_normal(7)]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        ids = [id(p) for p in params]
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = _Adam(params, lr)
+        for step in range(1, 6):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            grads[0][0, 0] = 0.0
+            opt.step(grads)
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                ref[i] = ref[i] - lr * (m[i] / (1.0 - b1**step)) / (
+                    np.sqrt(v[i] / (1.0 - b2**step)) + eps
+                )
+            for got, want in zip(params, ref):
+                assert got.tobytes() == want.tobytes()
+        assert [id(p) for p in opt.params] == ids
+
+
 class TestEvaluateFit:
     def test_trained_beats_untrained_and_respects_analytic_floor(self):
         sched = db.linear_schedule(200)
