@@ -31,7 +31,10 @@ components, whatever the dimension.  A call hands its step's row to
 mixture without building it.  The texture model transforms a real field
 with a real-input FFT pair and keeps one pair of half-spectrum work
 arrays, bounded by the largest batch it has scored; its calls must not
-overlap across threads.
+overlap across threads.  Its column pass runs on a transposed copy, so
+every transform reads a contiguous last axis, and its gain is a multiply
+by the reciprocal numpy's complex division uses: the bytes of the
+strided, dividing formula, up to the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -142,6 +145,15 @@ class AnalyticFieldEpsilon(EpsilonModel):
     (H x (W//2+1) values a field), grown to the largest input seen and
     viewed as each call's shape, so a call allocates only the array it
     returns; calls must not overlap across threads.
+
+    Every transform runs along a contiguous last axis: the column pass
+    works on a transposed copy of the half spectrum, which gives the
+    strided ``axis=-2`` pass's bytes at less cost, copy included.  The gain
+    is a multiply by ``1.0 / divisor``, the reciprocal numpy's complex
+    division (Smith's algorithm) multiplies by, so every value has the
+    bytes of ``spectrum / divisor`` except that an exact zero may carry
+    the other sign: an all-(-0.0) field gives a zero whose sign differs
+    from the division's.
     """
 
     mode_variances: np.ndarray
@@ -155,7 +167,8 @@ class AnalyticFieldEpsilon(EpsilonModel):
             raise ValueError("mode_variances must be finite and positive")
         check_negation_even(lam)
         object.__setattr__(self, "mode_variances", lam)
-        object.__setattr__(self, "_half", lam[:, : lam.shape[1] // 2 + 1])
+        # The half-plane variances in the column pass's (W//2+1, H) layout.
+        object.__setattr__(self, "_half_T", np.ascontiguousarray(lam[:, : lam.shape[1] // 2 + 1].T))
         object.__setattr__(self, "_work", (np.empty(0, complex), np.empty(0, complex)))
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -168,18 +181,22 @@ class AnalyticFieldEpsilon(EpsilonModel):
         ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
         if ab >= 1.0:
             return np.zeros_like(x)
-        half_shape = (*x.shape[:-1], self._half.shape[1])
-        size = math.prod(half_shape)
+        half_w, height = self._half_T.shape
+        lead = x.shape[:-2]
+        size = math.prod(lead) * height * half_w
         if self._work[0].size < size:
             object.__setattr__(self, "_work", (np.empty(size, complex), np.empty(size, complex)))
-        spectrum, partial = (w[:size].reshape(half_shape) for w in self._work)
-        # rfft2 and irfft2 as their one-axis passes, each into the other
-        # array; sqrt(1 - ab) rides on the divisor, not on the output.
-        np.fft.rfft(x, axis=-1, norm="ortho", out=partial)
-        np.fft.fft(partial, axis=-2, norm="ortho", out=spectrum)
-        spectrum /= (ab * self._half + (1.0 - ab)) / math.sqrt(1.0 - ab)
-        np.fft.ifft(spectrum, axis=-2, norm="ortho", out=partial)
-        return np.fft.irfft(partial, n=self.mode_variances.shape[1], axis=-1, norm="ortho")
+        rows = self._work[0][:size].reshape(*lead, height, half_w)
+        columns = self._work[1][:size].reshape(*lead, half_w, height)
+        # rfft2 and irfft2 as their one-axis passes, the column pass on a
+        # transposed copy; sqrt(1 - ab) rides on the divisor, not on the output.
+        np.fft.rfft(x, axis=-1, norm="ortho", out=rows)
+        np.copyto(columns, rows.swapaxes(-1, -2))
+        np.fft.fft(columns, axis=-1, norm="ortho", out=columns)
+        columns *= 1.0 / ((ab * self._half_T + (1.0 - ab)) / math.sqrt(1.0 - ab))
+        np.fft.ifft(columns, axis=-1, norm="ortho", out=columns)
+        np.copyto(rows, columns.swapaxes(-1, -2))
+        return np.fft.irfft(rows, n=self.mode_variances.shape[1], axis=-1, norm="ortho")
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +376,8 @@ class MlpDenoiser(EpsilonModel):
         row order, with the same bytes (up to the sign of an exact zero):
         dense weights by a row-ordered einsum, biases by a row-ordered
         reduce, and each row's delta pulled back by its own matrix-vector
-        product.  The attention block runs forward once, and its
+        product, through the first layer only when an attention block
+        reads the result.  The attention block runs forward once, and its
         backward reads the arrays that forward saved.  The prediction the
         gradients were taken at, shaped like x, rides along on the result.
         """
@@ -393,7 +411,8 @@ class MlpDenoiser(EpsilonModel):
                 delta = delta * act_grad(pre[i][:, 0])
             d_weights[i] = np.einsum("bi,bj->ij", post[i][:, 0], delta, optimize=False)
             d_biases[i] = np.add.reduce(delta, axis=0)
-            delta = (self.weights[i] @ delta[..., None])[..., 0]
+            if i or self.attention is not None:  # only attention reads the input's delta
+                delta = (self.weights[i] @ delta[..., None])[..., 0]
 
         att_grads = None
         if self.attention is not None:

@@ -323,6 +323,65 @@ class TestDepthSweep:
             depth_sweep(np.zeros(2), m_fwd, m_fwd, cfg, [0.5])
 
 
+class TestTextureDdimOracle:
+    """DDIM on the exact texture models against the per-mode product of its step gains.
+
+    The exact texture epsilon is diagonal in the unitary Fourier basis,
+    so one DDIM node from a_j to a_{j+1} multiplies mode k by
+        sqrt(a_{j+1}/a_j) * (1 - (1 - a_j)/v_j) + sqrt((1 - a_{j+1})(1 - a_j))/v_j,
+    with v_j = a_j * lambda_k + 1 - a_j (sqrt(a_{j+1}) where a_j = 1).  The
+    oracle is that product applied through fft2/ifft2, arithmetic that
+    shares nothing with the model's transform kernel.
+    """
+
+    N = 50  # grid nodes per unit time
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        sched = db.linear_schedule(1000)
+        pair = db.make_texture_pair("bandsplit", 16, seed=4)
+        lams = (pair.source.mode_variances, pair.target.mode_variances)
+        models = tuple(db.AnalyticFieldEpsilon(lam, sched) for lam in lams)
+        return sched, lams, models, pair.source.sample(4, seed=5)
+
+    def gain(self, sched, lam, k0, k1):
+        """The per-mode DDIM gain from grid node k0 to node k1."""
+        nodes = np.arange(k0, k1 + (1 if k1 > k0 else -1), 1 if k1 > k0 else -1)
+        a = sched.alpha_bar_at(nodes / self.N)
+        g = np.ones_like(lam)
+        for a0, a1 in zip(a[:-1], a[1:]):
+            v = a0 * lam + 1.0 - a0
+            g *= np.sqrt(a1 / a0) * (1.0 - (1.0 - a0) / v) + np.sqrt((1.0 - a1) * (1.0 - a0)) / v
+        return g
+
+    @staticmethod
+    def apply(g, x):
+        return np.fft.ifft2(g * np.fft.fft2(x, norm="ortho"), norm="ortho").real
+
+    def expected(self, setup, depth):
+        """The exact latent and migrated fields of DDIM migration to a depth on the grid."""
+        sched, (lam_s, lam_t), _, x = setup
+        k = round(depth * self.N)
+        forward = self.gain(sched, lam_s, 0, k)
+        return self.apply(forward, x), self.apply(forward * self.gain(sched, lam_t, k, 0), x)
+
+    def test_migrate_is_the_product_of_step_gains(self, setup):
+        sched, _, (m_src, m_tgt), x = setup
+        traj = migrate(x, m_src, m_tgt, BridgeConfig(schedule=sched, steps_per_unit_time=self.N))
+        latent, migrated = self.expected(setup, 1.0)
+        np.testing.assert_allclose(traj.latent, latent, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.migrated, migrated, rtol=0, atol=1e-12)
+
+    def test_depth_sweep_is_the_product_of_step_gains(self, setup):
+        sched, _, (m_src, m_tgt), x = setup
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=self.N)
+        depths = [0.25, 1.0, 0.5]
+        for depth, traj in zip(depths, depth_sweep(x, m_src, m_tgt, cfg, depths)):
+            latent, migrated = self.expected(setup, depth)
+            np.testing.assert_allclose(traj.latent, latent, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.migrated, migrated, rtol=0, atol=1e-12)
+
+
 class TestModelSchedule:
     """An analytic model must be built on the bridge's schedule, compared by value."""
 

@@ -12,7 +12,7 @@ import diffbridge as db
 from diffbridge import attention
 from diffbridge.attention import Priority
 from diffbridge.bridge import DRIFT_TIME_FLOOR
-from diffbridge.denoiser import _silu, _silu_grad
+from diffbridge.denoiser import _ACTIVATIONS, _silu, _silu_grad
 from diffbridge.domains import GaussianMixture, gmm_log_density, gmm_score, noised_mixture
 
 
@@ -194,6 +194,24 @@ def fft2_epsilon(lam, ab, x):
     return np.sqrt(1.0 - ab) * np.fft.ifft2(spectrum, norm="ortho").real
 
 
+def rfft_formula(lam, ab, x):
+    """The exact texture epsilon through the strided, dividing real-input transform pair."""
+    width = lam.shape[1]
+    half = np.fft.fft(np.fft.rfft(x, axis=-1, norm="ortho"), axis=-2, norm="ortho")
+    half /= (ab * lam[:, : width // 2 + 1] + (1.0 - ab)) / np.sqrt(1.0 - ab)
+    return np.fft.irfft(np.fft.ifft(half, axis=-2, norm="ortho"), n=width, axis=-1, norm="ortho")
+
+
+def texture_map(name):
+    """Mode variances and a sampler of fields for a test geometry."""
+    if name.startswith("bandsplit"):
+        domain = db.make_texture_pair("bandsplit", int(name[len("bandsplit-"):]), seed=2).target
+        return domain.mode_variances, lambda n, seed: domain.sample(n, seed=seed)
+    shape = tuple(int(v) for v in name.split("x"))
+    lam = even_variances(shape, seed=sum(shape))
+    return lam, lambda n, seed: np.random.default_rng(seed).standard_normal((n, *shape))
+
+
 class TestAnalyticFieldEpsilon:
     @pytest.mark.parametrize("shape", [(16, 16), (6, 9), (5, 4)], ids=["bandsplit-16x16", "6x9", "5x4"])
     def test_matches_dense_covariance_oracle(self, shape):
@@ -266,6 +284,56 @@ class TestAnalyticFieldEpsilon:
                 got = model.predict_epsilon(batch, t).reshape(-1, size, size)
                 for row, field in zip(got, batch.reshape(-1, size, size)):
                     assert row.tobytes() == model.predict_epsilon(field, t).tobytes()
+
+    @pytest.mark.parametrize("name", ["6x9", "5x4", "bandsplit-16", "bandsplit-32", "bandsplit-64"])
+    def test_bytes_equal_strided_dividing_formula_across_geometries(self, name):
+        """The contiguous column pass and the reciprocal multiply keep the formula's bytes.
+
+        Even and odd widths, one field to nine and a (3, 3) stack, early,
+        fractional and late steps.
+        """
+        lam, sample = texture_map(name)
+        sched = db.linear_schedule(100)
+        model = db.AnalyticFieldEpsilon(lam, sched)
+        fields = sample(9, 3)
+        batches = [fields[:n] for n in range(1, 10)] + [fields.reshape(3, 3, *lam.shape)]
+        for t in (1, 37.5, 100):
+            ab = sched.alpha_bar_at(t / 100)
+            for batch in batches:
+                assert model.predict_epsilon(batch, t).tobytes() == rfft_formula(lam, ab, batch).tobytes()
+            assert model.predict_epsilon(fields[4], t).tobytes() == rfft_formula(lam, ab, fields[4]).tobytes()
+
+    @pytest.mark.parametrize("name", ["6x9", "5x4", "bandsplit-16"])
+    def test_exact_zero_inputs_equal_formula(self, name):
+        """Exact zeros keep the formula's values; only the sign of a zero may differ.
+
+        An all-(-0.0) field gives a zero whose sign differs from the
+        division's, since x * (1/d) and Smith's (x + 0 * y) * (1/d) differ
+        only there.
+        """
+        lam, _ = texture_map(name)
+        sched = db.linear_schedule(100)
+        model = db.AnalyticFieldEpsilon(lam, sched)
+        pixel = np.zeros(lam.shape)
+        pixel[1, 2] = 1.0
+        for x in (np.zeros(lam.shape), np.full(lam.shape, -0.0), np.full(lam.shape, 2.5), pixel):
+            for t in (1, 37.5, 100):
+                got = model.predict_epsilon(x, t)
+                np.testing.assert_array_equal(got, rfft_formula(lam, sched.alpha_bar_at(t / 100), x))
+
+    def test_every_transform_runs_on_a_contiguous_last_axis(self, monkeypatch):
+        pair = db.make_texture_pair("bandsplit", 16, seed=0)
+        model = db.AnalyticFieldEpsilon(pair.target.mode_variances, db.linear_schedule(100))
+        x = pair.source.sample(3, seed=1)
+        calls = []
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            def recording(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+                axis = kwargs.get("axis", args[1] if len(args) > 1 else -1)
+                calls.append((_name, axis % a.ndim == a.ndim - 1, a.flags.c_contiguous))
+                return _transform(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, recording)
+        model.predict_epsilon(x, 40)
+        assert calls == [(name, True, True) for name in ("rfft", "fft", "ifft", "irfft")]
 
     @pytest.mark.parametrize("lam,message", [
         (np.ones(4), "must be a nonempty 2-D array, got shape \\(4,\\)"),
@@ -548,6 +616,47 @@ class TestMlpBatchedBackward:
         grads = m.backward(x, 12, target)
         assert grads.prediction.shape == (16, 16)
         assert [g.shape for g in grads.parameters()] == [p.shape for p in m.parameters()]
+
+    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_gradients_byte_equal_full_pullback_reference(self, activation, rows):
+        """Without attention the first layer's delta is not pulled back; no gradient moves."""
+        m = db.init_mlp((16, 16), (32, 24), steps_total=100, activation=activation, seed=2)
+        rng = np.random.default_rng(rows)
+        x, target = rng.standard_normal((2, rows, 16, 16))
+        steps = rng.uniform(0.0, 100.0, rows)
+        out, pre, post = m._dense(x, steps, (rows,))
+        act_grad = _ACTIVATIONS[activation][1]
+        delta = 2.0 * (out - target).reshape(rows, -1)
+        weights, biases = [], []
+        for i in range(len(m.weights) - 1, -1, -1):
+            if i < len(m.weights) - 1:
+                delta = delta * act_grad(pre[i][:, 0])
+            weights.insert(0, np.einsum("bi,bj->ij", post[i][:, 0], delta, optimize=False))
+            biases.insert(0, np.add.reduce(delta, axis=0))
+            delta = (m.weights[i] @ delta[..., None])[..., 0]
+        grads = m.backward(x, steps, target)
+        assert grads.attention is None
+        for got, want in zip(grads.parameters(), [*weights, *biases], strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    def test_first_layer_pullback_runs_only_for_attention(self, priority):
+        class Recording(np.ndarray):
+            """Records the shape of every matrix that is the left operand of @."""
+
+            shapes = []
+
+            def __matmul__(self, other):
+                Recording.shapes.append(self.shape)
+                return np.matmul(np.asarray(self), other)
+
+        m = self.model(priority)
+        first = m.weights[0].shape
+        m.weights[0] = m.weights[0].view(Recording)
+        x, target = np.random.default_rng(7).standard_normal((2, 3, 16, 16))
+        m.backward(x, np.array([5.0, 50.0, 95.0]), target)
+        assert (first in Recording.shapes) == (priority is not None)
 
     @pytest.mark.parametrize("priority", list(Priority))
     def test_minibatch_backward_runs_the_attention_forward_once(self, priority, monkeypatch):
