@@ -32,7 +32,7 @@ print("\ngradient sanity on one example (manual vs finite difference):")
 x, target = data[0], np.zeros(2)
 grads = model.backward(x, 100, target)
 w = model.weights[0]
-g = grads.weights[0][0, 0]
+g = grads.parameters[0][0, 0]
 h = 1e-6
 orig = w[0, 0]
 w[0, 0] = orig + h

@@ -23,7 +23,8 @@ that matrix alone.
 ``attention_forward_saved``, which also returns the arrays the forward
 computed (``SavedForward``), and hands them to ``attention_backward``:
 one forward per step, and the backward returns the weight gradients
-only, since no caller reads a token gradient.
+only, as a list in ``AttentionConfig.parameters()`` order, since no
+caller reads a token gradient.
 """
 
 from __future__ import annotations
@@ -88,17 +89,6 @@ class AttentionConfig:
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.heads
-
-    def parameters(self) -> list[np.ndarray]:
-        return [self.w_query, self.w_key, self.w_value, self.w_output]
-
-
-@dataclass
-class AttentionGrads:
-    w_query: np.ndarray
-    w_key: np.ndarray
-    w_value: np.ndarray
-    w_output: np.ndarray
 
     def parameters(self) -> list[np.ndarray]:
         return [self.w_query, self.w_key, self.w_value, self.w_output]
@@ -191,14 +181,16 @@ def attention_forward_saved(
 
 def attention_backward(
     cfg: AttentionConfig, saved: SavedForward, grad_out: np.ndarray
-) -> AttentionGrads:
+) -> list[np.ndarray]:
     """Weight gradients of a scalar loss through the attention block.
 
     ``saved`` is the forward pass's arrays (``attention_forward_saved``)
-    and ``grad_out`` = dLoss/dOutput, shaped like its tokens.  A
-    (..., n, d) stack gets one gradient per matrix: each is (..., d, d),
-    every matrix's bytes equal to a call on that matrix alone.  Summing
-    them is the caller's choice.  No token gradient is computed.
+    and ``grad_out`` = dLoss/dOutput, shaped like its tokens.  The four
+    gradients come in ``cfg.parameters()`` order: query, key, value,
+    output.  A (..., n, d) stack gets one gradient per matrix: each is
+    (..., d, d), every matrix's bytes equal to a call on that matrix
+    alone.  Summing them is the caller's choice.  No token gradient is
+    computed.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != saved.tokens.shape:
@@ -252,4 +244,4 @@ def _backward(cfg, saved, grad_out):
 
     xt = x.reshape(*lead, w, nw, cfg.model_dim).swapaxes(-1, -2)
     d_proj = (g.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh) for g in (d_qh, d_kh, d_vh))
-    return AttentionGrads(*((xt @ g).sum(axis=-3) for g in d_proj), d_wo)
+    return [*((xt @ g).sum(axis=-3) for g in d_proj), d_wo]

@@ -21,6 +21,9 @@ Three implementations:
   manual reverse-mode gradients in ``backward`` (no autodiff framework).
   ``backward`` takes one field or a (B, *field) minibatch with one step
   per row, and returns the gradients summed over the rows in row order.
+  Its trainable arrays have one name list (``named_parameters``), in the
+  checkpoint's payload order: the gradients, the optimiser and the
+  checkpoint reader and writer all follow it.
 
 The analytic models hold two kinds of state, both bounded.  The mixture
 model tabulates, once per model, each integer step's alpha_bar,
@@ -45,6 +48,7 @@ import reprlib
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,25 +245,28 @@ _ACTIVATIONS = {
 }
 
 
-@dataclass
-class MlpGradients:
-    """Gradients of the squared-error loss for every trainable array.
+def _parameter_names(layers: int, attention: bool) -> list[str]:
+    """The checkpoint names of a model's trainable arrays, in payload order.
+
+    ``w0..wN`` and ``b0..bN`` for ``layers`` dense layers, then the
+    attention block's four weights when it has one.
+    """
+    names = [f"w{i}" for i in range(layers)] + [f"b{i}" for i in range(layers)]
+    if attention:
+        names += ["att_wq", "att_wk", "att_wv", "att_wo"]
+    return names
+
+
+class MlpGradients(NamedTuple):
+    """Gradients of the squared-error loss, one per ``MlpDenoiser.parameters()`` array.
 
     For a minibatch each gradient is the sum over its rows, in row order.
     ``prediction`` is the model output the gradients were taken at, one
-    field or (B, *field); it is not a parameter gradient.
+    field or (B, *field).
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    attention: attn.AttentionGrads | None = None
-    prediction: np.ndarray | None = None
-
-    def parameters(self) -> list[np.ndarray]:
-        out = [*self.weights, *self.biases]
-        if self.attention is not None:
-            out.extend(self.attention.parameters())
-        return out
+    parameters: list[np.ndarray]
+    prediction: np.ndarray
 
 
 @dataclass
@@ -299,7 +306,12 @@ class MlpDenoiser(EpsilonModel):
             if self.attention.token_count * self.attention.model_dim != size:
                 raise ValueError("attention token layout must tile the field exactly")
         dims = self.layer_dims()
-        if self.weights:
+        if self.weights or self.biases:
+            if not len(self.weights) == len(self.biases) == len(dims) - 1:
+                raise ValueError(
+                    f"{len(self.weights)} weight and {len(self.biases)} bias arrays"
+                    f" for {len(dims) - 1} layers"
+                )
             for i, (w, b) in enumerate(zip(self.weights, self.biases)):
                 if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
                     raise ValueError(f"layer {i} shapes do not chain")
@@ -308,7 +320,13 @@ class MlpDenoiser(EpsilonModel):
         size = int(np.prod(self.field_shape))
         return [size + self.time_dim, *self.widths, size]
 
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        """Each trainable array with its checkpoint name, in payload order."""
+        names = _parameter_names(len(self.weights), self.attention is not None)
+        return list(zip(names, self.parameters(), strict=True))
+
     def parameters(self) -> list[np.ndarray]:
+        """The trainable arrays, in ``named_parameters`` order."""
         out = [*self.weights, *self.biases]
         if self.attention is not None:
             out.extend(self.attention.parameters())
@@ -378,8 +396,9 @@ class MlpDenoiser(EpsilonModel):
         reduce, and each row's delta pulled back by its own matrix-vector
         product, through the first layer only when an attention block
         reads the result.  The attention block runs forward once, and its
-        backward reads the arrays that forward saved.  The prediction the
-        gradients were taken at, shaped like x, rides along on the result.
+        backward reads the arrays that forward saved.  The gradients come
+        as ``MlpGradients.parameters``, one per ``parameters()`` array in
+        its order, with the prediction they were taken at, shaped like x.
         """
         x = np.asarray(x, dtype=np.float64)
         target_eps = np.asarray(target_eps, dtype=np.float64)
@@ -414,18 +433,13 @@ class MlpDenoiser(EpsilonModel):
             if i or self.attention is not None:  # only attention reads the input's delta
                 delta = (self.weights[i] @ delta[..., None])[..., 0]
 
-        att_grads = None
+        grads = [*d_weights, *d_biases]
         if self.attention is not None:
             field_size = int(np.prod(self.field_shape))
             d_att_out = self._tokens(delta[:, :field_size], (rows,))
             per_row = attn.attention_backward(self.attention, saved, d_att_out)
-            att_grads = attn.AttentionGrads(
-                *(np.add.reduce(g, axis=0) for g in per_row.parameters())
-            )
-        return MlpGradients(
-            weights=d_weights, biases=d_biases, attention=att_grads,
-            prediction=out[0] if one else out,
-        )
+            grads += [np.add.reduce(g, axis=0) for g in per_row]
+        return MlpGradients(grads, out[0] if one else out)
 
 
 def init_mlp(
@@ -468,15 +482,14 @@ def init_mlp(
 #
 # The header records field_shape, widths, time embedding size, activation,
 # total steps, the optional attention geometry/priority, and the name and
-# shape of every payload array.
+# shape of every payload array.  The arrays are the model's
+# ``named_parameters()``: w0..wN, b0..bN, then att_wq, att_wk, att_wv and
+# att_wo when the model has attention.  The loader accepts exactly that
+# name list, in that order.
 
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:
-    arrays: list[tuple[str, np.ndarray]] = []
-    for i, w in enumerate(model.weights):
-        arrays.append((f"w{i}", w))
-    for i, b in enumerate(model.biases):
-        arrays.append((f"b{i}", b))
+    arrays = model.named_parameters()
     att_meta = None
     if model.attention is not None:
         a = model.attention
@@ -487,12 +500,6 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
             "windows": a.windows,
             "priority": a.priority.value,
         }
-        arrays += [
-            ("att_wq", a.w_query),
-            ("att_wk", a.w_key),
-            ("att_wv", a.w_value),
-            ("att_wo", a.w_output),
-        ]
     header = {
         "kind": "mlp_denoiser",
         "field_shape": list(model.field_shape),
@@ -516,9 +523,10 @@ def load_checkpoint(path) -> MlpDenoiser:
     """The model a checkpoint file holds.
 
     Anything malformed -- magic, version, header JSON, a missing entry or
-    one of the wrong type, a truncated payload, trailing bytes, or
-    arrays that do not fit the header's geometry -- raises a one-line
-    ValueError that names what is wrong.
+    one of the wrong type, a truncated payload, trailing bytes, array
+    names other than the model's in payload order, or arrays that do not
+    fit the header's geometry -- raises a one-line ValueError that names
+    what is wrong.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -563,47 +571,47 @@ def _entry(obj: dict, key: str, kind: str, where: str = "checkpoint header"):
 
 
 def _from_header(header: dict, blob: bytes, offset: int) -> MlpDenoiser:
-    payload = {}
+    payload = []
     for i, meta in enumerate(_entry(header, "arrays", "a list of objects")):
         name = _entry(meta, "name", "a string", f"checkpoint array {i}")
         shape = _entry(meta, "shape", "a list of integers >= 0", f"checkpoint array {i}")
         count = math.prod(shape)
         if offset + 8 * count > len(blob):
             raise ValueError(f"truncated payload for array {name}")
-        payload[name] = np.frombuffer(blob, np.float64, count, offset).reshape(shape).copy()
+        payload.append((name, np.frombuffer(blob, np.float64, count, offset).reshape(shape).copy()))
         offset += 8 * count
     if offset < len(blob):
         raise ValueError("checkpoint has bytes after its last payload")
 
-    def array(name):
-        if name not in payload:
-            raise ValueError(f"checkpoint has no array {name!r}")
-        return payload[name]
-
-    att_cfg = None
     am = _entry(header, "attention", "an object or null")
     if am is not None:
         where = "checkpoint attention"
-        att_cfg = attn.AttentionConfig(
-            **{
-                key: _entry(am, key, "an integer >= 1", where)
-                for key in ("token_count", "model_dim", "heads", "windows")
-            },
-            priority=attn.Priority(_entry(am, "priority", "a string", where)),
-            w_query=array("att_wq"),
-            w_key=array("att_wk"),
-            w_value=array("att_wv"),
-            w_output=array("att_wo"),
-        )
+        geometry = {
+            key: _entry(am, key, "an integer >= 1", where)
+            for key in ("token_count", "model_dim", "heads", "windows")
+        }
+        priority = attn.Priority(_entry(am, "priority", "a string", where))
     widths = _entry(header, "widths", "a list of integers >= 1")
     n_layers = len(widths) + 1
+    names = _parameter_names(n_layers, am is not None)
+    found = [name for name, _ in payload]
+    if found != names:
+        raise ValueError(f"checkpoint arrays must be {names} in this order, got {found}")
+    arrays = [arr for _, arr in payload]
+    att_cfg = None
+    if am is not None:
+        w_query, w_key, w_value, w_output = arrays[2 * n_layers :]
+        att_cfg = attn.AttentionConfig(
+            **geometry, priority=priority,
+            w_query=w_query, w_key=w_key, w_value=w_value, w_output=w_output,
+        )
     return MlpDenoiser(
         field_shape=tuple(_entry(header, "field_shape", "a list of integers >= 1")),
         widths=tuple(widths),
         steps_total=_entry(header, "steps_total", "an integer >= 1"),
         time_dim=_entry(header, "time_dim", "an integer >= 1"),
         activation=_entry(header, "activation", "a string"),
-        weights=[array(f"w{i}") for i in range(n_layers)],
-        biases=[array(f"b{i}") for i in range(n_layers)],
+        weights=arrays[:n_layers],
+        biases=arrays[n_layers : 2 * n_layers],
         attention=att_cfg,
     )

@@ -62,10 +62,6 @@ class GaussianMixture:
         log_norm = _log_normaliser(w, m.shape[1], v)
         for arr in (w, m, v, log_norm):
             arr.setflags(write=False)
-        self._set_arrays(w, m, v, log_norm)
-
-    def _set_arrays(self, w, m, v, log_norm) -> None:
-        """Store the read-only arrays and their ``_log_norm``; no checks."""
         vars(self).update(weights=w, means=m, variances=v, _log_norm=log_norm)
 
     @property
@@ -243,7 +239,8 @@ def noised_mixture(mix: GaussianMixture, schedule: NoiseSchedule, t: int) -> Gau
     """
     if not 1 <= t <= schedule.steps_T:
         raise ValueError(f"step {t} outside [1, {schedule.steps_T}]")
-    return noised_mixture_from(mix, *noised_constants(mix, schedule.alpha_bar(t)))
+    scale, variances, _ = noised_constants(mix, schedule.alpha_bar(t))
+    return GaussianMixture(mix.weights, scale * mix.means, variances)
 
 
 def noised_constants(mix: GaussianMixture, alpha_bar) -> tuple[np.ndarray, ...]:
@@ -261,22 +258,6 @@ def noised_constants(mix: GaussianMixture, alpha_bar) -> tuple[np.ndarray, ...]:
     out = (np.sqrt(ab[..., 0]), variances, _log_normaliser(mix.weights, mix.dimension, variances))
     for arr in out:
         arr.setflags(write=False)
-    return out
-
-
-def noised_mixture_from(
-    mix: GaussianMixture, scale: float, variances: np.ndarray, log_norm: np.ndarray
-) -> GaussianMixture:
-    """The noised mixture that one alpha_bar's ``noised_constants`` describe.
-
-    ``noised_mixture`` builds through it.  A valid mixture noised by a
-    valid alpha_bar is valid, so this skips the constructor's checks.  It
-    shares the read-only weights and row arrays, and scales only the means.
-    """
-    means = scale * mix.means
-    means.setflags(write=False)
-    out = object.__new__(GaussianMixture)
-    out._set_arrays(mix.weights, means, variances, log_norm)
     return out
 
 
@@ -456,7 +437,7 @@ def save_pgm(x: np.ndarray, path) -> None:
     h, w = x.shape
     if h < 1 or w < 1 or h > 65535 or w > 65535:
         raise ValueError(f"PGM dimensions out of range: {h}x{w}")
-    if np.any(x < -1.0) or np.any(x > 1.0):
+    if not np.all((x >= -1.0) & (x <= 1.0)):  # NaN fails too
         raise ValueError("pixel values must lie in [-1, 1]")
     quantized = np.floor((x + 1.0) * 127.5 + 0.5)
     data = np.clip(quantized, 0, 255).astype(np.uint8)

@@ -176,7 +176,7 @@ def train_denoiser(
                 for loss in row_losses.tolist():
                     loss_sum += loss
                 scale = 1.0 / rows
-                opt.step([g / field_size * scale for g in grad.parameters()])
+                opt.step([g / field_size * scale for g in grad.parameters])
                 epoch_losses.append(loss_sum * scale)
             epoch_loss = float(np.mean(epoch_losses))
             if not np.isfinite(epoch_loss):

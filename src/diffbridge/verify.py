@@ -149,7 +149,7 @@ def check_gradient(seed: int = 0) -> CheckResult:
     x = rng.standard_normal(3)
     target = rng.standard_normal(3)
     t = 40
-    grads = model.backward(x, t, target).parameters()
+    grads = model.backward(x, t, target).parameters
     h = 1e-5
     threshold = 1e-4
     # Central differences resolve a slope only to about eps * loss / h, so

@@ -259,7 +259,7 @@ def test_criterion_9_gradient_check():
     x = rng.standard_normal(4)
     target = rng.standard_normal(4)
     t = 50
-    grads = model.backward(x, t, target).parameters()
+    grads = model.backward(x, t, target).parameters
     h = 1e-5
     worst = 0.0
     for p, g in zip(model.parameters(), grads):

@@ -228,7 +228,7 @@ class TestBatched:
             for j in range(2):
                 _, one_saved = attention_forward_saved(cfg, x[i, j])
                 one = attention_backward(cfg, one_saved, g[i, j])
-                for stacked, single in zip(grads.parameters(), one.parameters()):
+                for stacked, single in zip(grads, one, strict=True):
                     assert stacked.shape == (3, 2, 16, 16)
                     assert stacked[i, j].tobytes() == single.tobytes()
 

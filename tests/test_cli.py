@@ -155,7 +155,7 @@ class TestMigrate:
         # Each exact GMM epsilon call off step 0 is one gmm_score call, the
         # span the benchmark traces, and scores the noised mixture without
         # building it, so a default migrate builds its few mixtures up front.
-        counts = dict.fromkeys(("gmm_score", "GaussianMixture", "noised_mixture_from"), 0)
+        counts = dict.fromkeys(("gmm_score", "GaussianMixture"), 0)
         steps = []
 
         def counted(name, original):
@@ -178,7 +178,6 @@ class TestMigrate:
             return original(model, x, t)
 
         count_everywhere("gmm_score", domains.gmm_score)
-        count_everywhere("noised_mixture_from", domains.noised_mixture_from)
         monkeypatch.setattr(db.GaussianMixture, "__post_init__",
                             counted("GaussianMixture", db.GaussianMixture.__post_init__))
         monkeypatch.setattr(db.AnalyticGmmEpsilon, "predict_epsilon", predict_epsilon)
@@ -186,7 +185,7 @@ class TestMigrate:
         assert len(steps) == 2000
         # At step 0 alpha_bar is 1: the epsilon is 0 and nothing is scored.
         assert counts["gmm_score"] == len(steps) - steps.count(0) == 1999
-        assert counts["GaussianMixture"] + counts["noised_mixture_from"] <= 8
+        assert counts["GaussianMixture"] <= 8
 
 
 class TestSweep:
@@ -640,6 +639,27 @@ class TestChecksBeforeAnyOutput:
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("name", ["junk", "w0"])
+    def test_checkpoint_with_an_array_the_model_lacks_exits_one_and_leaves_no_files(
+        self, name, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "bad.ckpt"
+        model = db.init_mlp((16, 16), (8,), steps_total=200, seed=0)
+        db.save_checkpoint(model, ckpt)
+        header = _read_header(ckpt)
+        shape = [3] if name == "junk" else list(model.weights[0].shape)
+        header["arrays"].append({"name": name, "shape": shape})
+        _write_header(ckpt, header)
+        with open(ckpt, "ab") as fh:
+            fh.write(bytes(8 * int(np.prod(shape))))
+        models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
+        cfg, out = texture_config(tmp_path, models=models)
+        assert main(["migrate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint arrays must be ['w0', 'w1', 'b0', 'b1'] in this order" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_checkpoint_of_empty_field_shape_exits_one_and_leaves_no_files(
         self, tmp_path, capsys

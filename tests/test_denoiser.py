@@ -29,7 +29,7 @@ def finite_difference_score(mix, x, h=1e-4):
 
 def mlp_gradcheck(model, x, t, target, h=1e-5):
     """Worst relative error of manual gradients vs central differences."""
-    grads = model.backward(x, t, target).parameters()
+    grads = model.backward(x, t, target).parameters
     worst = 0.0
     for p, g in zip(model.parameters(), grads):
         flat_p, flat_g = p.reshape(-1), g.reshape(-1)
@@ -435,7 +435,7 @@ class TestMlpDenoiser:
         x = np.array([0.5, -0.5])
         out = m.predict_epsilon(x, 5)
         grads = m.backward(x, 5, out)
-        for g in grads.parameters():
+        for g in grads.parameters:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_gradients_match_finite_differences(self):
@@ -472,14 +472,28 @@ class TestMlpDenoiser:
         m = db.init_mlp((3,), (5,), steps_total=20, time_dim=4, seed=10)
         m.weights[1][2, :] = 0.0
         grads = m.backward(rng.standard_normal(3), 10, rng.standard_normal(3))
-        np.testing.assert_array_equal(grads.weights[0][:, 2], np.zeros(7))
-        assert grads.biases[0][2] == 0.0
+        d_w0, _, d_b0, _ = grads.parameters
+        np.testing.assert_array_equal(d_w0[:, 2], np.zeros(7))
+        assert d_b0[2] == 0.0
 
     @pytest.mark.parametrize("widths", [(0,), (-1,), (64, 0)])
     def test_widths_below_one_rejected(self, widths):
         with pytest.raises(ValueError, match="widths") as err:
             db.init_mlp((2,), widths, steps_total=50)
         assert "\n" not in str(err.value)
+
+    def test_layer_lists_of_the_wrong_length_rejected(self):
+        m = db.init_mlp((4,), (6,), steps_total=10, seed=0)
+        w, b = m.weights, m.biases
+        for weights, biases, counts in [
+            (w + [np.zeros((4, 4))], b + [np.zeros(4)], "3 weight and 3 bias"),
+            (w, [], "2 weight and 0 bias"),
+            ([], b, "0 weight and 2 bias"),
+            (w[:1], b[:1], "1 weight and 1 bias"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{counts} arrays for 2 layers$"):
+                db.MlpDenoiser(field_shape=(4,), widths=(6,), steps_total=10,
+                               weights=weights, biases=biases)
 
     def test_empty_field_shape_rejected(self):
         with pytest.raises(ValueError, match=r"^field_shape must have at least one axis, got \(\)$"):
@@ -539,6 +553,92 @@ class TestCheckpointRoundTrip:
             db.load_checkpoint(path)
 
 
+def _checkpoint_bytes(header: dict, payloads) -> bytes:
+    """README's checkpoint layout: magic, version 1, header length, JSON header, float64 payloads."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"DBCK" + struct.pack("<II", 1, len(blob)) + blob + b"".join(
+        np.asarray(a, dtype="<f8").tobytes() for a in payloads
+    )
+
+
+def _arange_model(with_attention: bool) -> db.MlpDenoiser:
+    """A 2-layer tanh model on 8-value fields with arange weights, no RNG."""
+    att = None
+    if with_attention:
+        att = db.AttentionConfig(
+            token_count=2, model_dim=4, heads=2, windows=2, priority=Priority.LOCAL_FIRST,
+            **{name: np.arange(16.0).reshape(4, 4) / (k + 3)
+               for k, name in enumerate(("w_query", "w_key", "w_value", "w_output"))},
+        )
+    return db.MlpDenoiser(
+        field_shape=(8,), widths=(3,), steps_total=20, time_dim=2, activation="tanh",
+        weights=[np.arange(30.0).reshape(10, 3) / 7, np.arange(24.0).reshape(3, 8) - 11.5],
+        biases=[np.arange(3.0) - 1.0, np.arange(8.0) / 4],
+        attention=att,
+    )
+
+
+def _documented_arrays(m: db.MlpDenoiser) -> list[tuple[str, np.ndarray]]:
+    """An ``_arange_model``'s payload arrays and their names, in README's order."""
+    arrays = [("w0", m.weights[0]), ("w1", m.weights[1]), ("b0", m.biases[0]), ("b1", m.biases[1])]
+    if m.attention is not None:
+        a = m.attention
+        arrays += [("att_wq", a.w_query), ("att_wk", a.w_key),
+                   ("att_wv", a.w_value), ("att_wo", a.w_output)]
+    return arrays
+
+
+def _documented_header(m: db.MlpDenoiser, arrays) -> dict:
+    attention_meta = None
+    if m.attention is not None:
+        attention_meta = {"token_count": 2, "model_dim": 4, "heads": 2, "windows": 2,
+                          "priority": "local_first"}
+    return {
+        "kind": "mlp_denoiser", "field_shape": [8], "widths": [3], "steps_total": 20,
+        "time_dim": 2, "activation": "tanh", "attention": attention_meta,
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
+    }
+
+
+class TestCheckpointFormat:
+    """The byte layout README documents, which older checkpoints keep loading by."""
+
+    @pytest.mark.parametrize("with_attention", [False, True])
+    def test_bytes_are_the_documented_layout(self, with_attention, tmp_path):
+        m = _arange_model(with_attention)
+        arrays = _documented_arrays(m)
+        header = _documented_header(m, arrays)
+        path = tmp_path / "model.ckpt"
+        db.save_checkpoint(m, path)
+        assert path.read_bytes() == _checkpoint_bytes(header, [a for _, a in arrays])
+        back = db.load_checkpoint(path).named_parameters()
+        assert [name for name, _ in back] == [name for name, _ in arrays]
+        for (_, got), (_, want) in zip(back, arrays, strict=True):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("change", ["extra", "duplicate", "missing", "reordered", "unread"])
+    def test_arrays_other_than_the_models_rejected(self, change, tmp_path):
+        m = _arange_model(with_attention=True)
+        arrays = _documented_arrays(m)
+        header = _documented_header(m, arrays)
+        if change == "extra":
+            arrays.append(("junk", np.zeros(3)))
+        elif change == "duplicate":
+            arrays.append(("w0", m.weights[0] + 1.0))
+        elif change == "missing":
+            arrays = [(name, a) for name, a in arrays if name != "b1"]
+        elif change == "reordered":
+            arrays[4], arrays[5] = arrays[5], arrays[4]
+        else:
+            header["attention"] = None
+        header["arrays"] = [{"name": name, "shape": list(a.shape)} for name, a in arrays]
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(_checkpoint_bytes(header, [a for _, a in arrays]))
+        with pytest.raises(ValueError, match=r"^checkpoint arrays must be \['w0', ") as err:
+            db.load_checkpoint(path)
+        assert "\n" not in str(err.value)
+
+
 class TestMlpBatched:
     @pytest.mark.parametrize("priority", [None, *Priority])
     def test_batch_rows_byte_equal_single_calls(self, priority):
@@ -590,13 +690,13 @@ class TestMlpBatchedBackward:
         expected = None
         for b in range(rows):
             assert grads.prediction[b].tobytes() == m.predict_epsilon(x[b], steps[b]).tobytes()
-            one = m.backward(x[b], steps[b], target[b]).parameters()
+            one = m.backward(x[b], steps[b], target[b]).parameters
             if expected is None:
                 expected = [g.copy() for g in one]
             else:
                 for acc, g in zip(expected, one):
                     acc += g
-        for got, want in zip(grads.parameters(), expected, strict=True):
+        for got, want in zip(grads.parameters, expected, strict=True):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -606,8 +706,8 @@ class TestMlpBatchedBackward:
         x, target = np.random.default_rng(4).standard_normal((2, 5, 16, 16))
         shared = m.backward(x, 37, target)
         per_row = m.backward(x, np.full(5, 37), target)
-        for a, b in zip([shared.prediction, *shared.parameters()],
-                        [per_row.prediction, *per_row.parameters()]):
+        for a, b in zip([shared.prediction, *shared.parameters],
+                        [per_row.prediction, *per_row.parameters]):
             assert a.tobytes() == b.tobytes()
 
     def test_one_field_keeps_its_shapes(self):
@@ -615,7 +715,7 @@ class TestMlpBatchedBackward:
         x, target = np.random.default_rng(5).standard_normal((2, 16, 16))
         grads = m.backward(x, 12, target)
         assert grads.prediction.shape == (16, 16)
-        assert [g.shape for g in grads.parameters()] == [p.shape for p in m.parameters()]
+        assert [g.shape for g in grads.parameters] == [p.shape for p in m.parameters()]
 
     @pytest.mark.parametrize("activation", ["silu", "tanh"])
     @pytest.mark.parametrize("rows", [1, 6])
@@ -636,8 +736,7 @@ class TestMlpBatchedBackward:
             biases.insert(0, np.add.reduce(delta, axis=0))
             delta = (m.weights[i] @ delta[..., None])[..., 0]
         grads = m.backward(x, steps, target)
-        assert grads.attention is None
-        for got, want in zip(grads.parameters(), [*weights, *biases], strict=True):
+        for got, want in zip(grads.parameters, [*weights, *biases], strict=True):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("priority", [None, *Priority])

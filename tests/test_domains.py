@@ -11,8 +11,6 @@ from diffbridge.domains import (
     GaussianMixture,
     SpectralTexture,
     _logsumexp,
-    noised_constants,
-    noised_mixture_from,
 )
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude
 from diffbridge.train import energy_distance
@@ -352,12 +350,14 @@ class TestNoisedMixture:
 
     def test_bytes_equal_checked_constructor_and_read_only(self):
         mix = GaussianMixture([0.2, 0.3, 0.5], [[1.0, -2.0], [-1.5, 0.5], [2.0, 2.0]], [0.4, 0.8, 0.2])
-        for ab in (1e-5, 0.3, 0.999999, 1.0):
-            got = noised_mixture_from(mix, *noised_constants(mix, ab))
-            want = GaussianMixture(mix.weights, np.sqrt(ab) * mix.means, ab * mix.variances + (1.0 - ab))
-            for name in ("weights", "means", "variances", "_log_norm"):
-                _assert_same_bytes(getattr(got, name), getattr(want, name))
-                assert not getattr(got, name).flags.writeable
+        for sched in (db.linear_schedule(50), db.linear_schedule(1000)):
+            for t in range(1, sched.steps_T + 1):
+                ab = sched.alpha_bar(t)
+                got = db.noised_mixture(mix, sched, t)
+                want = GaussianMixture(mix.weights, np.sqrt(ab) * mix.means, ab * mix.variances + (1.0 - ab))
+                for name in ("weights", "means", "variances", "_log_norm"):
+                    _assert_same_bytes(getattr(got, name), getattr(want, name))
+                    assert not getattr(got, name).flags.writeable
 
     def test_rejects_bad_step(self):
         sched = db.linear_schedule(100)
@@ -453,8 +453,20 @@ class TestPgmRoundTrip:
     def test_save_rejects_bad_fields(self, tmp_path):
         with pytest.raises(ValueError):
             db.save_pgm(np.zeros(5), tmp_path / "x.pgm")
-        with pytest.raises(ValueError):
-            db.save_pgm(np.full((3, 3), 1.5), tmp_path / "x.pgm")
+        one_nan = np.zeros((2, 2))
+        one_nan[1, 0] = np.nan
+        for x in (np.full((3, 3), 1.5), np.full((2, 2), np.nan), one_nan):
+            with pytest.raises(ValueError, match=r"^pixel values must lie in \[-1, 1\]$"):
+                db.save_pgm(x, tmp_path / "x.pgm")
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_save_bytes_are_the_rounded_linear_map(self, tmp_path):
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, size=(5, 7))
+        x[0, :4] = [-1.0, -0.0, 0.0, 1.0]
+        path = tmp_path / "field.pgm"
+        db.save_pgm(x, path)
+        want = np.floor((x + 1.0) * 127.5 + 0.5).astype(np.uint8).tobytes()
+        assert path.read_bytes() == b"P5\n7 5\n255\n" + want
 
     def test_load_rejects_malformed(self, tmp_path):
         bad = tmp_path / "bad.pgm"

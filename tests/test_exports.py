@@ -1,4 +1,4 @@
-"""The package imports cleanly, and exports only names that the library, the demos or the benchmark use."""
+"""The package imports cleanly, and exports and defines only names that the library, the demos or the benchmark use."""
 
 import ast
 import os
@@ -37,9 +37,25 @@ def names_used_outside_tests() -> set[str]:
     return used
 
 
+def module_level_definitions() -> list[tuple[str, str]]:
+    """(module, name) of every function and class a package module defines at its top level."""
+    return [
+        (path.stem, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
 def test_every_export_has_a_caller_outside_tests():
     used = names_used_outside_tests()
     assert [name for name in exported_names() if name not in used] == []
+
+
+def test_every_module_level_definition_is_read_outside_tests():
+    # Methods are out of scope: argparse, not the package, calls _Parser.error.
+    used = names_used_outside_tests()
+    assert [d for d in module_level_definitions() if d[1] not in used] == []
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("[!_]*.py")))

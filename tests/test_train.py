@@ -51,7 +51,7 @@ def per_example_training(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIR
                 x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
                 grad = model.backward(x_t, t, eps)
                 loss_sum += float(np.mean((eps - grad.prediction) ** 2))
-                grads = grad.parameters()
+                grads = grad.parameters
                 if grad_sum is None:
                     grad_sum = [g / field_size for g in grads]
                 else:

@@ -80,7 +80,7 @@ class TestGradientCheck:
 
         def backward(self, x, t, target_eps):
             grads = real_backward(self, x, t, target_eps)
-            flat = [g.reshape(-1) for g in grads.parameters()]
+            flat = [g.reshape(-1) for g in grads.parameters]
             entries = [(p, i) for p, g in enumerate(flat) for i in range(g.size)]
             if which == "largest":
                 p, i = max(entries, key=lambda e: abs(flat[e[0]][e[1]]))
