@@ -14,8 +14,7 @@ from diffbridge.attention import (
     AttentionConfig,
     Direction,
     Priority,
-    global_priority_attention,
-    local_priority_attention,
+    attention_forward,
     select_priority,
 )
 
@@ -33,22 +32,22 @@ for direction in Direction:
     print(f"  {direction.name.lower():>7} leg -> {select_priority(direction).value}")
 
 print("\nlocality: bump token 2 (window 1 of 4) and diff the outputs per token")
-base = local_priority_attention(l, tokens)
+base = attention_forward(l, tokens)
 bumped = tokens.copy()
 bumped[2] += 1.0
-delta = np.abs(local_priority_attention(l, bumped) - base).max(axis=1)
+delta = np.abs(attention_forward(l, bumped) - base).max(axis=1)
 for i, d in enumerate(delta):
     marker = " <- same window" if 0 < d else ""
     print(f"  token {i}: max change {d:.3e}{marker}")
 
 print("\nglobal attention spreads the same bump to every token:")
-gbase = global_priority_attention(g, tokens)
-gdelta = np.abs(global_priority_attention(g, bumped) - gbase).max(axis=1)
+gbase = attention_forward(g, tokens)
+gdelta = np.abs(attention_forward(g, bumped) - gbase).max(axis=1)
 print(f"  min change across tokens: {gdelta.min():.3e} (all nonzero)")
 
 l1 = AttentionConfig(
     token_count=8, model_dim=8, heads=2, windows=1, priority=Priority.LOCAL_FIRST,
     w_query=g.w_query, w_key=g.w_key, w_value=g.w_value, w_output=g.w_output,
 )
-gap = np.abs(local_priority_attention(l1, tokens) - global_priority_attention(g, tokens)).max()
+gap = np.abs(attention_forward(l1, tokens) - attention_forward(g, tokens)).max()
 print(f"\nwith one window the two orderings coincide: max gap {gap:.2e}")

@@ -16,9 +16,7 @@ from .attention import (
     AttentionConfig,
     Direction,
     Priority,
-    global_priority_attention,
     init_attention,
-    local_priority_attention,
     select_priority,
 )
 from .bridge import (

@@ -19,7 +19,9 @@ broadcast over leading axes: a (..., n, d) stack is attended, or
 differentiated, matrix by matrix, each row bit-identical to a call on
 that matrix alone.
 
-``attention_forward`` is the inference call.  Training calls
+``attention_forward`` is the inference call, in the ordering
+``cfg.priority`` names; an ``AttentionConfig`` takes its four weights
+at construction.  Training calls
 ``attention_forward_saved``, which also returns the arrays the forward
 computed (``SavedForward``), and hands them to ``attention_backward``:
 one forward per step, and the backward returns the weight gradients
@@ -30,7 +32,7 @@ caller reads a token gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -65,10 +67,11 @@ class AttentionConfig:
     heads: int = 1
     windows: int = 1
     priority: Priority = Priority.GLOBAL_FIRST
-    w_query: np.ndarray = None
-    w_key: np.ndarray = None
-    w_value: np.ndarray = None
-    w_output: np.ndarray = None
+    _: KW_ONLY
+    w_query: np.ndarray
+    w_key: np.ndarray
+    w_value: np.ndarray
+    w_output: np.ndarray
 
     def __post_init__(self):
         if min(self.token_count, self.model_dim, self.heads, self.windows) < 1:
@@ -78,10 +81,7 @@ class AttentionConfig:
         if self.token_count % self.windows != 0:
             raise ValueError("token_count must be divisible by windows")
         for name in ("w_query", "w_key", "w_value", "w_output"):
-            w = getattr(self, name)
-            if w is None:
-                continue
-            w = np.asarray(w, dtype=np.float64)
+            w = np.asarray(getattr(self, name), dtype=np.float64)
             if w.shape != (self.model_dim, self.model_dim):
                 raise ValueError(f"{name} must be ({self.model_dim}, {self.model_dim})")
             setattr(self, name, w)
@@ -152,22 +152,8 @@ def _check_tokens(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
     return tokens
 
 
-def global_priority_attention(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
-    """Full-sequence projection first, then per-head split; span is all tokens."""
-    if cfg.priority != Priority.GLOBAL_FIRST:
-        raise ValueError("config priority is not GLOBAL_FIRST")
-    return attention_forward_saved(cfg, tokens)[0]
-
-
-def local_priority_attention(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
-    """Window segmentation first, then multi-head attention inside each window."""
-    if cfg.priority != Priority.LOCAL_FIRST:
-        raise ValueError("config priority is not LOCAL_FIRST")
-    return attention_forward_saved(cfg, tokens)[0]
-
-
 def attention_forward(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
-    """Dispatch on the config's priority."""
+    """The attention block's output, in the ordering ``cfg.priority`` names."""
     return attention_forward_saved(cfg, tokens)[0]
 
 

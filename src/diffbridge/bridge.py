@@ -71,7 +71,11 @@ class BridgeConfig:
     integrator: Integrator = Integrator.DDIM
 
     def __post_init__(self):
-        if self.steps_per_unit_time is not None and self.steps_per_unit_time < 1:
+        n = self.steps_per_unit_time
+        # bool is an int, and a float would put full depth off the grid.
+        if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer))):
+            raise ValueError(f"steps_per_unit_time must be an integer, got {n!r}")
+        if n is not None and n < 1:
             raise ValueError("steps_per_unit_time must be >= 1")
 
     @property

@@ -47,7 +47,7 @@ import math
 import reprlib
 import struct
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +55,7 @@ import numpy as np
 from . import attention as attn
 from .domains import (
     GaussianMixture,
-    check_negation_even,
+    checked_mode_variances,
     gmm_points,
     gmm_score,
     noised_constants,
@@ -142,7 +142,9 @@ class AnalyticFieldEpsilon(EpsilonModel):
     (unitary convention), as produced by domains.SpectralTexture: a
     finite, positive (H, W) array, even under frequency negation
     (``v[i, j] == v[-i, -j]`` to a relative 1e-6), since a real field's
-    transform reads only the half plane ``[:, :W//2+1]``.  Accepts one
+    transform reads only the half plane ``[:, :W//2+1]``.  The model
+    keeps the read-only array ``domains.checked_mode_variances`` returns,
+    so later writes to the caller's array change nothing.  Accepts one
     (H, W) field or a batch (..., H, W).  Each call computes its
     alpha_bar and noised variances afresh.  The transforms run in one
     pair of flat complex work arrays holding the half spectrum
@@ -164,12 +166,7 @@ class AnalyticFieldEpsilon(EpsilonModel):
     schedule: NoiseSchedule
 
     def __post_init__(self):
-        lam = np.asarray(self.mode_variances, dtype=np.float64)
-        if lam.ndim != 2 or lam.size == 0:
-            raise ValueError(f"mode_variances must be a nonempty 2-D array, got shape {lam.shape}")
-        if not np.all(np.isfinite(lam) & (lam > 0)):
-            raise ValueError("mode_variances must be finite and positive")
-        check_negation_even(lam)
+        lam = checked_mode_variances(self.mode_variances)
         object.__setattr__(self, "mode_variances", lam)
         # The half-plane variances in the column pass's (W//2+1, H) layout.
         object.__setattr__(self, "_half_T", np.ascontiguousarray(lam[:, : lam.shape[1] // 2 + 1].T))
@@ -245,6 +242,19 @@ _ACTIVATIONS = {
 }
 
 
+def _layer_dims(field_shape, widths, time_dim: int) -> list[int]:
+    """Dense layer sizes, from field plus time embedding to field, once the geometry is checked."""
+    # A shape () would score each coordinate of a batch as its own field.
+    if not field_shape:
+        raise ValueError("field_shape must have at least one axis, got ()")
+    if time_dim < 2 or time_dim % 2 != 0:
+        raise ValueError("time_dim must be an even integer >= 2")
+    if not all(w >= 1 for w in widths):
+        raise ValueError(f"widths must be integers >= 1, got {tuple(widths)}")
+    size = int(np.prod(field_shape))
+    return [size + time_dim, *widths, size]
+
+
 def _parameter_names(layers: int, attention: bool) -> list[str]:
     """The checkpoint names of a model's trainable arrays, in payload order.
 
@@ -279,7 +289,8 @@ class MlpDenoiser(EpsilonModel):
     therefore at training time).  Inference accepts one field or a batch
     (..., *field_shape); ``backward`` takes one field or a (B, *field_shape)
     minibatch.  Both take one step for every field, or an array of steps
-    shaped like the leading axes.
+    shaped like the leading axes.  The dense layers' ``weights`` and
+    ``biases`` are given at construction, one of each per layer.
     """
 
     field_shape: tuple[int, ...]
@@ -287,38 +298,26 @@ class MlpDenoiser(EpsilonModel):
     steps_total: int
     time_dim: int = 16
     activation: str = "silu"
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
+    _: KW_ONLY
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
     attention: attn.AttentionConfig | None = None
 
     def __post_init__(self):
-        # A shape () would score each coordinate of a batch as its own field.
-        if not self.field_shape:
-            raise ValueError("field_shape must have at least one axis, got ()")
-        if self.time_dim < 2 or self.time_dim % 2 != 0:
-            raise ValueError("time_dim must be an even integer >= 2")
+        dims = _layer_dims(self.field_shape, self.widths, self.time_dim)
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not all(w >= 1 for w in self.widths):
-            raise ValueError(f"widths must be integers >= 1, got {tuple(self.widths)}")
-        size = int(np.prod(self.field_shape))
         if self.attention is not None:
-            if self.attention.token_count * self.attention.model_dim != size:
+            if self.attention.token_count * self.attention.model_dim != dims[-1]:
                 raise ValueError("attention token layout must tile the field exactly")
-        dims = self.layer_dims()
-        if self.weights or self.biases:
-            if not len(self.weights) == len(self.biases) == len(dims) - 1:
-                raise ValueError(
-                    f"{len(self.weights)} weight and {len(self.biases)} bias arrays"
-                    f" for {len(dims) - 1} layers"
-                )
-            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-                    raise ValueError(f"layer {i} shapes do not chain")
-
-    def layer_dims(self) -> list[int]:
-        size = int(np.prod(self.field_shape))
-        return [size + self.time_dim, *self.widths, size]
+        if not len(self.weights) == len(self.biases) == len(dims) - 1:
+            raise ValueError(
+                f"{len(self.weights)} weight and {len(self.biases)} bias arrays"
+                f" for {len(dims) - 1} layers"
+            )
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
+                raise ValueError(f"layer {i} shapes do not chain")
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """Each trainable array with its checkpoint name, in payload order."""
@@ -451,22 +450,21 @@ def init_mlp(
     attention: attn.AttentionConfig | None = None,
     seed: int = 0,
 ) -> MlpDenoiser:
-    """MLP with Glorot-uniform weights, zero biases; fully seeded."""
-    model = MlpDenoiser(
-        field_shape=tuple(field_shape),
-        widths=tuple(widths),
-        steps_total=steps_total,
-        time_dim=time_dim,
-        activation=activation,
-        attention=attention,
-    )
+    """MLP with Glorot-uniform weights, zero biases; fully seeded.
+
+    The weights are drawn layer by layer from ``seed`` once the geometry
+    is checked, and the model is built with all of them.
+    """
+    field_shape, widths = tuple(field_shape), tuple(widths)
+    dims = _layer_dims(field_shape, widths, time_dim)
     rng = np.random.default_rng(seed)
-    dims = model.layer_dims()
+    weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        model.weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        model.biases.append(np.zeros(fan_out))
-    return model
+        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return MlpDenoiser(field_shape, widths, steps_total, time_dim, activation,
+                       weights=weights, biases=biases, attention=attention)
 
 
 # ---------------------------------------------------------------------------

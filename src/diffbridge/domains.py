@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, read_only_float64
 
 # Pixel standard deviation for texture samples; small enough that the
 # [-1, 1] clip almost never engages (4 sigma).
@@ -33,7 +33,8 @@ _TEXTURE_PIXEL_STD = 0.25
 class GaussianMixture:
     """Isotropic Gaussian mixture: weights (K,), means (K, d), variances (K,).
 
-    The x-free part of each component's log density, log w_k - d/2 *
+    Its arrays are ``read_only_float64``'s, so the caller's stay writable.  The
+    x-free part of each component's log density, log w_k - d/2 *
     log(2 pi v_k), is computed once here (read-only ``_log_norm``), so a
     mixture scored many times pays for it once.
     """
@@ -43,9 +44,9 @@ class GaussianMixture:
     variances: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        m = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        v = np.asarray(self.variances, dtype=np.float64)
+        w = read_only_float64(self.weights)
+        m = read_only_float64(np.atleast_2d(self.means))
+        v = read_only_float64(self.variances)
         if w.ndim != 1 or m.ndim != 2 or v.ndim != 1:
             raise ValueError("weights and variances must be 1-D, means 2-D")
         if not (len(w) == len(m) == len(v)):
@@ -60,8 +61,7 @@ class GaussianMixture:
         if (v <= 0).any():
             raise ValueError("variances must be positive")
         log_norm = _log_normaliser(w, m.shape[1], v)
-        for arr in (w, m, v, log_norm):
-            arr.setflags(write=False)
+        log_norm.setflags(write=False)
         vars(self).update(weights=w, means=m, variances=v, _log_norm=log_norm)
 
     @property
@@ -266,17 +266,23 @@ def noised_constants(mix: GaussianMixture, alpha_bar) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 
-def check_negation_even(mode_variances: np.ndarray) -> None:
-    """Raise unless positive mode variances are even under frequency negation.
+def checked_mode_variances(mode_variances) -> np.ndarray:
+    """Texture mode variances as ``read_only_float64`` makes them, once checked.
 
-    A real field's spectrum pairs mode (i, j) with (-i, -j), so a real
-    texture's variances must have ``v[i, j] == v[-i, -j]``; this allows
-    a relative 1e-6.
+    They must be a nonempty 2-D array, finite and positive, and even
+    under frequency negation: a real field's spectrum pairs mode (i, j)
+    with (-i, -j), so a real texture's variances must have
+    ``v[i, j] == v[-i, -j]``; this allows a relative 1e-6.
     """
-    v = mode_variances
+    v = read_only_float64(mode_variances)
+    if v.ndim != 2 or v.size == 0:
+        raise ValueError(f"mode_variances must be a nonempty 2-D array, got shape {v.shape}")
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError("mode_variances must be finite and positive")
     negated = np.roll(v[::-1, ::-1], 1, axis=(0, 1))  # negated[i, j] = v[-i, -j]
     if np.any(np.abs(v - negated) > 1e-6 * v):
         raise ValueError("mode_variances must be even under frequency negation")
+    return v
 
 
 @dataclass(frozen=True)
@@ -286,26 +292,20 @@ class SpectralTexture:
     ``mode_variances`` holds the eigenvalues of the (circulant) pixel
     covariance on the full fft2 grid under the unitary transform
     convention, so a sample is white noise filtered by
-    sqrt(mode_variances).  The variances must be finite, positive and
-    even under frequency negation (``check_negation_even``), the maps
-    ``AnalyticFieldEpsilon`` accepts.  Samples are clipped to [-1, 1];
-    the pixel standard deviation is kept small enough that clipping is a
-    negligible-mass tail event.
+    sqrt(mode_variances).  The variances must be square and pass
+    ``checked_mode_variances``, the check ``AnalyticFieldEpsilon`` makes,
+    and the texture keeps the read-only array it returns.  Samples are
+    clipped to [-1, 1]; the pixel standard deviation is kept small
+    enough that clipping is a negligible-mass tail event.
     """
 
     mode_variances: np.ndarray  # (size, size)
 
     def __post_init__(self):
-        mv = np.asarray(self.mode_variances, dtype=np.float64)
-        if mv.ndim != 2 or mv.shape[0] != mv.shape[1]:
-            raise ValueError(f"mode_variances must be square, got shape {mv.shape}")
-        if not np.all(np.isfinite(mv)):
-            raise ValueError("mode_variances must be finite")
-        if np.any(mv <= 0):
-            raise ValueError("mode variances must be positive")
-        check_negation_even(mv)
-        mv.setflags(write=False)
-        object.__setattr__(self, "mode_variances", mv)
+        shape = np.shape(self.mode_variances)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"mode_variances must be square, got shape {shape}")
+        object.__setattr__(self, "mode_variances", checked_mode_variances(self.mode_variances))
 
     @property
     def size(self) -> int:

@@ -33,7 +33,8 @@ import numpy as np
 class NoiseSchedule:
     """Immutable beta/alpha-bar tables for a T-step diffusion.
 
-    Safe to share across threads; all arrays are read-only float64.
+    Safe to share across threads; all arrays are read-only float64
+    (``read_only_float64``), so the caller's arrays stay writable.
     """
 
     steps_T: int
@@ -42,20 +43,17 @@ class NoiseSchedule:
     alpha_bars: np.ndarray   # (T+1,), cumulative product, alpha_bars[0] = 1
     # PCHIP of log(alpha_bar) over the unit knots 0..T: _log_ab[:, i] holds
     # the coefficients of s**3, s**2, s, 1 on [i, i + 1], s the offset into
-    # it; _log_ab_deriv[:, i] those of s**2, s, 1 of its derivative.
+    # it.  alpha_bar_at and noise_rate_at (its derivative) both read it.
     _log_ab: np.ndarray = field(repr=False, compare=False, default=None)
-    _log_ab_deriv: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        for arr in (self.betas, self.alphas, self.alpha_bars):
-            arr.setflags(write=False)
+        for name in ("betas", "alphas", "alpha_bars"):
+            object.__setattr__(self, name, read_only_float64(getattr(self, name)))
         # PCHIP reproduces the knots exactly and preserves monotonicity,
         # giving a smooth alpha_bar(t) for fractional steps.
         coef = _pchip_coefficients(np.log(self.alpha_bars))
-        deriv = coef[:3] * np.array([[3.0], [2.0], [1.0]])
-        for name, table in (("_log_ab", coef), ("_log_ab_deriv", deriv)):
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
+        coef.setflags(write=False)
+        object.__setattr__(self, "_log_ab", coef)
 
     def beta(self, t: int) -> float:
         """Step-t beta, t in 1..T."""
@@ -84,8 +82,10 @@ class NoiseSchedule:
 
     def noise_rate_at(self, time):
         """Instantaneous rate -d log(alpha_bar)/d time at normalized time."""
-        (c0, c1, c2), s = self._piece(time, self._log_ab_deriv)
-        out = -(c2 + c1 * s + c0 * (s * s)) * self.steps_T
+        (c0, c1, c2), s = self._piece(time, self._log_ab[:3])
+        # The derivative's coefficients 3*c0, 2*c1 and c2, formed per call
+        # as scipy's PPoly.derivative() forms them, so the same bytes.
+        out = -(c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s)) * self.steps_T
         return out if isinstance(out, np.ndarray) else float(out)
 
     def _piece(self, time, table):
@@ -101,6 +101,19 @@ class NoiseSchedule:
             return table[:, i].tolist(), u - i
         i = np.minimum(u.astype(np.intp), self.steps_T - 1)
         return table[:, i], u - i
+
+
+def read_only_float64(a) -> np.ndarray:
+    """A read-only float64 copy of a; a itself if it already owns read-only float64 data.
+
+    So a constructor never freezes or keeps a caller's writable array.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == np.float64:
+        if not a.flags.writeable and a.base is None:
+            return a
+    out = np.array(a, dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def _pchip_coefficients(y: np.ndarray) -> np.ndarray:

@@ -202,7 +202,7 @@ def test_criterion_7_soft_label_identities():
 
 
 def test_criterion_8_attention_properties():
-    from diffbridge.attention import AttentionConfig, global_priority_attention, local_priority_attention
+    from diffbridge.attention import AttentionConfig, attention_forward
 
     start = time.monotonic()
     rng = np.random.default_rng(8)
@@ -220,22 +220,22 @@ def test_criterion_8_attention_properties():
         x = rng.standard_normal((8, 8))
         coincidence_worst = max(
             coincidence_worst,
-            float(np.abs(local_priority_attention(l, x) - global_priority_attention(g, x)).max()),
+            float(np.abs(attention_forward(l, x) - attention_forward(g, x)).max()),
         )
         perm = rng.permutation(8)
         equivariance_worst = max(
             equivariance_worst,
-            float(np.abs(global_priority_attention(g, x[perm]) - global_priority_attention(g, x)[perm]).max()),
+            float(np.abs(attention_forward(g, x[perm]) - attention_forward(g, x)[perm]).max()),
         )
         l4 = AttentionConfig(
             token_count=8, model_dim=8, heads=heads, windows=4,
             priority=Priority.LOCAL_FIRST, w_query=g.w_query, w_key=g.w_key,
             w_value=g.w_value, w_output=g.w_output,
         )
-        base = local_priority_attention(l4, x)
+        base = attention_forward(l4, x)
         bumped = x.copy()
         bumped[2] += 1.0  # window 1 of 4
-        out = local_priority_attention(l4, bumped)
+        out = attention_forward(l4, bumped)
         outside = [0, 1, 4, 5, 6, 7]
         locality_exact = locality_exact and np.array_equal(out[outside], base[outside])
     elapsed = time.monotonic() - start

@@ -11,9 +11,7 @@ from diffbridge.attention import (
     attention_backward,
     attention_forward,
     attention_forward_saved,
-    global_priority_attention,
     init_attention,
-    local_priority_attention,
     select_priority,
 )
 
@@ -55,12 +53,12 @@ class TestGlobalPriority:
         probs = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         oracle = probs @ v @ cfg.w_output
-        np.testing.assert_allclose(global_priority_attention(cfg, x), oracle, atol=1e-12)
+        np.testing.assert_allclose(attention_forward(cfg, x), oracle, atol=1e-12)
 
     def test_identical_rows_in_identical_rows_out(self):
         cfg = init_attention(5, 6, heads=3, seed=1)
         row = np.random.default_rng(2).standard_normal(6)
-        out = global_priority_attention(cfg, np.tile(row, (5, 1)))
+        out = attention_forward(cfg, np.tile(row, (5, 1)))
         np.testing.assert_allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -70,18 +68,22 @@ class TestGlobalPriority:
             cfg = init_attention(n, 8, heads=int(h), seed=trial)
             x = rng.standard_normal((n, 8))
             perm = rng.permutation(n)
-            direct = global_priority_attention(cfg, x)
-            permuted = global_priority_attention(cfg, x[perm])
+            direct = attention_forward(cfg, x)
+            permuted = attention_forward(cfg, x[perm])
             np.testing.assert_allclose(permuted, direct[perm], atol=1e-9)
 
     def test_shape_errors(self):
         cfg = init_attention(4, 4, seed=0)
         with pytest.raises(ValueError):
-            global_priority_attention(cfg, np.zeros((5, 4)))
+            attention_forward(cfg, np.zeros((5, 4)))
         with pytest.raises(ValueError):
-            AttentionConfig(token_count=4, model_dim=6, heads=4)
+            init_attention(token_count=4, model_dim=6, heads=4)
         with pytest.raises(ValueError):
-            AttentionConfig(token_count=5, model_dim=4, windows=2)
+            init_attention(token_count=5, model_dim=4, windows=2)
+
+    def test_weights_are_required(self):
+        with pytest.raises(TypeError, match="w_query"):
+            AttentionConfig(token_count=2, model_dim=4)
 
 
 class TestLocalPriority:
@@ -91,8 +93,8 @@ class TestLocalPriority:
             g, l = make_pair(8, 8, heads, windows=1, seed=heads)
             x = rng.standard_normal((8, 8))
             np.testing.assert_allclose(
-                local_priority_attention(l, x),
-                global_priority_attention(g, x),
+                attention_forward(l, x),
+                attention_forward(g, x),
                 atol=1e-9,
             )
 
@@ -100,11 +102,11 @@ class TestLocalPriority:
         rng = np.random.default_rng(6)
         _, cfg = make_pair(12, 6, heads=2, windows=3, seed=7)
         x = rng.standard_normal((12, 6))
-        base = local_priority_attention(cfg, x)
+        base = attention_forward(cfg, x)
         for j in range(3):
             bumped = x.copy()
             bumped[4 * j + 1] += rng.standard_normal(6)
-            out = local_priority_attention(cfg, bumped)
+            out = attention_forward(cfg, bumped)
             inside = slice(4 * j, 4 * j + 4)
             assert np.any(out[inside] != base[inside])
             outside = np.delete(np.arange(12), np.arange(4 * j, 4 * j + 4))
@@ -117,16 +119,9 @@ class TestLocalPriority:
             _, cfg = make_pair(12, 4, heads=2, windows=3, seed=100 + trial)
             x = rng.standard_normal((12, 4))
             perm = np.concatenate([4 * w + rng.permutation(4) for w in range(3)])
-            direct = local_priority_attention(cfg, x)
-            permuted = local_priority_attention(cfg, x[perm])
+            direct = attention_forward(cfg, x)
+            permuted = attention_forward(cfg, x[perm])
             np.testing.assert_allclose(permuted, direct[perm], atol=1e-9)
-
-    def test_priority_mismatch_rejected(self):
-        g, l = make_pair(4, 4, 1, 1)
-        with pytest.raises(ValueError):
-            local_priority_attention(g, np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            global_priority_attention(l, np.zeros((4, 4)))
 
 
 def _softmax_by_last_axis_max(s):
@@ -201,8 +196,8 @@ class TestShapePreservation:
             tokens = windows * int(rng.integers(1, 5))
             x = rng.standard_normal((tokens, dim))
             g, l = make_pair(tokens, dim, heads, windows, seed=trial)
-            assert global_priority_attention(g, x).shape == x.shape
-            assert local_priority_attention(l, x).shape == x.shape
+            assert attention_forward(g, x).shape == x.shape
+            assert attention_forward(l, x).shape == x.shape
 
 
 class TestBatched:

@@ -440,6 +440,16 @@ class TestBridgeConfig:
         with pytest.raises(ValueError):
             BridgeConfig(schedule=sched, steps_per_unit_time=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 4.0, np.float64(4.0), True, np.bool_(True), "4"])
+    def test_grid_size_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match="^steps_per_unit_time must be an integer, got ") as err:
+            BridgeConfig(schedule=db.linear_schedule(50), steps_per_unit_time=steps)
+        assert "\n" not in str(err.value)
+
+    def test_numpy_integer_grid_size_accepted(self):
+        cfg = BridgeConfig(schedule=db.linear_schedule(50), steps_per_unit_time=np.int64(4))
+        assert cfg.grid_steps == 4 and cfg.snap(1.0) == 1.0
+
     def test_grid_defaults_to_schedule_steps(self):
         sched = db.linear_schedule(123)
         assert BridgeConfig(schedule=sched).grid_steps == 123

@@ -354,10 +354,21 @@ class TestAnalyticFieldEpsilon:
     def test_evenness_tolerance_is_relative(self):
         lam = 1e-3 * even_variances((6, 9), seed=3)
         lam[1, 2] *= 1.0 + 5e-7
-        assert db.AnalyticFieldEpsilon(lam, db.linear_schedule(10)).mode_variances is lam
+        kept = db.AnalyticFieldEpsilon(lam, db.linear_schedule(10)).mode_variances
+        assert kept.tobytes() == lam.tobytes()
         lam[1, 2] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="even under frequency negation"):
             db.AnalyticFieldEpsilon(lam, db.linear_schedule(10))
+
+    def test_later_writes_to_the_callers_variances_change_nothing(self):
+        lam = even_variances((6, 8), seed=4)
+        model = db.AnalyticFieldEpsilon(lam, db.linear_schedule(10))
+        x = np.random.default_rng(5).standard_normal((6, 8))
+        before = model.predict_epsilon(x, 4)
+        lam *= 2.0
+        assert model.mode_variances.tobytes() == (lam / 2.0).tobytes()
+        assert not model.mode_variances.flags.writeable
+        assert model.predict_epsilon(x, 4).tobytes() == before.tobytes()
 
     def test_shape_mismatch_rejected(self):
         pair = db.make_texture_pair("bandsplit", 16, seed=0)
@@ -490,10 +501,13 @@ class TestMlpDenoiser:
             (w, [], "2 weight and 0 bias"),
             ([], b, "0 weight and 2 bias"),
             (w[:1], b[:1], "1 weight and 1 bias"),
+            ([], [], "0 weight and 0 bias"),
         ]:
             with pytest.raises(ValueError, match=f"^{counts} arrays for 2 layers$"):
                 db.MlpDenoiser(field_shape=(4,), widths=(6,), steps_total=10,
                                weights=weights, biases=biases)
+        with pytest.raises(TypeError, match="weights"):
+            db.MlpDenoiser(field_shape=(4,), widths=(6,), steps_total=10)
 
     def test_empty_field_shape_rejected(self):
         with pytest.raises(ValueError, match=r"^field_shape must have at least one axis, got \(\)$"):

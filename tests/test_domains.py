@@ -47,6 +47,15 @@ class TestGaussianMixture:
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             GaussianMixture(*args)
 
+    def test_keeps_read_only_copies_of_the_callers_arrays(self):
+        w, m, v = np.array([0.5, 0.5]), np.array([[0.0], [1.0]]), np.array([1.0, 2.0])
+        mix = GaussianMixture(w, m, v)
+        w[0], m[0, 0], v[0] = 0.9, 5.0, 3.0
+        assert mix.weights.tolist() == [0.5, 0.5]
+        assert mix.means.tolist() == [[0.0], [1.0]]
+        assert mix.variances.tolist() == [1.0, 2.0]
+        assert not any(a.flags.writeable for a in (mix.weights, mix.means, mix.variances))
+
     def test_degenerate_variance_collapses_to_mean(self):
         mix = GaussianMixture([1.0], [[0.4, -0.7]], [1e-14])
         samples = db.gmm_sample(mix, 100, seed=3)
@@ -395,8 +404,15 @@ class TestTexturePair:
     def test_rejects_non_finite_mode_variances(self, bad):
         mv = np.ones((16, 16))
         mv[3, 5] = bad
-        with pytest.raises(ValueError, match="^mode_variances must be finite$"):
+        with pytest.raises(ValueError, match="^mode_variances must be finite and positive$"):
             SpectralTexture(mv)
+
+    def test_keeps_a_read_only_copy_of_the_variances(self):
+        mv = np.ones((16, 16))
+        texture = SpectralTexture(mv)
+        mv[0, 0] = 2.0
+        assert texture.mode_variances[0, 0] == 1.0
+        assert not texture.mode_variances.flags.writeable
 
     def test_rejects_variances_uneven_under_negation_like_the_exact_model(self):
         # v[0, 1] pairs with v[0, -1] = v[0, 15], which stays 1.0.

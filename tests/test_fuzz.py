@@ -13,7 +13,7 @@ from diffbridge.attention import Priority
 from diffbridge.config import RunConfig
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 JSON = st.recursive(
@@ -72,6 +72,52 @@ def test_checkpoint_with_one_entry_of_a_valid_header_changed(files, data):
     cut = data.draw(st.integers(-16, 16))
     payload = valid_payload[: len(valid_payload) + cut] if cut < 0 else valid_payload + bytes(cut)
     _load_checkpoint(path, _checkpoint(header, payload))
+
+
+def _divisor(data, n: int) -> int:
+    return data.draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_checkpoint_round_trip_keeps_every_byte(files, data):
+    """init_mlp -> save_checkpoint -> load_checkpoint over generated geometries."""
+    field_shape = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    size = int(np.prod(field_shape))
+    attention = None
+    if data.draw(st.booleans()):
+        tokens = _divisor(data, size)
+        dim = size // tokens
+        attention = db.init_attention(
+            tokens, dim, heads=_divisor(data, dim), windows=_divisor(data, tokens),
+            priority=data.draw(st.sampled_from(list(Priority))), seed=data.draw(st.integers(0, 9)),
+        )
+    model = db.init_mlp(
+        field_shape,
+        data.draw(st.lists(st.integers(1, 8), max_size=2)),
+        steps_total=data.draw(st.integers(1, 100)),
+        time_dim=2 * data.draw(st.integers(1, 4)),
+        activation=data.draw(st.sampled_from(["silu", "tanh"])),
+        attention=attention,
+        seed=data.draw(st.integers(0, 9)),
+    )
+    path = files[0]
+    db.save_checkpoint(model, path)
+    back = db.load_checkpoint(path)
+
+    def geometry(m):
+        a = m.attention
+        att = a and (a.token_count, a.model_dim, a.heads, a.windows, a.priority)
+        return m.field_shape, m.widths, m.steps_total, m.time_dim, m.activation, att
+
+    assert geometry(back) == geometry(model)
+    assert [(n, a.shape, a.tobytes()) for n, a in back.named_parameters()] == [
+        (n, a.shape, a.tobytes()) for n, a in model.named_parameters()
+    ]
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal((3, *field_shape))
+    t = rng.uniform(0, model.steps_total, 3)
+    assert back.predict_epsilon(x, t).tobytes() == model.predict_epsilon(x, t).tobytes()
 
 
 PGM_PIECES = [b" ", b"\n", b"\t", b"#c\n", b"#", b"0", b"1", b"2", b"3", b"16", b"255", b"256",
