@@ -21,6 +21,10 @@ Three implementations:
   manual reverse-mode gradients in ``backward`` (no autodiff framework).
   ``backward`` takes one field or a (B, *field) minibatch with one step
   per row, and returns the gradients summed over the rows in row order.
+  Every dense product, forward and pullback, is ``_block_product``: one
+  (16, k) GEMM per block of 16 rows, the last block zero-padded, so a
+  field's row meets the same BLAS call alone, in a batch or in a
+  minibatch, and gets the same bytes.
   Its trainable arrays have one name list (``named_parameters``), in the
   checkpoint's payload order: the gradients, the optimiser and the
   checkpoint reader and writer all follow it.
@@ -242,6 +246,33 @@ _ACTIVATIONS = {
 }
 
 
+# Rows per GEMM in _block_product: 16 divides the CLI's generation count and batch size.
+_BLOCK_ROWS = 16
+
+
+def _padded(rows: int) -> int:
+    """rows rounded up to whole blocks of _BLOCK_ROWS."""
+    return -(-rows // _BLOCK_ROWS) * _BLOCK_ROWS
+
+
+def _block_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w for an (R, k) stack, as one (16, k) @ (k, m) GEMM per block of 16 rows.
+
+    The last block is zero-padded, so every row goes through the same
+    BLAS call whatever R is, and a GEMM's value for a row depends on the
+    call's shape, not on the row's position in it: a row's bytes do not
+    depend on R or on its place in the stack.  R = 0 gives (0, m).
+    """
+    rows, k = a.shape
+    padded = _padded(rows)
+    if padded != rows:
+        block = np.zeros((padded, k))
+        block[:rows] = a
+        a = block
+    out = a.reshape(padded // _BLOCK_ROWS, _BLOCK_ROWS, k) @ w
+    return out.reshape(padded, w.shape[1])[:rows]
+
+
 def _layer_dims(field_shape, widths, time_dim: int) -> list[int]:
     """Dense layer sizes, from field plus time embedding to field, once the geometry is checked."""
     # A shape () would score each coordinate of a batch as its own field.
@@ -352,23 +383,27 @@ class MlpDenoiser(EpsilonModel):
 
         ``x`` is the field, or the attention block's output; ``t`` is one
         checked step for every field, or an array of steps shaped like the
-        leading axes.  Each field is one (1, k) row of a stack, so every
-        dense layer is the same per-row BLAS call a single field makes: a
-        batch's rows are bit-identical to one call per field at its step.
+        leading axes.  Each field plus its time embedding is one row of a
+        zero-padded C-order buffer, and every layer is ``_block_product``:
+        the same (16, k) GEMM for every row, so a batch's rows are
+        bit-identical to one call per field at its step.  ``pre`` and
+        ``post`` hold one (R, k) array per layer, R the number of fields.
         """
         act, _ = _ACTIVATIONS[self.activation]
-        # C order: concatenate keeps a strided input's layout, and matmul's bytes depend on it.
-        rows = np.ascontiguousarray(x).reshape(*lead, 1, -1)
+        rows = math.prod(lead)
+        size = math.prod(self.field_shape)
+        z = np.zeros((_padded(rows), size + self.time_dim))
+        z[:rows, :size] = x.reshape(rows, size)
         embed = time_embedding(t / self.steps_total, self.time_dim)
-        if embed.ndim > 1:  # one embedding per leading row
-            embed = embed[..., None, :]
-        z = np.concatenate([rows, np.broadcast_to(embed, (*lead, 1, self.time_dim))], axis=-1)
-        pre, post = [], [z]
+        z[:rows, size:] = embed.reshape(-1, self.time_dim)  # one row, or one per field
+        h = z
+        pre, post = [], [z[:rows]]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = post[-1] @ w + b
-            pre.append(a)
-            post.append(act(a) if i < last else a)
+            a = _block_product(h, w) + b
+            h = act(a) if i < last else a
+            pre.append(a[:rows])
+            post.append(h[:rows])
         return post[-1].reshape(*lead, *self.field_shape), pre, post
 
     def _check_steps(self, t, lead: tuple[int, ...]):
@@ -392,9 +427,11 @@ class MlpDenoiser(EpsilonModel):
         Every gradient is the sum of the rows' one-field gradients taken in
         row order, with the same bytes (up to the sign of an exact zero):
         dense weights by a row-ordered einsum, biases by a row-ordered
-        reduce, and each row's delta pulled back by its own matrix-vector
-        product, through the first layer only when an attention block
-        reads the result.  The attention block runs forward once, and its
+        reduce, and the rows' deltas pulled back by ``_block_product``
+        with the transposed weight, whose rows do not depend on the
+        stack around them, through the first layer only when an
+        attention block reads the result.  A minibatch of no rows gives
+        zero gradients.  The attention block runs forward once, and its
         backward reads the arrays that forward saved.  The gradients come
         as ``MlpGradients.parameters``, one per ``parameters()`` array in
         its order, with the prediction they were taken at, shaped like x.
@@ -420,21 +457,21 @@ class MlpDenoiser(EpsilonModel):
         out, pre, post = self._dense(h, t, (rows,))
         _, act_grad = _ACTIVATIONS[self.activation]
 
-        delta = 2.0 * (out - target_eps).reshape(rows, -1)
+        field_size = math.prod(self.field_shape)
+        delta = 2.0 * (out - target_eps).reshape(rows, field_size)
         d_weights = [None] * len(self.weights)
         d_biases = [None] * len(self.biases)
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
-                delta = delta * act_grad(pre[i][:, 0])
-            d_weights[i] = np.einsum("bi,bj->ij", post[i][:, 0], delta, optimize=False)
+                delta = delta * act_grad(pre[i])
+            d_weights[i] = np.einsum("bi,bj->ij", post[i], delta, optimize=False)
             d_biases[i] = np.add.reduce(delta, axis=0)
             if i or self.attention is not None:  # only attention reads the input's delta
-                delta = (self.weights[i] @ delta[..., None])[..., 0]
+                delta = _block_product(delta, self.weights[i].T)
 
         grads = [*d_weights, *d_biases]
         if self.attention is not None:
-            field_size = int(np.prod(self.field_shape))
             d_att_out = self._tokens(delta[:, :field_size], (rows,))
             per_row = attn.attention_backward(self.attention, saved, d_att_out)
             grads += [np.add.reduce(g, axis=0) for g in per_row]

@@ -9,10 +9,10 @@ import pytest
 from scipy.special import expit
 
 import diffbridge as db
-from diffbridge import attention
+from diffbridge import attention, denoiser
 from diffbridge.attention import Priority
 from diffbridge.bridge import DRIFT_TIME_FLOOR
-from diffbridge.denoiser import _ACTIVATIONS, _silu, _silu_grad
+from diffbridge.denoiser import _ACTIVATIONS, _block_product, _silu, _silu_grad
 from diffbridge.domains import GaussianMixture, gmm_log_density, gmm_score, noised_mixture
 
 
@@ -667,6 +667,20 @@ class TestMlpBatched:
             for j in range(3):
                 assert out[i, j].tobytes() == m.predict_epsilon(x[i, j], 37.5).tobytes()
 
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    def test_strided_batches_byte_equal_single_calls(self, priority):
+        att = None
+        if priority is not None:
+            att = db.init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
+        m = db.init_mlp((16, 16), (32, 32), steps_total=100, attention=att, seed=2)
+        x = np.random.default_rng(8).standard_normal((6, 16, 16))
+        for batch in (np.asfortranarray(x), x[::2]):
+            assert not batch.flags.c_contiguous
+            out = m.predict_epsilon(batch, 37.5)
+            for j, field in enumerate(batch):
+                one = m.predict_epsilon(np.ascontiguousarray(field), 37.5)
+                assert out[j].tobytes() == one.tobytes()
+
     def test_backward_prediction_is_the_forward_pass(self):
         att = db.init_attention(4, 4, heads=2, windows=2, priority=Priority.LOCAL_FIRST, seed=3)
         m = db.init_mlp((16,), (12,), steps_total=100, time_dim=4, attention=att, seed=4)
@@ -680,6 +694,61 @@ class TestMlpBatched:
             m.predict_epsilon(np.zeros((3, 5)), 3)
         with pytest.raises(ValueError):
             m.backward(np.zeros((2, 5)), 3, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("lead", [(0,), (2, 0)])
+def test_empty_batch_gives_an_empty_prediction(lead):
+    sched = db.linear_schedule(100)
+    mix = GaussianMixture(weights=[0.5, 0.5], means=[[1.0, 0.0], [-1.0, 0.0]], variances=[0.5, 0.5])
+    att = db.init_attention(16, 16, heads=2, windows=4, priority=Priority.LOCAL_FIRST, seed=1)
+    models = [
+        (db.AnalyticGmmEpsilon(mix, sched), (2,)),
+        (db.AnalyticFieldEpsilon(np.ones((8, 8)), sched), (8, 8)),
+        (db.init_mlp((16, 16), (32,), steps_total=100, seed=2), (16, 16)),
+        (db.init_mlp((16, 16), (32,), steps_total=100, attention=att, seed=2), (16, 16)),
+    ]
+    for model, sample in models:
+        x = np.zeros((*lead, *sample))
+        out = model.predict_epsilon(x, 5)
+        assert out.shape == x.shape and out.dtype == np.float64
+        if isinstance(model, db.MlpDenoiser) and len(lead) == 1:   # a minibatch of no rows
+            grads = model.backward(x, 5, x)
+            assert grads.prediction.shape == x.shape
+            for g, p in zip(grads.parameters, model.parameters(), strict=True):
+                assert g.shape == p.shape and not g.any()
+
+
+class TestBlockProduct:
+    """The BLAS property the MLP's batch contract rests on."""
+
+    BLAS_PROPERTY = (
+        "a GEMM must compute each output row from that row alone, in an order set by"
+        " the call's shape (its operands packed into fixed panels), not by the row's"
+        " position or the stack around it; this BLAS does not, so batched MLP calls"
+        " no longer equal one-field calls"
+    )
+
+    # The CLI's geometry (256-value field, 16-value time embedding), verify's, odd widths.
+    @pytest.mark.parametrize("dims", [(272, 64, 64, 256), (9, 10, 8, 3), (17, 18, 19, 20)])
+    def test_row_bytes_depend_on_neither_row_count_nor_position(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for k, m in zip(dims[:-1], dims[1:]):
+            w = rng.standard_normal((k, m))
+            for weight in (w, w.T):
+                a = rng.standard_normal((128, weight.shape[0]))
+                alone = [_block_product(a[j : j + 1], weight)[0].tobytes() for j in range(128)]
+                assert _block_product(a[:0], weight).shape == (0, weight.shape[1])
+                for rows in [*range(1, 41), 128]:
+                    out = _block_product(a[:rows], weight)
+                    assert out.shape == (rows, weight.shape[1])
+                    for j in range(rows):   # row j sits at place j % 16 of block j // 16
+                        assert out[j].tobytes() == alone[j], self.BLAS_PROPERTY
+
+    def test_equals_matmul_to_rounding(self):
+        rng = np.random.default_rng(3)
+        a, w = rng.standard_normal((21, 9)), rng.standard_normal((9, 5))
+        np.testing.assert_allclose(_block_product(a, w), a @ w, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(_block_product(a[::2], w), a[::2] @ w, rtol=1e-13, atol=1e-13)
 
 
 class TestMlpBatchedBackward:
@@ -745,31 +814,25 @@ class TestMlpBatchedBackward:
         weights, biases = [], []
         for i in range(len(m.weights) - 1, -1, -1):
             if i < len(m.weights) - 1:
-                delta = delta * act_grad(pre[i][:, 0])
-            weights.insert(0, np.einsum("bi,bj->ij", post[i][:, 0], delta, optimize=False))
+                delta = delta * act_grad(pre[i])
+            weights.insert(0, np.einsum("bi,bj->ij", post[i], delta, optimize=False))
             biases.insert(0, np.add.reduce(delta, axis=0))
-            delta = (m.weights[i] @ delta[..., None])[..., 0]
+            delta = _block_product(delta, m.weights[i].T)
         grads = m.backward(x, steps, target)
         for got, want in zip(grads.parameters, [*weights, *biases], strict=True):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("priority", [None, *Priority])
-    def test_first_layer_pullback_runs_only_for_attention(self, priority):
-        class Recording(np.ndarray):
-            """Records the shape of every matrix that is the left operand of @."""
-
-            shapes = []
-
-            def __matmul__(self, other):
-                Recording.shapes.append(self.shape)
-                return np.matmul(np.asarray(self), other)
-
+    def test_first_layer_pullback_runs_only_for_attention(self, priority, monkeypatch):
         m = self.model(priority)
-        first = m.weights[0].shape
-        m.weights[0] = m.weights[0].view(Recording)
+        seen = []
+        monkeypatch.setattr(
+            denoiser, "_block_product", lambda a, w: seen.append(w) or _block_product(a, w)
+        )
         x, target = np.random.default_rng(7).standard_normal((2, 3, 16, 16))
         m.backward(x, np.array([5.0, 50.0, 95.0]), target)
-        assert (first in Recording.shapes) == (priority is not None)
+        pulled_back = [w.base is m.weights[0] for w in seen]   # weights[0].T is a view
+        assert any(pulled_back) == (priority is not None)
 
     @pytest.mark.parametrize("priority", list(Priority))
     def test_minibatch_backward_runs_the_attention_forward_once(self, priority, monkeypatch):
