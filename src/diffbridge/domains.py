@@ -478,7 +478,7 @@ def load_pgm(path) -> np.ndarray:
         raise ValueError(f"PGM dimensions out of range: {w}x{h}")
     if maxval != 255:
         raise ValueError(f"unsupported PGM maxval {maxval}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=pos)
-    if pixels.size != h * w:
+    if len(blob) - pos < w * h:   # pos is one past the end when the file stops at maxval
         raise ValueError("PGM pixel payload shorter than header promises")
+    pixels = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=pos)
     return pixels.reshape(h, w).astype(np.float64) / 127.5 - 1.0

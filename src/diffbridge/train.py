@@ -9,11 +9,13 @@ single-threaded and bit-reproducible under a fixed seed.
 
 A minibatch is one batched forward and backward pass: its examples'
 (t, noise) pairs are drawn one example after another from the one
-generator, and the model sums their gradients in example order.  The
-sum is divided by the field size once, which equals dividing each
-example's gradient when the field size is a power of two (2 for the
-point domains, n^2 for power-of-two textures); other field sizes can
-differ from per-example division in the last bit.
+generator, and the model sums their gradients over blocks of 16
+examples, in example order within a block and then block by block
+(``MlpDenoiser.backward``); that agrees with a per-example sum to
+rounding.  The sum is divided by the field size once, which equals
+dividing each block's gradient when the field size is a power of two (2
+for the point domains, n^2 for power-of-two textures); other field sizes
+can differ from per-block division in the last bit.
 
 A TrainConfig (``config``'s JSON ``train`` section, re-exported here)
 says how to train; the schedule, the seed and the attention priority
@@ -186,13 +188,15 @@ def train_denoiser(
 
 
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Multivariate energy distance between two sample sets (rows)."""
+    """Multivariate energy distance between two nonempty sample sets (rows)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ValueError(
             f"need two sets of rows of one length, got shapes {x.shape} and {y.shape}"
         )
+    if len(x) == 0 or len(y) == 0:
+        raise ValueError(f"need two nonempty sets of rows, got shapes {x.shape} and {y.shape}")
     xy = _mean_distance(x, y)
     xx = _mean_distance(x, x)
     yy = _mean_distance(y, y)

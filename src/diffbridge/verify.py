@@ -142,18 +142,16 @@ def check_ddim_ode_agreement(schedule: NoiseSchedule, seed: int = 0) -> CheckRes
     )
 
 
-def check_gradient(seed: int = 0) -> CheckResult:
-    """Manual reverse-mode gradients vs central finite differences."""
-    rng = np.random.default_rng(seed)
-    model = init_mlp((3,), (10, 8), steps_total=100, time_dim=6, seed=seed)
-    x = rng.standard_normal(3)
-    target = rng.standard_normal(3)
-    t = 40
+def gradient_error(model, x, t, target, threshold: float = 1e-4) -> float:
+    """Worst relative error of ``model.backward``'s gradients against central differences.
+
+    The loss is the squared error summed over every value of x, one field
+    or a minibatch with one step per row.  Central differences (step h)
+    resolve a slope only to about eps * loss / h, so the denominator floor
+    puts an error of that size at ``threshold``.
+    """
     grads = model.backward(x, t, target).parameters
     h = 1e-5
-    threshold = 1e-4
-    # Central differences resolve a slope only to about eps * loss / h, so
-    # the denominator floor puts an error of that size at the threshold.
     loss = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
     floor = np.finfo(np.float64).eps * loss / h / threshold
     worst = 0.0
@@ -169,6 +167,17 @@ def check_gradient(seed: int = 0) -> CheckResult:
             fd = (up - down) / (2 * h)
             denom = max(abs(fd), abs(flat_g[idx]), floor)
             worst = max(worst, abs(fd - flat_g[idx]) / denom)
+    return worst
+
+
+def check_gradient(seed: int = 0) -> CheckResult:
+    """Manual reverse-mode gradients vs central finite differences."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp((3,), (10, 8), steps_total=100, time_dim=6, seed=seed)
+    x = rng.standard_normal(3)
+    target = rng.standard_normal(3)
+    threshold = 1e-4
+    worst = gradient_error(model, x, 40, target, threshold=threshold)
     return CheckResult("mlp-gradient-check", worst < threshold, worst, threshold)
 
 

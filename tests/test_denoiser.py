@@ -12,8 +12,15 @@ import diffbridge as db
 from diffbridge import attention, denoiser
 from diffbridge.attention import Priority
 from diffbridge.bridge import DRIFT_TIME_FLOOR
-from diffbridge.denoiser import _ACTIVATIONS, _block_product, _silu, _silu_grad
+from diffbridge.denoiser import (
+    _ACTIVATIONS,
+    _block_gradients,
+    _block_product,
+    _silu,
+    _silu_grad,
+)
 from diffbridge.domains import GaussianMixture, gmm_log_density, gmm_score, noised_mixture
+from diffbridge.verify import gradient_error
 
 
 def finite_difference_score(mix, x, h=1e-4):
@@ -751,8 +758,70 @@ class TestBlockProduct:
         np.testing.assert_allclose(_block_product(a[::2], w), a[::2] @ w, rtol=1e-13, atol=1e-13)
 
 
+def in_order_sum(parts):
+    """The arrays of each list in ``parts`` added position by position, in list order."""
+    total = [g.copy() for g in parts[0]]
+    for part in parts[1:]:
+        for acc, g in zip(total, part, strict=True):
+            acc += g
+    return total
+
+
+class TestBlockGradients:
+    """The BLAS property the MLP's minibatch gradients rest on."""
+
+    BLAS_PROPERTY = (
+        "a stacked GEMM must compute each (k, 16) @ (16, m) product from that block"
+        " alone, in an order set by the call's shape, not by the block's place in the"
+        " stack or the stack's length; this BLAS does not, so a minibatch's gradients"
+        " no longer equal the in-order sum of its blocks' gradients"
+    )
+
+    # The CLI's geometry (256-value field, 16-value time embedding), verify's, odd widths.
+    @pytest.mark.parametrize("dims", [(272, 64, 64, 256), (9, 10, 8, 3), (17, 18, 19, 20)])
+    def test_block_bytes_depend_on_neither_row_count_nor_position(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for k, m in zip(dims[:-1], dims[1:]):
+            post, delta = rng.standard_normal((128, k)), rng.standard_normal((128, m))
+            for rows in [*range(1, 41), 128]:
+                got = _block_gradients(post[:rows], delta[:rows])
+                assert [g.shape for g in got] == [(k, m), (m,)]
+                alone = [
+                    _block_gradients(post[s : min(s + 16, rows)], delta[s : min(s + 16, rows)])
+                    for s in range(0, rows, 16)
+                ]
+                for g, want in zip(got, in_order_sum(alone), strict=True):
+                    assert g.tobytes() == want.tobytes(), self.BLAS_PROPERTY
+
+    @pytest.mark.parametrize("rows", [1, 7, 16, 21])
+    def test_zero_padding_adds_nothing(self, rows):
+        rng = np.random.default_rng(rows)
+        post, delta = rng.standard_normal((rows, 9)), rng.standard_normal((rows, 5))
+        padded = 48
+        zeros = (np.zeros((padded - rows, 9)), np.zeros((padded - rows, 5)))
+        got = _block_gradients(post, delta)
+        want = _block_gradients(np.vstack([post, zeros[0]]), np.vstack([delta, zeros[1]]))
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+
+    def test_no_rows_give_zeros(self):
+        weight, bias = _block_gradients(np.zeros((0, 9)), np.zeros((0, 5)))
+        assert weight.shape == (9, 5) and bias.shape == (5,)
+        assert not weight.any() and not bias.any()
+
+    def test_equals_einsum_to_rounding(self):
+        rng = np.random.default_rng(3)
+        post, delta = rng.standard_normal((37, 9)), rng.standard_normal((37, 5))
+        weight, bias = _block_gradients(post, delta)
+        np.testing.assert_allclose(weight, np.einsum("bi,bj->ij", post, delta), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(bias, delta.sum(axis=0), rtol=1e-13, atol=1e-13)
+
+
 class TestMlpBatchedBackward:
-    """A minibatch backward equals its rows' one-field backwards, added in row order."""
+    """A minibatch backward is the in-order sum of its 16-row blocks' backwards.
+
+    Its prediction rows equal one-field calls.
+    """
 
     def model(self, priority):
         att = None
@@ -761,8 +830,8 @@ class TestMlpBatchedBackward:
         return db.init_mlp((16, 16), (32, 24), steps_total=100, attention=att, seed=2)
 
     @pytest.mark.parametrize("priority", [None, *Priority])
-    @pytest.mark.parametrize("rows", [1, 2, 7, 33])
-    def test_rows_byte_equal_one_field_calls(self, priority, rows):
+    @pytest.mark.parametrize("rows", [1, 2, 7, 16, 17, 33, 128])
+    def test_gradients_are_the_in_order_sum_of_block_calls(self, priority, rows):
         m = self.model(priority)
         rng = np.random.default_rng(rows)
         x, target = rng.standard_normal((2, rows, 16, 16))
@@ -770,18 +839,25 @@ class TestMlpBatchedBackward:
         steps[::2] = rng.integers(0, 101, steps[::2].size)   # integer and fractional steps
         grads = m.backward(x, steps, target)
         assert grads.prediction.shape == x.shape
-        expected = None
         for b in range(rows):
             assert grads.prediction[b].tobytes() == m.predict_epsilon(x[b], steps[b]).tobytes()
-            one = m.backward(x[b], steps[b], target[b]).parameters
-            if expected is None:
-                expected = [g.copy() for g in one]
-            else:
-                for acc, g in zip(expected, one):
-                    acc += g
-        for got, want in zip(grads.parameters, expected, strict=True):
+        blocks = [
+            m.backward(x[s : s + 16], steps[s : s + 16], target[s : s + 16]).parameters
+            for s in range(0, rows, 16)
+        ]
+        for got, want in zip(grads.parameters, in_order_sum(blocks), strict=True):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        # A one-field call is a block of one row.
+        one = m.backward(x[0], steps[0], target[0]).parameters
+        for got, want in zip(one, m.backward(x[:1], steps[:1], target[:1]).parameters):
+            assert got.tobytes() == want.tobytes()
+        # The row-ordered sum of one-field gradients, to rounding.
+        per_row = in_order_sum(
+            [m.backward(x[b], steps[b], target[b]).parameters for b in range(rows)]
+        )
+        for got, want in zip(grads.parameters, per_row, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("priority", [None, Priority.LOCAL_FIRST])
     def test_scalar_step_equals_that_step_per_row(self, priority):
@@ -801,7 +877,7 @@ class TestMlpBatchedBackward:
         assert [g.shape for g in grads.parameters] == [p.shape for p in m.parameters()]
 
     @pytest.mark.parametrize("activation", ["silu", "tanh"])
-    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("rows", [1, 6, 33])
     def test_gradients_byte_equal_full_pullback_reference(self, activation, rows):
         """Without attention the first layer's delta is not pulled back; no gradient moves."""
         m = db.init_mlp((16, 16), (32, 24), steps_total=100, activation=activation, seed=2)
@@ -815,8 +891,9 @@ class TestMlpBatchedBackward:
         for i in range(len(m.weights) - 1, -1, -1):
             if i < len(m.weights) - 1:
                 delta = delta * act_grad(pre[i])
-            weights.insert(0, np.einsum("bi,bj->ij", post[i], delta, optimize=False))
-            biases.insert(0, np.add.reduce(delta, axis=0))
+            d_weight, d_bias = _block_gradients(post[i], delta)
+            weights.insert(0, d_weight)
+            biases.insert(0, d_bias)
             delta = _block_product(delta, m.weights[i].T)
         grads = m.backward(x, steps, target)
         for got, want in zip(grads.parameters, [*weights, *biases], strict=True):
@@ -888,3 +965,39 @@ class TestMlpBatchedBackward:
         # predict_epsilon takes the same per-row steps, so the loss
         # mlp_gradcheck differentiates is the batch's summed loss.
         assert mlp_gradcheck(m, x, np.array([5.0, 48.5, 90.0]), target) < 1e-4
+
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    def test_multi_block_gradients_match_finite_differences(self, priority):
+        """33 rows: two full blocks and one padded block, against the summed loss."""
+        att = None
+        if priority is not None:
+            att = db.init_attention(4, 4, heads=2, windows=2, priority=priority, seed=7)
+        m = db.init_mlp((16,), (12,), steps_total=100, time_dim=4, attention=att, seed=8)
+        rng = np.random.default_rng(10)
+        x, target = rng.standard_normal((2, 33, 16))
+        steps = rng.uniform(1.0, 100.0, 33)
+        assert gradient_error(m, x, steps, target) < 1e-4
+
+    def test_backward_calls_no_einsum(self, monkeypatch):
+        def einsum(*args, **kwargs):
+            raise AssertionError("backward called np.einsum")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        for priority in (None, *Priority):
+            x, target = np.random.default_rng(11).standard_normal((2, 17, 16, 16))
+            self.model(priority).backward(x, 40, target)
+
+    def test_width_one_layers_keep_the_block_order(self):
+        """Where every gradient entry is one number, numpy's reduce would add the blocks pairwise."""
+        m = db.init_mlp((1,), (1,), steps_total=100, seed=3)
+        rows = 200
+        rng = np.random.default_rng(12)
+        x, target = rng.standard_normal((2, rows, 1))
+        steps = rng.uniform(1.0, 100.0, rows)
+        blocks = [
+            m.backward(x[s : s + 16], steps[s : s + 16], target[s : s + 16]).parameters
+            for s in range(0, rows, 16)
+        ]
+        grads = m.backward(x, steps, target).parameters
+        for got, want in zip(grads, in_order_sum(blocks), strict=True):
+            assert got.tobytes() == want.tobytes()

@@ -498,6 +498,13 @@ class TestPgmRoundTrip:
         with pytest.raises(ValueError):
             db.load_pgm(wrong_max)
 
+    @pytest.mark.parametrize("blob", [b"P5\n4 4\n255\n\x00\x00", b"P5\n4 4\n255"])
+    def test_short_payload_named(self, tmp_path, blob):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="PGM pixel payload shorter than header promises"):
+            db.load_pgm(path)
+
     def test_header_comments_accepted(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x00\xff")

@@ -20,11 +20,15 @@ from diffbridge.train import (
 )
 
 
-def per_example_training(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST):
-    """Reference: the loop train_denoiser ran before it batched its minibatches.
+def reference_training(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST, rows_per_call=1):
+    """Reference: train_denoiser with one backward call per ``rows_per_call`` examples.
 
-    One backward call per example, each example's gradient divided by the
-    field size before it joins the minibatch sum.
+    Each minibatch draws its examples' (t, noise) pairs one example after
+    another, as train_denoiser does.  With ``rows_per_call`` 1 it is the
+    loop train_denoiser ran before it batched its minibatches: one
+    backward per example (a one-row call has a one-field call's bytes).
+    Each call's gradient is divided by the field size before it joins
+    the minibatch sum, in call order.
     """
     data = np.asarray(data, dtype=np.float64)
     field_shape = data.shape[1:]
@@ -41,21 +45,25 @@ def per_example_training(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIR
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            grad_sum = None
-            loss_sum = 0.0
+            ts, noise, x_t = [], [], []
             for idx in batch:
-                x0 = data[idx]
                 t = int(rng.integers(1, schedule.steps_T + 1))
                 ab = schedule.alpha_bar(t)
                 eps = rng.standard_normal(field_shape)
-                x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-                grad = model.backward(x_t, t, eps)
-                loss_sum += float(np.mean((eps - grad.prediction) ** 2))
-                grads = grad.parameters
+                ts.append(t)
+                noise.append(eps)
+                x_t.append(np.sqrt(ab) * data[idx] + np.sqrt(1.0 - ab) * eps)
+            grad_sum = None
+            loss_sum = 0.0
+            for lo in range(0, len(batch), rows_per_call):
+                rows = slice(lo, lo + rows_per_call)
+                grad = model.backward(np.stack(x_t[rows]), np.array(ts[rows]), np.stack(noise[rows]))
+                for eps, prediction in zip(noise[rows], grad.prediction, strict=True):
+                    loss_sum += float(np.mean((eps - prediction) ** 2))
                 if grad_sum is None:
-                    grad_sum = [g / field_size for g in grads]
+                    grad_sum = [g / field_size for g in grad.parameters]
                 else:
-                    for acc, g in zip(grad_sum, grads):
+                    for acc, g in zip(grad_sum, grad.parameters):
                         acc += g / field_size
             scale = 1.0 / len(batch)
             opt.step([g * scale for g in grad_sum])
@@ -85,6 +93,12 @@ class TestEnergyDistance:
     def test_rejects_sets_of_different_dimension(self, shapes):
         x, y = (np.zeros(shape) for shape in shapes)
         with pytest.raises(ValueError, match="need two sets of rows of one length"):
+            energy_distance(x, y)
+
+    @pytest.mark.parametrize("shapes", [((0, 2), (3, 2)), ((3, 2), (0, 2)), ((0, 2), (0, 2))])
+    def test_rejects_an_empty_set(self, shapes):
+        x, y = np.empty(shapes[0]), np.ones(shapes[1])
+        with pytest.raises(ValueError, match=r"nonempty.*\(\d, 2\) and \(\d, 2\)"):
             energy_distance(x, y)
 
     @staticmethod
@@ -201,19 +215,24 @@ class TestTrainDenoiser:
 
 
 class TestMinibatchTraining:
-    """One backward call per minibatch gives the per-example loop's bytes.
+    """One backward call per minibatch gives the bytes of one call per 16-example block.
 
     Exact where the field size is a power of two, so that dividing the
-    summed gradient by it equals dividing each example's gradient.
+    summed gradient by it equals dividing each block's gradient.  The
+    per-example loop agrees to rounding.
     """
 
     @staticmethod
     def assert_same_bytes(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST):
         model, history = train_denoiser(data, cfg, schedule, seed, priority)
-        ref_model, ref_history = per_example_training(data, cfg, schedule, seed, priority)
+        ref_model, ref_history = reference_training(data, cfg, schedule, seed, priority, 16)
         assert history == ref_history
         for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
             assert got.tobytes() == want.tobytes()
+        loop_model, loop_history = reference_training(data, cfg, schedule, seed, priority)
+        np.testing.assert_allclose(history, loop_history, rtol=1e-12, atol=0)
+        for got, want in zip(model.parameters(), loop_model.parameters(), strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("batch_size", [20, 32, 80])   # 20 and 80 divide N = 80
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -243,7 +262,7 @@ class TestMinibatchTraining:
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=3e-3, hidden=(16,))
         sched = db.linear_schedule(200)
         model, history = train_denoiser(data, cfg, sched, seed=4)
-        ref_model, ref_history = per_example_training(data, cfg, sched, seed=4)
+        ref_model, ref_history = reference_training(data, cfg, sched, seed=4)
         np.testing.assert_allclose(history, ref_history, rtol=1e-12, atol=0)
         for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
