@@ -14,10 +14,14 @@ direction.
 Scaled dot-product uses 1/sqrt(head_dim); no masking, no dropout, both
 variants are deterministic shape-preserving maps of an (n, d) token
 matrix.  Q, K and V come from one product of the tokens with the three
-weights side by side.  Both the forward maps and the backward pass
-broadcast over leading axes: a (..., n, d) stack is attended, or
-differentiated, matrix by matrix, each row bit-identical to a call on
-that matrix alone.
+weights side by side.  The forward maps broadcast over leading axes: a
+(..., n, d) stack is attended matrix by matrix, each bit-identical to a
+call on that matrix alone.  The row softmax runs on the rows' transposed
+copy, with the bytes of the last-axis formula.  The backward takes the
+same stack as R token matrices ("rows") and follows the dense layers'
+block rule (``blocks``): each weight gradient is one GEMM per block of
+16 rows, the blocks added in order, so a stack's gradients are the
+in-order sum of its blocks', each with the bytes of that block alone.
 
 ``attention_forward`` is the inference call, in the ordering
 ``cfg.priority`` names; an ``AttentionConfig`` takes its four weights
@@ -37,6 +41,9 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+
+from .blocks import _block_product, _block_weight_gradient
+from .domains import _pairwise_sum
 
 
 class Priority(Enum):
@@ -131,15 +138,34 @@ def init_attention(
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    # The row max as a reduce over the first axis of the rows' transposed
-    # copy: on short rows that is a few elementwise maxima instead of one
-    # reduce per row, and a max rounds nothing, so the bytes are
-    # max(axis=-1)'s.
-    n = scores.shape[-1]
-    rows_first = np.ascontiguousarray(scores.reshape(-1, n).T)
-    peak = np.maximum.reduce(rows_first, axis=0).reshape(*scores.shape[:-1], 1)
-    e = np.exp(scores - peak)
-    return e / e.sum(axis=-1, keepdims=True)
+    """The softmax of each row of scores (..., m), with the bytes of the last-axis formula.
+
+    ``e = exp(s - s.max(-1)); e / e.sum(-1)``, worked in place on the
+    rows' transposed copy, so each step is an elementwise pass or a
+    reduce over its first axis, not one short reduce per row.  A max
+    rounds nothing, ``domains._pairwise_sum`` adds in numpy's last-axis
+    order, and exp is never -0.0, so numpy's closing +0.0 changes
+    nothing.  The rows are then copied back into scores' layout.
+    """
+    m = scores.shape[-1]
+    # .copy(), not ascontiguousarray: at width 1 or with one row the
+    # transpose is already contiguous, and the work below would then
+    # overwrite the caller's scores.
+    e = scores.reshape(-1, m).T.copy()
+    e -= np.maximum.reduce(e, axis=0)
+    np.exp(e, out=e)
+    e /= _pairwise_sum(e)
+    probs = np.empty(scores.shape)
+    np.copyto(probs.reshape(-1, m).T, e)
+    return probs
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b).sum(axis=-1, keepdims=True), byte for byte, as a reduce over the rows' transpose."""
+    prod = a * b
+    total = _pairwise_sum(prod.reshape(-1, a.shape[-1]).T)
+    total += 0.0  # numpy's sums start from +0.0, so a row of -0.0 products sums to +0.0
+    return total.reshape(*a.shape[:-1], 1)
 
 
 def _check_tokens(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
@@ -172,11 +198,14 @@ def attention_backward(
 
     ``saved`` is the forward pass's arrays (``attention_forward_saved``)
     and ``grad_out`` = dLoss/dOutput, shaped like its tokens.  The four
-    gradients come in ``cfg.parameters()`` order: query, key, value,
-    output.  A (..., n, d) stack gets one gradient per matrix: each is
-    (..., d, d), every matrix's bytes equal to a call on that matrix
-    alone.  Summing them is the caller's choice.  No token gradient is
-    computed.
+    (d, d) gradients come in ``cfg.parameters()`` order: query, key,
+    value, output, each summed over the stack's R = prod(...) token
+    matrices.  Q, K and V share one (d, 16·n) @ (16·n, 3d) GEMM per block
+    of 16 matrices and the output weight one (d, 16·n) @ (16·n, d), the
+    last block zero-padded and the blocks added in order: a block's
+    contribution has the bytes of that block alone, wherever it sits and
+    whatever R is, and one (n, d) matrix is a block of one row.  R = 0
+    gives zeros.  No token gradient is computed.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != saved.tokens.shape:
@@ -187,8 +216,10 @@ def attention_backward(
 # ---------------------------------------------------------------------------
 # One windowed kernel: segment into windows, then multi-head inside each.
 # Global priority is the single-window case, whatever cfg.windows says.
-# Leading axes ride along as a stack, so every matmul is the same per-matrix
-# BLAS call a single (n, d) input makes.
+# Leading axes ride along as a stack: every forward matmul is the same
+# per-matrix BLAS call a single (n, d) input makes, and the backward's
+# per-head products are per matrix too, while its products with the
+# weights are 16-row blocks.
 # ---------------------------------------------------------------------------
 
 
@@ -205,7 +236,8 @@ def _internals(cfg, x) -> SavedForward:
         qkv[..., i * d : (i + 1) * d].reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
         for i in range(3)
     )
-    scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(dh)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores /= math.sqrt(dh)
     probs = _softmax_rows(scores)
     heads_out = probs @ vh                          # (..., w, h, nw, dh)
     merged = heads_out.swapaxes(-3, -2).reshape(*lead, n, h * dh)
@@ -213,21 +245,36 @@ def _internals(cfg, x) -> SavedForward:
 
 
 def _backward(cfg, saved, grad_out):
-    x, qh, kh, vh, probs, merged = saved
-    lead = x.shape[:-2]
-    h, dh = cfg.heads, cfg.head_dim
+    n, d = cfg.token_count, cfg.model_dim
+    grad_out = grad_out.reshape(-1, n, d)               # the stack as R token matrices
+    d_qkv = _qkv_pullback(cfg, saved, grad_out).reshape(-1, n, 3 * d)
+    d_wqkv = _block_weight_gradient(saved.tokens.reshape(-1, n, d), d_qkv)
+    d_wo = _block_weight_gradient(saved.merged.reshape(-1, n, d), grad_out)
+    return [*np.split(d_wqkv, 3, axis=1), d_wo]
+
+
+def _qkv_pullback(cfg, saved, grad_out):
+    """dLoss/dQ, dK and dV side by side, (..., n, 3d), from grad_out as R token matrices.
+
+    The (..., n, 3d) layout is the one their weight gradient reads.
+    """
+    _, qh, kh, vh, probs, _ = saved
+    lead = saved.tokens.shape[:-2]
+    n, d, h, dh = cfg.token_count, cfg.model_dim, cfg.heads, cfg.head_dim
     w, nw = probs.shape[-4], probs.shape[-2]
 
-    d_wo = merged.swapaxes(-1, -2) @ grad_out
-    d_merged = grad_out @ cfg.w_output.T
-    d_heads = d_merged.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
-
-    d_probs = d_heads @ vh.swapaxes(-1, -2)
-    d_vh = probs.swapaxes(-1, -2) @ d_heads
-    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-    d_qh = d_scores @ kh / math.sqrt(dh)
-    d_kh = d_scores.swapaxes(-1, -2) @ qh / math.sqrt(dh)
-
-    xt = x.reshape(*lead, w, nw, cfg.model_dim).swapaxes(-1, -2)
-    d_proj = (g.swapaxes(-3, -2).reshape(*lead, w, nw, h * dh) for g in (d_qh, d_kh, d_vh))
-    return [*((xt @ g).sum(axis=-3) for g in d_proj), d_wo]
+    d_heads = _block_product(grad_out, cfg.w_output.T)
+    d_heads = d_heads.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
+    d_scores = d_heads @ vh.swapaxes(-1, -2)           # d_probs, then in place d_scores
+    d_scores -= _row_dot(d_scores, probs)
+    d_scores *= probs
+    d_scores /= math.sqrt(dh)
+    d_qkv = np.empty((*lead, n, 3 * d))
+    d_q, d_k, d_v = (
+        d_qkv[..., i * d : (i + 1) * d].reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
+        for i in range(3)
+    )
+    np.matmul(d_scores, kh, out=d_q)
+    np.matmul(d_scores.swapaxes(-1, -2), qh, out=d_k)
+    np.matmul(probs.swapaxes(-1, -2), d_heads, out=d_v)
+    return d_qkv

@@ -20,13 +20,15 @@ Three implementations:
   and an optional self-attention block over patch tokens, trained by the
   manual reverse-mode gradients in ``backward`` (no autodiff framework).
   ``backward`` takes one field or a (B, *field) minibatch with one step
-  per row.  Every dense product, forward and pullback, is
-  ``_block_product``: one (16, k) GEMM per block of 16 rows, the last
-  block zero-padded, so a field's row meets the same BLAS call alone, in
-  a batch or in a minibatch, and gets the same bytes.  The weight
-  gradients are ``_block_gradients``: one (k, 16) @ (16, m) GEMM per
-  block, so a minibatch's gradients are the in-order sum of its 16-row
-  blocks' gradients, each block's with the bytes of that block alone.
+  per row.  Every product follows the block rule of ``blocks``.  Each
+  dense product, forward and pullback, is ``_block_product``: one
+  (16, k) GEMM per block of 16 rows, the last block zero-padded, so a
+  field's row meets the same BLAS call alone, in a batch or in a
+  minibatch, and gets the same bytes.  The dense weight gradients are
+  one (k, 16) @ (16, m) GEMM per block and the attention weights' one
+  (d, 16·n) @ (16·n, m) GEMM, so a minibatch's gradients are the
+  in-order sum of its 16-row blocks' gradients, each block's with the
+  bytes of that block alone.
   Its trainable arrays have one name list (``named_parameters``), in the
   checkpoint's payload order: the gradients, the optimiser and the
   checkpoint reader and writer all follow it.
@@ -59,6 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import attention as attn
+from .blocks import _block_gradients, _block_product, _padded
 from .domains import (
     GaussianMixture,
     checked_mode_variances,
@@ -248,81 +251,6 @@ _ACTIVATIONS = {
 }
 
 
-# Rows per GEMM in _block_product and _block_gradients: 16 divides the
-# CLI's generation count and batch size.
-_BLOCK_ROWS = 16
-
-
-def _padded(rows: int) -> int:
-    """rows rounded up to whole blocks of _BLOCK_ROWS."""
-    return -(-rows // _BLOCK_ROWS) * _BLOCK_ROWS
-
-
-def _blocks(a: np.ndarray) -> np.ndarray:
-    """An (R, ...) stack as (ceil(R / 16), 16, ...) blocks, the last one zero-padded.
-
-    A view when R is a whole number of blocks and a is C-contiguous.
-    """
-    rows = a.shape[0]
-    padded = _padded(rows)
-    if padded != rows:
-        block = np.zeros((padded, *a.shape[1:]))
-        block[:rows] = a
-        a = block
-    return a.reshape(padded // _BLOCK_ROWS, _BLOCK_ROWS, *a.shape[1:])
-
-
-def _block_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ w for an (R, k) stack, as one (16, k) @ (k, m) GEMM per block of 16 rows.
-
-    The last block is zero-padded, so every row goes through the same
-    BLAS call whatever R is, and a GEMM's value for a row depends on the
-    call's shape, not on the row's position in it: a row's bytes do not
-    depend on R or on its place in the stack.  R = 0 gives (0, m).
-    """
-    rows = a.shape[0]
-    out = _blocks(a) @ w
-    return out.reshape(-1, w.shape[1])[:rows]
-
-
-def _in_order_sum(stack: np.ndarray) -> np.ndarray:
-    """stack[0] + stack[1] + ... added in that order; zeros for an empty stack.
-
-    Written out because ``np.add.reduce`` adds pairwise when each entry
-    is one number (a width-1 layer's bias, say).
-    """
-    total = np.zeros(stack.shape[1:])
-    for part in stack:
-        total += part
-    return total
-
-
-def _block_sum(per_row: np.ndarray) -> np.ndarray:
-    """An (R, ...) stack summed over R: within each 16-row block, then block by block in order.
-
-    A block's rows are added by ``np.add.reduce``: in row order, or in
-    numpy's fixed pairwise order where each row is one number, so either
-    way its sum depends on that block alone, and the zero padding adds
-    exact zeros.  R = 0 gives zeros.
-    """
-    return _in_order_sum(np.add.reduce(_blocks(per_row), axis=1))
-
-
-def _block_gradients(post: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weight and bias gradients post.T @ delta and delta summed over its R rows.
-
-    The weight gradient is one (k, 16) @ (16, m) GEMM per block of 16
-    rows, in one stacked ``matmul``, and the blocks' products added in
-    block order; the bias gradient is ``_block_sum``.  The last block
-    is zero-padded in both operands, so padding adds exact zeros, and a
-    block's GEMM has one shape wherever it sits: each block's
-    contribution has the bytes of that block's rows alone.  R = 0 gives
-    zeros.
-    """
-    products = _blocks(post).swapaxes(-1, -2) @ _blocks(delta)
-    return _in_order_sum(products), _block_sum(delta)
-
-
 def _layer_dims(field_shape, widths, time_dim: int) -> list[int]:
     """Dense layer sizes, from field plus time embedding to field, once the geometry is checked."""
     # A shape () would score each coordinate of a batch as its own field.
@@ -478,17 +406,18 @@ class MlpDenoiser(EpsilonModel):
         Every gradient is the sum, in order, of the gradients of the
         minibatch's 16-row blocks, each with the bytes (up to the sign of
         an exact zero) of a call on that block alone: dense weights and
-        biases by ``_block_gradients``, the attention weights' per-row
-        gradients by ``_block_sum``, and the rows' deltas pulled back by
-        ``_block_product`` with the transposed weight, whose rows do not
-        depend on the stack around them, through the first layer only
-        when an attention block reads the result.  A one-field call is a
-        block of one row, its 15 padding rows adding exact zeros.  A
-        minibatch of no rows gives zero gradients.  The attention block
-        runs forward once, and its backward reads the arrays that
-        forward saved.  The gradients come
-        as ``MlpGradients.parameters``, one per ``parameters()`` array in
-        its order, with the prediction they were taken at, shaped like x.
+        biases by ``_block_gradients``, the attention weights by
+        ``attention_backward``'s block GEMMs, and the rows' deltas pulled
+        back by ``_block_product`` with the transposed weight, whose rows
+        do not depend on the stack around them.  Through the first layer
+        only the field's columns are pulled back, and only when an
+        attention block reads them.  A one-field call is a block of one
+        row, its 15 padding rows adding exact zeros.  A minibatch of no
+        rows gives zero gradients.  The attention block runs forward
+        once, and its backward reads the arrays that forward saved.  The
+        gradients come as ``MlpGradients.parameters``, one per
+        ``parameters()`` array in its order, with the prediction they
+        were taken at, shaped like x.
         """
         x = np.asarray(x, dtype=np.float64)
         target_eps = np.asarray(target_eps, dtype=np.float64)
@@ -509,6 +438,11 @@ class MlpDenoiser(EpsilonModel):
         if self.attention is not None:
             h, saved = attn.attention_forward_saved(self.attention, self._tokens(x, (rows,)))
         out, pre, post = self._dense(h, t, (rows,))
+        # Each array goes as soon as the gradients are past it, so the
+        # attention backward runs beside the saved forward alone: z, the
+        # dense input, lives on in post[0], and the last layer's pre- and
+        # post-activation is ``out``.
+        del h, pre[-1], post[-1]
         _, act_grad = _ACTIVATIONS[self.activation]
 
         field_size = math.prod(self.field_shape)
@@ -518,16 +452,16 @@ class MlpDenoiser(EpsilonModel):
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
-                delta = delta * act_grad(pre[i])
-            d_weights[i], d_biases[i] = _block_gradients(post[i], delta)
-            if i or self.attention is not None:  # only attention reads the input's delta
+                delta = delta * act_grad(pre.pop())
+            d_weights[i], d_biases[i] = _block_gradients(post.pop(), delta)
+            if i:
                 delta = _block_product(delta, self.weights[i].T)
 
         grads = [*d_weights, *d_biases]
         if self.attention is not None:
-            d_att_out = self._tokens(delta[:, :field_size], (rows,))
-            per_row = attn.attention_backward(self.attention, saved, d_att_out)
-            grads += [_block_sum(g) for g in per_row]
+            # The attention block reads the field's part of the input's delta.
+            d_att_out = self._tokens(_block_product(delta, self.weights[0][:field_size].T), (rows,))
+            grads += attn.attention_backward(self.attention, saved, d_att_out)
         return MlpGradients(grads, out[0] if one else out)
 
 

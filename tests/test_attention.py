@@ -33,6 +33,20 @@ def make_pair(token_count, model_dim, heads, windows, seed=0):
     return g, l
 
 
+def backward_of(cfg, x, g):
+    """attention_backward's four weight gradients for tokens x and output gradient g."""
+    return attention_backward(cfg, attention_forward_saved(cfg, x)[1], g)
+
+
+def in_order_sum(parts):
+    """The arrays of each list in ``parts`` added position by position, in list order."""
+    total = [a.copy() for a in parts[0]]
+    for part in parts[1:]:
+        for acc, a in zip(total, part, strict=True):
+            acc += a
+    return total
+
+
 class TestSelectPriority:
     def test_mapping(self):
         assert select_priority(Direction.FORWARD) == Priority.GLOBAL_FIRST
@@ -186,6 +200,41 @@ class TestSoftmaxRows:
             assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+class TestRowDot:
+    """The softmax backward's row dot, a reduce over the rows' transpose, has numpy's bytes."""
+
+    KINDS = (*TestSoftmaxRows.KINDS, "negative-zero-products")
+
+    def rows(self, kind, n, rng):
+        if kind == "negative-zero-products":   # every product is -0.0; numpy's sum is +0.0
+            return np.zeros(n), -rng.random(n) - 0.5
+        return _special_row(kind, n, rng), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (16, 4, 2)])
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 16, 130])
+    def test_bytes_equal_the_last_axis_sum(self, lead, n):
+        rng = np.random.default_rng(n)
+        if lead:
+            pairs = [self.rows(self.KINDS[i % len(self.KINDS)], n, rng)
+                     for i in range(int(np.prod(lead)))]
+            cases = [tuple(np.stack(side).reshape(*lead, n) for side in zip(*pairs))]
+        else:
+            cases = [self.rows(kind, n, rng) for kind in self.KINDS]
+        for a, b in cases:
+            before = a.tobytes(), b.tobytes()
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = attention._row_dot(a, b), (a * b).sum(axis=-1, keepdims=True)
+            assert (a.tobytes(), b.tobytes()) == before
+            assert got.shape == want.shape == (*lead, 1)
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        got = attention._row_dot(np.zeros((2, 9)), -np.ones((2, 9)))
+        assert got.tobytes() == np.zeros((2, 1)).tobytes()
+
+
 class TestShapePreservation:
     def test_random_valid_configs(self):
         rng = np.random.default_rng(10)
@@ -214,18 +263,18 @@ class TestBatched:
                 assert probs[i, j].tobytes() == attention._internals(cfg, x[i, j]).probs.tobytes()
 
     @pytest.mark.parametrize("priority", list(Priority))
-    def test_backward_stack_rows_byte_equal_single_calls(self, priority):
+    def test_backward_stack_is_the_in_order_sum_of_its_blocks(self, priority):
+        """Whatever its leading shape, a stack's gradients are its rows' 16-row blocks added in order."""
         cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
-        x, g = np.random.default_rng(3).standard_normal((2, 3, 2, 16, 16))
-        _, saved = attention_forward_saved(cfg, x)
-        grads = attention_backward(cfg, saved, g)
-        for i in range(3):
-            for j in range(2):
-                _, one_saved = attention_forward_saved(cfg, x[i, j])
-                one = attention_backward(cfg, one_saved, g[i, j])
-                for stacked, single in zip(grads, one, strict=True):
-                    assert stacked.shape == (3, 2, 16, 16)
-                    assert stacked[i, j].tobytes() == single.tobytes()
+        x, g = np.random.default_rng(3).standard_normal((2, 3, 12, 16, 16))
+        rows_x, rows_g = x.reshape(36, 16, 16), g.reshape(36, 16, 16)
+        blocks = [backward_of(cfg, rows_x[s : s + 16], rows_g[s : s + 16]) for s in range(0, 36, 16)]
+        for stacked, want in zip(backward_of(cfg, x, g), in_order_sum(blocks), strict=True):
+            assert stacked.shape == (16, 16)
+            assert stacked.tobytes() == want.tobytes()
+        # One (n, d) matrix is a block of one row.
+        for one, want in zip(backward_of(cfg, x[0, 0], g[0, 0]), backward_of(cfg, x[0, :1], g[0, :1])):
+            assert one.tobytes() == want.tobytes()
 
     def test_wrong_shapes_rejected(self):
         cfg = init_attention(4, 4, seed=0)
@@ -234,3 +283,76 @@ class TestBatched:
                                np.zeros((3, 4, 4)))
         with pytest.raises(ValueError):
             attention_forward(cfg, np.zeros((2, 5, 4)))
+
+
+def per_row_reference(cfg, x, g):
+    """The four weight gradients by the per-row formula, one (d, d) per matrix, added in row order."""
+    d, h, dh = cfg.model_dim, cfg.heads, cfg.head_dim
+    total = [np.zeros((d, d)) for _ in range(4)]
+    for tokens, grad_out in zip(x, g):
+        _, (_, qh, kh, vh, probs, merged) = attention_forward_saved(cfg, tokens)
+        w, nw = probs.shape[-4], probs.shape[-2]
+        d_heads = (grad_out @ cfg.w_output.T).reshape(w, nw, h, dh).swapaxes(-3, -2)
+        d_probs = d_heads @ vh.swapaxes(-1, -2)
+        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+        pulled = (d_scores @ kh / np.sqrt(dh), d_scores.swapaxes(-1, -2) @ qh / np.sqrt(dh),
+                  probs.swapaxes(-1, -2) @ d_heads)
+        xt = tokens.reshape(w, nw, d).swapaxes(-1, -2)
+        per_row = [(xt @ p.swapaxes(-3, -2).reshape(w, nw, d)).sum(axis=0) for p in pulled]
+        for acc, part in zip(total, [*per_row, merged.T @ grad_out], strict=True):
+            acc += part
+    return total
+
+
+class TestAttentionBlockGradients:
+    """The four weight gradients follow the dense layers' 16-row block rule."""
+
+    BLAS_PROPERTY = (
+        "a stacked GEMM must compute each (d, 16n) @ (16n, m) product from that block"
+        " alone, in an order set by the call's shape, not by the block's place in the"
+        " stack or the stack's length; this BLAS does not, so a minibatch's attention"
+        " gradients no longer equal the in-order sum of its blocks' gradients"
+    )
+    # The CLI's geometry (16 tokens of 16), and 6 tokens of 4 in 3 windows.
+    LAYOUTS = [(16, 16, 2, 4), (6, 4, 2, 3)]
+
+    def config(self, layout, priority):
+        n, d, heads, windows = layout
+        return init_attention(n, d, heads=heads, windows=windows, priority=priority, seed=sum(layout))
+
+    @pytest.mark.parametrize("priority", list(Priority))
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_block_bytes_depend_on_neither_row_count_nor_position(self, layout, priority):
+        cfg = self.config(layout, priority)
+        x, g = np.random.default_rng(sum(layout)).standard_normal((2, 128, *layout[:2]))
+        for rows in [*range(1, 41), 128]:
+            got = backward_of(cfg, x[:rows], g[:rows])
+            assert [a.shape for a in got] == [(layout[1], layout[1])] * 4
+            alone = [backward_of(cfg, x[s : min(s + 16, rows)], g[s : min(s + 16, rows)])
+                     for s in range(0, rows, 16)]
+            for a, want in zip(got, in_order_sum(alone), strict=True):
+                assert a.tobytes() == want.tobytes(), self.BLAS_PROPERTY
+
+    @pytest.mark.parametrize("priority", list(Priority))
+    @pytest.mark.parametrize("rows", [1, 7, 16, 21])
+    def test_zero_padding_adds_nothing(self, rows, priority):
+        cfg = self.config(self.LAYOUTS[1], priority)
+        x, g = np.random.default_rng(rows).standard_normal((2, rows, 6, 4))
+        padded = [np.concatenate([a, np.zeros((48 - rows, 6, 4))]) for a in (x, g)]
+        for a, want in zip(backward_of(cfg, x, g), backward_of(cfg, *padded), strict=True):
+            assert a.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("priority", list(Priority))
+    def test_no_rows_give_zeros(self, priority):
+        cfg = self.config(self.LAYOUTS[0], priority)
+        grads = backward_of(cfg, np.zeros((0, 16, 16)), np.zeros((0, 16, 16)))
+        assert [a.shape for a in grads] == [(16, 16)] * 4
+        assert not any(a.any() for a in grads)
+
+    @pytest.mark.parametrize("priority", list(Priority))
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_equals_the_per_row_sum_to_rounding(self, layout, priority):
+        cfg = self.config(layout, priority)
+        x, g = np.random.default_rng(13).standard_normal((2, 37, *layout[:2]))
+        for a, want in zip(backward_of(cfg, x, g), per_row_reference(cfg, x, g), strict=True):
+            assert np.max(np.abs(a - want)) <= 1e-12 * np.max(np.abs(want))

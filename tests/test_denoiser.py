@@ -9,7 +9,7 @@ import pytest
 from scipy.special import expit
 
 import diffbridge as db
-from diffbridge import attention, denoiser
+from diffbridge import attention, blocks, denoiser
 from diffbridge.attention import Priority
 from diffbridge.bridge import DRIFT_TIME_FLOOR
 from diffbridge.denoiser import (
@@ -977,6 +977,27 @@ class TestMlpBatchedBackward:
         x, target = rng.standard_normal((2, 33, 16))
         steps = rng.uniform(1.0, 100.0, 33)
         assert gradient_error(m, x, steps, target) < 1e-4
+
+    @pytest.mark.parametrize("priority", list(Priority))
+    def test_multi_block_gradients_match_finite_differences_at_six_tokens(self, priority):
+        """33 rows of a (6, 4) field as 6 tokens of 4 in 2 heads and 3 windows."""
+        att = db.init_attention(6, 4, heads=2, windows=3, priority=priority, seed=7)
+        m = db.init_mlp((6, 4), (12,), steps_total=100, time_dim=4, attention=att, seed=8)
+        rng = np.random.default_rng(10)
+        x, target = rng.standard_normal((2, 33, 6, 4))
+        steps = rng.uniform(1.0, 100.0, 33)
+        assert gradient_error(m, x, steps, target) < 1e-4
+
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    def test_block_sum_runs_only_on_biases(self, priority, monkeypatch):
+        """One _block_sum per dense layer, on its deltas; the attention gradients are block GEMMs."""
+        m = self.model(priority)
+        seen = []
+        block_sum = blocks._block_sum
+        monkeypatch.setattr(blocks, "_block_sum", lambda a: seen.append(a.shape) or block_sum(a))
+        x, target = np.random.default_rng(8).standard_normal((2, 21, 16, 16))
+        m.backward(x, 40, target)
+        assert seen == [(21, b.size) for b in reversed(m.biases)]
 
     def test_backward_calls_no_einsum(self, monkeypatch):
         def einsum(*args, **kwargs):
