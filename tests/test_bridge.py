@@ -125,6 +125,31 @@ class TestFlowOde:
         # A sweep that never reaches the poisoned times completes.
         depth_sweep(x, PoisonedRow(), gmm_setup["model_b"], cfg, [0.2])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_lone_non_finite_value_names_its_grid_node(self, gmm_setup, value):
+        class PoisonedValue(db.EpsilonModel):
+            """The analytic model, with one coordinate of row 2 set to value from time 0.3 on."""
+
+            def predict_epsilon(self, x, t):
+                eps = gmm_setup["model_a"].predict_epsilon(x, t)
+                if t >= 300:
+                    eps[2, 1] = value
+                return eps
+
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=10)
+        with pytest.raises(NonFiniteStateError, match=r"grid node 4 \(time 0.400000\)"):
+            flow_ode(gmm_setup["x"][:4], PoisonedValue(), 0.0, 1.0, cfg)
+
+    def test_a_finite_state_whose_sum_overflows_runs_on(self, gmm_setup):
+        class Zero(db.EpsilonModel):
+            def predict_epsilon(self, x, t):
+                return np.zeros_like(x)
+
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=10)
+        x = np.full((8, 2), 1e308)   # every row finite, their sum past the largest float
+        out = flow_ode(x, Zero(), 0.0, 0.5, cfg)
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+
     @pytest.mark.parametrize("integrator", list(Integrator))
     def test_in_place_steps_match_the_textbook_recursion(self, integrator):
         """flow_ode steps in place; its bytes equal the plain out-of-place formulas."""

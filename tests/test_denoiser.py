@@ -1,6 +1,7 @@
 """Noise predictors against finite-difference and dense-algebra oracles."""
 
 import json
+import math
 import struct
 import warnings
 
@@ -421,6 +422,20 @@ class TestSilu:
         np.testing.assert_array_equal(value, [-0.0, 800.0, -0.0, 1e308])
         np.testing.assert_array_equal(grad, [0.0, 1.0, 0.0, 1.0])
 
+    # Signed zeros, where exp(-a) is near overflow (708) and past it (710), far past it, NaNs.
+    GRID = [0.0, -0.0, 708.0, -708.0, 710.0, -710.0, 1e300, -1e300, np.nan, -np.nan, 5e-324, -1.0]
+
+    def test_bytes_equal_the_formulas(self):
+        a = np.concatenate((self.GRID, self._draws()[::50]))
+        kept = a.copy()
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-a))
+            value = a * (1.0 / (1.0 + np.exp(-a)))
+            grad = s * (1.0 + a * (1.0 - s))
+        assert _silu(a).tobytes() == value.tobytes()
+        assert _silu_grad(a).tobytes() == grad.tobytes()
+        assert a.tobytes() == kept.tobytes()   # the input is read, never written
+
 
 class TestMlpDenoiser:
     def test_zero_weights_zero_output(self):
@@ -701,6 +716,70 @@ class TestMlpBatched:
             m.predict_epsilon(np.zeros((3, 5)), 3)
         with pytest.raises(ValueError):
             m.backward(np.zeros((2, 5)), 3, np.zeros((2, 5)))
+
+
+def reference_prediction(m, x, t):
+    """The MLP's prediction for x at step(s) t, written out from its formulas.
+
+    Attention: stacked per-matrix products, a last-axis-max softmax and
+    the heads merged back; then the field and its concatenated time
+    embedding through the dense layers, each layer one (16, k) GEMM per
+    zero-padded block of 16 rows, with SiLU between them.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lead = x.shape[: x.ndim - len(m.field_shape)]
+    if m.attention is not None:
+        cfg = m.attention
+        n, d, h, dh = cfg.token_count, cfg.model_dim, cfg.heads, cfg.head_dim
+        w = 1 if cfg.priority == Priority.GLOBAL_FIRST else cfg.windows
+        tokens = x.reshape(*lead, n, d)
+        qkv = tokens @ np.concatenate([cfg.w_query, cfg.w_key, cfg.w_value], axis=1)
+        q, k, v = (
+            qkv[..., i * d : (i + 1) * d].reshape(*lead, w, n // w, h, dh).swapaxes(-3, -2)
+            for i in range(3)
+        )
+        scores = q @ k.swapaxes(-1, -2) / math.sqrt(dh)
+        e = np.exp(scores - scores.max(-1, keepdims=True))
+        probs = e / e.sum(-1, keepdims=True)
+        x = (probs @ v).swapaxes(-3, -2).reshape(*lead, n, d) @ cfg.w_output
+    rows, size, half = math.prod(lead), math.prod(m.field_shape), m.time_dim // 2
+    freqs = 10000.0 ** (np.arange(half) / max(half - 1, 1))
+    angles = np.reshape(t / m.steps_total, (-1, 1)) * freqs
+    embed = np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+    h = np.concatenate([x.reshape(rows, size), np.broadcast_to(embed, (rows, m.time_dim))], axis=1)
+    last = len(m.weights) - 1
+    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+        blocks = np.zeros((-(-rows // 16) * 16, h.shape[1]))
+        blocks[:rows] = h
+        a = (blocks.reshape(-1, 16, h.shape[1]) @ w).reshape(-1, w.shape[1])[:rows] + b
+        h = a * (1.0 / (1.0 + np.exp(-a))) if i < last else a
+    return h.reshape(*lead, *m.field_shape)
+
+
+class TestMlpForwardBytes:
+    """``predict_epsilon`` and ``backward``'s prediction have the bytes of the written-out formulas."""
+
+    # No attention, then each priority at mlp-train's geometry and at one of 4 heads of 8 values.
+    @pytest.mark.parametrize("priority,geometry", [
+        (None, None), *((p, (16, 16, 2, 4)) for p in Priority), *((p, (8, 32, 4, 2)) for p in Priority),
+    ])
+    def test_bytes_equal_the_formulas(self, priority, geometry):
+        att = None
+        if priority is not None:
+            att = db.init_attention(*geometry, priority=priority, seed=1)
+        m = db.init_mlp((16, 16), (64, 32), steps_total=100, attention=att, seed=2)
+        m.biases = [np.random.default_rng(i).standard_normal(b.shape) for i, b in enumerate(m.biases)]
+        rng = np.random.default_rng(3)
+        field = rng.standard_normal((16, 16))
+        assert m.predict_epsilon(field, 37.5).tobytes() == reference_prediction(m, field, 37.5).tobytes()
+        for rows in (1, 5, 16, 17, 33):
+            x = rng.standard_normal((rows, 16, 16))
+            steps = rng.uniform(0.0, 100.0, rows)
+            for batch in (x, np.asfortranarray(x)):
+                for t in (37.5, 100, steps):
+                    want = reference_prediction(m, batch, t).tobytes()
+                    assert m.predict_epsilon(batch, t).tobytes() == want, (rows, t)
+                    assert m.backward(batch, t, x).prediction.tobytes() == want, (rows, t)
 
 
 @pytest.mark.parametrize("lead", [(0,), (2, 0)])

@@ -11,6 +11,7 @@ from diffbridge.domains import (
     GaussianMixture,
     SpectralTexture,
     _logsumexp,
+    _pairwise_sum,
 )
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude
 from diffbridge.train import energy_distance
@@ -177,6 +178,35 @@ class TestLogSumExp:
         with np.errstate(over="ignore"):
             want = logsumexp(a, axis=-1).reshape(-1)
         _assert_same_bytes(got, want)
+
+
+class TestPairwiseSum:
+    """``_pairwise_sum`` over a first axis has the bytes of numpy's sum over a contiguous last axis.
+
+    n = 1..300 covers every remainder mod 8, the in-order sums below 8
+    terms and the split above 128.
+    """
+
+    @staticmethod
+    def _rows(n):
+        """Rows of n terms: random, mixed in magnitude, and signed zeros alone or among values."""
+        rng = np.random.default_rng(n)
+        mixed = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-12, 13, (6, n))
+        zeros = rng.choice([-0.0, 0.0], (3, n))
+        among = np.where(rng.random((3, n)) < 0.7, -0.0, rng.standard_normal((3, n)))
+        lone = np.full((2, n), -0.0)
+        lone[1, -1] = 0.0
+        return np.concatenate([rng.standard_normal((6, n)), mixed, zeros, among, lone])
+
+    def test_bytes_equal_the_last_axis_sum(self):
+        for n in range(1, 301):
+            a = self._rows(n)
+            kept = a.copy()
+            want = a.sum(-1)
+            for terms in (a.T, np.ascontiguousarray(a.T)):
+                got = _pairwise_sum(terms) + 0.0
+                assert got.tobytes() == want.tobytes(), n
+            _assert_same_bytes(a, kept)   # the terms are read, never written
 
 
 def _scipy_log_components(mix, x):
