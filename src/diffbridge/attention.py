@@ -14,9 +14,12 @@ direction.
 Scaled dot-product uses 1/sqrt(head_dim); no masking, no dropout, both
 variants are deterministic shape-preserving maps of an (n, d) token
 matrix.  Q, K and V come from one product of the tokens with the three
-weights side by side.  The forward maps broadcast over leading axes: a
-(..., n, d) stack is attended matrix by matrix, each bit-identical to a
-call on that matrix alone.  The row softmax runs on the rows' transposed
+weights side by side, and are views into it.  Each head's probs @ v is
+written by ``matmul`` straight into its columns of the merged (..., n, d)
+buffer, so no per-head output array or merge copy is made.  The
+forward maps broadcast over leading axes: a (..., n, d) stack is
+attended matrix by matrix, each bit-identical to a call on that matrix
+alone.  The row softmax runs on the rows' transposed
 copy, with the bytes of the last-axis formula.  The backward takes the
 same stack as R token matrices ("rows") and follows the dense layers'
 block rule (``blocks``): each weight gradient is one GEMM per block of
@@ -231,16 +234,18 @@ def _internals(cfg, x) -> SavedForward:
     # One product for Q, K and V.  The weights are joined per call: the
     # optimiser updates them in place, so a kept copy would go stale.
     qkv = x @ np.concatenate([cfg.w_query, cfg.w_key, cfg.w_value], axis=1)
-    # (..., n, 3d) -> 3 x (..., w, h, nw, dh), views into qkv
-    qh, kh, vh = (
-        qkv[..., i * d : (i + 1) * d].reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
-        for i in range(3)
+    # (..., n, 3d) as (..., w, nw, 3, h, dh), then 3 x (..., w, h, nw, dh):
+    # Q, K and V are views into qkv.
+    k = len(lead)
+    qh, kh, vh = qkv.reshape(*lead, w, nw, 3, h, dh).transpose(
+        k + 2, *range(k), k, k + 3, k + 1, k + 4
     )
     scores = qh @ kh.swapaxes(-1, -2)
     scores /= math.sqrt(dh)
     probs = _softmax_rows(scores)
-    heads_out = probs @ vh                          # (..., w, h, nw, dh)
-    merged = heads_out.swapaxes(-3, -2).reshape(*lead, n, h * dh)
+    # Each head's probs @ v goes straight into its columns of the merged (..., n, d).
+    merged = np.empty((*lead, n, d))
+    np.matmul(probs, vh, out=merged.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2))
     return SavedForward(x, qh, kh, vh, probs, merged)
 
 

@@ -8,7 +8,9 @@ bytes do not depend on R or on where it sits; sums over the blocks run
 in block order.  A row is a vector, or an (n, k) token matrix whose n
 tokens ride in the block as 16·n rows.  ``denoiser`` runs its dense
 layers and their gradients on these blocks, and ``attention`` its four
-weight gradients.
+weight gradients.  A product whose stack is already whole blocks, as
+the denoiser's padded dense buffer is, reads the stack as it is, with
+no padding copy.
 """
 
 from __future__ import annotations
@@ -51,10 +53,14 @@ def _block_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     Each row is a k-vector (n = 1) or an (n, k) token matrix.  The last
     block is zero-padded, so every row goes through the same BLAS call
     whatever R is: a row's bytes do not depend on R or on its place in
-    the stack.  R = 0 gives (0, ..., m).
+    the stack.  R = 0 gives (0, ..., m).  A stack of whole blocks is
+    read as it is; only a partial last block is padded, into a copy.
     """
-    out = _blocks(a).reshape(-1, _block_height(a), a.shape[-1]) @ w
-    return out.reshape(-1, *a.shape[1:-1], w.shape[1])[: a.shape[0]]
+    rows = a.shape[0]
+    if rows % _BLOCK_ROWS:
+        a = _blocks(a).reshape(-1, *a.shape[1:])
+    out = a.reshape(-1, _block_height(a), a.shape[-1]) @ w
+    return out.reshape(*a.shape[:-1], w.shape[1])[:rows]
 
 
 def _in_order_sum(stack: np.ndarray) -> np.ndarray:

@@ -175,6 +175,14 @@ def flow_ode(
 
 
 def _check_finite(x: np.ndarray, node: int, time: float) -> None:
+    """Raise at a non-finite x.
+
+    A non-finite entry makes the sum non-finite, so one reduce clears a
+    finite state; a sum that overflows on finite entries falls through
+    to the full scan, and its overflow warning to the caller's errstate.
+    """
+    if math.isfinite(np.add.reduce(x, axis=None)):
+        return
     if not np.all(np.isfinite(x)):
         raise NonFiniteStateError(
             f"non-finite state at grid node {node} (time {time:.6f})"

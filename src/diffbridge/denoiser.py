@@ -28,7 +28,9 @@ Three implementations:
   one (k, 16) @ (16, m) GEMM per block and the attention weights' one
   (d, 16·n) @ (16·n, m) GEMM, so a minibatch's gradients are the
   in-order sum of its 16-row blocks' gradients, each block's with the
-  bytes of that block alone.
+  bytes of that block alone.  ``predict_epsilon`` and ``backward`` run
+  one forward pass, which adds each bias in place and runs SiLU in
+  place on one fresh array, with the out-of-place formulas' bytes.
   Its trainable arrays have one name list (``named_parameters``), in the
   checkpoint's payload order: the gradients, the optimiser and the
   checkpoint reader and writer all follow it.
@@ -50,6 +52,7 @@ strided, dividing formula, up to the sign of an exact zero.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
@@ -220,29 +223,46 @@ def time_embedding(tau, dim: int) -> np.ndarray:
     A scalar tau gives shape (dim,); an array of taus gives one embedding
     per entry, shape (*tau.shape, dim), each equal to the scalar call's.
     """
-    half = dim // 2
-    exponents = np.arange(half) / max(half - 1, 1)
-    freqs = 10000.0**exponents
+    freqs = _frequencies(dim)
     if isinstance(tau, np.ndarray):
         tau = tau[..., None]
     angles = tau * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
+@functools.lru_cache(maxsize=8)
+def _frequencies(dim: int) -> np.ndarray:
+    """The embedding's dim // 2 frequencies, 10000 ** (i / (half - 1)); read-only, kept per dim."""
+    half = dim // 2
+    freqs = 10000.0 ** (np.arange(half) / max(half - 1, 1))
+    freqs.setflags(write=False)
+    return freqs
+
+
+# SiLU and its gradient fill fresh arrays in place, with the bytes of
+# a * s and s * (1 + a * (1 - s)) for s = 1 / (1 + exp(-a)): every
+# product keeps its operand order, which sets the NaN a NaN input gives.
+# exp(-a) overflows to inf for a < -709, and 1 / (1 + inf) is the correct
+# limit 0.
+@np.errstate(over="ignore")
 def _sigmoid(a):
-    # exp(-a) overflows to inf for a < -709, and 1 / (1 + inf) is the
-    # correct limit 0.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-a))
+    s = np.negative(a)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def _silu(a):
-    return a * _sigmoid(a)
+    s = _sigmoid(a)
+    return np.multiply(a, s, out=s)
 
 
 def _silu_grad(a):
     s = _sigmoid(a)
-    return s * (1.0 + a * (1.0 - s))
+    g = np.subtract(1.0, s)
+    np.multiply(a, g, out=g)
+    g += 1.0
+    return np.multiply(s, g, out=g)
 
 
 _ACTIVATIONS = {
@@ -379,7 +399,8 @@ class MlpDenoiser(EpsilonModel):
         pre, post = [], [z[:rows]]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = _block_product(h, w) + b
+            a = _block_product(h, w)
+            a += b
             h = act(a) if i < last else a
             pre.append(a[:rows])
             post.append(h[:rows])

@@ -118,10 +118,13 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
         half = n // 2 - n // 2 % 8
         return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
     whole = n - n % 8
-    r = terms[:8].copy()
-    for start in range(8, whole, 8):
+    r = terms[:8] + terms[8:16] if whole > 8 else terms[:8]
+    for start in range(16, whole, 8):
         r += terms[start : start + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), one level at a time.
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
     for term in terms[whole:]:
         total += term
     return total
