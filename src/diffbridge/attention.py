@@ -236,9 +236,9 @@ def _internals(cfg, x) -> SavedForward:
     qkv = x @ np.concatenate([cfg.w_query, cfg.w_key, cfg.w_value], axis=1)
     # (..., n, 3d) as (..., w, nw, 3, h, dh), then 3 x (..., w, h, nw, dh):
     # Q, K and V are views into qkv.
-    k = len(lead)
+    a = len(lead)
     qh, kh, vh = qkv.reshape(*lead, w, nw, 3, h, dh).transpose(
-        k + 2, *range(k), k, k + 3, k + 1, k + 4
+        a + 2, *range(a), a, a + 3, a + 1, a + 4
     )
     scores = qh @ kh.swapaxes(-1, -2)
     scores /= math.sqrt(dh)
