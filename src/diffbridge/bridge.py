@@ -7,8 +7,9 @@ model from 1 back to 0.  Depth-controlled migration stops the descent
 early, noising only to an intermediate time i and denoising from i, which
 yields cross-domain intermediates whose migration extent grows with i.
 A depth sweep shares one forward leg and one reverse descent across all
-its depths; the models are pure, and the only per-step state they keep
-is the GMM model's read-only table of T+1 step constants.  Every
+its depths; the models are pure.  The GMM model keeps a read-only table
+of T+1 step constants; the texture model reuses mutable work arrays, so
+a texture model's calls must not overlap across threads.  Every
 entry point takes one sample or a batch of samples along a leading axis;
 models broadcast over it, so a batch costs one model call per grid step
 and each row is bit-identical to that sample's own run.

@@ -4,8 +4,10 @@ All models implement ``predict_epsilon(x, t) -> eps`` where ``eps`` has
 x's shape and t is a diffusion step in [0, T] (fractional steps are
 accepted so the continuous-time integrator can query between knots; at
 t = 0 the optimal prediction is exactly zero).  Prediction is pure:
-identical arguments give identical outputs, and models are safe to
-share read-only across workers.  Every model broadcasts over leading
+identical arguments give identical outputs.  The mixture model and the
+network may be shared read-only across threads; the texture model
+reuses mutable work arrays, so its calls must not overlap across
+threads.  Every model broadcasts over leading
 axes: a batch (..., *sample_shape) is scored in one call, and each of
 its samples gets the bytes a call on that sample alone would give.
 

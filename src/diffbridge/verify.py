@@ -6,6 +6,11 @@ differences, a second integrator) and reports the measured error against
 a fixed threshold.  ``run_all`` executes every check; a schedule override
 exists so harnesses can inject a corrupted schedule and watch the
 round-trip check fail.
+
+Each oracle has one home: a measurement function here that takes its
+inputs and returns the measured numbers.  The checks, the acceptance
+criteria and the unit tests all measure through these functions, and
+each caller pins its own sizes, seeds, bounds and error rule.
 """
 
 from __future__ import annotations
@@ -50,17 +55,24 @@ def check_schedule_product(schedule: NoiseSchedule) -> CheckResult:
     return CheckResult("schedule-product", worst < 1e-12, worst, 1e-12)
 
 
-def check_forward_noise_moments(schedule: NoiseSchedule, seed: int = 0) -> CheckResult:
-    """Sample moments of the forward marginal vs the closed form."""
-    rng = np.random.default_rng(seed)
-    t = max(1, schedule.steps_T // 2)
+def noise_moment_deviations(x0, t, schedule: NoiseSchedule, rng, count) -> tuple[float, float]:
+    """Worst coordinate's mean deviation, in estimated sigmas, and relative variance error.
+
+    The sample is one batched ``forward_noise`` draw of ``count`` copies of x0 at step t.
+    """
     ab = schedule.alpha_bar(t)
-    x0 = np.array([1.0, -2.0])
-    n = 4000
-    draws = forward_noise(np.broadcast_to(x0, (n, 2)), t, schedule, rng)
-    se = np.sqrt((1 - ab) / n)
+    draws = forward_noise(np.broadcast_to(x0, (count, *np.shape(x0))), t, schedule, rng)
+    se = np.sqrt((1 - ab) / count)
     mean_dev = np.abs(draws.mean(axis=0) - np.sqrt(ab) * x0).max() / se
     var_dev = np.abs(draws.var(axis=0) / (1 - ab) - 1.0).max()
+    return float(mean_dev), float(var_dev)
+
+
+def check_forward_noise_moments(schedule: NoiseSchedule, seed: int = 0) -> CheckResult:
+    """Sample moments of the forward marginal vs the closed form."""
+    t = max(1, schedule.steps_T // 2)
+    x0, rng = np.array([1.0, -2.0]), np.random.default_rng(seed)
+    mean_dev, var_dev = noise_moment_deviations(x0, t, schedule, rng, 4000)
     passed = mean_dev < 4.0 and var_dev < 0.10
     return CheckResult(
         "forward-noise-moments",
@@ -71,32 +83,47 @@ def check_forward_noise_moments(schedule: NoiseSchedule, seed: int = 0) -> Check
     )
 
 
-def check_score_finite_difference(schedule: NoiseSchedule, seed: int = 0) -> CheckResult:
-    """Analytic noise prediction vs central differences of the log density."""
-    mix = default_gmm_pair().source
-    model = AnalyticGmmEpsilon(mix, schedule)
-    rng = np.random.default_rng(seed)
+def score_error(model: AnalyticGmmEpsilon, rng, states: int) -> float:
+    """Worst relative error of the model's epsilon at ``states`` random (step, point) pairs.
+
+    The oracle is -sqrt(1 - alpha_bar) times central differences (h = 1e-4)
+    of the log density of ``model.mixture`` noised to that step.
+    """
+    schedule = model.schedule
     h = 1e-4
     worst = 0.0
-    for _ in range(25):
+    for _ in range(states):
         t = int(rng.integers(1, schedule.steps_T + 1))
-        q_t = noised_mixture(mix, schedule, t)
+        q_t = noised_mixture(model.mixture, schedule, t)
         x = gmm_sample(q_t, 1, seed=int(rng.integers(1 << 31)))[0]
-        fd = np.zeros(2)
-        for d in range(2):
-            e = np.zeros(2)
+        fd = np.zeros_like(x)
+        for d in range(x.size):
+            e = np.zeros_like(x)
             e[d] = h
             fd[d] = (gmm_log_density(q_t, x + e) - gmm_log_density(q_t, x - e)) / (2 * h)
         expected = -np.sqrt(1 - schedule.alpha_bar(t)) * fd
         got = model.predict_epsilon(x, t)
         rel = np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-12)
         worst = max(worst, rel)
+    return float(worst)
+
+
+def check_score_finite_difference(schedule: NoiseSchedule, seed: int = 0) -> CheckResult:
+    """Analytic noise prediction vs central differences of the log density."""
+    model = AnalyticGmmEpsilon(default_gmm_pair().source, schedule)
+    worst = score_error(model, np.random.default_rng(seed), 25)
     return CheckResult("score-finite-difference", worst < 1e-5, worst, 1e-5)
+
+
+def round_trip_error(x, model, cfg: BridgeConfig) -> float:
+    """Max error of the flow 0 -> 1 -> 0 from x back to x."""
+    rt = flow_ode(flow_ode(x, model, 0.0, 1.0, cfg), model, 1.0, 0.0, cfg)
+    return float(np.abs(rt - x).max())
 
 
 def check_flow_round_trip(schedule: NoiseSchedule, seed: int = 0) -> CheckResult:
     """Euler flow 0 -> 1 -> 0 must return to the inputs."""
-    err = _round_trip_error(schedule, Integrator.EULER, seed)
+    err = _source_round_trip_error(schedule, Integrator.EULER, seed)
     return CheckResult("flow-round-trip", err < 1e-3, err, 1e-3)
 
 
@@ -107,17 +134,23 @@ def check_flow_round_trip_ddim(schedule: NoiseSchedule, seed: int = 0) -> CheckR
     on reversal, the recursion evaluates its prediction at asymmetric
     cell endpoints, so tampered schedule tables blow this check up.
     """
-    err = _round_trip_error(schedule, Integrator.DDIM, seed)
+    err = _source_round_trip_error(schedule, Integrator.DDIM, seed)
     return CheckResult("flow-round-trip-ddim", err < 2e-2, err, 2e-2)
 
 
-def _round_trip_error(schedule: NoiseSchedule, integrator: Integrator, seed: int) -> float:
+def _source_round_trip_error(schedule: NoiseSchedule, integrator: Integrator, seed: int) -> float:
     mix = default_gmm_pair().source
-    model = AnalyticGmmEpsilon(mix, schedule)
-    x = gmm_sample(mix, 32, seed=seed)
     cfg = BridgeConfig(schedule=schedule, steps_per_unit_time=1000, integrator=integrator)
-    rt = flow_ode(flow_ode(x, model, 0.0, 1.0, cfg), model, 1.0, 0.0, cfg)
-    return float(np.abs(rt - x).max())
+    return round_trip_error(gmm_sample(mix, 32, seed=seed), AnalyticGmmEpsilon(mix, schedule), cfg)
+
+
+def ddim_heun_deviation(x, model, schedule: NoiseSchedule, steps: int) -> float:
+    """Max difference between the DDIM and Heun flows of x over 0 -> 1, ``steps`` per unit time."""
+    outs = {}
+    for integ in (Integrator.DDIM, Integrator.HEUN):
+        cfg = BridgeConfig(schedule=schedule, steps_per_unit_time=steps, integrator=integ)
+        outs[integ] = flow_ode(x, model, 0.0, 1.0, cfg)
+    return float(np.abs(outs[Integrator.DDIM] - outs[Integrator.HEUN]).max())
 
 
 def check_ddim_ode_agreement(schedule: NoiseSchedule, seed: int = 0) -> CheckResult:
@@ -125,13 +158,7 @@ def check_ddim_ode_agreement(schedule: NoiseSchedule, seed: int = 0) -> CheckRes
     mix = default_gmm_pair().source
     model = AnalyticGmmEpsilon(mix, schedule)
     x = gmm_sample(mix, 16, seed=seed)
-    devs = {}
-    for n in (500, 1000):
-        outs = {}
-        for integ in (Integrator.DDIM, Integrator.HEUN):
-            cfg = BridgeConfig(schedule=schedule, steps_per_unit_time=n, integrator=integ)
-            outs[integ] = flow_ode(x, model, 0.0, 1.0, cfg)
-        devs[n] = float(np.abs(outs[Integrator.DDIM] - outs[Integrator.HEUN]).max())
+    devs = {n: ddim_heun_deviation(x, model, schedule, n) for n in (500, 1000)}
     passed = devs[1000] < devs[500] and devs[1000] < 0.05
     return CheckResult(
         "ddim-ode-agreement",
@@ -142,21 +169,22 @@ def check_ddim_ode_agreement(schedule: NoiseSchedule, seed: int = 0) -> CheckRes
     )
 
 
-def gradient_error(model, x, t, target, threshold: float = 1e-4) -> float:
-    """Worst relative error of ``model.backward``'s gradients against central differences.
+_GRADIENT_STEP = 1e-5
 
-    The loss is the squared error summed over every value of x, one field
-    or a minibatch with one step per row.  Central differences (step h)
-    resolve a slope only to about eps * loss / h, so the denominator floor
-    puts an error of that size at ``threshold``.
+
+def central_differences(model, x, t, target) -> tuple[np.ndarray, np.ndarray, float]:
+    """``model.backward``'s gradients, central differences (step 1e-5) and the loss.
+
+    The loss is the squared error summed over every value of x, one field or a
+    minibatch with one step per row.  The gradients and differences come flat, in
+    ``model.parameters()`` order.
     """
-    grads = model.backward(x, t, target).parameters
-    h = 1e-5
+    analytic = np.concatenate([g.reshape(-1) for g in model.backward(x, t, target).parameters])
     loss = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
-    floor = np.finfo(np.float64).eps * loss / h / threshold
-    worst = 0.0
-    for p, g in zip(model.parameters(), grads):
-        flat_p, flat_g = p.reshape(-1), g.reshape(-1)
+    h = _GRADIENT_STEP
+    numeric = []
+    for p in model.parameters():
+        flat_p = p.reshape(-1)
         for idx in range(flat_p.size):
             orig = flat_p[idx]
             flat_p[idx] = orig + h
@@ -164,10 +192,21 @@ def gradient_error(model, x, t, target, threshold: float = 1e-4) -> float:
             flat_p[idx] = orig - h
             down = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
             flat_p[idx] = orig
-            fd = (up - down) / (2 * h)
-            denom = max(abs(fd), abs(flat_g[idx]), floor)
-            worst = max(worst, abs(fd - flat_g[idx]) / denom)
-    return worst
+            numeric.append((up - down) / (2 * h))
+    return analytic, np.array(numeric), loss
+
+
+def gradient_error(model, x, t, target, threshold: float) -> float:
+    """Worst relative error of ``model.backward``'s gradients against central differences.
+
+    Central differences (step h) resolve a slope only to about
+    eps * loss / h, so the denominator floor puts an error of that size
+    at ``threshold``.
+    """
+    analytic, numeric, loss = central_differences(model, x, t, target)
+    floor = np.finfo(np.float64).eps * loss / _GRADIENT_STEP / threshold
+    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), floor)
+    return float(np.max(np.abs(numeric - analytic) / denom))
 
 
 def check_gradient(seed: int = 0) -> CheckResult:
@@ -177,7 +216,7 @@ def check_gradient(seed: int = 0) -> CheckResult:
     x = rng.standard_normal(3)
     target = rng.standard_normal(3)
     threshold = 1e-4
-    worst = gradient_error(model, x, 40, target, threshold=threshold)
+    worst = gradient_error(model, x, 40, target, threshold)
     return CheckResult("mlp-gradient-check", worst < threshold, worst, threshold)
 
 

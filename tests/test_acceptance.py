@@ -2,7 +2,10 @@
 
 Run with plain ``pytest`` (lines print through capture) or
 ``pytest tests/test_acceptance.py`` for just this suite.  Every tolerance
-is pinned here; nothing is calibrated at runtime.
+is pinned here; nothing is calibrated at runtime.  The oracles live in
+``diffbridge.verify`` (moments, score, round trip, DDIM against Heun,
+central differences); each criterion passes them its own sizes and
+seeds and applies its own bounds and error rule.
 """
 
 import hashlib
@@ -14,10 +17,11 @@ import pytest
 from scipy.stats import spearmanr
 
 import diffbridge as db
+from diffbridge import verify
 from diffbridge.attention import Priority
-from diffbridge.bridge import BridgeConfig, Integrator, depth_sweep, flow_ode, migrate
+from diffbridge.bridge import BridgeConfig, Integrator, depth_sweep, migrate
 from diffbridge.cli import main as cli_main
-from diffbridge.domains import gmm_log_density, gmm_sample, noised_mixture
+from diffbridge.domains import gmm_log_density, gmm_sample
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude, soft_label
 from diffbridge.train import TrainConfig, evaluate_fit, train_denoiser
 
@@ -43,15 +47,8 @@ def pair():
 
 def test_criterion_1_forward_noising_statistics(sched):
     start = time.monotonic()
-    t = 400
-    ab = sched.alpha_bar(t)
-    x0 = np.array([1.5, -0.5])
-    rng = np.random.default_rng(1)
-    n = 10_000
-    draws = np.stack([db.forward_noise(x0, t, sched, rng) for _ in range(n)])
-    se = np.sqrt((1 - ab) / n)
-    mean_dev = np.abs(draws.mean(axis=0) - np.sqrt(ab) * x0).max() / se
-    var_dev = np.abs(draws.var(axis=0) / (1 - ab) - 1.0).max()
+    x0, rng = np.array([1.5, -0.5]), np.random.default_rng(1)
+    mean_dev, var_dev = verify.noise_moment_deviations(x0, 400, sched, rng, 10_000)
     elapsed = time.monotonic() - start
     passed = mean_dev < 4.0 and var_dev < 0.10 and elapsed < 5.0
     report(1, "forward-noising statistics", passed,
@@ -63,24 +60,8 @@ def test_criterion_1_forward_noising_statistics(sched):
 
 def test_criterion_2_analytic_score_oracle(sched, pair):
     start = time.monotonic()
-    mix = pair.source
-    model = db.AnalyticGmmEpsilon(mix, sched)
-    rng = np.random.default_rng(2)
-    h = 1e-4
-    worst = 0.0
-    for _ in range(100):
-        t = int(rng.integers(1, 1001))
-        q_t = noised_mixture(mix, sched, t)
-        x = gmm_sample(q_t, 1, seed=int(rng.integers(1 << 31)))[0]
-        fd = np.zeros(2)
-        for d in range(2):
-            e = np.zeros(2)
-            e[d] = h
-            fd[d] = (gmm_log_density(q_t, x + e) - gmm_log_density(q_t, x - e)) / (2 * h)
-        expected = -np.sqrt(1 - sched.alpha_bar(t)) * fd
-        got = model.predict_epsilon(x, t)
-        rel = np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-12)
-        worst = max(worst, rel)
+    model = db.AnalyticGmmEpsilon(pair.source, sched)
+    worst = verify.score_error(model, np.random.default_rng(2), 100)
     elapsed = time.monotonic() - start
     passed = worst < 1e-5 and elapsed < 10.0
     report(2, "analytic score vs finite differences", passed,
@@ -96,8 +77,7 @@ def test_criterion_3_deterministic_round_trip(sched, pair):
     errs = {}
     for n in (1000, 2000):
         cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=Integrator.EULER)
-        rt = flow_ode(flow_ode(x, model, 0.0, 1.0, cfg), model, 1.0, 0.0, cfg)
-        errs[n] = float(np.abs(rt - x).max())
+        errs[n] = verify.round_trip_error(x, model, cfg)
     ratio = errs[1000] / errs[2000]
     elapsed = time.monotonic() - start
     passed = errs[1000] < 1e-3 and 1.6 < ratio < 2.4 and elapsed < 30.0
@@ -113,13 +93,7 @@ def test_criterion_4_ddim_ode_agreement(sched, pair):
     start = time.monotonic()
     model = db.AnalyticGmmEpsilon(pair.source, sched)
     x = gmm_sample(pair.source, 32, seed=4)
-    devs = {}
-    for n in (2000, 4000):
-        outs = {}
-        for integ in (Integrator.DDIM, Integrator.HEUN):
-            cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=integ)
-            outs[integ] = flow_ode(x, model, 0.0, 1.0, cfg)
-        devs[n] = float(np.abs(outs[Integrator.DDIM] - outs[Integrator.HEUN]).max())
+    devs = {n: verify.ddim_heun_deviation(x, model, sched, n) for n in (2000, 4000)}
     elapsed = time.monotonic() - start
     passed = devs[2000] < 5.0 * devs[4000] and elapsed < 60.0
     report(4, "deterministic DDIM vs Heun flow agreement", passed,
@@ -258,27 +232,13 @@ def test_criterion_9_gradient_check():
     model = db.init_mlp((4,), (16, 16), steps_total=100, time_dim=8, seed=9)
     x = rng.standard_normal(4)
     target = rng.standard_normal(4)
-    t = 50
-    grads = model.backward(x, t, target).parameters
-    h = 1e-5
-    worst = 0.0
-    for p, g in zip(model.parameters(), grads):
-        flat_p, flat_g = p.reshape(-1), g.reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + h
-            up = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
-            flat_p[idx] = orig - h
-            down = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
-            flat_p[idx] = orig
-            fd = (up - down) / (2 * h)
-            denom = max(abs(fd), abs(flat_g[idx]), 1e-8)
-            worst = max(worst, abs(fd - flat_g[idx]) / denom)
-    n_params = sum(p.size for p in model.parameters())
+    analytic, numeric, _ = verify.central_differences(model, x, 50, target)
+    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
+    worst = float(np.max(np.abs(numeric - analytic) / denom))
     elapsed = time.monotonic() - start
     passed = worst < 1e-4 and elapsed < 30.0
     report(9, "manual gradients vs finite differences", passed,
-           f"worst rel err {worst:.2e} (<1e-4) over all {n_params} parameters "
+           f"worst rel err {worst:.2e} (<1e-4) over all {analytic.size} parameters "
            f"of a 3-layer model", elapsed)
     assert worst < 1e-4
     assert elapsed < 30.0

@@ -16,6 +16,7 @@ from diffbridge.bridge import (
     flow_ode,
     migrate,
 )
+from diffbridge.verify import ddim_heun_deviation, round_trip_error
 
 
 @pytest.fixture(scope="module")
@@ -43,39 +44,25 @@ class TestFlowOde:
 
     @pytest.mark.parametrize("integrator", [Integrator.DDIM, Integrator.EULER])
     def test_first_order_self_inversion(self, gmm_setup, integrator):
-        x, model = gmm_setup["x"], gmm_setup["model_a"]
+        x, model, sched = gmm_setup["x"], gmm_setup["model_a"], gmm_setup["sched"]
         errs = {}
         for n in (500, 1000):
-            cfg = BridgeConfig(
-                schedule=gmm_setup["sched"], steps_per_unit_time=n, integrator=integrator
-            )
-            rt = flow_ode(flow_ode(x, model, 0.0, 1.0, cfg), model, 1.0, 0.0, cfg)
-            errs[n] = np.abs(rt - x).max()
+            cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=integrator)
+            errs[n] = round_trip_error(x, model, cfg)
         ratio = errs[500] / errs[1000]
         assert 1.6 < ratio < 2.4
 
     def test_heun_self_inversion_second_order(self, gmm_setup):
-        x, model = gmm_setup["x"], gmm_setup["model_a"]
+        x, model, sched = gmm_setup["x"], gmm_setup["model_a"], gmm_setup["sched"]
         errs = {}
         for n in (250, 500):
-            cfg = BridgeConfig(
-                schedule=gmm_setup["sched"], steps_per_unit_time=n, integrator=Integrator.HEUN
-            )
-            rt = flow_ode(flow_ode(x, model, 0.0, 1.0, cfg), model, 1.0, 0.0, cfg)
-            errs[n] = np.abs(rt - x).max()
+            cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=Integrator.HEUN)
+            errs[n] = round_trip_error(x, model, cfg)
         assert errs[250] / errs[500] > 3.3
 
     def test_ddim_and_heun_converge_to_each_other(self, gmm_setup):
-        x, model = gmm_setup["x"], gmm_setup["model_a"]
-        devs = {}
-        for n in (500, 1000, 2000):
-            forward = {}
-            for integ in (Integrator.DDIM, Integrator.HEUN):
-                cfg = BridgeConfig(
-                    schedule=gmm_setup["sched"], steps_per_unit_time=n, integrator=integ
-                )
-                forward[integ] = flow_ode(x, model, 0.0, 1.0, cfg)
-            devs[n] = np.abs(forward[Integrator.DDIM] - forward[Integrator.HEUN]).max()
+        x, model, sched = gmm_setup["x"], gmm_setup["model_a"], gmm_setup["sched"]
+        devs = {n: ddim_heun_deviation(x, model, sched, n) for n in (500, 1000, 2000)}
         assert devs[2000] < devs[1000] < devs[500]
 
     def test_ddim_mode_matches_discrete_sampler_on_schedule_grid(self, gmm_setup):

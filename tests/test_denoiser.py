@@ -20,38 +20,15 @@ from diffbridge.denoiser import (
     _silu,
     _silu_grad,
 )
-from diffbridge.domains import GaussianMixture, gmm_log_density, gmm_score, noised_mixture
-from diffbridge.verify import gradient_error
+from diffbridge.domains import GaussianMixture, gmm_score
+from diffbridge.verify import central_differences, gradient_error, score_error
 
 
-def finite_difference_score(mix, x, h=1e-4):
-    """Central finite differences of the mixture log density."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for d in range(x.size):
-        e = np.zeros_like(x)
-        e[d] = h
-        grad[d] = (gmm_log_density(mix, x + e) - gmm_log_density(mix, x - e)) / (2 * h)
-    return grad
-
-
-def mlp_gradcheck(model, x, t, target, h=1e-5):
-    """Worst relative error of manual gradients vs central differences."""
-    grads = model.backward(x, t, target).parameters
-    worst = 0.0
-    for p, g in zip(model.parameters(), grads):
-        flat_p, flat_g = p.reshape(-1), g.reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + h
-            up = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
-            flat_p[idx] = orig - h
-            down = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
-            flat_p[idx] = orig
-            fd = (up - down) / (2 * h)
-            denom = max(abs(fd), abs(flat_g[idx]), 1e-8)
-            worst = max(worst, abs(fd - flat_g[idx]) / denom)
-    return worst
+def mlp_gradcheck(model, x, t, target):
+    """Worst relative error of manual gradients vs central differences, floor 1e-8."""
+    analytic, numeric, _ = central_differences(model, x, t, target)
+    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
+    return float(np.max(np.abs(numeric - analytic) / denom))
 
 
 class TestAnalyticGmmEpsilon:
@@ -86,16 +63,7 @@ class TestAnalyticGmmEpsilon:
         assert abs(cross) < 1e-12 * np.linalg.norm(eps) * np.linalg.norm(x)
 
     def test_matches_finite_difference_of_noised_log_density(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            t = int(rng.integers(1, 1001))
-            q_t = noised_mixture(self.mix, self.sched, t)
-            x = db.gmm_sample(q_t, 1, seed=int(rng.integers(1 << 31)))[0]
-            ab = self.sched.alpha_bar(t)
-            expected = -np.sqrt(1 - ab) * finite_difference_score(q_t, x)
-            got = self.model.predict_epsilon(x, t)
-            rel = np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-12)
-            assert rel < 1e-5
+        assert score_error(self.model, np.random.default_rng(0), 100) < 1e-5
 
     def test_pure_and_zero_at_time_zero(self):
         x = np.array([0.3, 0.4])
@@ -1055,7 +1023,7 @@ class TestMlpBatchedBackward:
         rng = np.random.default_rng(10)
         x, target = rng.standard_normal((2, 33, 16))
         steps = rng.uniform(1.0, 100.0, 33)
-        assert gradient_error(m, x, steps, target) < 1e-4
+        assert gradient_error(m, x, steps, target, 1e-4) < 1e-4
 
     @pytest.mark.parametrize("priority", list(Priority))
     def test_multi_block_gradients_match_finite_differences_at_six_tokens(self, priority):
@@ -1065,7 +1033,7 @@ class TestMlpBatchedBackward:
         rng = np.random.default_rng(10)
         x, target = rng.standard_normal((2, 33, 6, 4))
         steps = rng.uniform(1.0, 100.0, 33)
-        assert gradient_error(m, x, steps, target) < 1e-4
+        assert gradient_error(m, x, steps, target, 1e-4) < 1e-4
 
     @pytest.mark.parametrize("priority", [None, *Priority])
     def test_block_sum_runs_only_on_biases(self, priority, monkeypatch):

@@ -1,9 +1,13 @@
-"""The built-in oracle suite: all-pass defaults and fault injection."""
+"""The built-in oracle suite: all-pass defaults, and fault injection into it
+and into the measurement functions that the acceptance criteria and unit tests share."""
 
 import numpy as np
 import pytest
 
-from diffbridge.denoiser import MlpDenoiser
+from diffbridge import verify
+from diffbridge.bridge import BridgeConfig, Integrator
+from diffbridge.denoiser import AnalyticGmmEpsilon, MlpDenoiser, init_mlp
+from diffbridge.domains import default_gmm_pair, gmm_sample
 from diffbridge.schedule import NoiseSchedule, linear_schedule
 from diffbridge.verify import check_gradient, run_all
 
@@ -68,27 +72,76 @@ class TestVerifySuite:
         assert [r.name for r in results] == EXPECTED_CHECKS
 
 
+def break_one_gradient_entry(monkeypatch, which):
+    """Corrupt one entry of ``MlpDenoiser.backward``'s gradients, as ``which`` names."""
+    real_backward = MlpDenoiser.backward
+
+    def backward(self, x, t, target_eps):
+        grads = real_backward(self, x, t, target_eps)
+        flat = [g.reshape(-1) for g in grads.parameters]
+        entries = [(p, i) for p, g in enumerate(flat) for i in range(g.size)]
+        if which in ("largest", "nan"):
+            p, i = max(entries, key=lambda e: abs(flat[e[0]][e[1]]))
+        else:
+            p, i = min(entries, key=lambda e: abs(np.log(abs(flat[e[0]][e[1]]) / 1e-7)))
+            assert 5e-8 < abs(flat[p][i]) < 5e-7
+        flat[p][i] = np.nan if which == "nan" else flat[p][i] * 1.01
+        return grads
+
+    monkeypatch.setattr(MlpDenoiser, "backward", backward)
+
+
 class TestGradientCheck:
     def test_passes_where_an_entry_is_below_difference_resolution(self):
         # At seed 509 one gradient entry is about -1.1e-7, where central
         # differences of a loss near 4 resolve only about 1e-10.
         assert check_gradient(509).passed
 
-    @pytest.mark.parametrize("which", ["largest", "near_1e-7"])
+    @pytest.mark.parametrize("which", ["largest", "near_1e-7", "nan"])
     def test_one_wrong_entry_fails(self, monkeypatch, which):
-        real_backward = MlpDenoiser.backward
-
-        def backward(self, x, t, target_eps):
-            grads = real_backward(self, x, t, target_eps)
-            flat = [g.reshape(-1) for g in grads.parameters]
-            entries = [(p, i) for p, g in enumerate(flat) for i in range(g.size)]
-            if which == "largest":
-                p, i = max(entries, key=lambda e: abs(flat[e[0]][e[1]]))
-            else:
-                p, i = min(entries, key=lambda e: abs(np.log(abs(flat[e[0]][e[1]]) / 1e-7)))
-                assert 5e-8 < abs(flat[p][i]) < 5e-7
-            flat[p][i] *= 1.01
-            return grads
-
-        monkeypatch.setattr(MlpDenoiser, "backward", backward)
+        break_one_gradient_entry(monkeypatch, which)
         assert not check_gradient(509).passed
+
+    @pytest.mark.parametrize("which", ["largest", "near_1e-7"])
+    def test_one_wrong_entry_fails_under_the_1e_8_floor(self, monkeypatch, which):
+        """central_differences read with the tests' floor (criterion 9, ``mlp_gradcheck``)."""
+        # Seed 0, not 509: under this floor seed 509 reads 3.8e-4 even unbroken.
+        rng = np.random.default_rng(0)
+        model = init_mlp((3,), (10, 8), steps_total=100, time_dim=6, seed=0)
+        x, target = rng.standard_normal(3), rng.standard_normal(3)
+
+        def error():
+            analytic, numeric, _ = verify.central_differences(model, x, 40, target)
+            denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
+            return np.max(np.abs(numeric - analytic) / denom)
+
+        assert error() < 1e-4
+        break_one_gradient_entry(monkeypatch, which)
+        assert error() > 1e-4
+
+
+class TestOracleFaults:
+    """Each shared oracle reads past its callers' bounds on a broken input."""
+
+    @pytest.mark.parametrize("fault", ["shift", "scale"])
+    def test_noise_moments_see_a_moment_shift(self, monkeypatch, fault):
+        real = verify.forward_noise
+        broken = {"shift": lambda *a: real(*a) + 0.1, "scale": lambda *a: real(*a) * 1.1}[fault]
+        monkeypatch.setattr(verify, "forward_noise", broken)
+        x0, sched, rng = np.array([1.5, -0.5]), linear_schedule(1000), np.random.default_rng(1)
+        mean_dev, var_dev = verify.noise_moment_deviations(x0, 400, sched, rng, 4000)
+        assert (mean_dev > 4.0) if fault == "shift" else (var_dev > 0.10)
+
+    def test_score_sees_an_epsilon_off_by_a_thousandth(self):
+        class Scaled(AnalyticGmmEpsilon):
+            def predict_epsilon(self, x, t):
+                return 1.001 * super().predict_epsilon(x, t)
+
+        model = Scaled(default_gmm_pair().source, linear_schedule(1000))
+        assert verify.score_error(model, np.random.default_rng(0), 25) > 1e-5
+
+    def test_round_trip_sees_a_corrupted_schedule(self):
+        sched, mix = corrupted_schedule(), default_gmm_pair().source
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000, integrator=Integrator.DDIM)
+        model = AnalyticGmmEpsilon(mix, sched)
+        assert verify.round_trip_error(gmm_sample(mix, 32, seed=0), model, cfg) > 2e-2
