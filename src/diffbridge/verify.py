@@ -87,11 +87,12 @@ def score_error(model: AnalyticGmmEpsilon, rng, states: int) -> float:
     """Worst relative error of the model's epsilon at ``states`` random (step, point) pairs.
 
     The oracle is -sqrt(1 - alpha_bar) times central differences (h = 1e-4)
-    of the log density of ``model.mixture`` noised to that step.
+    of the log density of ``model.mixture`` noised to that step.  A NaN at
+    any state makes the result NaN.
     """
     schedule = model.schedule
     h = 1e-4
-    worst = 0.0
+    rels = []
     for _ in range(states):
         t = int(rng.integers(1, schedule.steps_T + 1))
         q_t = noised_mixture(model.mixture, schedule, t)
@@ -103,9 +104,8 @@ def score_error(model: AnalyticGmmEpsilon, rng, states: int) -> float:
             fd[d] = (gmm_log_density(q_t, x + e) - gmm_log_density(q_t, x - e)) / (2 * h)
         expected = -np.sqrt(1 - schedule.alpha_bar(t)) * fd
         got = model.predict_epsilon(x, t)
-        rel = np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-12)
-        worst = max(worst, rel)
-    return float(worst)
+        rels.append(np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-12))
+    return float(np.max(rels))
 
 
 def check_score_finite_difference(schedule: NoiseSchedule, seed: int = 0) -> CheckResult:

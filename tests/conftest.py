@@ -1,4 +1,8 @@
-"""Shared pytest hooks: surface the acceptance criterion lines, and fix the fuzz settings."""
+"""Shared pytest hooks: surface the acceptance lines, fix the fuzz settings, check gradients."""
+
+import numpy as np
+
+from diffbridge.verify import central_differences
 
 try:
     from hypothesis import settings
@@ -20,3 +24,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def mlp_gradcheck(model, x, t, target):
+    """Worst relative error of manual gradients vs central differences, floor 1e-8; NaN stays NaN."""
+    analytic, numeric, _ = central_differences(model, x, t, target)
+    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
+    return float(np.max(np.abs(numeric - analytic) / denom))

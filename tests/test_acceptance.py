@@ -24,14 +24,13 @@ from diffbridge.cli import main as cli_main
 from diffbridge.domains import gmm_log_density, gmm_sample
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude, soft_label
 from diffbridge.train import TrainConfig, evaluate_fit, train_denoiser
+from conftest import ACCEPTANCE_LINES, mlp_gradcheck
 
 
 def report(num: int, name: str, passed: bool, detail: str, seconds: float) -> None:
     status = "PASS" if passed else "FAIL"
     line = f"[{status}] criterion {num:2d}: {name} ({detail}; {seconds:.1f}s)"
     print(line)
-    from conftest import ACCEPTANCE_LINES
-
     ACCEPTANCE_LINES.append(line)
 
 
@@ -232,13 +231,12 @@ def test_criterion_9_gradient_check():
     model = db.init_mlp((4,), (16, 16), steps_total=100, time_dim=8, seed=9)
     x = rng.standard_normal(4)
     target = rng.standard_normal(4)
-    analytic, numeric, _ = verify.central_differences(model, x, 50, target)
-    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
-    worst = float(np.max(np.abs(numeric - analytic) / denom))
+    worst = mlp_gradcheck(model, x, 50, target)
+    n_params = sum(p.size for p in model.parameters())
     elapsed = time.monotonic() - start
     passed = worst < 1e-4 and elapsed < 30.0
     report(9, "manual gradients vs finite differences", passed,
-           f"worst rel err {worst:.2e} (<1e-4) over all {analytic.size} parameters "
+           f"worst rel err {worst:.2e} (<1e-4) over all {n_params} parameters "
            f"of a 3-layer model", elapsed)
     assert worst < 1e-4
     assert elapsed < 30.0

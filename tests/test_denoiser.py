@@ -21,14 +21,8 @@ from diffbridge.denoiser import (
     _silu_grad,
 )
 from diffbridge.domains import GaussianMixture, gmm_score
-from diffbridge.verify import central_differences, gradient_error, score_error
-
-
-def mlp_gradcheck(model, x, t, target):
-    """Worst relative error of manual gradients vs central differences, floor 1e-8."""
-    analytic, numeric, _ = central_differences(model, x, t, target)
-    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
-    return float(np.max(np.abs(numeric - analytic) / denom))
+from diffbridge.verify import gradient_error, score_error
+from conftest import mlp_gradcheck
 
 
 class TestAnalyticGmmEpsilon:

@@ -1,5 +1,4 @@
-"""The built-in oracle suite: all-pass defaults, and fault injection into it
-and into the measurement functions that the acceptance criteria and unit tests share."""
+"""The built-in oracle suite and its shared measurement functions: all-pass defaults, fault injection."""
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from diffbridge.denoiser import AnalyticGmmEpsilon, MlpDenoiser, init_mlp
 from diffbridge.domains import default_gmm_pair, gmm_sample
 from diffbridge.schedule import NoiseSchedule, linear_schedule
 from diffbridge.verify import check_gradient, run_all
+from conftest import mlp_gradcheck
 
 EXPECTED_CHECKS = [
     "schedule-product",
@@ -102,22 +102,16 @@ class TestGradientCheck:
         break_one_gradient_entry(monkeypatch, which)
         assert not check_gradient(509).passed
 
-    @pytest.mark.parametrize("which", ["largest", "near_1e-7"])
+    @pytest.mark.parametrize("which", ["largest", "near_1e-7", "nan"])
     def test_one_wrong_entry_fails_under_the_1e_8_floor(self, monkeypatch, which):
-        """central_differences read with the tests' floor (criterion 9, ``mlp_gradcheck``)."""
+        """The tests' ``mlp_gradcheck``, which criterion 9 and the denoiser tests run."""
         # Seed 0, not 509: under this floor seed 509 reads 3.8e-4 even unbroken.
         rng = np.random.default_rng(0)
         model = init_mlp((3,), (10, 8), steps_total=100, time_dim=6, seed=0)
         x, target = rng.standard_normal(3), rng.standard_normal(3)
-
-        def error():
-            analytic, numeric, _ = verify.central_differences(model, x, 40, target)
-            denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
-            return np.max(np.abs(numeric - analytic) / denom)
-
-        assert error() < 1e-4
+        assert mlp_gradcheck(model, x, 40, target) < 1e-4
         break_one_gradient_entry(monkeypatch, which)
-        assert error() > 1e-4
+        assert not mlp_gradcheck(model, x, 40, target) < 1e-4
 
 
 class TestOracleFaults:
@@ -132,13 +126,18 @@ class TestOracleFaults:
         mean_dev, var_dev = verify.noise_moment_deviations(x0, 400, sched, rng, 4000)
         assert (mean_dev > 4.0) if fault == "shift" else (var_dev > 0.10)
 
-    def test_score_sees_an_epsilon_off_by_a_thousandth(self):
-        class Scaled(AnalyticGmmEpsilon):
-            def predict_epsilon(self, x, t):
-                return 1.001 * super().predict_epsilon(x, t)
+    @pytest.mark.parametrize("fault", ["scale", "nan"])
+    def test_score_sees_a_broken_epsilon(self, fault):
+        calls = iter(range(25))
 
-        model = Scaled(default_gmm_pair().source, linear_schedule(1000))
-        assert verify.score_error(model, np.random.default_rng(0), 25) > 1e-5
+        class Broken(AnalyticGmmEpsilon):
+            def predict_epsilon(self, x, t):
+                # Off by a thousandth everywhere, or NaN at the third state.
+                wrong = 1.001 if fault == "scale" else (np.nan if next(calls) == 2 else 1.0)
+                return wrong * super().predict_epsilon(x, t)
+
+        model = Broken(default_gmm_pair().source, linear_schedule(1000))
+        assert not verify.score_error(model, np.random.default_rng(0), 25) < 1e-5
 
     def test_round_trip_sees_a_corrupted_schedule(self):
         sched, mix = corrupted_schedule(), default_gmm_pair().source
