@@ -141,10 +141,8 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 128
     learning_rate: float = 3e-3
-    optimizer: str = "adam"          # or "sgd"
     hidden: tuple[int, ...] = (64, 64)
     time_dim: int = 16
-    activation: str = "silu"
     samples: int = 2000              # training samples the CLI draws per domain
     attention: dict | None = None    # {"token_count":, "heads":, "windows":}
 
@@ -171,8 +169,6 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
 

@@ -267,12 +267,6 @@ def _silu_grad(a):
     return np.multiply(s, g, out=g)
 
 
-_ACTIVATIONS = {
-    "silu": (_silu, _silu_grad),
-    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
-}
-
-
 def _layer_dims(field_shape, widths, time_dim: int) -> list[int]:
     """Dense layer sizes, from field plus time embedding to field, once the geometry is checked."""
     # A shape () would score each coordinate of a batch as its own field.
@@ -313,7 +307,7 @@ class MlpGradients(NamedTuple):
 
 @dataclass
 class MlpDenoiser(EpsilonModel):
-    """Dense noise predictor over a flattened field plus a time embedding.
+    """Dense SiLU noise predictor over a flattened field plus a time embedding.
 
     When ``attention`` is set, the field is first split into
     ``token_count`` patches of ``model_dim`` values and routed through
@@ -329,7 +323,6 @@ class MlpDenoiser(EpsilonModel):
     widths: tuple[int, ...]
     steps_total: int
     time_dim: int = 16
-    activation: str = "silu"
     _: KW_ONLY
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -337,8 +330,6 @@ class MlpDenoiser(EpsilonModel):
 
     def __post_init__(self):
         dims = _layer_dims(self.field_shape, self.widths, self.time_dim)
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.attention is not None:
             if self.attention.token_count * self.attention.model_dim != dims[-1]:
                 raise ValueError("attention token layout must tile the field exactly")
@@ -390,7 +381,6 @@ class MlpDenoiser(EpsilonModel):
         bit-identical to one call per field at its step.  ``pre`` and
         ``post`` hold one (R, k) array per layer, R the number of fields.
         """
-        act, _ = _ACTIVATIONS[self.activation]
         rows = math.prod(lead)
         size = math.prod(self.field_shape)
         z = np.zeros((_padded(rows), size + self.time_dim))
@@ -403,7 +393,7 @@ class MlpDenoiser(EpsilonModel):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = _block_product(h, w)
             a += b
-            h = act(a) if i < last else a
+            h = _silu(a) if i < last else a
             pre.append(a[:rows])
             post.append(h[:rows])
         return post[-1].reshape(*lead, *self.field_shape), pre, post
@@ -466,7 +456,6 @@ class MlpDenoiser(EpsilonModel):
         # dense input, lives on in post[0], and the last layer's pre- and
         # post-activation is ``out``.
         del h, pre[-1], post[-1]
-        _, act_grad = _ACTIVATIONS[self.activation]
 
         field_size = math.prod(self.field_shape)
         delta = 2.0 * (out - target_eps).reshape(rows, field_size)
@@ -475,7 +464,7 @@ class MlpDenoiser(EpsilonModel):
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
-                delta = delta * act_grad(pre.pop())
+                delta = delta * _silu_grad(pre.pop())
             d_weights[i], d_biases[i] = _block_gradients(post.pop(), delta)
             if i:
                 delta = _block_product(delta, self.weights[i].T)
@@ -493,7 +482,6 @@ def init_mlp(
     widths,
     steps_total: int,
     time_dim: int = 16,
-    activation: str = "silu",
     attention: attn.AttentionConfig | None = None,
     seed: int = 0,
 ) -> MlpDenoiser:
@@ -510,7 +498,7 @@ def init_mlp(
         s = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpDenoiser(field_shape, widths, steps_total, time_dim, activation,
+    return MlpDenoiser(field_shape, widths, steps_total, time_dim,
                        weights=weights, biases=biases, attention=attention)
 
 
@@ -525,7 +513,7 @@ def init_mlp(
 #   then         row-major float64 payloads, concatenated in the order
 #                listed under the header's "arrays" key
 #
-# The header records field_shape, widths, time embedding size, activation,
+# The header records field_shape, widths, time embedding size, activation ("silu"),
 # total steps, the optional attention geometry/priority, and the name and
 # shape of every payload array.  The arrays are the model's
 # ``named_parameters()``: w0..wN, b0..bN, then att_wq, att_wk, att_wv and
@@ -551,7 +539,7 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
         "widths": list(model.widths),
         "steps_total": model.steps_total,
         "time_dim": model.time_dim,
-        "activation": model.activation,
+        "activation": "silu",
         "attention": att_meta,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
@@ -568,10 +556,10 @@ def load_checkpoint(path) -> MlpDenoiser:
     """The model a checkpoint file holds.
 
     Anything malformed -- magic, version, header JSON, a missing entry or
-    one of the wrong type, a truncated payload, trailing bytes, array
-    names other than the model's in payload order, or arrays that do not
-    fit the header's geometry -- raises a one-line ValueError that names
-    what is wrong.
+    one of the wrong type (an activation not "silu"), a truncated payload,
+    trailing bytes, array names other than the model's in payload order,
+    or arrays that do not fit the header's geometry -- raises a one-line
+    ValueError that names what is wrong.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -598,6 +586,7 @@ def _is_int(value, least: int) -> bool:
 # What a header entry may hold, keyed by the words an error quotes.
 _ENTRY_KINDS = {
     "a string": lambda v: isinstance(v, str),
+    "the string 'silu'": lambda v: v == "silu",
     "an integer >= 1": lambda v: _is_int(v, 1),
     "a list of integers >= 0": lambda v: isinstance(v, list) and all(_is_int(i, 0) for i in v),
     "a list of integers >= 1": lambda v: isinstance(v, list) and all(_is_int(i, 1) for i in v),
@@ -650,12 +639,12 @@ def _from_header(header: dict, blob: bytes, offset: int) -> MlpDenoiser:
             **geometry, priority=priority,
             w_query=w_query, w_key=w_key, w_value=w_value, w_output=w_output,
         )
+    _entry(header, "activation", "the string 'silu'")
     return MlpDenoiser(
         field_shape=tuple(_entry(header, "field_shape", "a list of integers >= 1")),
         widths=tuple(widths),
         steps_total=_entry(header, "steps_total", "an integer >= 1"),
         time_dim=_entry(header, "time_dim", "an integer >= 1"),
-        activation=_entry(header, "activation", "a string"),
         weights=arrays[:n_layers],
         biases=arrays[n_layers : 2 * n_layers],
         attention=att_cfg,

@@ -2,7 +2,8 @@
 
 Each example pairs a clean sample with a uniformly drawn step t and a
 fresh Gaussian noise draw; the loss is the mean squared error between
-that noise and the model's prediction at the noised state.  Gradients
+that noise and the model's prediction at the noised state, and Adam
+steps the SiLU network after every minibatch: one recipe.  Gradients
 are exactly the model's manual reverse-mode gradients, and each
 example's loss is read off the same forward pass; training is
 single-threaded and bit-reproducible under a fixed seed.
@@ -76,16 +77,6 @@ class _Adam:
             p -= np.divide(a, b, out=a)
 
 
-class _Sgd:
-    def __init__(self, params: list[np.ndarray], lr: float):
-        self.params = params
-        self.lr = lr
-
-    def step(self, grads: list[np.ndarray]) -> None:
-        for p, g in zip(self.params, grads):
-            p -= self.lr * g
-
-
 def init_model(
     field_shape,
     cfg: TrainConfig,
@@ -97,7 +88,7 @@ def init_model(
 
     Its attention block, if cfg has one, takes ``priority``.  A geometry
     that cannot be built (an attention layout that does not tile the
-    field, an unknown activation, ...) raises ValueError.
+    field, ...) raises ValueError.
     """
     field_size = int(np.prod(field_shape))
     init_seed = int(np.random.SeedSequence(seed).generate_state(2)[0])
@@ -119,7 +110,6 @@ def init_model(
         cfg.hidden,
         steps_total=schedule.steps_T,
         time_dim=cfg.time_dim,
-        activation=cfg.activation,
         attention=att_cfg,
         seed=init_seed,
     )
@@ -149,8 +139,7 @@ def train_denoiser(
 
     _, loop_seed = np.random.SeedSequence(seed).generate_state(2)
     rng = np.random.default_rng(int(loop_seed))
-    opt_cls = _Adam if cfg.optimizer == "adam" else _Sgd
-    opt = opt_cls(model.parameters(), cfg.learning_rate)
+    opt = _Adam(model.parameters(), cfg.learning_rate)
     n = data.shape[0]
     history: list[float] = []
 

@@ -45,13 +45,13 @@ class CheckResult:
 
 
 def check_schedule_product(schedule: NoiseSchedule) -> CheckResult:
-    """Every stored cumulative product vs an independent sequential loop."""
+    """Every stored cumulative product vs an independent sequential loop; a NaN fails it."""
     prod = 1.0
-    worst = 0.0
+    rels = []
     for t, alpha in enumerate(schedule.alphas, start=1):
         prod *= float(alpha)
-        rel = abs(schedule.alpha_bars[t] - prod) / max(abs(prod), 1e-300)
-        worst = max(worst, rel)
+        rels.append(abs(schedule.alpha_bars[t] - prod) / max(abs(prod), 1e-300))
+    worst = float(np.max(rels))
     return CheckResult("schedule-product", worst < 1e-12, worst, 1e-12)
 
 
@@ -77,7 +77,7 @@ def check_forward_noise_moments(schedule: NoiseSchedule, seed: int = 0) -> Check
     return CheckResult(
         "forward-noise-moments",
         bool(passed),
-        float(max(mean_dev / 4.0, var_dev / 0.10)),
+        float(np.max([mean_dev / 4.0, var_dev / 0.10])),
         1.0,
         f"mean {mean_dev:.2f} est-sigma, variance off by {var_dev:.3f}",
     )
@@ -221,7 +221,7 @@ def check_gradient(seed: int = 0) -> CheckResult:
 
 
 def check_soft_label_identities() -> CheckResult:
-    """Endpoint identities, the 10/6/2 substitution, and shift invariance."""
+    """Endpoint identities, the 10/6/2 substitution, and shift invariance; a NaN fails it."""
     errs = [
         abs(soft_label(10.0, 10.0, 2.0).value - 0.0),
         abs(soft_label(10.0, 2.0, 2.0).value - 1.0),
@@ -233,7 +233,7 @@ def check_soft_label_identities() -> CheckResult:
     a = highpass_magnitude(x, spec)
     b = highpass_magnitude(np.roll(x, (3, 5), (0, 1)), spec)
     errs.append(abs(a - b) / max(a, 1.0))
-    worst = float(max(errs))
+    worst = float(np.max(errs))
     return CheckResult("soft-label-identities", worst < 1e-9, worst, 1e-9)
 
 

@@ -111,7 +111,7 @@ class TestTrain:
         cfg, _ = write_config(
             tmp_path,
             train={"epochs": 3, "samples": 100, "hidden": [16], "batch_size": 50,
-                   "learning_rate": 1e6, "optimizer": "sgd"},
+                   "learning_rate": 1e100},
         )
         assert main(["train", "--config", str(cfg)]) == 2
 
@@ -507,10 +507,10 @@ class TestChecksBeforeAnyOutput:
             (command, [], {"train": {key: value}}, message)
             for command in ("gen", "migrate", "sweep", "label", "verify")
             for key, value, message in [
-                ("optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+                ("optimizer", "adam", "unexpected keyword argument 'optimizer'"),
                 ("batch_size", 0, "epochs and batch_size must be positive"),
                 ("learning_rate", -1, "learning_rate must be nonnegative"),
-                ("activation", "relu", "unknown activation 'relu'"),
+                ("activation", "silu", "unexpected keyword argument 'activation'"),
                 ("time_dim", 3, "time_dim must be an even integer >= 2"),
             ]
         ],
@@ -558,8 +558,8 @@ class TestChecksBeforeAnyOutput:
         ("label", "label_targets", [], "label_targets is empty"),
         ("train", "train", {"samples": 0}, "train.samples must be an integer >= 1, got 0"),
         ("train", "train", {"epochs": 0}, "epochs and batch_size must be positive"),
-        ("train", "train", {"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'"),
-        ("train", "train", {"activation": "relu"}, "unknown activation 'relu'"),
+        ("train", "train", {"optimizer": "adam"}, "unexpected keyword argument 'optimizer'"),
+        ("train", "train", {"activation": "silu"}, "unexpected keyword argument 'activation'"),
         ("train", "train", {"attention": {"token_count": 3}},
          "token_count 3 must divide the field size 256"),
         ("train", "train", {"hidden": [0]}, "train.hidden must be a list of integers >= 1, got [0]"),
@@ -580,6 +580,8 @@ class TestChecksBeforeAnyOutput:
         ({"schedule": {"bogus": 1}}, "'bogus'"),
         ([1, 2], "config must be a JSON object, not list"),
         ({"bridge": {"depth": 1.0}}, "'depth'"),
+        ({"train": {"optimizer": "adam"}}, "'optimizer'"),
+        ({"train": {"activation": "silu"}}, "'activation'"),
         ({"schedule": {"steps": "10"}}, "schedule.steps must be an integer, got '10'"),
         ({"schedule": {"steps": True}}, "schedule.steps must be an integer, got True"),
         ({"bridge": {"steps_per_unit_time": "5"}},
@@ -675,6 +677,21 @@ class TestChecksBeforeAnyOutput:
         assert "field_shape must have at least one axis, got ()" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["migrate", "sweep", "label"])
+    def test_checkpoint_of_another_activation_exits_one_and_leaves_no_files(
+        self, command, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "tanh.ckpt"
+        db.save_checkpoint(db.init_mlp((16, 16), (8,), steps_total=200, seed=0), ckpt)
+        _write_header(ckpt, {**_read_header(ckpt), "activation": "tanh"})
+        models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
+        cfg, out = texture_config(tmp_path, models=models)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "entry 'activation' must be the string 'silu', got 'tanh'" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
+
 
 class TestFlagsAreConfigOverrides:
     @pytest.mark.parametrize("flag,value,keys,echo", [

@@ -1,14 +1,23 @@
 """RunConfig serialization, overrides, and manifest bookkeeping."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from diffbridge import cli
 from diffbridge.config import RunConfig, RunManifest
 
 
 class TestRunConfig:
+    def test_readme_example_builds_every_setting(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```json\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 1
+        cli._settings(RunConfig.from_dict(json.loads(blocks[0])))
+
     def test_round_trips_through_dict(self):
         cfg = RunConfig(seed=7, highpass_cutoff=0.3)
         back = RunConfig.from_dict(cfg.to_dict())

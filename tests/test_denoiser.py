@@ -14,7 +14,6 @@ from diffbridge import attention, blocks, denoiser
 from diffbridge.attention import Priority
 from diffbridge.bridge import DRIFT_TIME_FLOOR
 from diffbridge.denoiser import (
-    _ACTIVATIONS,
     _block_gradients,
     _block_product,
     _silu,
@@ -560,7 +559,7 @@ def _checkpoint_bytes(header: dict, payloads) -> bytes:
 
 
 def _arange_model(with_attention: bool) -> db.MlpDenoiser:
-    """A 2-layer tanh model on 8-value fields with arange weights, no RNG."""
+    """A 2-layer model on 8-value fields with arange weights, no RNG."""
     att = None
     if with_attention:
         att = db.AttentionConfig(
@@ -569,7 +568,7 @@ def _arange_model(with_attention: bool) -> db.MlpDenoiser:
                for k, name in enumerate(("w_query", "w_key", "w_value", "w_output"))},
         )
     return db.MlpDenoiser(
-        field_shape=(8,), widths=(3,), steps_total=20, time_dim=2, activation="tanh",
+        field_shape=(8,), widths=(3,), steps_total=20, time_dim=2,
         weights=[np.arange(30.0).reshape(10, 3) / 7, np.arange(24.0).reshape(3, 8) - 11.5],
         biases=[np.arange(3.0) - 1.0, np.arange(8.0) / 4],
         attention=att,
@@ -593,7 +592,7 @@ def _documented_header(m: db.MlpDenoiser, arrays) -> dict:
                           "priority": "local_first"}
     return {
         "kind": "mlp_denoiser", "field_shape": [8], "widths": [3], "steps_total": 20,
-        "time_dim": 2, "activation": "tanh", "attention": attention_meta,
+        "time_dim": 2, "activation": "silu", "attention": attention_meta,
         "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
     }
 
@@ -635,6 +634,17 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match=r"^checkpoint arrays must be \['w0', ") as err:
             db.load_checkpoint(path)
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("activation", ["tanh", "SiLU"])
+    def test_activation_other_than_silu_rejected(self, activation, tmp_path):
+        m = _arange_model(with_attention=False)
+        arrays = _documented_arrays(m)
+        header = {**_documented_header(m, arrays), "activation": activation}
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(_checkpoint_bytes(header, [a for _, a in arrays]))
+        message = f"^checkpoint header entry 'activation' must be the string 'silu', got '{activation}'$"
+        with pytest.raises(ValueError, match=message):
+            db.load_checkpoint(path)
 
 
 class TestMlpBatched:
@@ -917,21 +927,19 @@ class TestMlpBatchedBackward:
         assert grads.prediction.shape == (16, 16)
         assert [g.shape for g in grads.parameters] == [p.shape for p in m.parameters()]
 
-    @pytest.mark.parametrize("activation", ["silu", "tanh"])
     @pytest.mark.parametrize("rows", [1, 6, 33])
-    def test_gradients_byte_equal_full_pullback_reference(self, activation, rows):
+    def test_gradients_byte_equal_full_pullback_reference(self, rows):
         """Without attention the first layer's delta is not pulled back; no gradient moves."""
-        m = db.init_mlp((16, 16), (32, 24), steps_total=100, activation=activation, seed=2)
+        m = db.init_mlp((16, 16), (32, 24), steps_total=100, seed=2)
         rng = np.random.default_rng(rows)
         x, target = rng.standard_normal((2, rows, 16, 16))
         steps = rng.uniform(0.0, 100.0, rows)
         out, pre, post = m._dense(x, steps, (rows,))
-        act_grad = _ACTIVATIONS[activation][1]
         delta = 2.0 * (out - target).reshape(rows, -1)
         weights, biases = [], []
         for i in range(len(m.weights) - 1, -1, -1):
             if i < len(m.weights) - 1:
-                delta = delta * act_grad(pre[i])
+                delta = delta * _silu_grad(pre[i])
             d_weight, d_bias = _block_gradients(post[i], delta)
             weights.insert(0, d_weight)
             biases.insert(0, d_bias)

@@ -97,7 +97,6 @@ def test_checkpoint_round_trip_keeps_every_byte(files, data):
         data.draw(st.lists(st.integers(1, 8), max_size=2)),
         steps_total=data.draw(st.integers(1, 100)),
         time_dim=2 * data.draw(st.integers(1, 4)),
-        activation=data.draw(st.sampled_from(["silu", "tanh"])),
         attention=attention,
         seed=data.draw(st.integers(0, 9)),
     )
@@ -108,7 +107,7 @@ def test_checkpoint_round_trip_keeps_every_byte(files, data):
     def geometry(m):
         a = m.attention
         att = a and (a.token_count, a.model_dim, a.heads, a.windows, a.priority)
-        return m.field_shape, m.widths, m.steps_total, m.time_dim, m.activation, att
+        return m.field_shape, m.widths, m.steps_total, m.time_dim, att
 
     assert geometry(back) == geometry(model)
     assert [(n, a.shape, a.tobytes()) for n, a in back.named_parameters()] == [

@@ -144,3 +144,24 @@ class TestOracleFaults:
         cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000, integrator=Integrator.DDIM)
         model = AnalyticGmmEpsilon(mix, sched)
         assert verify.round_trip_error(gmm_sample(mix, 32, seed=0), model, cfg) > 2e-2
+
+
+class TestChecksKeepNan:
+    """A NaN among a check's per-item errors fails it and is its measurement."""
+
+    def test_schedule_product(self):
+        good = linear_schedule(100)
+        ab = good.alpha_bars.copy()
+        ab[50] = np.nan
+        result = verify.check_schedule_product(NoiseSchedule(100, good.betas, good.alphas, ab))
+        assert not result.passed and np.isnan(result.measured)
+
+    def test_forward_noise_moments(self, monkeypatch):
+        monkeypatch.setattr(verify, "noise_moment_deviations", lambda *a: (1.0, np.nan))
+        result = verify.check_forward_noise_moments(linear_schedule(100))
+        assert not result.passed and np.isnan(result.measured)
+
+    def test_soft_label_identities(self, monkeypatch):
+        monkeypatch.setattr(verify, "highpass_magnitude", lambda *a: np.nan)
+        result = verify.check_soft_label_identities()
+        assert not result.passed and np.isnan(result.measured)
