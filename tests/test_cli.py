@@ -625,6 +625,8 @@ class TestChecksBeforeAnyOutput:
          "checkpoint header entry 'field_shape' must be a list of integers >= 1, got 'ab'"),
         ("widths", 5, "checkpoint header entry 'widths' must be a list of integers >= 1, got 5"),
         ("attention", [1], "checkpoint header entry 'attention' must be an object or null, got [1]"),
+        ("activation", "tanh",
+         "checkpoint header entry 'activation' must be the string 'silu', got 'tanh'"),
     ])
     def test_checkpoint_entry_of_wrong_type_exits_one_and_leaves_no_files(
         self, entry, value, message, tmp_path, capsys
@@ -677,20 +679,6 @@ class TestChecksBeforeAnyOutput:
         assert "field_shape must have at least one axis, got ()" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["migrate", "sweep", "label"])
-    def test_checkpoint_of_another_activation_exits_one_and_leaves_no_files(
-        self, command, tmp_path, capsys
-    ):
-        ckpt = tmp_path / "tanh.ckpt"
-        db.save_checkpoint(db.init_mlp((16, 16), (8,), steps_total=200, seed=0), ckpt)
-        _write_header(ckpt, {**_read_header(ckpt), "activation": "tanh"})
-        models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
-        cfg, out = texture_config(tmp_path, models=models)
-        assert main([command, "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert "entry 'activation' must be the string 'silu', got 'tanh'" in err
-        assert len(err.splitlines()) == 1 and not out.exists()
 
 
 class TestFlagsAreConfigOverrides:
