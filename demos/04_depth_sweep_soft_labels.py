@@ -52,6 +52,7 @@ print(f"\nSpearman(depth, high-pass magnitude) = {rho:.3f}")
 print(f"frames written to {out}/")
 
 print("\ninverting the relation: pick depths for requested labels")
-for target in (0.25, 0.5, 0.75):
-    depth, achieved = db.calibrate_depth(target, x, m_src, m_tgt, cfg, np.linspace(0, 1, 17), spec)
-    print(f"  target {target:.2f} -> depth {depth:.4f} (achieved {achieved.value:.3f})")
+targets = (0.25, 0.5, 0.75)
+picks = db.calibrate_depth(targets, x[None], m_src, m_tgt, cfg, np.linspace(0, 1, 17), spec)[0]
+for target, (traj, achieved) in zip(targets, picks):
+    print(f"  target {target:.2f} -> depth {traj.depth:.4f} (achieved {achieved.value:.3f})")

@@ -45,8 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import _block_product, _block_weight_gradient
-from .domains import _pairwise_sum
+from .blocks import _block_product, _block_weight_gradient, _pairwise_sum
 
 
 class Priority(Enum):
@@ -146,7 +145,7 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     ``e = exp(s - s.max(-1)); e / e.sum(-1)``, worked in place on the
     rows' transposed copy, so each step is an elementwise pass or a
     reduce over its first axis, not one short reduce per row.  A max
-    rounds nothing, ``domains._pairwise_sum`` adds in numpy's last-axis
+    rounds nothing, ``blocks._pairwise_sum`` adds in numpy's last-axis
     order, and exp is never -0.0, so numpy's closing +0.0 changes
     nothing.  The rows are then copied back into scores' layout.
     """

@@ -11,6 +11,10 @@ layers and their gradients on these blocks, and ``attention`` its four
 weight gradients.  A product whose stack is already whole blocks, as
 the denoiser's padded dense buffer is, reads the stack as it is, with
 no padding copy.
+
+The two fixed-order sums over a first axis live here too: in order, and
+in numpy's pairwise order for a contiguous last axis, which ``domains``
+and ``attention`` use to match numpy's bytes without a transposed copy.
 """
 
 from __future__ import annotations
@@ -64,14 +68,44 @@ def _block_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _in_order_sum(stack: np.ndarray) -> np.ndarray:
-    """stack[0] + stack[1] + ... added in that order; zeros for an empty stack.
+    """+0.0 + stack[0] + stack[1] + ... added in that order; zeros for an empty stack.
 
     Written out because ``np.add.reduce`` adds pairwise when each entry
-    is one number (a width-1 layer's bias, say).
+    is one number (a width-1 layer's bias, say).  Starting from +0.0
+    turns only a -0.0 sum into +0.0.
     """
     total = np.zeros(stack.shape[1:])
     for part in stack:
         total += part
+    return total
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """terms summed along axis 0 in the order numpy sums a contiguous last axis.
+
+    Below 8 terms that is ``_in_order_sum``.  Up to 128, terms j, j+8,
+    j+16, ... are summed in order into 8 partial sums, which are added as
+    a balanced tree, then the remaining terms in order; above 128 the two
+    halves (the first a multiple of 8) are summed so and added.  numpy
+    also adds the result to +0.0, which only turns a -0.0 sum into +0.0;
+    callers whose terms can be -0.0 add it.
+    """
+    n = len(terms)
+    if n < 8:
+        return _in_order_sum(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    whole = n - n % 8
+    r = terms[:8] + terms[8:16] if whole > 8 else terms[:8]
+    for start in range(16, whole, 8):
+        r += terms[start : start + 8]
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), one level at a time.
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for term in terms[whole:]:
+        total += term
     return total
 
 

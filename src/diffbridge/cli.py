@@ -3,11 +3,14 @@
 Every command reads an optional JSON config (defaults apply otherwise)
 and applies its flags as RunConfig overrides, so the manifest's config
 echo records them.  Before it writes anything, every command builds,
-and so checks, every setting, those only other commands use included.
-It writes its outputs under one run directory, in the subdirectories it
-uses (frames/, labels/, checkpoints/), created with their first file,
-and finishes with a manifest.json that lists every emitted file exactly
-once.
+and so checks, the config, the domain pair, the schedule, the bridge
+and high-pass settings and the untrained model ``train`` would start
+from.  Only ``sweep`` and ``label`` snap the depth grid and refuse two
+depths on one node or frame name, and only ``label`` refuses targets
+that share a frame name.  A command writes its outputs under one run
+directory, in the subdirectories it uses (frames/, labels/,
+checkpoints/), created with their first file, and finishes with a
+manifest.json that lists every emitted file exactly once.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 verification failure.
@@ -33,9 +36,9 @@ from .schedule import NoiseSchedule
 from .softlabel import (
     DegenerateEndpointsError,
     HighpassSpec,
+    calibrate_depth,
     highpass_magnitude,
     label_sweep,
-    nearest_label,
 )
 from .train import TrainingDivergedError, init_model, train_denoiser
 from .verify import run_all
@@ -177,7 +180,7 @@ def _settings(cfg: RunConfig) -> tuple[DomainPair, NoiseSchedule, BridgeConfig, 
     """The domain pair, schedule, bridge and high-pass settings.
 
     Every command builds them, and the untrained model ``train`` would
-    start from, so every command checks every setting.
+    start from, so every command checks them, those it does not use included.
     """
     pair = cfg.domains.build(cfg.seed)
     schedule = cfg.schedule.build()
@@ -336,18 +339,16 @@ def cmd_label(cfg: RunConfig) -> int:
     depths = _snap_grid(cfg.sweep_depths, run.bridge)
     sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
-    sweep = label_sweep(sources, *models, run.bridge, depths, run.highpass)
+    picks = calibrate_depth(targets, sources, *models, run.bridge, depths, run.highpass)
     rows = []
-    for i, labels in enumerate(sweep.labels):
-        for target in targets:
-            best = nearest_label(target, depths, labels)
-            depth, label = depths[best], labels[best]
+    for i, row in enumerate(picks):
+        for target, (traj, label) in zip(targets, row):
             _write_frame(
-                run, f"sample{i:03d}_target{target:.2f}_d{depth:.4f}.pgm",
-                sweep.table[best].migrated[i], kind="calibrated-frame", sample_id=i,
-                target_label=target, achieved_label=label.value, raw_label=label.raw, depth=depth,
+                run, f"sample{i:03d}_target{target:.2f}_d{traj.depth:.4f}.pgm",
+                traj.migrated[i], kind="calibrated-frame", sample_id=i, target_label=target,
+                achieved_label=label.value, raw_label=label.raw, depth=traj.depth,
             )
-            rows.append([i, repr(target), repr(depth), repr(label.value), repr(label.raw)])
+            rows.append([i, repr(target), repr(traj.depth), repr(label.value), repr(label.raw)])
     labels_path = run.file("labels", "calibrated.csv")
     header = ["sample_id", "target_label", "depth", "achieved_label", "raw_label"]
     _write_csv(labels_path, header, rows)

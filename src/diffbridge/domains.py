@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import _in_order_sum, _pairwise_sum
 from .schedule import NoiseSchedule, read_only_float64
 
 # Pixel standard deviation for texture samples; small enough that the
@@ -91,43 +92,6 @@ def gmm_points(mix: GaussianMixture, x) -> np.ndarray:
         got = x.shape[-1] if x.ndim else "()"
         raise ValueError(f"point dimension {got} != mixture dimension {mix.dimension}")
     return x
-
-
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """terms summed along axis 0 in order, from the first term."""
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """terms summed along axis 0 in the order numpy sums a contiguous last axis.
-
-    Below 8 terms that is in order.  Up to 128, terms j, j+8, j+16, ...
-    are summed in order into 8 partial sums, which are added as a
-    balanced tree, then the remaining terms in order; above 128 the two
-    halves (the first a multiple of 8) are summed so and added.  numpy
-    also adds the result to +0.0, which only turns a -0.0 sum into +0.0;
-    callers whose terms can be -0.0 add it.
-    """
-    n = len(terms)
-    if n < 8:
-        return _sum_in_order(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    whole = n - n % 8
-    r = terms[:8] + terms[8:16] if whole > 8 else terms[:8]
-    for start in range(16, whole, 8):
-        r += terms[start : start + 8]
-    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), one level at a time.
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    total = r[0] + r[1]
-    for term in terms[whole:]:
-        total += term
-    return total
 
 
 def _log_components(x, means, variances, log_norm) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +193,7 @@ def gmm_score(mix: GaussianMixture, x: np.ndarray, noised=None) -> np.ndarray:
     if len(pulls) < 8:
         np.add.reduce(pulls, 0, None, total)
     else:
-        total[...] = _pairwise_sum(pulls) if x.shape[-1] == 1 else _sum_in_order(pulls)
+        total[...] = _pairwise_sum(pulls) if x.shape[-1] == 1 else _in_order_sum(pulls)
         total += 0.0  # numpy's sums start from +0.0, so -0.0 pulls sum to +0.0
     return out
 

@@ -12,8 +12,10 @@ ratio of magnitudes, so it is invariant to any global rescaling of the
 transform.
 
 Batch contract: ``highpass_magnitude`` takes a field ``(H, W)`` or a stack
-``(..., H, W)``, each magnitude with the bytes of a one-field call, and
-``label_sweep`` labels every frame of one depth sweep of a batch ``(B, H, W)``.
+``(..., H, W)``, each magnitude with the bytes of a one-field call;
+``label_sweep`` labels every frame of one depth sweep of a batch ``(B, H, W)``,
+and ``calibrate_depth`` picks, from that one sweep, each field's depth for
+each target label, the pick of a one-field call.
 """
 
 from __future__ import annotations
@@ -94,15 +96,6 @@ def soft_label(a_source: float, a_intermediate: float, a_target: float) -> SoftL
     return SoftLabel(value=float(np.clip(raw, 0.0, 1.0)) + 0.0, raw=float(raw))
 
 
-def nearest_label(target_label: float, depths, labels) -> int:
-    """Index of the label nearest the target; ties break toward the smaller depth."""
-    if not 0.0 <= target_label <= 1.0:
-        raise ValueError("target_label must lie in [0, 1]")
-    return min(
-        range(len(labels)), key=lambda k: (abs(labels[k].value - target_label), depths[k])
-    )
-
-
 @dataclass(frozen=True)
 class SweepLabels:
     """A labelled sweep; ``labels[i][k]`` and ``a_frame[i][k]`` are sample i's at depth k."""
@@ -133,25 +126,24 @@ def label_sweep(x_sources, model_src, model_tgt, cfg, depths, spec: HighpassSpec
     return SweepLabels(table, labels, a_s, a_i, a_t)
 
 
-def calibrate_depth(
-    target_label: float,
-    x_source: np.ndarray,
-    model_src,
-    model_tgt,
-    cfg,
-    depth_grid,
-    spec: HighpassSpec,
-):
-    """Find the sweep depth whose label lands nearest the target label.
+def calibrate_depth(targets, x_sources, model_src, model_tgt, cfg, depth_grid, spec: HighpassSpec):
+    """Per field of ``x_sources`` and per target label, the grid depth whose label lands nearest.
 
     The label-depth relation is not a simple invertible curve, so one
-    ``label_sweep`` labels every grid depth against the full-depth
-    migration of ``x_source``; ties break toward the smaller depth.
+    ``label_sweep`` of the batch ``(B, H, W)`` labels every grid depth;
+    ties break toward the smaller snapped depth.  Every target must lie
+    in [0, 1], which is checked before any model call.
 
-    Returns ``(best_depth, SoftLabel)`` for the winning grid point.
+    Returns ``picks[i][j] = (trajectory, SoftLabel)``: the sweep's
+    trajectory at field i's pick for target j (row i is that field's
+    frame) and field i's label there.
     """
-    depth_grid = sorted(float(d) for d in depth_grid)
-    sweep = label_sweep([x_source], model_src, model_tgt, cfg, depth_grid, spec)
-    labels = sweep.labels[0]
-    best = nearest_label(target_label, depth_grid, labels)
-    return sweep.table[best].depth, labels[best]
+    for target in targets:
+        if not 0.0 <= target <= 1.0:
+            raise ValueError(f"target label {target} outside [0, 1]")
+    sweep = label_sweep(x_sources, model_src, model_tgt, cfg, depth_grid, spec)
+    return [
+        [min(zip(sweep.table, labels), key=lambda p: (abs(p[1].value - t), p[0].depth))
+         for t in targets]
+        for labels in sweep.labels
+    ]

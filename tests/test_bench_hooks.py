@@ -2,9 +2,11 @@
 
 ``perfbench/spans.py`` wraps diffbridge functions and methods by name, so a
 renamed function breaks ``perfbench/run.py --trace 1``.  This test installs
-the tracer and uninstalls it again, and reads nothing else from perfbench.
+the tracer and uninstalls it again, and reads nothing else from perfbench
+but the per-layer metrics of a traced ``label`` run.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -13,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
 import diffbridge  # noqa: E402
+from diffbridge import cli  # noqa: E402
 
 
 def _bindings() -> dict:
@@ -57,3 +60,25 @@ def test_tracer_install_wraps_traced_names_and_uninstall_restores_them():
         *(("diffbridge.verify", f"check_{check}") for check in spans.VERIFY_CHECKS),
     }
     assert traced <= wrapped
+
+
+def test_calibration_metrics_measure_the_label_command(tmp_path):
+    """``label`` calibrates through ``calibrate_depth``: one call, one two-leg sweep of NFE."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "domains": {"kind": "texture", "size": 16},
+        "bridge": {"steps_per_unit_time": 20},
+        "label_count": 1,
+        "label_targets": [0.5],
+        "out": str(tmp_path / "run"),
+    }))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        with tracer.op("label"):
+            assert cli.main(["label", "--config", str(config)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0, 0)
+    assert metrics["softlabel.calibrate_depth.calls"] == 1
+    assert metrics["softlabel.calibrate_depth.nfe"] == 40

@@ -7,12 +7,8 @@ import pytest
 from scipy.special import logsumexp
 
 import diffbridge as db
-from diffbridge.domains import (
-    GaussianMixture,
-    SpectralTexture,
-    _logsumexp,
-    _pairwise_sum,
-)
+from diffbridge.blocks import _pairwise_sum
+from diffbridge.domains import GaussianMixture, SpectralTexture, _logsumexp
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude
 from diffbridge.train import energy_distance
 

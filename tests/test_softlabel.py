@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import diffbridge as db
+from diffbridge import softlabel
 from diffbridge.softlabel import (
     DegenerateEndpointsError,
     HighpassSpec,
     SoftLabel,
+    SweepLabels,
     highpass_magnitude,
     label_sweep,
-    nearest_label,
     radial_frequency_grid,
     soft_label,
 )
@@ -222,51 +223,82 @@ class TestLabelSweep:
             label_sweep(x, *models, [0.5], setup["spec"])
 
 
-class TestNearestLabel:
-    def test_ties_break_toward_smaller_depth(self):
-        # Labels clamped to 1.0 at several depths are a multi-way tie that
-        # must resolve to the smallest tying depth, whatever its index.
-        clamped = [SoftLabel(1.0, raw) for raw in (1.4, 1.0, 1.2)]
-        assert nearest_label(1.0, [1.0, 0.5, 0.75], clamped) == 1
-        # Equal distances on either side of the target tie as well.
-        around = [SoftLabel(0.75, 0.75), SoftLabel(0.25, 0.25)]
-        assert nearest_label(0.5, [0.8, 0.3], around) == 1
-        assert nearest_label(0.5, [0.3, 0.8], around) == 0
-
-
 class TestCalibrateDepth:
+    @staticmethod
+    def _calibrate(setup, targets, grid, xs=None):
+        xs = setup["x"][None] if xs is None else xs
+        models = (setup["m_src"], setup["m_tgt"], setup["cfg"])
+        return db.calibrate_depth(targets, xs, *models, grid, setup["spec"])
+
+    @staticmethod
+    def _crafted_sweep(monkeypatch, depths, values):
+        """label_sweep replaced by one that returns these labels of one field at these depths."""
+        table = [db.BridgeTrajectory(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), d) for d in depths]
+        labels = [[SoftLabel(v, raw) for v, raw in values]]
+        sweep = SweepLabels(table, labels, [1.0], [[0.5] * len(depths)], [0.0])
+        monkeypatch.setattr(softlabel, "label_sweep", lambda *args: sweep)
+
+    def _picked_depths(self, setup, targets, depths):
+        return [traj.depth for traj, _ in self._calibrate(setup, targets, depths)[0]]
+
     def test_target_zero_picks_depth_zero(self, setup):
-        grid = np.linspace(0.0, 1.0, 9)
-        depth, label = db.calibrate_depth(
-            0.0, setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], grid, setup["spec"]
-        )
-        assert depth == 0.0 and label.value == 0.0
+        [[(traj, label)]] = self._calibrate(setup, [0.0], np.linspace(0.0, 1.0, 9))
+        assert traj.depth == 0.0 and label.value == 0.0
 
     def test_target_one_picks_depth_one(self, setup):
-        grid = np.linspace(0.0, 1.0, 9)
-        depth, label = db.calibrate_depth(
-            1.0, setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], grid, setup["spec"]
-        )
-        assert depth == 1.0 and label.value == 1.0
+        [[(traj, label)]] = self._calibrate(setup, [1.0], np.linspace(0.0, 1.0, 9))
+        assert traj.depth == 1.0 and label.value == 1.0
 
     def test_midpoint_target_is_grid_optimal(self, setup):
         grid = np.linspace(0.0, 1.0, 9)
-        depth, label = db.calibrate_depth(
-            0.5, setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], grid, setup["spec"]
-        )
+        [[(traj, label)]] = self._calibrate(setup, [0.5], grid)
         # Exhaustive re-sweep is its own oracle.
         x_t = db.migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"]).migrated
         a_s = highpass_magnitude(setup["x"], setup["spec"])
         a_t = highpass_magnitude(x_t, setup["spec"])
         gaps = []
         for i in grid:
-            traj = db.depth_migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], float(i))
-            val = soft_label(a_s, highpass_magnitude(traj.migrated, setup["spec"]), a_t).value
+            one = db.depth_migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], float(i))
+            val = soft_label(a_s, highpass_magnitude(one.migrated, setup["spec"]), a_t).value
             gaps.append(abs(val - 0.5))
         assert abs(label.value - 0.5) <= min(gaps) + 1e-12
+        frame = db.depth_migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], traj.depth)
+        assert traj.migrated[0].tobytes() == frame.migrated.tobytes()
 
     def test_empty_grid_rejected(self, setup):
         with pytest.raises(ValueError):
-            db.calibrate_depth(
-                0.5, setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], [], setup["spec"]
-            )
+            self._calibrate(setup, [0.5], [])
+
+    @pytest.mark.parametrize("target", [-0.1, 1.5, float("nan")])
+    def test_target_outside_unit_interval_rejected_before_any_model_call(
+        self, setup, monkeypatch, target
+    ):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran before the targets were checked")
+
+        monkeypatch.setattr(softlabel, "label_sweep", no_sweep)
+        with pytest.raises(ValueError, match="outside"):
+            self._calibrate(setup, [0.5, target], np.linspace(0.0, 1.0, 9))
+
+    def test_clamped_labels_tie_toward_smallest_depth(self, setup, monkeypatch):
+        # Labels clamped to 1.0 at several depths are a three-way tie that
+        # must resolve to the smallest tying depth, whatever its index.
+        self._crafted_sweep(monkeypatch, [1.0, 0.5, 0.75], [(1.0, 1.4), (1.0, 1.0), (1.0, 1.2)])
+        assert self._picked_depths(setup, [1.0], [1.0, 0.5, 0.75]) == [0.5]
+
+    @pytest.mark.parametrize("depths", [[0.8, 0.3], [0.3, 0.8]])
+    def test_equal_distances_tie_toward_smaller_depth(self, setup, monkeypatch, depths):
+        # Equal distances on either side of the target tie as well.
+        self._crafted_sweep(monkeypatch, depths, [(0.75, 0.75), (0.25, 0.25)])
+        assert self._picked_depths(setup, [0.5], depths) == [0.3]
+
+    def test_batch_picks_equal_one_field_picks(self, setup):
+        xs = np.stack([setup["x"], 0.5 * setup["x"]])
+        grid, targets = np.linspace(0.0, 1.0, 9), [0.25, 0.5, 0.75]
+        picks = self._calibrate(setup, targets, grid, xs)
+        assert [len(row) for row in picks] == [3, 3]
+        for i, x in enumerate(xs):
+            alone = self._calibrate(setup, targets, grid, x[None])[0]
+            for (traj, label), (one, one_label) in zip(picks[i], alone):
+                assert traj.depth == one.depth and label == one_label
+                assert traj.migrated[i].tobytes() == one.migrated[0].tobytes()
