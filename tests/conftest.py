@@ -1,4 +1,6 @@
-"""Shared pytest hooks: surface the acceptance lines, fix the fuzz settings, check gradients."""
+"""Shared pytest hooks: acceptance lines, fuzz settings, gradient and memory checks."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -31,3 +33,22 @@ def mlp_gradcheck(model, x, t, target):
     analytic, numeric, _ = central_differences(model, x, t, target)
     denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
     return float(np.max(np.abs(numeric - analytic) / denom))
+
+
+def traced_peak(fn) -> int:
+    """Bytes fn() allocates at its peak above what was live at the call, by tracemalloc.
+
+    Counts what fn returns while it lives.  Tracing another caller
+    started stays on; tracing started here stops.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -21,7 +21,7 @@ from diffbridge.denoiser import (
 )
 from diffbridge.domains import GaussianMixture, gmm_score
 from diffbridge.verify import gradient_error, score_error
-from conftest import mlp_gradcheck
+from conftest import mlp_gradcheck, traced_peak
 
 
 class TestAnalyticGmmEpsilon:
@@ -971,6 +971,18 @@ class TestMlpBatchedBackward:
         )
         m.backward(x, np.arange(5) * 20.0, target)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("priority, bound_mb", [(Priority.GLOBAL_FIRST, 5.0),
+                                                    (Priority.LOCAL_FIRST, 4.1)])
+    def test_training_step_transient_peak(self, priority, bound_mb):
+        """One 128-row step at mlp-train's geometry: 16 tokens of 16, 2 heads, 4 windows."""
+        att = db.init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
+        m = db.init_mlp((16, 16), (64, 64), steps_total=1000, attention=att, seed=1)
+        rng = np.random.default_rng(0)
+        x, target = rng.standard_normal((2, 128, 16, 16))
+        steps = rng.integers(1, 1001, 128)
+        m.backward(x, steps, target)
+        assert traced_peak(lambda: m.backward(x, steps, target)) < bound_mb * 1e6
 
     def test_inference_and_training_take_their_attention_entry_points(self, monkeypatch):
         m = self.model(Priority.LOCAL_FIRST)

@@ -11,6 +11,7 @@ from diffbridge.blocks import _pairwise_sum
 from diffbridge.domains import GaussianMixture, SpectralTexture, _logsumexp
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude
 from diffbridge.train import energy_distance
+from conftest import traced_peak
 
 
 def two_blob_mixture():
@@ -425,6 +426,26 @@ class TestTexturePair:
         for domain in (pair.source, pair.target):
             x = domain.sample(16, seed=3)
             assert x.min() >= -1.0 and x.max() <= 1.0
+
+    @pytest.mark.parametrize("size", [16, 32])
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    def test_samples_have_the_bytes_of_the_textbook_formula(self, size, count):
+        pair = db.make_texture_pair("bandsplit", size, seed=4)
+        for seed, domain in enumerate((pair.source, pair.target)):
+            white = np.random.default_rng(seed).standard_normal((count, size, size))
+            spectrum = np.fft.fft2(white, norm="ortho") * np.sqrt(domain.mode_variances)
+            want = np.clip(np.fft.ifft2(spectrum, norm="ortho").real, -1, 1)
+            got = domain.sample(count, seed)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # A batch's first rows are the smaller batch's, from the same seed.
+            for k in {1, (count + 1) // 2}:
+                assert got[:k].tobytes() == domain.sample(k, seed).tobytes()
+
+    def test_sampling_peaks_below_four_outputs(self):
+        domain = db.make_texture_pair("bandsplit", 16, seed=0).target
+        out_bytes = domain.sample(256, seed=3).nbytes
+        assert traced_peak(lambda: domain.sample(256, seed=3)) < 4 * out_bytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_mode_variances(self, bad):
