@@ -6,13 +6,16 @@ flows: noise with the source model from 0 to 1, denoise with the target
 model from 1 back to 0.  Depth-controlled migration stops the descent
 early, noising only to an intermediate time i and denoising from i, which
 yields cross-domain intermediates whose migration extent grows with i.
-A depth sweep shares one forward leg and one reverse descent across all
-its depths; the models are pure.  The GMM model keeps a read-only table
-of T+1 step constants; the texture model reuses mutable work arrays, so
-a texture model's calls must not overlap across threads.  Every
-entry point takes one sample or a batch of samples along a leading axis;
-models broadcast over it, so a batch costs one model call per grid step
-and each row is bit-identical to that sample's own run.
+Every flow is one walk over an array of grid nodes: ``flow_ode`` walks
+one span, and a depth sweep walks each leg once.  The forward leg keeps
+the state at each depth's node; the descent walks the stack of those
+states, each row starting at its own node.  The models are pure.  The
+GMM model keeps a read-only table of T+1 step constants; the texture
+model reuses mutable work arrays, so a texture model's calls must not
+overlap across threads.  Every entry point takes one sample or a batch
+of samples along a leading axis; models broadcast over it, so a batch
+costs one model call per grid step and each row is bit-identical to
+that sample's own run.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
@@ -112,21 +115,35 @@ def flow_ode(
 ) -> np.ndarray:
     """Integrate the flow from time t0 to t1 (in [0, 1], either direction).
 
-    t0 < t1 noises, t0 > t1 denoises; equal (snapped) endpoints return
-    the input unchanged with zero arithmetic applied.  x_start may be a
-    batch: each grid step is one model call on the whole batch, and a
-    non-finite value in any row stops the run at that node.
+    A copy of x_start and one walk: t0 < t1 noises, t0 > t1 denoises;
+    equal (snapped) endpoints return the copy with zero arithmetic
+    applied.  x_start may be a batch: each grid step is one model call
+    on the whole batch, and a non-finite value in any row stops the run
+    at that node.
     """
     x = np.array(x_start, dtype=np.float64)
     n = cfg.grid_steps
-    k0 = round(cfg.snap(t0) * n)
-    k1 = round(cfg.snap(t1) * n)
-    if k0 == k1:
-        return x
+    for _ in _walk(x, model, round(cfg.snap(t0) * n), round(cfg.snap(t1) * n), cfg):
+        pass
+    return x
 
+
+def _walk(x: np.ndarray, model: EpsilonModel, k0: int, k1: int, cfg: BridgeConfig, starts=None):
+    """Step x in place from grid node k0 to k1, yielding each node as x reaches it.
+
+    The bridge's one loop over grid nodes.  k0 comes first, before any
+    step; a caller copies what it keeps, and the float warnings the walk
+    silences stay silenced at its yields.  With starts (a descending
+    grid node per row of x) the step from node k moves only the leading
+    rows whose start is >= k, so each row starts at its own node.
+    """
     sched = cfg.schedule
     nodes = np.arange(k0, k1 + (1 if k1 > k0 else -1), 1 if k1 > k0 else -1)
-    times = nodes / n
+    times = nodes / cfg.grid_steps
+    # The step from nodes[j] moves x[:rows[j]]; None is every row.
+    rows = [None] * len(nodes)
+    if starts is not None:
+        rows = np.searchsorted(-np.asarray(starts), -nodes, side="right")
     ddim = cfg.integrator == Integrator.DDIM
     heun = cfg.integrator == Integrator.HEUN
     scratch = np.empty_like(x)
@@ -151,28 +168,31 @@ def flow_ode(
             np.subtract(out, state, out=out)
             np.multiply(0.5 * beta_eval[j], out, out=out)
 
+    yield nodes[0]
     # Non-finite intermediates raise NonFiniteStateError below; the float
     # warnings they would emit first are noise.
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(len(nodes) - 1):
+            xm, sm = x[: rows[j]], scratch[: rows[j]]
             if ddim:
-                eps = model.predict_epsilon(x, times[j] * sched.steps_T)
-                ddim_transfer(x, eps, ab[j], ab[j + 1], x, scratch)
+                eps = model.predict_epsilon(xm, times[j] * sched.steps_T)
+                ddim_transfer(xm, eps, ab[j], ab[j + 1], xm, sm)
             else:
                 # x + h * k_a (Euler) or x + 0.5 * h * (k_a + k_b) (Heun), k_a in scratch.
                 h = times[j + 1] - times[j]
-                drift(x, j, scratch)
+                drift(xm, j, sm)
                 if heun:
-                    np.multiply(h, scratch, out=probe)
-                    probe += x
-                    drift(probe, j + 1, k_b)
-                    scratch += k_b
-                    scratch *= 0.5 * h
+                    pm, km = probe[: rows[j]], k_b[: rows[j]]
+                    np.multiply(h, sm, out=pm)
+                    pm += xm
+                    drift(pm, j + 1, km)
+                    sm += km
+                    sm *= 0.5 * h
                 else:
-                    scratch *= h
-                x += scratch
-            _check_finite(x, nodes[j + 1], times[j + 1])
-    return x
+                    sm *= h
+                xm += sm
+            _check_finite(xm, nodes[j + 1], times[j + 1])
+            yield nodes[j + 1]
 
 
 def _check_finite(x: np.ndarray, node: int, time: float) -> None:
@@ -246,7 +266,7 @@ def depth_migrate(
     """Depth-controlled migration: source flow 0 -> i, target flow i -> 0.
 
     depth = 0 returns the source unchanged (no integration steps run, and
-    the trajectory's two states are one copy of the source); depth = 1
+    the trajectory's two states are copies of the source); depth = 1
     coincides bit-for-bit with full migration on the same grid.  The
     depth snaps to the integration grid; the snapped value is recorded
     on the trajectory.  This is ``depth_sweep`` over a one-depth grid.
@@ -263,35 +283,34 @@ def depth_sweep(
 ) -> list[BridgeTrajectory]:
     """Depth-controlled migration at every depth of a grid, in grid order.
 
-    One forward leg and one reverse descent serve the whole grid.  The
-    forward leg runs from 0 to the deepest snapped depth, chained node to
-    node between consecutive depths.  The descent runs the target model
-    from the deepest depth back to 0, chained the same way; each depth's
-    latent joins the descending batch, stacked along a new leading axis,
-    when the descent reaches that depth's node.  A sweep therefore calls
-    each model once per grid step between 0 and the deepest depth (twice
-    with Heun), whatever the number of depths.  Grid nodes are global and
-    models score rows independently, so every trajectory is bit-identical
-    to a one-depth sweep at its depth.  Depths that snap to one node share
-    one trajectory.
+    Two walks serve the whole grid.  The forward leg walks the source
+    model from 0 to the deepest snapped depth and keeps a copy of the
+    state at each depth's node.  The descent walks the target model from
+    there back to 0 over a stack of those latents, deepest first; each
+    row starts moving when the walk reaches its depth's node.  A sweep
+    therefore calls each model once per grid step between 0 and the
+    deepest depth (twice with Heun), whatever the number of depths.
+    Grid nodes are global and models score rows independently, so every
+    trajectory is bit-identical to a one-depth sweep at its depth.
+    Depths that snap to one node share one trajectory; no other returned
+    array shares memory with another depth's or with x_source.
     """
-    x_source = np.asarray(x_source, dtype=np.float64)
-    snapped = [cfg.snap(float(d)) for d in depths]
+    x = np.array(x_source, dtype=np.float64)
+    n = cfg.grid_steps
+    nodes = [round(cfg.snap(float(d)) * n) for d in depths]
     _check_model(model_src, Direction.FORWARD, "forward", cfg.schedule)
     _check_model(model_tgt, Direction.REVERSE, "reverse", cfg.schedule)
 
-    source = x_source.copy()
-    ends = [0.0, *sorted(set(snapped) - {0.0})]
-    latents = [source]
-    for start, stop in zip(ends, ends[1:]):
-        latents.append(flow_ode(latents[-1], model_src, start, stop, cfg))
-    # Row r of the descending batch belongs to the r-th deepest depth.
-    batch = np.empty((0, *source.shape))
-    for j in range(len(ends) - 1, 0, -1):
-        batch = np.concatenate([batch, latents[j][None]])
-        batch = flow_ode(batch, model_tgt, ends[j], ends[j - 1], cfg)
-    rows = {
-        depth: BridgeTrajectory(latents[j], batch[-j] if j else source, depth)
-        for j, depth in enumerate(ends)
+    kept = set(nodes)
+    deepest = max(nodes, default=0)
+    latents = {k: x.copy() for k in _walk(x, model_src, 0, deepest, cfg) if k in kept}
+    # Row r of the descent belongs to the r-th deepest depth.
+    deepest_first = sorted(kept, reverse=True)
+    migrated = np.array([latents[k] for k in deepest_first])
+    for _ in _walk(migrated, model_tgt, deepest, 0, cfg, deepest_first):
+        pass
+    runs = {
+        k: BridgeTrajectory(latents[k], migrated[r], k / n)
+        for r, k in enumerate(deepest_first)
     }
-    return [rows[d] for d in snapped]
+    return [runs[k] for k in nodes]

@@ -112,6 +112,25 @@ class TestFlowOde:
         # A sweep that never reaches the poisoned times completes.
         depth_sweep(x, PoisonedRow(), gmm_setup["model_b"], cfg, [0.2])
 
+    def test_one_non_finite_row_stops_the_descent_at_its_node(self, gmm_setup):
+        class PoisonedRow(db.EpsilonModel):
+            """The target's analytic model, returning inf for row 2 from time 0.3 on."""
+
+            def predict_epsilon(self, x, t):
+                eps = gmm_setup["model_b"].predict_epsilon(x, t)
+                if t >= 300:
+                    eps[..., 2, :] = np.inf   # the descent stacks depths on a leading axis
+                return eps
+
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=10)
+        x = gmm_setup["x"][:4]
+        with pytest.raises(NonFiniteStateError, match=r"grid node 9 \(time 0.900000\)"):
+            migrate(x, gmm_setup["model_a"], PoisonedRow(), cfg)
+        with pytest.raises(NonFiniteStateError, match=r"grid node 4 \(time 0.400000\)"):
+            depth_sweep(x, gmm_setup["model_a"], PoisonedRow(), cfg, [0.2, 0.5])
+        # A sweep whose descent never reaches the poisoned times completes.
+        depth_sweep(x, gmm_setup["model_a"], PoisonedRow(), cfg, [0.2])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_lone_non_finite_value_names_its_grid_node(self, gmm_setup, value):
         class PoisonedValue(db.EpsilonModel):
@@ -314,18 +333,36 @@ class TestDepthSweep:
                     assert getattr(traj, field).tobytes() == getattr(ref, field).tobytes()
 
     @pytest.mark.parametrize("pair", ["gmm", "texture"])
-    def test_one_descent_calls_the_target_model_once_per_grid_step(self, gmm_setup, pair):
+    @pytest.mark.parametrize("integrator", list(Integrator))
+    def test_one_descent_calls_the_target_model_once_per_grid_step(
+        self, gmm_setup, pair, integrator
+    ):
         m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
         src, tgt = _Counting(m_src), _Counting(m_tgt)
-        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
+        cfg = BridgeConfig(
+            schedule=gmm_setup["sched"], steps_per_unit_time=steps, integrator=integrator
+        )
         grid = [0.75, 0.0, 0.5, 0.25, 0.34, 0.125]
         table = depth_sweep(xs, src, tgt, cfg, grid)
-        assert len(src.shapes) == len(tgt.shapes) == round(max(grid) * steps)
+        calls_per_step = 2 if integrator is Integrator.HEUN else 1
+        assert len(src.shapes) == len(tgt.shapes) == round(max(grid) * steps) * calls_per_step
         # The descent starts with the deepest depth's rows and ends with all five depths'.
         assert tgt.shapes[0] == (1, *xs.shape) and tgt.shapes[-1] == (5, *xs.shape)
         for depth, traj in zip(grid, table):
             ref = depth_migrate(xs, m_src, m_tgt, cfg, depth)
             assert traj.migrated.tobytes() == ref.migrated.tobytes()
+
+    @pytest.mark.parametrize("pair", ["gmm", "texture"])
+    def test_no_returned_array_aliases_the_source_or_another(self, gmm_setup, pair):
+        m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
+        before = xs.tobytes()
+        table = depth_sweep(xs, m_src, m_tgt, cfg, self.GRID)
+        assert xs.tobytes() == before
+        arrays = [xs] + [a for t in table for a in (t.latent, t.migrated)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_hybrid_priority_enforced(self, gmm_setup):
         att_fwd = db.init_attention(1, 2, priority=Priority.GLOBAL_FIRST, seed=0)
