@@ -19,17 +19,18 @@ that sample's own run.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
-flows over adjacent spans compose bit-exactly.  Three realizations of
+flows over adjacent spans compose bit-exactly.  Two realizations of
 the same flow are provided and are required (and tested) to converge
 toward one another as the grid refines:
 
-* DDIM: the zero-sigma ``diffusion.ddim_transfer`` between adjacent grid
-  nodes, with alpha_bar interpolated between the schedule's knots.
-  First order.  Safe for epsilon-parameterized models at time 0 because
-  the prediction is only ever multiplied by vanishing coefficients there.
-* Euler: first-order explicit Euler on the variance-preserving drift
+* DDIM, the one every command runs by default: the zero-sigma
+  ``diffusion.ddim_transfer`` between adjacent grid nodes, with
+  alpha_bar interpolated between the schedule's knots.  First order.
+  Safe for epsilon-parameterized models at time 0 because the
+  prediction is only ever multiplied by vanishing coefficients there.
+* Heun, the reference the checks compare DDIM against: second-order
+  predictor-corrector on the variance-preserving drift
       v(u, x) = beta(u)/2 * (eps(x, u)/sqrt(1 - alpha_bar(u)) - x).
-* Heun: second-order predictor-corrector on the same drift.
 
 Converting a noise prediction to a score divides by sqrt(1 - alpha_bar),
 which vanishes at u = 0, so drift evaluations floor the time at
@@ -55,12 +56,11 @@ from .denoiser import EpsilonModel
 from .diffusion import ddim_transfer
 from .schedule import NoiseSchedule
 
-DRIFT_TIME_FLOOR = 1e-9  # earliest time at which the drift-form integrators evaluate
+DRIFT_TIME_FLOOR = 1e-9  # earliest time at which Heun evaluates the drift
 
 
 class Integrator(Enum):
     DDIM = "ddim"
-    EULER = "euler"
     HEUN = "heun"
 
 
@@ -145,17 +145,15 @@ def _walk(x: np.ndarray, model: EpsilonModel, k0: int, k1: int, cfg: BridgeConfi
     if starts is not None:
         rows = np.searchsorted(-np.asarray(starts), -nodes, side="right")
     ddim = cfg.integrator == Integrator.DDIM
-    heun = cfg.integrator == Integrator.HEUN
     scratch = np.empty_like(x)
     if ddim:
         ab = sched.alpha_bar_at(times)
     else:
-        # Drift-form integrators; evaluation times floored away from 0.
+        # Heun's drift; evaluation times floored away from 0.
         eval_times = np.maximum(times, DRIFT_TIME_FLOOR)
         ab_eval = sched.alpha_bar_at(eval_times)
         beta_eval = sched.noise_rate_at(eval_times)
-        if heun:
-            probe, k_b = np.empty_like(x), np.empty_like(x)
+        probe, k_b = np.empty_like(x), np.empty_like(x)
 
         def drift(state, j, out):
             """0.5 * beta * (eps / score_scale - state), written into out."""
@@ -178,18 +176,15 @@ def _walk(x: np.ndarray, model: EpsilonModel, k0: int, k1: int, cfg: BridgeConfi
                 eps = model.predict_epsilon(xm, times[j] * sched.steps_T)
                 ddim_transfer(xm, eps, ab[j], ab[j + 1], xm, sm)
             else:
-                # x + h * k_a (Euler) or x + 0.5 * h * (k_a + k_b) (Heun), k_a in scratch.
+                # x + 0.5 * h * (k_a + k_b), k_a in scratch.
                 h = times[j + 1] - times[j]
                 drift(xm, j, sm)
-                if heun:
-                    pm, km = probe[: rows[j]], k_b[: rows[j]]
-                    np.multiply(h, sm, out=pm)
-                    pm += xm
-                    drift(pm, j + 1, km)
-                    sm += km
-                    sm *= 0.5 * h
-                else:
-                    sm *= h
+                pm, km = probe[: rows[j]], k_b[: rows[j]]
+                np.multiply(h, sm, out=pm)
+                pm += xm
+                drift(pm, j + 1, km)
+                sm += km
+                sm *= 0.5 * h
                 xm += sm
             _check_finite(xm, nodes[j + 1], times[j + 1])
             yield nodes[j + 1]

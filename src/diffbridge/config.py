@@ -248,7 +248,7 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 

@@ -74,17 +74,17 @@ def test_criterion_3_deterministic_round_trip(sched, pair):
     model = db.AnalyticGmmEpsilon(pair.source, sched)
     x = gmm_sample(pair.source, 64, seed=0)
     errs = {}
-    for n in (1000, 2000):
-        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=Integrator.EULER)
+    for n in (500, 1000):
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=Integrator.HEUN)
         errs[n] = verify.round_trip_error(x, model, cfg)
-    ratio = errs[1000] / errs[2000]
+    ratio = errs[500] / errs[1000]
     elapsed = time.monotonic() - start
-    passed = errs[1000] < 1e-3 and 1.6 < ratio < 2.4 and elapsed < 30.0
+    passed = errs[500] < 1e-3 and 6.4 < ratio < 9.6 and elapsed < 30.0
     report(3, "flow round-trip 0->1->0", passed,
-           f"max err {errs[1000]:.2e} (<1e-3) at 1000 Euler sub-steps, "
-           f"halving ratio {ratio:.2f} (1.6..2.4)", elapsed)
-    assert errs[1000] < 1e-3
-    assert 1.6 < ratio < 2.4
+           f"max err {errs[500]:.2e} (<1e-3) at 500 Heun sub-steps, "
+           f"halving ratio {ratio:.2f} (6.4..9.6)", elapsed)
+    assert errs[500] < 1e-3
+    assert 6.4 < ratio < 9.6
     assert elapsed < 30.0
 
 

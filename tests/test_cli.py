@@ -519,6 +519,8 @@ class TestChecksBeforeAnyOutput:
             for command in ("gen", "train", "verify")
         ],
         ("verify", [], {"domains": {"kind": "bogus"}}, "unknown domain kind 'bogus'"),
+        # Last, so the rows above keep their indexed IDs.
+        ("gen", [], {"bridge": {"integrator": "euler"}}, "'euler' is not a valid Integrator"),
     ])
     def test_settings_a_command_does_not_use_are_checked_too(
         self, command, args, overrides, message, tmp_path, capsys
@@ -605,6 +607,16 @@ class TestChecksBeforeAnyOutput:
         assert main(["migrate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_deeply_nested_config_exits_one_and_leaves_no_files(self, tmp_path, capsys):
+        # json.dumps cannot write this nesting; the decoder runs out of recursion depth.
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config is not valid JSON: " in err and len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_checkpoint_without_arrays_exits_one_and_leaves_no_files(self, tmp_path, capsys):
