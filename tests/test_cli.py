@@ -520,7 +520,10 @@ class TestChecksBeforeAnyOutput:
         ],
         ("verify", [], {"domains": {"kind": "bogus"}}, "unknown domain kind 'bogus'"),
         # Last, so the rows above keep their indexed IDs.
-        ("gen", [], {"bridge": {"integrator": "euler"}}, "'euler' is not a valid Integrator"),
+        *[
+            (command, [], {"bridge": {"integrator": "euler"}}, "'euler' is not a valid Integrator")
+            for command in ("gen", "train", "verify")
+        ],
     ])
     def test_settings_a_command_does_not_use_are_checked_too(
         self, command, args, overrides, message, tmp_path, capsys
@@ -617,6 +620,17 @@ class TestChecksBeforeAnyOutput:
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config is not valid JSON: " in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_deeply_nested_checkpoint_header_exits_one_and_leaves_no_files(self, tmp_path, capsys):
+        ckpt = tmp_path / "deep.ckpt"
+        blob = ("[" * 100000 + "]" * 100000).encode()
+        ckpt.write_bytes(db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob)
+        models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
+        cfg, out = texture_config(tmp_path, models=models)
+        assert main(["migrate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint header is not JSON: " in err and len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_checkpoint_without_arrays_exits_one_and_leaves_no_files(self, tmp_path, capsys):

@@ -53,6 +53,19 @@ class TestVerifySuite:
         assert [r.detail for r in results if "raised" in r.detail] == []
         assert [r.line() for r in results if not r.passed] == []
 
+    def test_flow_round_trip_spends_two_thousand_model_calls(self, monkeypatch):
+        # Heun at 500 nodes per unit time: two calls per node, two legs.
+        calls = []
+        predict = AnalyticGmmEpsilon.predict_epsilon
+
+        def counting(self, x, t):
+            calls.append(x.shape)
+            return predict(self, x, t)
+
+        monkeypatch.setattr(AnalyticGmmEpsilon, "predict_epsilon", counting)
+        assert verify.check_flow_round_trip(linear_schedule(1000)).passed
+        assert calls == [(32, 2)] * 2000
+
     def test_schedule_corruption_fails_round_trip(self):
         results = {r.name: r for r in run_all(schedule=corrupted_schedule())}
         assert not results["flow-round-trip-ddim"].passed
