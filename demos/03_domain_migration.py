@@ -9,13 +9,13 @@ source: rerunning reproduces every output bit for bit.
 import numpy as np
 
 import diffbridge as db
-from diffbridge.bridge import BridgeConfig, Integrator, flow_ode, migrate
+from diffbridge.bridge import BridgeConfig, flow_ode, migrate
 
 sched = db.linear_schedule(1000)
 pair = db.default_gmm_pair()
 model_a = db.AnalyticGmmEpsilon(pair.source, sched)
 model_b = db.AnalyticGmmEpsilon(pair.target, sched)
-cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000, integrator=Integrator.DDIM)
+cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000)
 
 print("the forward flow is invertible: 0 -> 1 -> 0 returns the inputs")
 x = db.gmm_sample(pair.source, 8, seed=0)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import diffbridge as db
-from diffbridge.bridge import BridgeConfig, Integrator, depth_sweep
+from diffbridge.bridge import BridgeConfig, depth_sweep
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude, soft_label
 
 out = Path("demos_out/depth_sweep")
@@ -24,7 +24,7 @@ sched = db.linear_schedule(1000)
 pair = db.make_texture_pair("bandsplit", 32, seed=3)
 m_src = db.AnalyticFieldEpsilon(pair.source.mode_variances, sched)
 m_tgt = db.AnalyticFieldEpsilon(pair.target.mode_variances, sched)
-cfg = BridgeConfig(schedule=sched, steps_per_unit_time=200, integrator=Integrator.DDIM)
+cfg = BridgeConfig(schedule=sched, steps_per_unit_time=200)
 spec = HighpassSpec(0.25)
 
 # One forward leg serves every depth; the depth-1.0 row is the endpoint.

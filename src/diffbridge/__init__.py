@@ -22,7 +22,6 @@ from .attention import (
 from .bridge import (
     BridgeConfig,
     BridgeTrajectory,
-    Integrator,
     NonFiniteStateError,
     depth_migrate,
     depth_sweep,

@@ -19,35 +19,19 @@ that sample's own run.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
-flows over adjacent spans compose bit-exactly.  Two realizations of
-the same flow are provided and are required (and tested) to converge
-toward one another as the grid refines:
-
-* DDIM, the one every command runs by default: the zero-sigma
-  ``diffusion.ddim_transfer`` between adjacent grid nodes, with
-  alpha_bar interpolated between the schedule's knots.  First order.
-  Safe for epsilon-parameterized models at time 0 because the
-  prediction is only ever multiplied by vanishing coefficients there.
-* Heun, the reference the checks compare DDIM against: second-order
-  predictor-corrector on the variance-preserving drift
-      v(u, x) = beta(u)/2 * (eps(x, u)/sqrt(1 - alpha_bar(u)) - x).
-
-Converting a noise prediction to a score divides by sqrt(1 - alpha_bar),
-which vanishes at u = 0, so drift evaluations floor the time at
-``DRIFT_TIME_FLOOR``.  That is negligible for analytic models; a trained
-network's raw output near u = 0 does not shrink with the divisor, so
-trained models are best integrated with DDIM.  Where alpha_bar still
-rounds to 1 at the floor (the interpolant starts flat when the second
-beta is at least three times the first: T <= 100 at the default betas),
-the eps term is taken as 0, the optimal prediction's value there, and
-the noise rate is below 1e-8, so the drift stays finite.
+flows over adjacent spans compose bit-exactly.  Each step is the
+zero-sigma ``diffusion.ddim_transfer`` between adjacent grid nodes, with
+alpha_bar interpolated between the schedule's knots: first order, and
+safe for epsilon-parameterized models at time 0 because the prediction
+is only ever multiplied by vanishing coefficients there.  The
+second-order reference the checks compare it against, Heun on the
+probability-flow drift, is ``verify.heun_flow``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -55,14 +39,6 @@ from .attention import Direction, select_priority
 from .denoiser import EpsilonModel
 from .diffusion import ddim_transfer
 from .schedule import NoiseSchedule
-
-DRIFT_TIME_FLOOR = 1e-9  # earliest time at which Heun evaluates the drift
-
-
-class Integrator(Enum):
-    DDIM = "ddim"
-    HEUN = "heun"
-
 
 class NonFiniteStateError(ArithmeticError):
     """Integration produced a non-finite state; reports the failing step."""
@@ -72,7 +48,6 @@ class NonFiniteStateError(ArithmeticError):
 class BridgeConfig:
     schedule: NoiseSchedule
     steps_per_unit_time: int | None = None  # defaults to the schedule's T
-    integrator: Integrator = Integrator.DDIM
 
     def __post_init__(self):
         n = self.steps_per_unit_time
@@ -137,55 +112,22 @@ def _walk(x: np.ndarray, model: EpsilonModel, k0: int, k1: int, cfg: BridgeConfi
     grid node per row of x) the step from node k moves only the leading
     rows whose start is >= k, so each row starts at its own node.
     """
-    sched = cfg.schedule
     nodes = np.arange(k0, k1 + (1 if k1 > k0 else -1), 1 if k1 > k0 else -1)
     times = nodes / cfg.grid_steps
     # The step from nodes[j] moves x[:rows[j]]; None is every row.
     rows = [None] * len(nodes)
     if starts is not None:
         rows = np.searchsorted(-np.asarray(starts), -nodes, side="right")
-    ddim = cfg.integrator == Integrator.DDIM
+    ab = cfg.schedule.alpha_bar_at(times)
     scratch = np.empty_like(x)
-    if ddim:
-        ab = sched.alpha_bar_at(times)
-    else:
-        # Heun's drift; evaluation times floored away from 0.
-        eval_times = np.maximum(times, DRIFT_TIME_FLOOR)
-        ab_eval = sched.alpha_bar_at(eval_times)
-        beta_eval = sched.noise_rate_at(eval_times)
-        probe, k_b = np.empty_like(x), np.empty_like(x)
-
-        def drift(state, j, out):
-            """0.5 * beta * (eps / score_scale - state), written into out."""
-            score_scale = math.sqrt(1.0 - ab_eval[j])
-            if score_scale > 0.0:
-                eps = model.predict_epsilon(state, eval_times[j] * sched.steps_T)
-                np.divide(eps, score_scale, out=out)
-            else:
-                out.fill(0.0)
-            np.subtract(out, state, out=out)
-            np.multiply(0.5 * beta_eval[j], out, out=out)
-
     yield nodes[0]
     # Non-finite intermediates raise NonFiniteStateError below; the float
     # warnings they would emit first are noise.
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(len(nodes) - 1):
-            xm, sm = x[: rows[j]], scratch[: rows[j]]
-            if ddim:
-                eps = model.predict_epsilon(xm, times[j] * sched.steps_T)
-                ddim_transfer(xm, eps, ab[j], ab[j + 1], xm, sm)
-            else:
-                # x + 0.5 * h * (k_a + k_b), k_a in scratch.
-                h = times[j + 1] - times[j]
-                drift(xm, j, sm)
-                pm, km = probe[: rows[j]], k_b[: rows[j]]
-                np.multiply(h, sm, out=pm)
-                pm += xm
-                drift(pm, j + 1, km)
-                sm += km
-                sm *= 0.5 * h
-                xm += sm
+            xm = x[: rows[j]]
+            eps = model.predict_epsilon(xm, times[j] * cfg.schedule.steps_T)
+            ddim_transfer(xm, eps, ab[j], ab[j + 1], xm, scratch[: rows[j]])
             _check_finite(xm, nodes[j + 1], times[j + 1])
             yield nodes[j + 1]
 
@@ -284,7 +226,7 @@ def depth_sweep(
     there back to 0 over a stack of those latents, deepest first; each
     row starts moving when the walk reaches its depth's node.  A sweep
     therefore calls each model once per grid step between 0 and the
-    deepest depth (twice with Heun), whatever the number of depths.
+    deepest depth, whatever the number of depths.
     Grid nodes are global and models score rows independently, so every
     trajectory is bit-identical to a one-depth sweep at its depth.
     Depths that snap to one node share one trajectory; no other returned

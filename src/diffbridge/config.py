@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bridge import BridgeConfig, Integrator
+from .bridge import BridgeConfig
 from .domains import DomainPair, default_gmm_pair, make_texture_pair
 from .schedule import NoiseSchedule, linear_schedule
 from .softlabel import HighpassSpec
@@ -100,17 +100,12 @@ class DomainSpec:
 @dataclass(frozen=True)
 class BridgeSpec:
     steps_per_unit_time: int | None = None
-    integrator: str = "ddim"
 
     def __post_init__(self):
         _check_scalars(self, "bridge.")
 
     def build(self, schedule: NoiseSchedule) -> BridgeConfig:
-        return BridgeConfig(
-            schedule=schedule,
-            steps_per_unit_time=self.steps_per_unit_time,
-            integrator=Integrator(self.integrator),
-        )
+        return BridgeConfig(schedule=schedule, steps_per_unit_time=self.steps_per_unit_time)
 
 
 @dataclass(frozen=True)

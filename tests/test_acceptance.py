@@ -19,7 +19,7 @@ from scipy.stats import spearmanr
 import diffbridge as db
 from diffbridge import verify
 from diffbridge.attention import Priority
-from diffbridge.bridge import BridgeConfig, Integrator, depth_sweep, migrate
+from diffbridge.bridge import BridgeConfig, depth_sweep, migrate
 from diffbridge.cli import main as cli_main
 from diffbridge.domains import gmm_log_density, gmm_sample
 from diffbridge.softlabel import HighpassSpec, highpass_magnitude, soft_label
@@ -75,8 +75,8 @@ def test_criterion_3_deterministic_round_trip(sched, pair):
     x = gmm_sample(pair.source, 64, seed=0)
     errs = {}
     for n in (500, 1000):
-        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=Integrator.HEUN)
-        errs[n] = verify.round_trip_error(x, model, cfg)
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n)
+        errs[n] = verify.round_trip_error(verify.heun_flow, x, model, cfg)
     ratio = errs[500] / errs[1000]
     elapsed = time.monotonic() - start
     passed = errs[500] < 1e-3 and 6.4 < ratio < 9.6 and elapsed < 30.0
@@ -106,7 +106,7 @@ def test_criterion_5_migration_effectiveness(sched, pair):
     model_a = db.AnalyticGmmEpsilon(pair.source, sched)
     model_b = db.AnalyticGmmEpsilon(pair.target, sched)
     xs = gmm_sample(pair.source, 200, seed=1)
-    cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000, integrator=Integrator.DDIM)
+    cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000)
     traj = migrate(xs, model_a, model_b, cfg)
     gain = gmm_log_density(pair.target, traj.migrated) - gmm_log_density(pair.target, xs)
     frac = float(np.mean(gain > 0))
@@ -123,7 +123,7 @@ def test_criterion_6_depth_control(sched):
     tex = db.make_texture_pair("bandsplit", 32, seed=3)
     m_src = db.AnalyticFieldEpsilon(tex.source.mode_variances, sched)
     m_tgt = db.AnalyticFieldEpsilon(tex.target.mode_variances, sched)
-    cfg = BridgeConfig(schedule=sched, steps_per_unit_time=200, integrator=Integrator.DDIM)
+    cfg = BridgeConfig(schedule=sched, steps_per_unit_time=200)
     spec = HighpassSpec(0.25)
     grid = np.linspace(0.0, 1.0, 17)
     xs = tex.source.sample(20, seed=7)

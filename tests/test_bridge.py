@@ -7,16 +7,14 @@ import diffbridge as db
 from diffbridge.attention import Priority
 from diffbridge.domains import sample_domain
 from diffbridge.bridge import (
-    DRIFT_TIME_FLOOR,
     BridgeConfig,
-    Integrator,
     NonFiniteStateError,
     depth_migrate,
     depth_sweep,
     flow_ode,
     migrate,
 )
-from diffbridge.verify import ddim_heun_deviation, round_trip_error
+from diffbridge.verify import DRIFT_TIME_FLOOR, ddim_heun_deviation, heun_flow, round_trip_error
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +40,12 @@ class TestFlowOde:
         out = flow_ode(x, gmm_setup["model_a"], 0.401, 0.399, cfg)
         np.testing.assert_array_equal(out, x)
 
-    @pytest.mark.parametrize("integrator", [Integrator.DDIM])
-    def test_first_order_self_inversion(self, gmm_setup, integrator):
+    def test_first_order_self_inversion(self, gmm_setup):
         x, model, sched = gmm_setup["x"], gmm_setup["model_a"], gmm_setup["sched"]
         errs = {}
         for n in (500, 1000):
-            cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=integrator)
-            errs[n] = round_trip_error(x, model, cfg)
+            cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n)
+            errs[n] = round_trip_error(flow_ode, x, model, cfg)
         ratio = errs[500] / errs[1000]
         assert 1.6 < ratio < 2.4
 
@@ -56,8 +53,8 @@ class TestFlowOde:
         x, model, sched = gmm_setup["x"], gmm_setup["model_a"], gmm_setup["sched"]
         errs = {}
         for n in (250, 500):
-            cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n, integrator=Integrator.HEUN)
-            errs[n] = round_trip_error(x, model, cfg)
+            cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n)
+            errs[n] = round_trip_error(heun_flow, x, model, cfg)
         assert errs[250] / errs[500] > 3.3
 
     def test_ddim_and_heun_converge_to_each_other(self, gmm_setup):
@@ -70,7 +67,7 @@ class TestFlowOde:
         # exactly the deterministic DDIM sampler.
         sched = db.linear_schedule(50)
         model = db.AnalyticGmmEpsilon(gmm_setup["pair"].source, sched)
-        cfg = BridgeConfig(schedule=sched, integrator=Integrator.DDIM)
+        cfg = BridgeConfig(schedule=sched)
         x_T = np.random.default_rng(1).standard_normal((8, 2))
         via_flow = flow_ode(x_T, model, 1.0, 0.0, cfg)
         via_sampler = db.ddim_sample(x_T, model, db.SamplerConfig(schedule=sched))
@@ -156,35 +153,60 @@ class TestFlowOde:
         out = flow_ode(x, Zero(), 0.0, 0.5, cfg)
         assert np.all(np.isfinite(out)) and np.all(out > 0.0)
 
-    @pytest.mark.parametrize("integrator", list(Integrator))
-    def test_in_place_steps_match_the_textbook_recursion(self, integrator):
-        """flow_ode steps in place; its bytes equal the plain out-of-place formulas."""
-        sched = db.linear_schedule(1000)
-        tex = db.make_texture_pair("bandsplit", 16, seed=4)
-        model = db.AnalyticFieldEpsilon(tex.source.mode_variances, sched)
-        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=40, integrator=integrator)
-        x = tex.source.sample(3, seed=5)
-        times = np.arange(0, 31) / 40
+    @staticmethod
+    def _textbook_case(case):
+        """(schedule, model, x, grid nodes per unit time) of one textbook-recursion row."""
+        if case == "texture":
+            sched = db.linear_schedule(1000)
+            tex = db.make_texture_pair("bandsplit", 16, seed=4)
+            model = db.AnalyticFieldEpsilon(tex.source.mode_variances, sched)
+            return sched, model, tex.source.sample(3, seed=5), 40
+        # On 50 steps alpha_bar rounds to 1 at the drift's floored first node.
+        sched = db.linear_schedule(50)
+        pair = db.default_gmm_pair()
+        model = db.AnalyticGmmEpsilon(pair.source, sched)
+        return sched, model, db.gmm_sample(pair.source, 8, seed=2), 40
+
+    @pytest.mark.parametrize("case", ["texture", "gmm-50"])
+    def test_in_place_steps_match_the_textbook_recursion(self, case):
+        """flow_ode steps in place; its bytes equal the plain out-of-place DDIM formulas."""
+        sched, model, x, n = self._textbook_case(case)
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n)
+        times = np.arange(0, 31) / n
         ab = sched.alpha_bar_at(times)
+        expected = x
+        for j in range(30):
+            eps = model.predict_epsilon(expected, times[j] * sched.steps_T)
+            x0_hat = (expected - np.sqrt(1.0 - ab[j]) * eps) / np.sqrt(ab[j])
+            expected = np.sqrt(ab[j + 1]) * x0_hat + np.sqrt(1.0 - ab[j + 1]) * eps
+        got = flow_ode(x, model, 0.0, 0.75, cfg)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("case", ["texture", "gmm-50"])
+    def test_heun_flow_matches_the_textbook_recursion(self, case):
+        """verify.heun_flow's bytes equal Heun's formulas on the floored drift."""
+        sched, model, x, n = self._textbook_case(case)
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n)
+        times = np.arange(0, 31) / n
         eval_times = np.maximum(times, DRIFT_TIME_FLOOR)
         ab_eval, beta_eval = sched.alpha_bar_at(eval_times), sched.noise_rate_at(eval_times)
+        # The GMM row starts where eps counts as 0.
+        assert (ab_eval[0] == 1.0) == (case == "gmm-50")
 
         def drift(state, j):
-            eps = model.predict_epsilon(state, eval_times[j] * 1000)
+            if ab_eval[j] == 1.0:
+                return 0.5 * beta_eval[j] * (0.0 - state)
+            eps = model.predict_epsilon(state, eval_times[j] * sched.steps_T)
             return 0.5 * beta_eval[j] * (eps / np.sqrt(1.0 - ab_eval[j]) - state)
 
         expected = x
         for j in range(30):
             h = times[j + 1] - times[j]
-            if integrator == Integrator.DDIM:
-                eps = model.predict_epsilon(expected, times[j] * 1000)
-                x0_hat = (expected - np.sqrt(1.0 - ab[j]) * eps) / np.sqrt(ab[j])
-                expected = np.sqrt(ab[j + 1]) * x0_hat + np.sqrt(1.0 - ab[j + 1]) * eps
-            else:
-                k_a = drift(expected, j)
-                k_b = drift(expected + h * k_a, j + 1)
-                expected = expected + 0.5 * h * (k_a + k_b)
-        got = flow_ode(x, model, 0.0, 0.75, cfg)
+            k_a = drift(expected, j)
+            k_b = drift(expected + h * k_a, j + 1)
+            expected = expected + 0.5 * h * (k_a + k_b)
+        got = heun_flow(x, model, 0.0, 0.75, cfg)
         assert got.tobytes() == expected.tobytes()
         assert not np.shares_memory(got, x)
 
@@ -265,7 +287,7 @@ class TestDepthMigrate:
         pair = db.make_texture_pair("bandsplit", 32, seed=3)
         m_src = db.AnalyticFieldEpsilon(pair.source.mode_variances, sched)
         m_tgt = db.AnalyticFieldEpsilon(pair.target.mode_variances, sched)
-        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=100, integrator=Integrator.DDIM)
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=100)
         spec = HighpassSpec(0.25)
         grid = np.linspace(0.0, 1.0, 9)
         rhos = []
@@ -315,12 +337,9 @@ class TestDepthSweep:
         }
 
     @pytest.mark.parametrize("pair", ["gmm", "texture"])
-    @pytest.mark.parametrize("integrator", list(Integrator))
-    def test_every_depth_bit_identical_to_depth_migrate(self, gmm_setup, pair, integrator):
+    def test_every_depth_bit_identical_to_depth_migrate(self, gmm_setup, pair):
         m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
-        cfg = BridgeConfig(
-            schedule=gmm_setup["sched"], steps_per_unit_time=steps, integrator=integrator
-        )
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
         for x in xs:
             table = depth_sweep(x, m_src, m_tgt, cfg, self.GRID)
             assert len(table) == len(self.GRID)
@@ -331,19 +350,13 @@ class TestDepthSweep:
                     assert getattr(traj, field).tobytes() == getattr(ref, field).tobytes()
 
     @pytest.mark.parametrize("pair", ["gmm", "texture"])
-    @pytest.mark.parametrize("integrator", list(Integrator))
-    def test_one_descent_calls_the_target_model_once_per_grid_step(
-        self, gmm_setup, pair, integrator
-    ):
+    def test_one_descent_calls_the_target_model_once_per_grid_step(self, gmm_setup, pair):
         m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
         src, tgt = _Counting(m_src), _Counting(m_tgt)
-        cfg = BridgeConfig(
-            schedule=gmm_setup["sched"], steps_per_unit_time=steps, integrator=integrator
-        )
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
         grid = [0.75, 0.0, 0.5, 0.25, 0.34, 0.125]
         table = depth_sweep(xs, src, tgt, cfg, grid)
-        calls_per_step = 2 if integrator is Integrator.HEUN else 1
-        assert len(src.shapes) == len(tgt.shapes) == round(max(grid) * steps) * calls_per_step
+        assert len(src.shapes) == len(tgt.shapes) == round(max(grid) * steps)
         # The descent starts with the deepest depth's rows and ends with all five depths'.
         assert tgt.shapes[0] == (1, *xs.shape) and tgt.shapes[-1] == (5, *xs.shape)
         for depth, traj in zip(grid, table):

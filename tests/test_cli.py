@@ -502,7 +502,7 @@ class TestChecksBeforeAnyOutput:
         ("verify", ["--steps", "0"], {}, "steps_per_unit_time must be >= 1"),
         ("gen", ["--steps", "0"], {}, "steps_per_unit_time must be >= 1"),
         ("gen", [], {"schedule": {"steps": 0}}, "steps_T must be >= 1"),
-        ("gen", [], {"bridge": {"integrator": "rk4"}}, "'rk4' is not a valid Integrator"),
+        ("gen", [], {"bridge": {"integrator": "rk4"}}, "unexpected keyword argument 'integrator'"),
         *[
             (command, [], {"train": {key: value}}, message)
             for command in ("gen", "migrate", "sweep", "label", "verify")
@@ -521,8 +521,9 @@ class TestChecksBeforeAnyOutput:
         ("verify", [], {"domains": {"kind": "bogus"}}, "unknown domain kind 'bogus'"),
         # Last, so the rows above keep their indexed IDs.
         *[
-            (command, [], {"bridge": {"integrator": "euler"}}, "'euler' is not a valid Integrator")
-            for command in ("gen", "train", "verify")
+            (command, [], {"bridge": {"integrator": value}}, "unexpected keyword argument 'integrator'")
+            for command in ("gen", "train", "migrate", "sweep", "label", "verify")
+            for value in ("ddim", "heun")
         ],
     ])
     def test_settings_a_command_does_not_use_are_checked_too(
@@ -585,6 +586,7 @@ class TestChecksBeforeAnyOutput:
         ({"schedule": {"bogus": 1}}, "'bogus'"),
         ([1, 2], "config must be a JSON object, not list"),
         ({"bridge": {"depth": 1.0}}, "'depth'"),
+        ({"bridge": {"integrator": "ddim"}}, "'integrator'"),
         ({"train": {"optimizer": "adam"}}, "'optimizer'"),
         ({"train": {"activation": "silu"}}, "'activation'"),
         ({"schedule": {"steps": "10"}}, "schedule.steps must be an integer, got '10'"),

@@ -12,7 +12,7 @@ from scipy.special import expit
 import diffbridge as db
 from diffbridge import attention, blocks, denoiser
 from diffbridge.attention import Priority
-from diffbridge.bridge import DRIFT_TIME_FLOOR
+from diffbridge.verify import DRIFT_TIME_FLOOR
 from diffbridge.denoiser import (
     _block_gradients,
     _block_product,
@@ -87,7 +87,7 @@ class TestAnalyticGmmEpsilon:
 
     @pytest.mark.parametrize("shape", [(3,), (4, 5)])
     def test_rejects_wrong_dimension_where_alpha_bar_is_one(self, shape):
-        # Step 0, and the drift integrators' first node on a 50-step
+        # Step 0, and Heun's floored first drift node on a 50-step
         # schedule, whose alpha_bar rounds to 1: the epsilon there is 0,
         # but a point of the wrong dimension is still refused.
         sched = db.linear_schedule(50)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffbridge import verify
-from diffbridge.bridge import BridgeConfig, Integrator
+from diffbridge.bridge import BridgeConfig, NonFiniteStateError, flow_ode
 from diffbridge.denoiser import AnalyticGmmEpsilon, MlpDenoiser, init_mlp
 from diffbridge.domains import default_gmm_pair, gmm_sample
 from diffbridge.schedule import NoiseSchedule, linear_schedule
@@ -155,9 +155,24 @@ class TestOracleFaults:
 
     def test_round_trip_sees_a_corrupted_schedule(self):
         sched, mix = corrupted_schedule(), default_gmm_pair().source
-        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000, integrator=Integrator.DDIM)
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000)
         model = AnalyticGmmEpsilon(mix, sched)
-        assert verify.round_trip_error(gmm_sample(mix, 32, seed=0), model, cfg) > 2e-2
+        assert verify.round_trip_error(flow_ode, gmm_sample(mix, 32, seed=0), model, cfg) > 2e-2
+
+    def test_heun_flow_names_the_node_of_a_non_finite_state(self):
+        class Poisoned(AnalyticGmmEpsilon):
+            """The analytic model, returning inf for one row from time 0.3 on."""
+
+            def predict_epsilon(self, x, t):
+                eps = super().predict_epsilon(x, t)
+                if t >= 300:
+                    eps[1] = np.inf
+                return eps
+
+        sched, mix = linear_schedule(1000), default_gmm_pair().source
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=10)
+        with pytest.raises(NonFiniteStateError, match=r"grid node 3 \(time 0.300000\)"):
+            verify.heun_flow(gmm_sample(mix, 4, seed=0), Poisoned(mix, sched), 0.0, 1.0, cfg)
 
 
 class TestChecksKeepNan:
