@@ -91,7 +91,8 @@ def init_model(
     field, ...) raises ValueError.
     """
     field_size = int(np.prod(field_shape))
-    init_seed = int(np.random.SeedSequence(seed).generate_state(2)[0])
+    # The seed's words: dense weights, the training loop's draws, attention weights.
+    init_seed, _, att_seed = (int(w) for w in np.random.SeedSequence(seed).generate_state(3))
     att_cfg = None
     if cfg.attention is not None:
         token_count = cfg.attention["token_count"]
@@ -103,7 +104,7 @@ def init_model(
             heads=cfg.attention.get("heads", 1),
             windows=cfg.attention.get("windows", 1),
             priority=priority,
-            seed=init_seed,
+            seed=att_seed,
         )
     return init_mlp(
         field_shape,

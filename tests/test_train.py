@@ -1,5 +1,7 @@
 """Training loop behavior and the energy-distance fit metric."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -140,6 +142,20 @@ class TestTrainDenoiser:
         fresh = db.init_mlp((2,), (8,), steps_total=200, seed=init_seed)
         for a, b in zip(m1.parameters(), fresh.parameters()):
             np.testing.assert_array_equal(a, b)
+
+    def test_attention_weights_draw_from_their_own_stream(self):
+        # One stream for both once made w_query a scaled copy of w0's first entries.
+        cfg = TrainConfig(hidden=(8,), attention={"token_count": 16, "heads": 2, "windows": 4})
+        model = init_model((16, 16), cfg, self.sched, seed=3)
+        dense = init_model((16, 16), replace(cfg, attention=None), self.sched, seed=3)
+        for a, b in zip(model.parameters(), dense.parameters()):
+            assert a.tobytes() == b.tobytes()
+        att_seed = int(np.random.SeedSequence(3).generate_state(3)[2])
+        expected = db.init_attention(16, 16, heads=2, windows=4, seed=att_seed)
+        assert model.attention.w_query.tobytes() == expected.w_query.tobytes()
+        d = model.attention.model_dim
+        corr = np.corrcoef(model.attention.w_query.ravel(), model.weights[0].ravel()[: d * d])
+        assert abs(corr[0, 1]) < 0.25
 
     def test_single_point_dataset_collapses_samples_to_origin(self):
         cfg = TrainConfig(epochs=40, batch_size=32, learning_rate=3e-3, hidden=(32, 32))
