@@ -513,12 +513,12 @@ def init_mlp(
 #   then         row-major float64 payloads, concatenated in the order
 #                listed under the header's "arrays" key
 #
-# The header records field_shape, widths, time embedding size, activation ("silu"),
-# total steps, the optional attention geometry/priority, and the name and
-# shape of every payload array.  The arrays are the model's
-# ``named_parameters()``: w0..wN, b0..bN, then att_wq, att_wk, att_wv and
-# att_wo when the model has attention.  The loader accepts exactly that
-# name list, in that order.
+# The header records its kind ("mlp_denoiser"), field_shape, widths, time
+# embedding size, activation ("silu"), total steps, the optional attention
+# geometry/priority, and the name and shape of every payload array.  The
+# arrays are the model's ``named_parameters()``: w0..wN, b0..bN, then
+# att_wq, att_wk, att_wv and att_wo when the model has attention.  The
+# loader accepts exactly that name list, in that order.
 
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:
@@ -556,7 +556,8 @@ def load_checkpoint(path) -> MlpDenoiser:
     """The model a checkpoint file holds.
 
     Anything malformed -- magic, version, header JSON, a missing entry or
-    one of the wrong type (an activation not "silu"), a truncated payload,
+    one of the wrong type (a kind not "mlp_denoiser", an activation not
+    "silu"), a truncated payload,
     trailing bytes, array names other than the model's in payload order,
     or arrays that do not fit the header's geometry -- raises a one-line
     ValueError that names what is wrong.
@@ -587,6 +588,7 @@ def _is_int(value, least: int) -> bool:
 _ENTRY_KINDS = {
     "a string": lambda v: isinstance(v, str),
     "the string 'silu'": lambda v: v == "silu",
+    "the string 'mlp_denoiser'": lambda v: v == "mlp_denoiser",
     "an integer >= 1": lambda v: _is_int(v, 1),
     "a list of integers >= 0": lambda v: isinstance(v, list) and all(_is_int(i, 0) for i in v),
     "a list of integers >= 1": lambda v: isinstance(v, list) and all(_is_int(i, 1) for i in v),
@@ -605,6 +607,7 @@ def _entry(obj: dict, key: str, kind: str, where: str = "checkpoint header"):
 
 
 def _from_header(header: dict, blob: bytes, offset: int) -> MlpDenoiser:
+    _entry(header, "kind", "the string 'mlp_denoiser'")
     payload = []
     for i, meta in enumerate(_entry(header, "arrays", "a list of objects")):
         name = _entry(meta, "name", "a string", f"checkpoint array {i}")

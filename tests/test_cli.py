@@ -635,15 +635,21 @@ class TestChecksBeforeAnyOutput:
         assert "checkpoint header is not JSON: " in err and len(err.splitlines()) == 1
         assert not out.exists()
 
-    def test_checkpoint_without_arrays_exits_one_and_leaves_no_files(self, tmp_path, capsys):
+    @pytest.mark.parametrize("header,entry", [
+        ({"kind": "mlp_denoiser"}, "arrays"),
+        ({"arrays": []}, "kind"),
+    ])
+    def test_checkpoint_without_an_entry_exits_one_and_leaves_no_files(
+        self, header, entry, tmp_path, capsys
+    ):
         ckpt = tmp_path / "bad.ckpt"
-        blob = json.dumps({"kind": "mlp_denoiser"}).encode()
+        blob = json.dumps(header).encode()
         ckpt.write_bytes(db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob)
         models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
         cfg, out = texture_config(tmp_path, models=models)
         assert main(["migrate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert "checkpoint header has no entry 'arrays'" in err and len(err.splitlines()) == 1
+        assert f"checkpoint header has no entry '{entry}'" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("entry,value,message", [
@@ -655,6 +661,8 @@ class TestChecksBeforeAnyOutput:
         ("attention", [1], "checkpoint header entry 'attention' must be an object or null, got [1]"),
         ("activation", "tanh",
          "checkpoint header entry 'activation' must be the string 'silu', got 'tanh'"),
+        ("kind", "attention_block",
+         "checkpoint header entry 'kind' must be the string 'mlp_denoiser', got 'attention_block'"),
     ])
     def test_checkpoint_entry_of_wrong_type_exits_one_and_leaves_no_files(
         self, entry, value, message, tmp_path, capsys
