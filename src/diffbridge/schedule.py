@@ -16,7 +16,10 @@ the forward process at step t is
 ``alpha_bars`` is the exact sequential product of the stored alphas; no
 consumer recomputes it.  For continuous-time integration the table is
 extended to real steps by monotone (PCHIP) interpolation of
-log(alpha_bar), which passes through every stored knot.  The PCHIP is
+log(alpha_bar).  The log interpolant passes through every stored knot,
+but its exp rounds, so at a knot the extension can miss the stored
+alpha_bar by a relative error that grows with |log alpha_bar| (up to
+7 ulps at T = 1000, 32 at T = 4000; none at T <= 50).  The PCHIP is
 Fritsch & Carlson's (SIAM J. Numer. Anal. 17(2), 1980) as
 ``scipy.interpolate.PchipInterpolator`` builds and evaluates it, step
 for step, so it gives that interpolant's bytes without importing scipy.
@@ -49,8 +52,8 @@ class NoiseSchedule:
     def __post_init__(self):
         for name in ("betas", "alphas", "alpha_bars"):
             object.__setattr__(self, name, read_only_float64(getattr(self, name)))
-        # PCHIP reproduces the knots exactly and preserves monotonicity,
-        # giving a smooth alpha_bar(t) for fractional steps.
+        # The log-PCHIP passes through the knots and preserves
+        # monotonicity, giving a smooth alpha_bar(t) for fractional steps.
         coef = _pchip_coefficients(np.log(self.alpha_bars))
         coef.setflags(write=False)
         object.__setattr__(self, "_log_ab", coef)
@@ -70,8 +73,8 @@ class NoiseSchedule:
     def alpha_bar_at(self, time):
         """Interpolated alpha_bar at normalized time in [0, 1].
 
-        Accepts a scalar or array; exact at the knots time = t/T and
-        log-monotone in between.
+        Accepts a scalar or array; log-monotone, and at the knots time = t/T
+        within a few ulps of ``alpha_bars[t]``, more as |log alpha_bar| grows.
         """
         (c0, c1, c2, c3), s = self._piece(time, self._log_ab)
         z = s * s

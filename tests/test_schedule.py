@@ -95,6 +95,16 @@ class TestContinuousExtension:
             assert s.alpha_bar_at(t / 200) == pytest.approx(s.alpha_bars[t], rel=1e-14)
         assert s.alpha_bar_at(0.0) == 1.0
 
+    @pytest.mark.parametrize("steps", [2, 10, 50, 100, 1000, 4000, 10000])
+    def test_knot_error_grows_with_log_alpha_bar(self, steps):
+        # The log interpolant passes through the knots; exp of it rounds.
+        s = linear_schedule(steps)
+        ab = s.alpha_bars
+        got = s.alpha_bar_at(np.arange(steps + 1) / steps)
+        rel = np.abs(got - ab) / ab
+        assert np.all(rel <= 4 * np.finfo(float).eps * (1.0 + np.abs(np.log(ab))))
+        assert (got.tobytes() == ab.tobytes()) == (steps <= 50)
+
     def test_monotone_between_knots(self):
         s = linear_schedule(100)
         grid = np.linspace(0.0, 1.0, 1717)
