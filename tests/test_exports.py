@@ -1,7 +1,8 @@
-"""The package imports cleanly, and exports and defines only names that the library, the demos or the benchmark use."""
+"""The package imports cleanly, carries pyproject's version, and exports and defines only names that the library, the demos or the benchmark use."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +69,13 @@ def test_each_module_imports_in_a_fresh_interpreter(module):
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_package_version_is_pyproject_s():
+    # The manifest records __version__ as tool_version.  A regex, since
+    # tomllib needs Python 3.11 and requires-python is 3.10.
+    import diffbridge
+
+    text = (ROOT / "pyproject.toml").read_text()
+    versions = re.findall(r'^version = "([^"]*)"$', text, re.MULTILINE)
+    assert versions == [diffbridge.__version__]
