@@ -557,10 +557,9 @@ def load_checkpoint(path) -> MlpDenoiser:
 
     Anything malformed -- magic, version, header JSON, a missing entry or
     one of the wrong type (a kind not "mlp_denoiser", an activation not
-    "silu"), a truncated payload,
-    trailing bytes, array names other than the model's in payload order,
-    or arrays that do not fit the header's geometry -- raises a one-line
-    ValueError that names what is wrong.
+    "silu"), a truncated payload, trailing bytes, array names other than
+    the model's in payload order, or arrays that do not fit the header's
+    geometry -- raises a one-line ValueError that names what is wrong.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -3,8 +3,12 @@
 Each check compares an implementation path against an independent route
 to the same quantity (product loop, Monte Carlo moments, finite
 differences, a second integrator) and reports the measured error against
-a fixed threshold.  The second integrator is ``heun_flow``: Heun's
-second-order method on the variance-preserving probability-flow drift
+a fixed threshold.  ``run_all`` executes every check; a schedule override
+exists so harnesses can inject a corrupted schedule and watch the
+round-trip check fail.
+
+The second integrator is ``heun_flow``: Heun's second-order method on
+the variance-preserving probability-flow drift
 
     v(u, x) = beta(u)/2 * (eps(x, u)/sqrt(1 - alpha_bar(u)) - x),
 
@@ -18,9 +22,7 @@ is why the bridge itself steps with DDIM.  Where alpha_bar still rounds
 to 1 at the floor (the interpolant starts flat when the second beta is
 at least three times the first: T <= 100 at the default betas), the eps
 term is taken as 0, the optimal prediction's value there, and the noise
-rate is below 1e-8, so the drift stays finite.  ``run_all`` executes every check; a schedule override
-exists so harnesses can inject a corrupted schedule and watch the
-round-trip check fail.
+rate is below 1e-8, so the drift stays finite.
 
 Each oracle has one home: a measurement function here that takes its
 inputs and returns the measured numbers.  The checks, the acceptance
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bridge
-from .bridge import BridgeConfig, flow_ode
+from .bridge import BridgeConfig, _check_finite, flow_ode
 from .denoiser import AnalyticGmmEpsilon, init_mlp
 from .diffusion import forward_noise
 from .domains import default_gmm_pair, gmm_log_density, gmm_sample, noised_mixture
@@ -163,7 +164,7 @@ def heun_flow(x, model, t0: float, t1: float, cfg: BridgeConfig) -> np.ndarray:
             k_a = drift(x, j)
             k_b = drift(x + h * k_a, j + 1)
             x = x + 0.5 * h * (k_a + k_b)
-            bridge._check_finite(x, nodes[j + 1], times[j + 1])
+            _check_finite(x, nodes[j + 1], times[j + 1])
     return x
 
 
@@ -194,7 +195,8 @@ def check_flow_round_trip_ddim(schedule: NoiseSchedule, seed: int = 0) -> CheckR
 def _source_round_trip_error(schedule: NoiseSchedule, flow, steps: int, seed: int) -> float:
     mix = default_gmm_pair().source
     cfg = BridgeConfig(schedule=schedule, steps_per_unit_time=steps)
-    return round_trip_error(flow, gmm_sample(mix, 32, seed=seed), AnalyticGmmEpsilon(mix, schedule), cfg)
+    x, model = gmm_sample(mix, 32, seed=seed), AnalyticGmmEpsilon(mix, schedule)
+    return round_trip_error(flow, x, model, cfg)
 
 
 def ddim_heun_deviation(x, model, schedule: NoiseSchedule, steps: int) -> float:

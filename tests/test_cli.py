@@ -521,7 +521,8 @@ class TestChecksBeforeAnyOutput:
         ("verify", [], {"domains": {"kind": "bogus"}}, "unknown domain kind 'bogus'"),
         # Last, so the rows above keep their indexed IDs.
         *[
-            (command, [], {"bridge": {"integrator": value}}, "unexpected keyword argument 'integrator'")
+            (command, [], {"bridge": {"integrator": value}},
+             "unexpected keyword argument 'integrator'")
             for command in ("gen", "train", "migrate", "sweep", "label", "verify")
             for value in ("ddim", "heun")
         ],
@@ -586,7 +587,6 @@ class TestChecksBeforeAnyOutput:
         ({"schedule": {"bogus": 1}}, "'bogus'"),
         ([1, 2], "config must be a JSON object, not list"),
         ({"bridge": {"depth": 1.0}}, "'depth'"),
-        ({"bridge": {"integrator": "ddim"}}, "'integrator'"),
         ({"train": {"optimizer": "adam"}}, "'optimizer'"),
         ({"train": {"activation": "silu"}}, "'activation'"),
         ({"schedule": {"steps": "10"}}, "schedule.steps must be an integer, got '10'"),
@@ -604,6 +604,8 @@ class TestChecksBeforeAnyOutput:
         ({"train": {"hidden": [64, "64"]}}, "train.hidden must be a list of integers"),
         ({"train": {"attention": {"token_count": 2.5}}}, "train.attention must map token_count"),
         ({"label_targets": "0.5"}, "label_targets must be a list of finite numbers, got '0.5'"),
+        # Last, so the rows above keep their indexed IDs.
+        ({"bridge": {"integrator": "ddim"}}, "'integrator'"),
     ])
     def test_malformed_config_exits_one_and_leaves_no_files(self, raw, message, tmp_path, capsys):
         cfg = tmp_path / "config.json"
