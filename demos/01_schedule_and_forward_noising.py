@@ -20,7 +20,7 @@ t = 400
 ab = sched.alpha_bar(t)
 x0 = np.array([1.5, -0.5])
 rng = np.random.default_rng(0)
-draws = np.stack([db.forward_noise(x0, t, sched, rng) for _ in range(10_000)])
+draws, _ = db.forward_noise(np.broadcast_to(x0, (10_000, 2)), t, sched, rng)
 print(f"  expected mean {np.sqrt(ab) * x0}, sample mean {draws.mean(axis=0)}")
 print(f"  expected var  {1 - ab:.4f}, sample var {draws.var(axis=0)}")
 

@@ -8,9 +8,10 @@ and high-pass settings and the untrained model ``train`` would start
 from.  Only ``sweep`` and ``label`` snap the depth grid and refuse two
 depths on one node or frame name, and only ``label`` refuses targets
 that share a frame name.  A command writes its outputs under one run
-directory, in the subdirectories it uses (frames/, labels/,
-checkpoints/), created with their first file, and finishes with a
-manifest.json that lists every emitted file exactly once.
+directory, which must be new or empty, in the subdirectories it uses
+(frames/, labels/, checkpoints/), created with their first file, and
+finishes with a manifest.json that lists every emitted file exactly
+once.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 verification failure.
@@ -138,22 +139,32 @@ def _is_image_pair(pair) -> bool:
     return len(pair.shape) == 2
 
 
+def _depth_tag(depth: float) -> str:
+    """A depth as every frame name spells it; ``_snap_grid`` refuses two depths with one tag."""
+    return f"{depth:.4f}"
+
+
+def _target_tag(target: float) -> str:
+    """A label target as every frame name spells it; ``_check_targets`` refuses two with one tag."""
+    return f"{target:.2f}"
+
+
 def _snap_grid(depths, bridge_cfg: BridgeConfig) -> tuple[float, ...]:
     """The grid snapped to bridge nodes, in order.
 
     Two depths on one node, or on two nodes whose frame names
-    (``d{depth:.4f}``) coincide, are errors.  RunConfig refuses an empty grid.
+    (``_depth_tag``) coincide, are errors.  RunConfig refuses an empty grid.
     """
     snapped = [bridge_cfg.snap(float(d)) for d in depths]
-    names = [f"d{node:.4f}" for node in snapped]
+    tags = [_depth_tag(node) for node in snapped]
     for i, node in enumerate(snapped):
-        if names[i] not in names[:i]:
+        if tags[i] not in tags[:i]:
             continue
-        j = names.index(names[i])
+        j = tags.index(tags[i])
         if snapped[j] == node:
             why = f"snap to the same grid node {node}"
         else:
-            why = f"snap to grid nodes {snapped[j]} and {node}, which share the frame name {names[i]}"
+            why = f"snap to grid nodes {snapped[j]} and {node}, which share the frame name d{tags[i]}"
         raise ValueError(
             f"sweep depths {depths[j]} and {depths[i]} {why} "
             f"at {bridge_cfg.grid_steps} steps per unit time"
@@ -164,14 +175,14 @@ def _snap_grid(depths, bridge_cfg: BridgeConfig) -> tuple[float, ...]:
 def _check_targets(targets) -> tuple[float, ...]:
     """The label targets, which RunConfig has checked to be nonempty and in [0, 1].
 
-    Targets sharing a frame name are errors.
+    Targets sharing a frame name (``_target_tag``) are errors.
     """
-    names = [f"target{t:.2f}" for t in targets]
+    tags = [_target_tag(t) for t in targets]
     for i, target in enumerate(targets):
-        if names[i] in names[:i]:
+        if tags[i] in tags[:i]:
             raise ValueError(
-                f"label targets {targets[names.index(names[i])]} and {target} "
-                f"share the frame name {names[i]}"
+                f"label targets {targets[tags.index(tags[i])]} and {target} "
+                f"share the frame name target{tags[i]}"
             )
     return targets
 
@@ -206,9 +217,16 @@ class _Run:
 
 
 def _open_run(cfg: RunConfig, command: str) -> _Run:
-    """The manifest, domain pair and settings; each command builds the rest before computing."""
+    """The manifest, domain pair and settings; each command builds the rest before computing.
+
+    An ``out`` that exists and is not an empty directory is refused, so
+    one run's files are never mixed with another's.
+    """
+    out = Path(cfg.out)
+    if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
+        raise ValueError(f"output path {out} exists and is not an empty directory")
     manifest = RunManifest(cfg, command)
-    return _Run(Path(cfg.out), manifest, *_settings(cfg))
+    return _Run(out, manifest, *_settings(cfg))
 
 
 def _write_frame(run: _Run, name: str, x, **record) -> None:
@@ -305,7 +323,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             _write_frame(run, f"sample{i:03d}_source.pgm", x, kind="source-sample", sample_id=i)
             for traj, label, a_i in zip(sweep.table, sweep.labels[i], sweep.a_frame[i]):
                 _write_frame(
-                    run, f"sample{i:03d}_d{traj.depth:.4f}.pgm", traj.migrated[i],
+                    run, f"sample{i:03d}_d{_depth_tag(traj.depth)}.pgm", traj.migrated[i],
                     kind="sweep-frame", sample_id=i, depth=traj.depth, soft_label=label.value,
                 )
                 label_rows.append(
@@ -320,7 +338,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         # Point domains have no spectral labels; emit per-depth coordinates.
         table = depth_sweep(sources, *models, run.bridge, depths)
         for depth, traj in zip(depths, table):
-            path = run.file("frames", f"depth_{depth:.4f}.csv")
+            path = run.file("frames", f"depth_{_depth_tag(depth)}.csv")
             _write_points_csv(path, traj.migrated)
             manifest.add(path, kind="sweep-frame", depth=depth, count=len(sources))
         manifest.note("labels", "point domains carry no spectral labels")
@@ -344,7 +362,7 @@ def cmd_label(cfg: RunConfig) -> int:
     for i, row in enumerate(picks):
         for target, (traj, label) in zip(targets, row):
             _write_frame(
-                run, f"sample{i:03d}_target{target:.2f}_d{traj.depth:.4f}.pgm",
+                run, f"sample{i:03d}_target{_target_tag(target)}_d{_depth_tag(traj.depth)}.pgm",
                 traj.migrated[i], kind="calibrated-frame", sample_id=i, target_label=target,
                 achieved_label=label.value, raw_label=label.raw, depth=traj.depth,
             )

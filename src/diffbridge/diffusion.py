@@ -61,15 +61,25 @@ def ddim_sigma(schedule: NoiseSchedule, t: int, eta: float) -> float:
 
 
 def forward_noise(
-    x0: np.ndarray, t: int, schedule: NoiseSchedule, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw of x_t given x_0; at t = 0 returns x0 unchanged."""
+    x0: np.ndarray, t: int | np.ndarray, schedule: NoiseSchedule, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One draw of x_t given x_0, and the noise eps it used: the one forward-noising rule.
+
+    ``t`` is one integer step, or one per row of x0 (shape ``x0.shape[:1]``).
+    eps is one ``rng.standard_normal(x0.shape)`` draw, step-0 rows included,
+    and x_t = sqrt(alpha_bars[t]) x0 + sqrt(1 - alpha_bars[t]) eps, so a
+    step-0 row comes back equal to x0.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
-    ab = schedule.alpha_bar(t)  # raises for a step outside [0, T]
-    if ab >= 1.0:
-        return x0.copy()
+    t = np.asarray(t)
+    if t.shape not in ((), x0.shape[:1]) or t.dtype.kind not in "iu":
+        raise ValueError(f"t must be one integer step or one per row of x0, not {t.dtype} {t.shape}")
+    outside = t[(t < 0) | (t > schedule.steps_T)]
+    if outside.size:
+        raise ValueError(f"step {outside.flat[0]} outside [0, {schedule.steps_T}]")
+    ab = schedule.alpha_bars[t].reshape(t.shape + (1,) * (x0.ndim - t.ndim))
     eps = rng.standard_normal(x0.shape)
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, eps
 
 
 def ddim_transfer(

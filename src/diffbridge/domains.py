@@ -287,8 +287,10 @@ class SpectralTexture:
         axis then axis -2, which is fft2's and ifft2's own order, and the
         clip writes into ``white``.  The peak is about 3x the output
         (white plus the complex work array).  ``ifft2(..., out=)`` is not
-        used: on numpy 2.4 it returns wrong values, even into a separate
-        buffer, while the one-axis passes are exact.
+        used: on numpy 2.4.6 it and ``irfft2(..., out=)`` return a new,
+        correct array, not ``out``, and leave ``out`` holding other values
+        (off by about 4 under ``ortho``); the one-axis passes, ``fft2``,
+        ``rfft2``, ``ifftn`` and ``irfftn`` fill ``out`` exactly.
         """
         if count < 1:
             raise ValueError("count must be >= 1")

@@ -9,14 +9,15 @@ example's loss is read off the same forward pass; training is
 single-threaded and bit-reproducible under a fixed seed.
 
 A minibatch is one batched forward and backward pass: its examples'
-(t, noise) pairs are drawn one example after another from the one
-generator, and the model sums their gradients over blocks of 16
-examples, in example order within a block and then block by block
-(``MlpDenoiser.backward``); that agrees with a per-example sum to
-rounding.  The sum is divided by the field size once, which equals
-dividing each block's gradient when the field size is a power of two (2
-for the point domains, n^2 for power-of-two textures); other field sizes
-can differ from per-block division in the last bit.
+steps are one ``rng.integers`` draw from the one generator, and their
+noise and noised states one ``diffusion.forward_noise`` call on it.
+The model sums their gradients over blocks of 16 examples, in example
+order within a block and then block by block (``MlpDenoiser.backward``);
+that agrees with a per-example sum to rounding.  The sum is divided by
+the field size once, which equals dividing each block's gradient when
+the field size is a power of two (2 for the point domains, n^2 for
+power-of-two textures); other field sizes can differ from per-block
+division in the last bit.
 
 A TrainConfig (``config``'s JSON ``train`` section, re-exported here)
 says how to train; the schedule, the seed and the attention priority
@@ -28,9 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import attention as attn
+from .bridge import BridgeConfig, flow_ode
 from .config import TrainConfig
 from .denoiser import MlpDenoiser, init_mlp
-from .diffusion import SamplerConfig, SigmaMode, ddim_sample
+from .diffusion import forward_noise
 from .domains import GaussianMixture, gmm_sample
 from .schedule import NoiseSchedule
 
@@ -153,13 +155,8 @@ def train_denoiser(
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 rows = len(batch)
-                ts = np.empty(rows, dtype=np.int64)
-                eps = np.empty((rows, *field_shape))
-                for row in range(rows):
-                    ts[row] = rng.integers(1, schedule.steps_T + 1)
-                    rng.standard_normal(field_shape, out=eps[row])
-                ab = schedule.alpha_bars[ts].reshape(-1, *(1,) * len(field_shape))
-                x_t = np.sqrt(ab) * data[batch] + np.sqrt(1.0 - ab) * eps
+                ts = rng.integers(1, schedule.steps_T + 1, size=rows)
+                x_t, eps = forward_noise(data[batch], ts, schedule, rng)
                 grad = model.backward(x_t, ts, eps)
                 row_losses = np.mean(((eps - grad.prediction) ** 2).reshape(rows, -1), axis=1)
                 # Added one at a time, in row order: the built-in sum
@@ -216,11 +213,14 @@ def evaluate_fit(
     schedule: NoiseSchedule,
     seed: int = 0,
 ) -> float:
-    """Energy distance between n deterministic model samples and n mixture draws."""
+    """Energy distance between n model samples and n mixture draws.
+
+    The samples are n standard normal latents walked from depth 1 to 0 by
+    the bridge's deterministic DDIM flow (``bridge.flow_ode``).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    cfg = SamplerConfig(schedule=schedule, sigma_mode=SigmaMode.DETERMINISTIC)
-    samples = ddim_sample(rng.standard_normal((n, mix.dimension)), model, cfg)
+    latents = np.random.default_rng(seed).standard_normal((n, mix.dimension))
+    samples = flow_ode(latents, model, 1.0, 0.0, BridgeConfig(schedule=schedule))
     reference = gmm_sample(mix, n, seed=seed + 1)
     return energy_distance(samples, reference)

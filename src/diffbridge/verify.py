@@ -78,7 +78,7 @@ def noise_moment_deviations(x0, t, schedule: NoiseSchedule, rng, count) -> tuple
     The sample is one batched ``forward_noise`` draw of ``count`` copies of x0 at step t.
     """
     ab = schedule.alpha_bar(t)
-    draws = forward_noise(np.broadcast_to(x0, (count, *np.shape(x0))), t, schedule, rng)
+    draws, _ = forward_noise(np.broadcast_to(x0, (count, *np.shape(x0))), t, schedule, rng)
     se = np.sqrt((1 - ab) / count)
     mean_dev = np.abs(draws.mean(axis=0) - np.sqrt(ab) * x0).max() / se
     var_dev = np.abs(draws.var(axis=0) / (1 - ab) - 1.0).max()

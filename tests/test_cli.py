@@ -77,9 +77,30 @@ class TestGen:
         emitted = {str(out / rel) for rel in first}
         assert listed == emitted  # every emitted file listed exactly once
         assert manifest["notes"]["sample_count"] == 4
-        # Byte-identical rerun.
+        # Byte-identical rerun, into a second directory.
+        rerun = tmp_path / "rerun"
+        assert main(["gen", "--config", str(cfg), "--out", str(rerun)]) == 0
+        assert tree_digest(rerun) == first
+
+    def test_a_second_command_into_one_directory_is_refused(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path)
         assert main(["gen", "--config", str(cfg)]) == 0
-        assert tree_digest(out) == first
+        first = tree_digest(out, skip=())
+        capsys.readouterr()
+        assert main(["migrate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output path {out} exists and is not an empty directory\n"
+        assert tree_digest(out, skip=()) == first
+
+    def test_an_empty_directory_is_used_and_a_file_refused(self, tmp_path):
+        cfg, out = write_config(tmp_path)
+        out.mkdir()
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert (out / "manifest.json").is_file()
+        path = tmp_path / "file"
+        path.write_text("kept")
+        assert main(["gen", "--config", str(cfg), "--out", str(path)]) == 1
+        assert path.read_text() == "kept"
 
     def test_texture_gen_counts(self, tmp_path):
         cfg, out = texture_config(tmp_path)
@@ -127,8 +148,9 @@ class TestMigrate:
         gain = manifest["notes"]["target_log_density_gain"]
         assert gain["mean"] > 0
         first = tree_digest(out)
-        assert main(["migrate", "--config", str(cfg)]) == 0
-        assert tree_digest(out) == first
+        rerun = tmp_path / "rerun"
+        assert main(["migrate", "--config", str(cfg), "--out", str(rerun)]) == 0
+        assert tree_digest(rerun) == first
 
     def test_gmm_alpha_bar_work_does_not_grow_with_the_step_count(self, tmp_path, monkeypatch):
         # The exact GMM epsilon tabulates its steps once per model, so a
@@ -212,8 +234,9 @@ class TestSweep:
         cfg, out = texture_config(tmp_path)
         assert main(["sweep", "--config", str(cfg)]) == 0
         first = tree_digest(out)
-        assert main(["sweep", "--config", str(cfg)]) == 0
-        assert tree_digest(out) == first
+        rerun = tmp_path / "rerun"
+        assert main(["sweep", "--config", str(cfg), "--out", str(rerun)]) == 0
+        assert tree_digest(rerun) == first
         assert len(first) > 0
 
     def test_unsorted_grid_keeps_config_order(self, tmp_path):

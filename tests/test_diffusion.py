@@ -21,14 +21,42 @@ class TestForwardNoise:
     def test_time_zero_returns_input_exactly(self):
         sched = db.linear_schedule(100)
         x0 = np.array([0.4, -1.2])
-        out = db.forward_noise(x0, 0, sched, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, x0)
+        x_t, eps = db.forward_noise(x0, 0, sched, np.random.default_rng(0))
+        np.testing.assert_array_equal(x_t, x0)
+        assert eps.shape == x0.shape
+
+    def test_per_row_steps_are_the_textbook_formula(self):
+        sched = db.linear_schedule(100)
+        x0 = np.random.default_rng(1).standard_normal((5, 3, 2))
+        ts = np.array([0, 1, 50, 99, 100])
+        x_t, eps = db.forward_noise(x0, ts, sched, np.random.default_rng(2))
+        for row, t in enumerate(ts):
+            ab = sched.alpha_bar(int(t))
+            want = np.sqrt(ab) * x0[row] + np.sqrt(1.0 - ab) * eps[row]
+            assert x_t[row].tobytes() == want.tobytes()
+        np.testing.assert_array_equal(x_t[0], x0[0])   # step 0 returns x0
+
+    def test_noise_is_one_standard_normal_draw(self):
+        sched = db.linear_schedule(100)
+        x0 = np.zeros((4, 3))
+        rng = np.random.default_rng(3)
+        _, eps = db.forward_noise(x0, np.array([0, 7, 0, 100]), sched, rng)
+        want = np.random.default_rng(3)
+        assert eps.tobytes() == want.standard_normal(x0.shape).tobytes()
+        assert rng.random() == want.random()   # and nothing else was drawn
 
     def test_rejects_out_of_range_step(self):
         sched = db.linear_schedule(10)
-        for t in (-1, 11):
-            with pytest.raises(ValueError):
-                db.forward_noise(np.zeros(2), t, sched, np.random.default_rng(0))
+        for t, bad in ((-1, -1), (11, 11), ([0, 11, 5], 11), ([3, -1, 5], -1)):
+            with pytest.raises(ValueError, match=rf"^step {bad} outside \[0, 10\]$"):
+                db.forward_noise(np.zeros((3, 2)), t, sched, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("t", [[1, 2], [[1], [2], [3]], [1.0, 2.0, 3.0], 2.0])
+    def test_rejects_a_step_of_another_shape_or_type(self, t):
+        sched = db.linear_schedule(10)
+        with pytest.raises(ValueError, match="one integer step or one per row") as info:
+            db.forward_noise(np.zeros((3, 2)), t, sched, np.random.default_rng(0))
+        assert len(str(info.value).splitlines()) == 1
 
 
 class TestDdimStep:

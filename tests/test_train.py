@@ -24,10 +24,10 @@ from diffbridge.train import (
 def reference_training(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST, rows_per_call=1):
     """Reference: train_denoiser with one backward call per ``rows_per_call`` examples.
 
-    Each minibatch draws its examples' (t, noise) pairs one example after
-    another, as train_denoiser does.  With ``rows_per_call`` 1 it is the
-    loop train_denoiser ran before it batched its minibatches: one
-    backward per example (a one-row call has a one-field call's bytes).
+    Each minibatch draws its examples' steps in one call and then their
+    noise in one call, as train_denoiser does.  With ``rows_per_call`` 1
+    it is the loop train_denoiser ran before it batched its minibatches:
+    one backward per example (a one-row call has a one-field call's bytes).
     Each call's gradient is divided by the field size before it joins
     the minibatch sum, in call order.
     """
@@ -45,13 +45,11 @@ def reference_training(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            ts, noise, x_t = [], [], []
-            for idx in batch:
-                t = int(rng.integers(1, schedule.steps_T + 1))
+            ts = [int(t) for t in rng.integers(1, schedule.steps_T + 1, size=len(batch))]
+            noise = list(rng.standard_normal((len(batch), *field_shape)))
+            x_t = []
+            for idx, t, eps in zip(batch, ts, noise):
                 ab = schedule.alpha_bar(t)
-                eps = rng.standard_normal(field_shape)
-                ts.append(t)
-                noise.append(eps)
                 x_t.append(np.sqrt(ab) * data[idx] + np.sqrt(1.0 - ab) * eps)
             grad_sum = None
             loss_sum = 0.0

@@ -134,7 +134,12 @@ class TestOracleFaults:
     @pytest.mark.parametrize("fault", ["shift", "scale"])
     def test_noise_moments_see_a_moment_shift(self, monkeypatch, fault):
         real = verify.forward_noise
-        broken = {"shift": lambda *a: real(*a) + 0.1, "scale": lambda *a: real(*a) * 1.1}[fault]
+        wrong = {"shift": lambda x: x + 0.1, "scale": lambda x: x * 1.1}[fault]
+
+        def broken(*args):
+            x_t, eps = real(*args)
+            return wrong(x_t), eps
+
         monkeypatch.setattr(verify, "forward_noise", broken)
         x0, sched, rng = np.array([1.5, -0.5]), linear_schedule(1000), np.random.default_rng(1)
         mean_dev, var_dev = verify.noise_moment_deviations(x0, 400, sched, rng, 4000)
