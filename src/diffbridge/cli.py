@@ -223,7 +223,7 @@ def _open_run(cfg: RunConfig, command: str) -> _Run:
     one run's files are never mixed with another's.
     """
     out = Path(cfg.out)
-    if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ValueError(f"output path {out} exists and is not an empty directory")
     manifest = RunManifest(cfg, command)
     return _Run(out, manifest, *_settings(cfg))
