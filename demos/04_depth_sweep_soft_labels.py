@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 import diffbridge as db
-from diffbridge.bridge import BridgeConfig, depth_sweep
-from diffbridge.softlabel import HighpassSpec, highpass_magnitude, soft_label
+from diffbridge.bridge import BridgeConfig
+from diffbridge.softlabel import HighpassSpec, label_sweep
 
 out = Path("demos_out/depth_sweep")
 out.mkdir(parents=True, exist_ok=True)
@@ -27,23 +27,18 @@ m_tgt = db.AnalyticFieldEpsilon(pair.target.mode_variances, sched)
 cfg = BridgeConfig(schedule=sched, steps_per_unit_time=200)
 spec = HighpassSpec(0.25)
 
-# One forward leg serves every depth; the depth-1.0 row is the endpoint.
+# One sweep serves every depth; its full-depth row is the endpoint.
 x = pair.source.sample(1, seed=7)[0]
 grid = np.linspace(0.0, 1.0, 11)
-table = depth_sweep(x, m_src, m_tgt, cfg, grid)
-endpoint = table[-1].migrated
-a_s = highpass_magnitude(x, spec)
-a_t = highpass_magnitude(endpoint, spec)
-print(f"source high-pass magnitude {a_s:.3f}, migrated endpoint {a_t:.3f}")
+sweep = label_sweep(x[None], m_src, m_tgt, cfg, grid, spec)
+print(f"source high-pass magnitude {sweep.a_source[0]:.3f}, "
+      f"migrated endpoint {sweep.a_target[0]:.3f}")
 
 print(f"\n{'depth':>6} {'A(x_i)':>8} {'label':>7}")
-mags = []
-for traj in table:
-    a_i = highpass_magnitude(traj.migrated, spec)
-    label = soft_label(a_s, a_i, a_t)
-    mags.append(a_i)
-    db.save_pgm(np.clip(traj.migrated, -1, 1), out / f"depth_{traj.depth:.2f}.pgm")
-    print(f"{traj.depth:6.2f} {a_i:8.3f} {label.value:7.3f}")
+mags = sweep.a_frame[0]
+for depth, frame, a_i, label in zip(sweep.depths, sweep.frames[:, 0], mags, sweep.labels[0]):
+    db.save_pgm(np.clip(frame, -1, 1), out / f"depth_{depth:.2f}.pgm")
+    print(f"{depth:6.2f} {a_i:8.3f} {label.value:7.3f}")
 
 # Spearman's rho is the correlation of the ranks (no ties here).
 ranks = [np.argsort(np.argsort(v)) for v in (grid, mags)]
@@ -53,6 +48,7 @@ print(f"frames written to {out}/")
 
 print("\ninverting the relation: pick depths for requested labels")
 targets = (0.25, 0.5, 0.75)
-picks = db.calibrate_depth(targets, x[None], m_src, m_tgt, cfg, np.linspace(0, 1, 17), spec)[0]
-for target, (traj, achieved) in zip(targets, picks):
-    print(f"  target {target:.2f} -> depth {traj.depth:.4f} (achieved {achieved.value:.3f})")
+sweep, picks = db.calibrate_depth(targets, x[None], m_src, m_tgt, cfg, np.linspace(0, 1, 17), spec)
+for target, k in zip(targets, picks[0]):
+    achieved = sweep.labels[0][k].value
+    print(f"  target {target:.2f} -> depth {sweep.depths[k]:.4f} (achieved {achieved:.3f})")

@@ -21,7 +21,6 @@ from .attention import (
 )
 from .bridge import (
     BridgeConfig,
-    BridgeTrajectory,
     NonFiniteStateError,
     depth_migrate,
     depth_sweep,

@@ -6,16 +6,17 @@ flows: noise with the source model from 0 to 1, denoise with the target
 model from 1 back to 0.  Depth-controlled migration stops the descent
 early, noising only to an intermediate time i and denoising from i, which
 yields cross-domain intermediates whose migration extent grows with i.
-Every flow is one walk over an array of grid nodes: ``flow_ode`` walks
-one span, and a depth sweep walks each leg once.  The forward leg keeps
-the state at each depth's node; the descent walks the stack of those
-states, each row starting at its own node.  The models are pure.  The
+Every flow is one walk over the array of grid nodes that
+``BridgeConfig.walk_nodes`` builds: ``flow_ode`` walks one span, and a
+depth sweep walks each leg once.  The forward leg keeps the state at
+each depth's node; the descent walks the stack of those states, each
+row starting at its own node.  The models are pure.  The
 GMM model keeps a read-only table of T+1 step constants; the texture
 model reuses mutable work arrays, so a texture model's calls must not
 overlap across threads.  Every entry point takes one sample or a batch
 of samples along a leading axis; models broadcast over it, so a batch
 costs one model call per grid step and each row is bit-identical to
-that sample's own run.
+that sample's own run.  Every entry point returns plain arrays.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
@@ -61,24 +62,21 @@ class BridgeConfig:
     def grid_steps(self) -> int:
         return self.steps_per_unit_time or self.schedule.steps_T
 
-    def snap(self, time: float) -> float:
-        """Nearest grid node to a time in [0, 1]."""
+    def node(self, time: float) -> int:
+        """Index of the grid node nearest a time in [0, 1]."""
         if not 0.0 <= time <= 1.0:
             raise ValueError(f"time {time} outside [0, 1]")
-        return round(time * self.grid_steps) / self.grid_steps
+        return round(time * self.grid_steps)
 
+    def snap(self, time: float) -> float:
+        """Nearest grid node to a time in [0, 1], as a time."""
+        return self.node(time) / self.grid_steps
 
-@dataclass(frozen=True)
-class BridgeTrajectory:
-    """States along one bridge run.
-
-    The array fields share the input's shape: one sample, or a batch
-    (B, *sample_shape) whose row b is the run of sample b alone.
-    """
-
-    latent: np.ndarray     # state at the deepest point reached
-    migrated: np.ndarray
-    depth: float           # snapped depth actually used
+    def walk_nodes(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The grid nodes from node k0 to node k1, both included, in walk order, and their times."""
+        step = 1 if k1 > k0 else -1
+        nodes = np.arange(k0, k1 + step, step)
+        return nodes, nodes / self.grid_steps
 
 
 def flow_ode(
@@ -97,8 +95,7 @@ def flow_ode(
     at that node.
     """
     x = np.array(x_start, dtype=np.float64)
-    n = cfg.grid_steps
-    for _ in _walk(x, model, round(cfg.snap(t0) * n), round(cfg.snap(t1) * n), cfg):
+    for _ in _walk(x, model, cfg.node(t0), cfg.node(t1), cfg):
         pass
     return x
 
@@ -112,8 +109,7 @@ def _walk(x: np.ndarray, model: EpsilonModel, k0: int, k1: int, cfg: BridgeConfi
     grid node per row of x) the step from node k moves only the leading
     rows whose start is >= k, so each row starts at its own node.
     """
-    nodes = np.arange(k0, k1 + (1 if k1 > k0 else -1), 1 if k1 > k0 else -1)
-    times = nodes / cfg.grid_steps
+    nodes, times = cfg.walk_nodes(k0, k1)
     # The step from nodes[j] moves x[:rows[j]]; None is every row.
     rows = [None] * len(nodes)
     if starts is not None:
@@ -183,12 +179,13 @@ def migrate(
     model_src: EpsilonModel,
     model_tgt: EpsilonModel,
     cfg: BridgeConfig,
-) -> BridgeTrajectory:
+) -> np.ndarray:
     """Full-depth migration: source flow 0 -> 1, then target flow 1 -> 0.
 
     Models carrying attention blocks must match the hybrid rule for their
     leg (global-first forward, local-first reverse).  The latent is passed
-    between the two flows unchanged.  Deterministic end to end.
+    between the two flows unchanged.  Deterministic end to end; the
+    migrated array has x_source's shape.
     """
     return depth_migrate(x_source, model_src, model_tgt, cfg, 1.0)
 
@@ -199,14 +196,13 @@ def depth_migrate(
     model_tgt: EpsilonModel,
     cfg: BridgeConfig,
     depth: float,
-) -> BridgeTrajectory:
+) -> np.ndarray:
     """Depth-controlled migration: source flow 0 -> i, target flow i -> 0.
 
-    depth = 0 returns the source unchanged (no integration steps run, and
-    the trajectory's two states are copies of the source); depth = 1
-    coincides bit-for-bit with full migration on the same grid.  The
-    depth snaps to the integration grid; the snapped value is recorded
-    on the trajectory.  This is ``depth_sweep`` over a one-depth grid.
+    The depth snaps to the integration grid.  depth = 0 returns a copy of
+    the source (no integration steps run); depth = 1 coincides
+    bit-for-bit with full migration on the same grid.  This is
+    ``depth_sweep`` over a one-depth grid.
     """
     return depth_sweep(x_source, model_src, model_tgt, cfg, [depth])[0]
 
@@ -217,37 +213,34 @@ def depth_sweep(
     model_tgt: EpsilonModel,
     cfg: BridgeConfig,
     depths,
-) -> list[BridgeTrajectory]:
-    """Depth-controlled migration at every depth of a grid, in grid order.
+) -> np.ndarray:
+    """Depth-controlled migration at every depth of a grid, one stack in grid order.
 
-    Two walks serve the whole grid.  The forward leg walks the source
-    model from 0 to the deepest snapped depth and keeps a copy of the
-    state at each depth's node.  The descent walks the target model from
-    there back to 0 over a stack of those latents, deepest first; each
-    row starts moving when the walk reaches its depth's node.  A sweep
-    therefore calls each model once per grid step between 0 and the
-    deepest depth, whatever the number of depths.
+    Returns an array ``(len(depths), *x_source.shape)`` whose row k is the
+    migration at ``depths[k]``.  Two walks serve the whole grid.  The
+    forward leg walks the source model from 0 to the deepest snapped
+    depth and copies the state at each depth's node into a stack,
+    deepest first.  The descent walks the target model from there back
+    to 0 over that stack; each row starts moving when the walk reaches
+    its depth's node.  A sweep therefore calls each model once per grid
+    step between 0 and the deepest depth, whatever the number of depths.
     Grid nodes are global and models score rows independently, so every
-    trajectory is bit-identical to a one-depth sweep at its depth.
-    Depths that snap to one node share one trajectory; no other returned
-    array shares memory with another depth's or with x_source.
+    row is bit-identical to a one-depth sweep at its depth.  Every row is
+    its own copy; depths that snap to one node give equal rows.
     """
     x = np.array(x_source, dtype=np.float64)
-    n = cfg.grid_steps
-    nodes = [round(cfg.snap(float(d)) * n) for d in depths]
+    nodes = [cfg.node(float(d)) for d in depths]
     _check_model(model_src, Direction.FORWARD, "forward", cfg.schedule)
     _check_model(model_tgt, Direction.REVERSE, "reverse", cfg.schedule)
 
-    kept = set(nodes)
+    # Row r of the descent's stack belongs to the r-th deepest node.
+    deepest_first = sorted(set(nodes), reverse=True)
+    row = {k: r for r, k in enumerate(deepest_first)}
     deepest = max(nodes, default=0)
-    latents = {k: x.copy() for k in _walk(x, model_src, 0, deepest, cfg) if k in kept}
-    # Row r of the descent belongs to the r-th deepest depth.
-    deepest_first = sorted(kept, reverse=True)
-    migrated = np.array([latents[k] for k in deepest_first])
-    for _ in _walk(migrated, model_tgt, deepest, 0, cfg, deepest_first):
+    stack = np.empty((len(row), *x.shape))
+    for k in _walk(x, model_src, 0, deepest, cfg):
+        if k in row:
+            stack[row[k]] = x
+    for _ in _walk(stack, model_tgt, deepest, 0, cfg, deepest_first):
         pass
-    runs = {
-        k: BridgeTrajectory(latents[k], migrated[r], k / n)
-        for r, k in enumerate(deepest_first)
-    }
-    return [runs[k] for k in nodes]
+    return stack[[row[k] for k in nodes]]

@@ -272,10 +272,13 @@ def cmd_train(cfg: RunConfig) -> int:
         ("source", pair.source, select_priority(Direction.FORWARD), "train-source"),
         ("target", pair.target, select_priority(Direction.REVERSE), "train-target"),
     )
+    trained = []
     for role, domain, priority, seed_role in roles:
         seed = _role_seed(cfg.seed, seed_role)
         data = sample_domain(domain, cfg.train.samples, seed)
-        model, losses = train_denoiser(data, cfg.train, run.schedule, seed, priority)
+        trained.append((role, *train_denoiser(data, cfg.train, run.schedule, seed, priority)))
+    # Both models train before the first write, so a diverging target leaves no files.
+    for role, model, losses in trained:
         ckpt = run.file("checkpoints", f"{role}.ckpt")
         save_checkpoint(model, ckpt)
         manifest.add(ckpt, kind=f"{role}-checkpoint", final_loss=losses[-1])
@@ -292,7 +295,7 @@ def cmd_migrate(cfg: RunConfig) -> int:
     out, manifest, pair = run.out, run.manifest, run.pair
     models = _build_models(cfg, pair, run.schedule)
     sources = sample_domain(pair.source, cfg.gen_count, _role_seed(cfg.seed, "migrate"))
-    migrated = migrate(sources, *models, run.bridge).migrated
+    migrated = migrate(sources, *models, run.bridge)
     _write_samples(run, "source", sources)
     _write_samples(run, "migrated", migrated)
     if _is_image_pair(pair):
@@ -321,13 +324,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         label_rows = []
         for i, x in enumerate(sources):
             _write_frame(run, f"sample{i:03d}_source.pgm", x, kind="source-sample", sample_id=i)
-            for traj, label, a_i in zip(sweep.table, sweep.labels[i], sweep.a_frame[i]):
+            for depth, frame, label, a_i in zip(
+                depths, sweep.frames[:, i], sweep.labels[i], sweep.a_frame[i]
+            ):
                 _write_frame(
-                    run, f"sample{i:03d}_d{_depth_tag(traj.depth)}.pgm", traj.migrated[i],
-                    kind="sweep-frame", sample_id=i, depth=traj.depth, soft_label=label.value,
+                    run, f"sample{i:03d}_d{_depth_tag(depth)}.pgm", frame,
+                    kind="sweep-frame", sample_id=i, depth=depth, soft_label=label.value,
                 )
                 label_rows.append(
-                    [i, repr(traj.depth), repr(label.raw), repr(label.value),
+                    [i, repr(depth), repr(label.raw), repr(label.value),
                      repr(sweep.a_source[i]), repr(a_i), repr(sweep.a_target[i])]
                 )
         labels_path = run.file("labels", "labels.csv")
@@ -336,10 +341,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         manifest.add(labels_path, kind="labels", rows=len(label_rows))
     else:
         # Point domains have no spectral labels; emit per-depth coordinates.
-        table = depth_sweep(sources, *models, run.bridge, depths)
-        for depth, traj in zip(depths, table):
+        frames = depth_sweep(sources, *models, run.bridge, depths)
+        for depth, frame in zip(depths, frames):
             path = run.file("frames", f"depth_{_depth_tag(depth)}.csv")
-            _write_points_csv(path, traj.migrated)
+            _write_points_csv(path, frame)
             manifest.add(path, kind="sweep-frame", depth=depth, count=len(sources))
         manifest.note("labels", "point domains carry no spectral labels")
     manifest.finish(out)
@@ -357,16 +362,17 @@ def cmd_label(cfg: RunConfig) -> int:
     depths = _snap_grid(cfg.sweep_depths, run.bridge)
     sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
-    picks = calibrate_depth(targets, sources, *models, run.bridge, depths, run.highpass)
+    sweep, picks = calibrate_depth(targets, sources, *models, run.bridge, depths, run.highpass)
     rows = []
     for i, row in enumerate(picks):
-        for target, (traj, label) in zip(targets, row):
+        for target, k in zip(targets, row):
+            depth, label = depths[k], sweep.labels[i][k]
             _write_frame(
-                run, f"sample{i:03d}_target{_target_tag(target)}_d{_depth_tag(traj.depth)}.pgm",
-                traj.migrated[i], kind="calibrated-frame", sample_id=i, target_label=target,
-                achieved_label=label.value, raw_label=label.raw, depth=traj.depth,
+                run, f"sample{i:03d}_target{_target_tag(target)}_d{_depth_tag(depth)}.pgm",
+                sweep.frames[k, i], kind="calibrated-frame", sample_id=i, target_label=target,
+                achieved_label=label.value, raw_label=label.raw, depth=depth,
             )
-            rows.append([i, repr(target), repr(traj.depth), repr(label.value), repr(label.raw)])
+            rows.append([i, repr(target), repr(depth), repr(label.value), repr(label.raw)])
     labels_path = run.file("labels", "calibrated.csv")
     header = ["sample_id", "target_label", "depth", "achieved_label", "raw_label"]
     _write_csv(labels_path, header, rows)

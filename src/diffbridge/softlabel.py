@@ -14,7 +14,7 @@ transform.
 Batch contract: ``highpass_magnitude`` takes a field ``(H, W)`` or a stack
 ``(..., H, W)``, each magnitude with the bytes of a one-field call;
 ``label_sweep`` labels every frame of one depth sweep of a batch ``(B, H, W)``,
-and ``calibrate_depth`` picks, from that one sweep, each field's depth for
+and ``calibrate_depth`` picks, from that one sweep, each field's grid row for
 each target label, the pick of a one-field call.
 """
 
@@ -100,7 +100,8 @@ def soft_label(a_source: float, a_intermediate: float, a_target: float) -> SoftL
 class SweepLabels:
     """A labelled sweep; ``labels[i][k]`` and ``a_frame[i][k]`` are sample i's at depth k."""
 
-    table: list                     # one BridgeTrajectory per grid depth, grid order
+    depths: list[float]             # the snapped grid, grid order
+    frames: np.ndarray              # (D, B, H, W): frames[k, i] is sample i at depth k
     labels: list[list[SoftLabel]]
     a_source: list[float]           # magnitudes as Python floats, one per sample
     a_frame: list[list[float]]
@@ -111,19 +112,18 @@ def label_sweep(x_sources, model_src, model_tgt, cfg, depths, spec: HighpassSpec
     """Soft label of every frame of one ``bridge.depth_sweep`` of a batch ``(B, H, W)``.
 
     Sample i's target endpoint is its full-depth migration, which rides
-    along in the same sweep.
+    along in the same sweep as the stack's last row.
     """
     if len(depths) == 0:
         raise ValueError("depth grid must be nonempty")
     if np.ndim(x_sources) != 3:
         raise ValueError("label_sweep needs a batch of fields")
-    table = bridge.depth_sweep(x_sources, model_src, model_tgt, cfg, [*depths, 1.0])
-    x_targets = table.pop().migrated
+    stack = bridge.depth_sweep(x_sources, model_src, model_tgt, cfg, [*depths, 1.0])
     a_s = highpass_magnitude(x_sources, spec).tolist()
-    a_t = highpass_magnitude(x_targets, spec).tolist()
-    a_i = highpass_magnitude(np.stack([t.migrated for t in table], axis=1), spec).tolist()
+    magnitudes = highpass_magnitude(stack, spec)
+    a_t, a_i = magnitudes[-1].tolist(), magnitudes[:-1].T.tolist()
     labels = [[soft_label(s, a, t) for a in row] for s, row, t in zip(a_s, a_i, a_t)]
-    return SweepLabels(table, labels, a_s, a_i, a_t)
+    return SweepLabels([cfg.snap(float(d)) for d in depths], stack[:-1], labels, a_s, a_i, a_t)
 
 
 def calibrate_depth(targets, x_sources, model_src, model_tgt, cfg, depth_grid, spec: HighpassSpec):
@@ -131,19 +131,20 @@ def calibrate_depth(targets, x_sources, model_src, model_tgt, cfg, depth_grid, s
 
     The label-depth relation is not a simple invertible curve, so one
     ``label_sweep`` of the batch ``(B, H, W)`` labels every grid depth;
-    ties break toward the smaller snapped depth.  Every target must lie
-    in [0, 1], which is checked before any model call.
+    ties break toward the smaller snapped depth, then the earlier grid
+    row.  Every target must lie in [0, 1], which is checked before any
+    model call.
 
-    Returns ``picks[i][j] = (trajectory, SoftLabel)``: the sweep's
-    trajectory at field i's pick for target j (row i is that field's
-    frame) and field i's label there.
+    Returns ``(sweep, picks)``: the ``SweepLabels`` and ``picks[i][j]``,
+    the grid row of field i's pick for target j, so its frame is
+    ``sweep.frames[k, i]`` and its label ``sweep.labels[i][k]``.
     """
     for target in targets:
         if not 0.0 <= target <= 1.0:
             raise ValueError(f"target label {target} outside [0, 1]")
     sweep = label_sweep(x_sources, model_src, model_tgt, cfg, depth_grid, spec)
-    return [
-        [min(zip(sweep.table, labels), key=lambda p: (abs(p[1].value - t), p[0].depth))
-         for t in targets]
+    rows = range(len(sweep.depths))
+    return sweep, [
+        [min(rows, key=lambda k: (abs(labels[k].value - t), sweep.depths[k])) for t in targets]
         for labels in sweep.labels
     ]

@@ -143,10 +143,8 @@ def heun_flow(x, model, t0: float, t1: float, cfg: BridgeConfig) -> np.ndarray:
     with new arrays at every step.  x may be a batch; a non-finite state
     raises ``NonFiniteStateError`` at its node, as the bridge does.
     """
-    n, sched = cfg.grid_steps, cfg.schedule
-    k0, k1 = round(cfg.snap(t0) * n), round(cfg.snap(t1) * n)
-    nodes = np.arange(k0, k1 + (1 if k1 > k0 else -1), 1 if k1 > k0 else -1)
-    times = nodes / n
+    sched = cfg.schedule
+    nodes, times = cfg.walk_nodes(cfg.node(t0), cfg.node(t1))
     eval_times = np.maximum(times, DRIFT_TIME_FLOOR)
     ab, beta = sched.alpha_bar_at(eval_times), sched.noise_rate_at(eval_times)
 

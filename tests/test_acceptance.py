@@ -107,8 +107,8 @@ def test_criterion_5_migration_effectiveness(sched, pair):
     model_b = db.AnalyticGmmEpsilon(pair.target, sched)
     xs = gmm_sample(pair.source, 200, seed=1)
     cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000)
-    traj = migrate(xs, model_a, model_b, cfg)
-    gain = gmm_log_density(pair.target, traj.migrated) - gmm_log_density(pair.target, xs)
+    migrated = migrate(xs, model_a, model_b, cfg)
+    gain = gmm_log_density(pair.target, migrated) - gmm_log_density(pair.target, xs)
     frac = float(np.mean(gain > 0))
     elapsed = time.monotonic() - start
     passed = frac >= 0.95 and elapsed < 60.0
@@ -128,8 +128,8 @@ def test_criterion_6_depth_control(sched):
     grid = np.linspace(0.0, 1.0, 17)
     xs = tex.source.sample(20, seed=7)
     # One batched sweep; its last depth, 1.0, is each sample's full migration.
-    table = depth_sweep(xs, m_src, m_tgt, cfg, grid.tolist())
-    all_mags = highpass_magnitude(np.stack([t.migrated for t in table], axis=1), spec)
+    frames = depth_sweep(xs, m_src, m_tgt, cfg, grid.tolist())
+    all_mags = highpass_magnitude(frames, spec).T   # (sample, depth)
     rhos = []
     endpoint_ok = True
     for a_s, mags in zip(highpass_magnitude(xs, spec), all_mags):

@@ -221,15 +221,15 @@ class TestMigrate:
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=1000)
         model = gmm_setup["model_a"]
         x = gmm_setup["x"]
-        traj = migrate(x, model, model, cfg)
-        assert np.abs(traj.migrated - x).max() < 0.05
+        migrated = migrate(x, model, model, cfg)
+        assert np.abs(migrated - x).max() < 0.05
 
     def test_migration_raises_target_log_density(self, gmm_setup):
         pair = gmm_setup["pair"]
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=1000)
         xs = db.gmm_sample(pair.source, 100, seed=5)
-        traj = migrate(xs, gmm_setup["model_a"], gmm_setup["model_b"], cfg)
-        gain = db.gmm_log_density(pair.target, traj.migrated) - db.gmm_log_density(
+        migrated = migrate(xs, gmm_setup["model_a"], gmm_setup["model_b"], cfg)
+        gain = db.gmm_log_density(pair.target, migrated) - db.gmm_log_density(
             pair.target, xs
         )
         assert gain.mean() > 0
@@ -238,8 +238,10 @@ class TestMigrate:
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=300)
         a = migrate(gmm_setup["x"], gmm_setup["model_a"], gmm_setup["model_b"], cfg)
         b = migrate(gmm_setup["x"], gmm_setup["model_a"], gmm_setup["model_b"], cfg)
-        np.testing.assert_array_equal(a.migrated, b.migrated)
-        np.testing.assert_array_equal(a.latent, b.latent)
+        np.testing.assert_array_equal(a, b)
+        # The latent migrate passes on is the source flow to depth 1.
+        leg = (gmm_setup["x"], gmm_setup["model_a"], 0.0, 1.0, cfg)
+        np.testing.assert_array_equal(flow_ode(*leg), flow_ode(*leg))
 
     def test_hybrid_priority_enforced_for_attention_models(self, gmm_setup):
         att_fwd = db.init_attention(1, 2, priority=Priority.GLOBAL_FIRST, seed=0)
@@ -259,24 +261,22 @@ class TestDepthMigrate:
     def test_zero_depth_returns_source_exactly(self, gmm_setup):
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=100)
         x = gmm_setup["x"][0]
-        traj = depth_migrate(x, gmm_setup["model_a"], gmm_setup["model_b"], cfg, 0.0)
-        np.testing.assert_array_equal(traj.migrated, x)
-        np.testing.assert_array_equal(traj.latent, x)
-        assert traj.depth == 0.0
+        migrated = depth_migrate(x, gmm_setup["model_a"], gmm_setup["model_b"], cfg, 0.0)
+        np.testing.assert_array_equal(migrated, x)
+        assert not np.shares_memory(migrated, x)
 
     def test_full_depth_bit_identical_to_migrate(self, gmm_setup):
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=100)
         args = (gmm_setup["x"], gmm_setup["model_a"], gmm_setup["model_b"], cfg)
         np.testing.assert_array_equal(
-            depth_migrate(*args, depth=1.0).migrated, migrate(*args).migrated
+            depth_migrate(*args, depth=1.0), migrate(*args)
         )
 
     def test_depth_snaps_to_grid(self, gmm_setup):
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=10)
-        traj = depth_migrate(
-            gmm_setup["x"][0], gmm_setup["model_a"], gmm_setup["model_b"], cfg, 0.34
-        )
-        assert traj.depth == pytest.approx(0.3)
+        args = (gmm_setup["x"][0], gmm_setup["model_a"], gmm_setup["model_b"], cfg)
+        assert cfg.snap(0.34) == pytest.approx(0.3) and cfg.node(0.34) == 3
+        assert depth_migrate(*args, 0.34).tobytes() == depth_migrate(*args, 0.3).tobytes()
 
     def test_highpass_magnitude_tracks_depth_on_textures(self):
         from scipy.stats import spearmanr
@@ -293,7 +293,7 @@ class TestDepthMigrate:
         rhos = []
         for x in pair.source.sample(5, seed=7):
             mags = [
-                highpass_magnitude(depth_migrate(x, m_src, m_tgt, cfg, float(i)).migrated, spec)
+                highpass_magnitude(depth_migrate(x, m_src, m_tgt, cfg, float(i)), spec)
                 for i in grid
             ]
             rhos.append(spearmanr(grid, mags).statistic)
@@ -341,13 +341,11 @@ class TestDepthSweep:
         m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
         for x in xs:
-            table = depth_sweep(x, m_src, m_tgt, cfg, self.GRID)
-            assert len(table) == len(self.GRID)
-            for depth, traj in zip(self.GRID, table):
+            frames = depth_sweep(x, m_src, m_tgt, cfg, self.GRID)
+            assert frames.shape == (len(self.GRID), *x.shape)
+            for depth, frame in zip(self.GRID, frames):
                 ref = depth_migrate(x, m_src, m_tgt, cfg, depth)
-                assert traj.depth == ref.depth
-                for field in ("latent", "migrated"):
-                    assert getattr(traj, field).tobytes() == getattr(ref, field).tobytes()
+                assert frame.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("pair", ["gmm", "texture"])
     def test_one_descent_calls_the_target_model_once_per_grid_step(self, gmm_setup, pair):
@@ -355,25 +353,36 @@ class TestDepthSweep:
         src, tgt = _Counting(m_src), _Counting(m_tgt)
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
         grid = [0.75, 0.0, 0.5, 0.25, 0.34, 0.125]
-        table = depth_sweep(xs, src, tgt, cfg, grid)
+        frames = depth_sweep(xs, src, tgt, cfg, grid)
         assert len(src.shapes) == len(tgt.shapes) == round(max(grid) * steps)
         # The descent starts with the deepest depth's rows and ends with all five depths'.
         assert tgt.shapes[0] == (1, *xs.shape) and tgt.shapes[-1] == (5, *xs.shape)
-        for depth, traj in zip(grid, table):
+        for depth, frame in zip(grid, frames):
             ref = depth_migrate(xs, m_src, m_tgt, cfg, depth)
-            assert traj.migrated.tobytes() == ref.migrated.tobytes()
+            assert frame.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("pair", ["gmm", "texture"])
     def test_no_returned_array_aliases_the_source_or_another(self, gmm_setup, pair):
         m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
         cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
         before = xs.tobytes()
-        table = depth_sweep(xs, m_src, m_tgt, cfg, self.GRID)
+        frames = depth_sweep(xs, m_src, m_tgt, cfg, self.GRID)
         assert xs.tobytes() == before
-        arrays = [xs] + [a for t in table for a in (t.latent, t.migrated)]
+        arrays = [xs, *frames]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("pair", ["gmm", "texture"])
+    def test_depths_on_one_node_give_equal_rows_of_their_own(self, gmm_setup, pair):
+        m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
+        grid = [0.5, 0.25, 0.5 + 0.4 / steps, 0.5]   # the third snaps to 0.5 as well
+        frames = depth_sweep(xs, m_src, m_tgt, cfg, grid)
+        for k in (2, 3):
+            assert frames[k].tobytes() == frames[0].tobytes()
+            assert not np.shares_memory(frames[k], frames[0])
+        assert frames[1].tobytes() != frames[0].tobytes()
 
     def test_hybrid_priority_enforced(self, gmm_setup):
         att_fwd = db.init_attention(1, 2, priority=Priority.GLOBAL_FIRST, seed=0)
@@ -427,19 +436,20 @@ class TestTextureDdimOracle:
 
     def test_migrate_is_the_product_of_step_gains(self, setup):
         sched, _, (m_src, m_tgt), x = setup
-        traj = migrate(x, m_src, m_tgt, BridgeConfig(schedule=sched, steps_per_unit_time=self.N))
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=self.N)
         latent, migrated = self.expected(setup, 1.0)
-        np.testing.assert_allclose(traj.latent, latent, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.migrated, migrated, rtol=0, atol=1e-12)
+        # migrate's forward leg is this flow.
+        np.testing.assert_allclose(flow_ode(x, m_src, 0.0, 1.0, cfg), latent, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(migrate(x, m_src, m_tgt, cfg), migrated, rtol=0, atol=1e-12)
 
     def test_depth_sweep_is_the_product_of_step_gains(self, setup):
         sched, _, (m_src, m_tgt), x = setup
         cfg = BridgeConfig(schedule=sched, steps_per_unit_time=self.N)
         depths = [0.25, 1.0, 0.5]
-        for depth, traj in zip(depths, depth_sweep(x, m_src, m_tgt, cfg, depths)):
+        for depth, frame in zip(depths, depth_sweep(x, m_src, m_tgt, cfg, depths)):
             latent, migrated = self.expected(setup, depth)
-            np.testing.assert_allclose(traj.latent, latent, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(traj.migrated, migrated, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(flow_ode(x, m_src, 0.0, depth, cfg), latent, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(frame, migrated, rtol=0, atol=1e-12)
 
 
 class TestModelSchedule:
@@ -491,7 +501,7 @@ class TestModelSchedule:
         equal = BridgeConfig(schedule=db.linear_schedule(200), steps_per_unit_time=20)
         for a, b in zip(self._run(call, xs, m_src, m_tgt, same),
                         self._run(call, xs, m_src, m_tgt, equal), strict=True):
-            assert a.migrated.tobytes() == b.migrated.tobytes()
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBridgeConfig:
@@ -513,3 +523,20 @@ class TestBridgeConfig:
     def test_grid_defaults_to_schedule_steps(self):
         sched = db.linear_schedule(123)
         assert BridgeConfig(schedule=sched).grid_steps == 123
+
+    @pytest.mark.parametrize("steps", [3, 7, 40, 200, 1000])
+    def test_node_is_the_snapped_time_on_the_grid(self, steps):
+        cfg = BridgeConfig(schedule=db.linear_schedule(50), steps_per_unit_time=steps)
+        for t in np.linspace(0.0, 1.0, 101):
+            k = cfg.node(float(t))
+            assert type(k) is int and k == round(t * steps)
+            assert cfg.snap(float(t)) == k / steps and round(cfg.snap(float(t)) * steps) == k
+        with pytest.raises(ValueError, match="outside"):
+            cfg.node(-0.01)
+
+    def test_walk_nodes_run_from_the_first_node_to_the_last(self):
+        cfg = BridgeConfig(schedule=db.linear_schedule(50), steps_per_unit_time=4)
+        for (k0, k1), expected in {(0, 3): [0, 1, 2, 3], (3, 1): [3, 2, 1], (2, 2): [2]}.items():
+            nodes, times = cfg.walk_nodes(k0, k1)
+            assert nodes.tolist() == expected
+            assert times.tolist() == [k / 4 for k in expected]

@@ -136,6 +136,22 @@ class TestTrain:
         )
         assert main(["train", "--config", str(cfg)]) == 2
 
+    def test_a_diverging_target_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        cfg, out = write_config(tmp_path)
+        trained, calls = cli.train_denoiser, []
+
+        def diverge_on_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise db.TrainingDivergedError("loss became non-finite")
+            return trained(*args)
+
+        monkeypatch.setattr(cli, "train_denoiser", diverge_on_second_call)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert len(calls) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
 
 class TestMigrate:
     def test_counts_determinism_and_gain_note(self, tmp_path):
@@ -311,14 +327,60 @@ class TestLabel:
         assert len(frames) == 6
         probe = tmp_path / "probe.pgm"
         for rec in frames:
-            traj = db.depth_migrate(sources[rec["sample_id"]], *models, bridge_cfg, rec["depth"])
-            db.save_pgm(np.clip(traj.migrated, -1.0, 1.0), probe)
+            frame = db.depth_migrate(sources[rec["sample_id"]], *models, bridge_cfg, rec["depth"])
+            db.save_pgm(np.clip(frame, -1.0, 1.0), probe)
             assert probe.read_bytes() == Path(rec["path"]).read_bytes()
 
     def test_point_domain_rejected_as_config_error(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert main(["label", "--config", str(cfg)]) == 1
         assert not out.exists()
+
+
+class TestCsvCells:
+    """Every CSV cell a command writes, its header aside, reads as a plain int or float.
+
+    A numpy scalar's repr (``np.float64(0.5)`` under numpy 2) reads as neither.
+    """
+
+    RUNS = {
+        "texture": ("gen", "migrate", "sweep", "label"),
+        "points": ("gen", "migrate", "sweep", "train"),
+    }
+
+    @staticmethod
+    def _number(cell: str):
+        try:
+            return int(cell)
+        except ValueError:
+            return float(cell)
+
+    def test_every_cell_is_a_plain_number(self, tmp_path):
+        train = {"epochs": 1, "samples": 100, "hidden": [8], "batch_size": 50}
+        written = {}
+        for kind, commands in self.RUNS.items():
+            (tmp_path / kind).mkdir()
+            make = texture_config if kind == "texture" else write_config
+            cfg, _ = make(tmp_path / kind, train=train)
+            for command in commands:
+                out = tmp_path / "runs" / f"{kind}-{command}"
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+                for path in sorted(out.rglob("*.csv")):
+                    with open(path, newline="") as fh:
+                        written[f"{kind}-{command}/{path.name}"] = list(csv.reader(fh))[1:]
+        assert sorted(written) == [
+            "points-gen/source.csv", "points-gen/target.csv",
+            "points-migrate/migrated.csv", "points-migrate/source.csv",
+            "points-sweep/depth_0.0000.csv", "points-sweep/depth_0.5000.csv",
+            "points-sweep/depth_1.0000.csv",
+            "points-train/source_loss.csv", "points-train/target_loss.csv",
+            "texture-label/calibrated.csv", "texture-sweep/labels.csv",
+        ]
+        for name, rows in written.items():
+            assert rows, name
+            for row in rows:
+                for cell in row:
+                    self._number(cell)
 
 
 class _Setup:
@@ -340,7 +402,7 @@ class _Setup:
 
     def one(self, x, depth=1.0):
         """One sample's own bridge run to the given depth."""
-        return db.depth_migrate(x, *self.models, self.bridge, depth).migrated
+        return db.depth_migrate(x, *self.models, self.bridge, depth)
 
 
 def _is_points(setup) -> bool:

@@ -202,17 +202,18 @@ class TestLabelSweep:
         xs = np.stack([setup["x"], -setup["x"], 0.5 * setup["x"]])
 
         def one(x, depth):
-            return db.depth_migrate(x, m_src, m_tgt, cfg, depth).migrated
+            return db.depth_migrate(x, m_src, m_tgt, cfg, depth)
 
         sweep = label_sweep(xs, m_src, m_tgt, cfg, grid, spec)
-        assert [t.depth for t in sweep.table] == [cfg.snap(d) for d in grid]
+        assert sweep.depths == [cfg.snap(d) for d in grid]
+        assert sweep.frames.shape == (len(grid), *xs.shape)
         for i, x in enumerate(xs):
             a_s = highpass_magnitude(x, spec)
             a_t = highpass_magnitude(one(x, 1.0), spec)
             assert (sweep.a_source[i], sweep.a_target[i]) == (a_s, a_t)
             for k, depth in enumerate(grid):
                 frame = one(x, depth)
-                assert sweep.table[k].migrated[i].tobytes() == frame.tobytes()
+                assert sweep.frames[k, i].tobytes() == frame.tobytes()
                 a_i = highpass_magnitude(frame, spec)
                 assert type(sweep.a_frame[i][k]) is float and sweep.a_frame[i][k] == a_i
                 assert sweep.labels[i][k] == soft_label(a_s, a_i, a_t)
@@ -233,37 +234,39 @@ class TestCalibrateDepth:
     @staticmethod
     def _crafted_sweep(monkeypatch, depths, values):
         """label_sweep replaced by one that returns these labels of one field at these depths."""
-        table = [db.BridgeTrajectory(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), d) for d in depths]
+        frames = np.zeros((len(depths), 1, 2, 2))
         labels = [[SoftLabel(v, raw) for v, raw in values]]
-        sweep = SweepLabels(table, labels, [1.0], [[0.5] * len(depths)], [0.0])
+        sweep = SweepLabels(depths, frames, labels, [1.0], [[0.5] * len(depths)], [0.0])
         monkeypatch.setattr(softlabel, "label_sweep", lambda *args: sweep)
 
-    def _picked_depths(self, setup, targets, depths):
-        return [traj.depth for traj, _ in self._calibrate(setup, targets, depths)[0]]
+    def _picked_rows(self, setup, targets, depths):
+        return self._calibrate(setup, targets, depths)[1][0]
 
     def test_target_zero_picks_depth_zero(self, setup):
-        [[(traj, label)]] = self._calibrate(setup, [0.0], np.linspace(0.0, 1.0, 9))
-        assert traj.depth == 0.0 and label.value == 0.0
+        sweep, [[k]] = self._calibrate(setup, [0.0], np.linspace(0.0, 1.0, 9))
+        assert sweep.depths[k] == 0.0 and sweep.labels[0][k].value == 0.0
 
     def test_target_one_picks_depth_one(self, setup):
-        [[(traj, label)]] = self._calibrate(setup, [1.0], np.linspace(0.0, 1.0, 9))
-        assert traj.depth == 1.0 and label.value == 1.0
+        sweep, [[k]] = self._calibrate(setup, [1.0], np.linspace(0.0, 1.0, 9))
+        assert sweep.depths[k] == 1.0 and sweep.labels[0][k].value == 1.0
 
     def test_midpoint_target_is_grid_optimal(self, setup):
         grid = np.linspace(0.0, 1.0, 9)
-        [[(traj, label)]] = self._calibrate(setup, [0.5], grid)
+        sweep, [[k]] = self._calibrate(setup, [0.5], grid)
+        label = sweep.labels[0][k]
         # Exhaustive re-sweep is its own oracle.
-        x_t = db.migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"]).migrated
+        x_t = db.migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"])
         a_s = highpass_magnitude(setup["x"], setup["spec"])
         a_t = highpass_magnitude(x_t, setup["spec"])
         gaps = []
         for i in grid:
             one = db.depth_migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], float(i))
-            val = soft_label(a_s, highpass_magnitude(one.migrated, setup["spec"]), a_t).value
+            val = soft_label(a_s, highpass_magnitude(one, setup["spec"]), a_t).value
             gaps.append(abs(val - 0.5))
         assert abs(label.value - 0.5) <= min(gaps) + 1e-12
-        frame = db.depth_migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], traj.depth)
-        assert traj.migrated[0].tobytes() == frame.migrated.tobytes()
+        depth = sweep.depths[k]
+        frame = db.depth_migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], depth)
+        assert sweep.frames[k, 0].tobytes() == frame.tobytes()
 
     def test_empty_grid_rejected(self, setup):
         with pytest.raises(ValueError):
@@ -284,21 +287,27 @@ class TestCalibrateDepth:
         # Labels clamped to 1.0 at several depths are a three-way tie that
         # must resolve to the smallest tying depth, whatever its index.
         self._crafted_sweep(monkeypatch, [1.0, 0.5, 0.75], [(1.0, 1.4), (1.0, 1.0), (1.0, 1.2)])
-        assert self._picked_depths(setup, [1.0], [1.0, 0.5, 0.75]) == [0.5]
+        assert self._picked_rows(setup, [1.0], [1.0, 0.5, 0.75]) == [1]
 
     @pytest.mark.parametrize("depths", [[0.8, 0.3], [0.3, 0.8]])
     def test_equal_distances_tie_toward_smaller_depth(self, setup, monkeypatch, depths):
         # Equal distances on either side of the target tie as well.
         self._crafted_sweep(monkeypatch, depths, [(0.75, 0.75), (0.25, 0.25)])
-        assert self._picked_depths(setup, [0.5], depths) == [0.3]
+        assert self._picked_rows(setup, [0.5], depths) == [depths.index(0.3)]
+
+    def test_equal_depths_tie_toward_the_earlier_row(self, setup, monkeypatch):
+        # Two rows at one depth with one label: grid order decides.
+        self._crafted_sweep(monkeypatch, [0.75, 0.5, 0.5], [(0.4, 0.4), (0.6, 0.6), (0.6, 0.6)])
+        assert self._picked_rows(setup, [0.5], [0.75, 0.5, 0.5]) == [1]
 
     def test_batch_picks_equal_one_field_picks(self, setup):
         xs = np.stack([setup["x"], 0.5 * setup["x"]])
         grid, targets = np.linspace(0.0, 1.0, 9), [0.25, 0.5, 0.75]
-        picks = self._calibrate(setup, targets, grid, xs)
+        sweep, picks = self._calibrate(setup, targets, grid, xs)
         assert [len(row) for row in picks] == [3, 3]
         for i, x in enumerate(xs):
-            alone = self._calibrate(setup, targets, grid, x[None])[0]
-            for (traj, label), (one, one_label) in zip(picks[i], alone):
-                assert traj.depth == one.depth and label == one_label
-                assert traj.migrated[i].tobytes() == one.migrated[0].tobytes()
+            one, [alone] = self._calibrate(setup, targets, grid, x[None])
+            assert picks[i] == alone
+            for k in alone:
+                assert sweep.labels[i][k] == one.labels[0][k]
+                assert sweep.frames[k, i].tobytes() == one.frames[k, 0].tobytes()
