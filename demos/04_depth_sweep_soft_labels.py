@@ -35,10 +35,10 @@ print(f"source high-pass magnitude {sweep.a_source[0]:.3f}, "
       f"migrated endpoint {sweep.a_target[0]:.3f}")
 
 print(f"\n{'depth':>6} {'A(x_i)':>8} {'label':>7}")
-mags = sweep.a_frame[0]
-for depth, frame, a_i, label in zip(sweep.depths, sweep.frames[:, 0], mags, sweep.labels[0]):
+mags = sweep.a_frame[:, 0]
+for depth, frame, a_i, label in zip(sweep.depths, sweep.frames[:, 0], mags, sweep.value[:, 0]):
     db.save_pgm(np.clip(frame, -1, 1), out / f"depth_{depth:.2f}.pgm")
-    print(f"{depth:6.2f} {a_i:8.3f} {label.value:7.3f}")
+    print(f"{depth:6.2f} {a_i:8.3f} {label:7.3f}")
 
 # Spearman's rho is the correlation of the ranks (no ties here).
 ranks = [np.argsort(np.argsort(v)) for v in (grid, mags)]
@@ -50,5 +50,5 @@ print("\ninverting the relation: pick depths for requested labels")
 targets = (0.25, 0.5, 0.75)
 sweep, picks = db.calibrate_depth(targets, x[None], m_src, m_tgt, cfg, np.linspace(0, 1, 17), spec)
 for target, k in zip(targets, picks[0]):
-    achieved = sweep.labels[0][k].value
+    achieved = sweep.value[k, 0]
     print(f"  target {target:.2f} -> depth {sweep.depths[k]:.4f} (achieved {achieved:.3f})")

@@ -54,7 +54,6 @@ from .schedule import NoiseSchedule, linear_schedule
 from .softlabel import (
     DegenerateEndpointsError,
     HighpassSpec,
-    SoftLabel,
     calibrate_depth,
     highpass_magnitude,
     label_sweep,

@@ -60,7 +60,8 @@ class BridgeConfig:
 
     @property
     def grid_steps(self) -> int:
-        return self.steps_per_unit_time or self.schedule.steps_T
+        # int(), so a numpy integer setting leaves no numpy scalar in node times.
+        return int(self.steps_per_unit_time or self.schedule.steps_T)
 
     def node(self, time: float) -> int:
         """Index of the grid node nearest a time in [0, 1]."""

@@ -321,20 +321,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     if _is_image_pair(pair):
         sweep = label_sweep(sources, *models, run.bridge, depths, run.highpass)
+        # Python floats, so CSV cells and manifest values spell as floats do.
+        arrays = (sweep.value, sweep.raw, sweep.a_frame, sweep.a_source, sweep.a_target)
+        value, raw, a_i, a_s, a_t = (v.tolist() for v in arrays)
         label_rows = []
         for i, x in enumerate(sources):
             _write_frame(run, f"sample{i:03d}_source.pgm", x, kind="source-sample", sample_id=i)
-            for depth, frame, label, a_i in zip(
-                depths, sweep.frames[:, i], sweep.labels[i], sweep.a_frame[i]
-            ):
+            for k, depth in enumerate(depths):
                 _write_frame(
-                    run, f"sample{i:03d}_d{_depth_tag(depth)}.pgm", frame,
-                    kind="sweep-frame", sample_id=i, depth=depth, soft_label=label.value,
+                    run, f"sample{i:03d}_d{_depth_tag(depth)}.pgm", sweep.frames[k, i],
+                    kind="sweep-frame", sample_id=i, depth=depth, soft_label=value[k][i],
                 )
-                label_rows.append(
-                    [i, repr(depth), repr(label.raw), repr(label.value),
-                     repr(sweep.a_source[i]), repr(a_i), repr(sweep.a_target[i])]
-                )
+                cells = (depth, raw[k][i], value[k][i], a_s[i], a_i[k][i], a_t[i])
+                label_rows.append([i, *map(repr, cells)])
         labels_path = run.file("labels", "labels.csv")
         header = ["sample_id", "depth_snapped", "raw_label", "clamped_label", "A_s", "A_i", "A_t"]
         _write_csv(labels_path, header, label_rows)
@@ -363,16 +362,17 @@ def cmd_label(cfg: RunConfig) -> int:
     sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
     sweep, picks = calibrate_depth(targets, sources, *models, run.bridge, depths, run.highpass)
+    value, raw = sweep.value.tolist(), sweep.raw.tolist()
     rows = []
-    for i, row in enumerate(picks):
+    for i, row in enumerate(picks.tolist()):
         for target, k in zip(targets, row):
-            depth, label = depths[k], sweep.labels[i][k]
+            depth, achieved, raw_label = depths[k], value[k][i], raw[k][i]
             _write_frame(
                 run, f"sample{i:03d}_target{_target_tag(target)}_d{_depth_tag(depth)}.pgm",
                 sweep.frames[k, i], kind="calibrated-frame", sample_id=i, target_label=target,
-                achieved_label=label.value, raw_label=label.raw, depth=depth,
+                achieved_label=achieved, raw_label=raw_label, depth=depth,
             )
-            rows.append([i, repr(target), repr(depth), repr(label.value), repr(label.raw)])
+            rows.append([i, *map(repr, (target, depth, achieved, raw_label))])
     labels_path = run.file("labels", "calibrated.csv")
     header = ["sample_id", "target_label", "depth", "achieved_label", "raw_label"]
     _write_csv(labels_path, header, rows)

@@ -13,9 +13,10 @@ transform.
 
 Batch contract: ``highpass_magnitude`` takes a field ``(H, W)`` or a stack
 ``(..., H, W)``, each magnitude with the bytes of a one-field call;
-``label_sweep`` labels every frame of one depth sweep of a batch ``(B, H, W)``,
-and ``calibrate_depth`` picks, from that one sweep, each field's grid row for
-each target label, the pick of a one-field call.
+``soft_label`` broadcasts, each label with the bytes of a float call;
+``label_sweep`` labels every frame of one depth sweep of a batch ``(B, H, W)``
+into ``(D, B)`` arrays, and ``calibrate_depth`` picks, from that one sweep,
+each field's grid row for each target label, the pick of a one-field call.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ class HighpassSpec:
         return radial_frequency_grid(shape) >= self.cutoff_fraction
 
 
-@dataclass(frozen=True)
-class SoftLabel:
-    """Clamped label in [0, 1] plus the raw unclamped ratio."""
-
-    value: float
-    raw: float
-
-
 def highpass_magnitude(x: np.ndarray, spec: HighpassSpec):
     """Average FFT magnitude over the mask-passed bins of each 2-D field.
 
@@ -78,34 +71,41 @@ def highpass_magnitude(x: np.ndarray, spec: HighpassSpec):
     return float(magnitudes) if x.ndim == 2 else magnitudes
 
 
-def soft_label(a_source: float, a_intermediate: float, a_target: float) -> SoftLabel:
-    """Label an intermediate magnitude against its two endpoints.
+def soft_label(a_source, a_intermediate, a_target):
+    """Label intermediate magnitudes against their two endpoints: ``(value, raw)``.
 
-    Raises DegenerateEndpointsError when |a_source - a_target| falls
-    below the relative floor, rather than returning NaN.
+    raw is the unclamped ratio and value raw clamped to [0, 1].  Floats
+    give floats; arrays broadcast, each entry with the bytes of its own
+    float call.  Raises DegenerateEndpointsError, naming the first
+    degenerate entry, when |a_source - a_target| falls below the relative
+    floor, rather than returning NaN.
     """
-    floor = 1e-9 * max(a_source, a_target, 1.0)
-    denom = a_source - a_target
-    if abs(denom) <= floor:
+    a_s, a_i, a_t = (np.asarray(a, dtype=np.float64) for a in (a_source, a_intermediate, a_target))
+    floor = 1e-9 * np.maximum(np.maximum(a_s, a_t), 1.0)
+    denom = a_s - a_t
+    degenerate = np.abs(denom) <= floor
+    if degenerate.any():
+        s, t, f = (v[degenerate][0] for v in np.broadcast_arrays(a_s, a_t, floor))
         raise DegenerateEndpointsError(
-            f"endpoint magnitudes indistinguishable: "
-            f"|{a_source} - {a_target}| <= {floor}"
+            f"endpoint magnitudes indistinguishable: |{s} - {t}| <= {f}"
         )
-    raw = (a_source - a_intermediate) / denom
+    raw = (a_s - a_i) / denom
     # + 0.0 normalizes the negative zero produced by 0/negative.
-    return SoftLabel(value=float(np.clip(raw, 0.0, 1.0)) + 0.0, raw=float(raw))
+    value = np.clip(raw, 0.0, 1.0) + 0.0
+    return (float(value), float(raw)) if raw.ndim == 0 else (value, raw)
 
 
 @dataclass(frozen=True)
 class SweepLabels:
-    """A labelled sweep; ``labels[i][k]`` and ``a_frame[i][k]`` are sample i's at depth k."""
+    """A labelled sweep in the frames' layout: ``value[k, i]`` is sample i's label at depth k."""
 
     depths: list[float]             # the snapped grid, grid order
     frames: np.ndarray              # (D, B, H, W): frames[k, i] is sample i at depth k
-    labels: list[list[SoftLabel]]
-    a_source: list[float]           # magnitudes as Python floats, one per sample
-    a_frame: list[list[float]]
-    a_target: list[float]
+    value: np.ndarray               # (D, B) clamped labels
+    raw: np.ndarray                 # (D, B) unclamped ratios
+    a_frame: np.ndarray             # (D, B) high-pass magnitudes of the frames
+    a_source: np.ndarray            # (B,) high-pass magnitudes of the sources
+    a_target: np.ndarray            # (B,) and of their full-depth migrations
 
 
 def label_sweep(x_sources, model_src, model_tgt, cfg, depths, spec: HighpassSpec) -> SweepLabels:
@@ -119,11 +119,11 @@ def label_sweep(x_sources, model_src, model_tgt, cfg, depths, spec: HighpassSpec
     if np.ndim(x_sources) != 3:
         raise ValueError("label_sweep needs a batch of fields")
     stack = bridge.depth_sweep(x_sources, model_src, model_tgt, cfg, [*depths, 1.0])
-    a_s = highpass_magnitude(x_sources, spec).tolist()
+    a_s = highpass_magnitude(x_sources, spec)
     magnitudes = highpass_magnitude(stack, spec)
-    a_t, a_i = magnitudes[-1].tolist(), magnitudes[:-1].T.tolist()
-    labels = [[soft_label(s, a, t) for a in row] for s, row, t in zip(a_s, a_i, a_t)]
-    return SweepLabels([cfg.snap(float(d)) for d in depths], stack[:-1], labels, a_s, a_i, a_t)
+    a_i, a_t = magnitudes[:-1], magnitudes[-1]
+    value, raw = soft_label(a_s, a_i, a_t)
+    return SweepLabels([cfg.snap(float(d)) for d in depths], stack[:-1], value, raw, a_i, a_s, a_t)
 
 
 def calibrate_depth(targets, x_sources, model_src, model_tgt, cfg, depth_grid, spec: HighpassSpec):
@@ -135,16 +135,16 @@ def calibrate_depth(targets, x_sources, model_src, model_tgt, cfg, depth_grid, s
     row.  Every target must lie in [0, 1], which is checked before any
     model call.
 
-    Returns ``(sweep, picks)``: the ``SweepLabels`` and ``picks[i][j]``,
-    the grid row of field i's pick for target j, so its frame is
-    ``sweep.frames[k, i]`` and its label ``sweep.labels[i][k]``.
+    Returns ``(sweep, picks)``: the ``SweepLabels`` and the integer array
+    ``picks`` ``(B, J)``, where ``picks[i, j]`` is the grid row of field i's
+    pick for target j, so its frame is ``sweep.frames[k, i]`` and its label
+    ``sweep.value[k, i]``.
     """
     for target in targets:
         if not 0.0 <= target <= 1.0:
             raise ValueError(f"target label {target} outside [0, 1]")
     sweep = label_sweep(x_sources, model_src, model_tgt, cfg, depth_grid, spec)
-    rows = range(len(sweep.depths))
-    return sweep, [
-        [min(rows, key=lambda k: (abs(labels[k].value - t), sweep.depths[k])) for t in targets]
-        for labels in sweep.labels
-    ]
+    # A stable sort by depth puts the tie rule in argmin's first minimum.
+    order = np.argsort(sweep.depths, kind="stable")
+    gaps = np.abs(sweep.value[order][..., None] - np.asarray(targets, dtype=np.float64))
+    return sweep, order[np.argmin(gaps, axis=0)]

@@ -135,7 +135,7 @@ def test_criterion_6_depth_control(sched):
     for a_s, mags in zip(highpass_magnitude(xs, spec), all_mags):
         a_t = mags[-1]
         rhos.append(spearmanr(grid, mags).statistic)
-        labels = (soft_label(a_s, mags[0], a_t).value, soft_label(a_s, mags[-1], a_t).value)
+        labels = (soft_label(a_s, mags[0], a_t)[0], soft_label(a_s, mags[-1], a_t)[0])
         endpoint_ok = endpoint_ok and labels == (0.0, 1.0)
     min_rho = float(min(rhos))
     elapsed = time.monotonic() - start
@@ -151,9 +151,9 @@ def test_criterion_6_depth_control(sched):
 def test_criterion_7_soft_label_identities():
     start = time.monotonic()
     ok_endpoints = (
-        soft_label(10.0, 10.0, 2.0).value == 0.0
-        and soft_label(10.0, 2.0, 2.0).value == 1.0
-        and soft_label(10.0, 6.0, 2.0).value == 0.5
+        soft_label(10.0, 10.0, 2.0)[0] == 0.0
+        and soft_label(10.0, 2.0, 2.0)[0] == 1.0
+        and soft_label(10.0, 6.0, 2.0)[0] == 0.5
     )
     spec = HighpassSpec(0.25)
     rng = np.random.default_rng(7)

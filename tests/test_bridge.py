@@ -520,6 +520,12 @@ class TestBridgeConfig:
         cfg = BridgeConfig(schedule=db.linear_schedule(50), steps_per_unit_time=np.int64(4))
         assert cfg.grid_steps == 4 and cfg.snap(1.0) == 1.0
 
+    @pytest.mark.parametrize("steps_T, steps", [(50, np.int64(4)), (np.int64(4), None)])
+    def test_numpy_integer_settings_give_python_numbers(self, steps_T, steps):
+        cfg = BridgeConfig(schedule=db.linear_schedule(steps_T), steps_per_unit_time=steps)
+        assert type(cfg.grid_steps) is int and type(cfg.node(0.3)) is int
+        assert type(cfg.snap(0.3)) is float and cfg.snap(0.3) == 0.25
+
     def test_grid_defaults_to_schedule_steps(self):
         sched = db.linear_schedule(123)
         assert BridgeConfig(schedule=sched).grid_steps == 123

@@ -467,8 +467,8 @@ class TestBatchedCommandsEqualPerSampleRuns:
                 frame = setup.out / "frames" / f"sample{i:03d}_d{depth:.4f}.pgm"
                 assert probe.read_bytes() == frame.read_bytes()
                 a_i = highpass_magnitude(mig, spec)
-                label = soft_label(a_s, a_i, a_t)
-                rows.append([i, repr(depth), repr(label.raw), repr(label.value),
+                value, raw = soft_label(a_s, a_i, a_t)
+                rows.append([i, repr(depth), repr(raw), repr(value),
                              repr(a_s), repr(a_i), repr(a_t)])
         header = ["sample_id", "depth_snapped", "raw_label", "clamped_label", "A_s", "A_i", "A_t"]
         _write_csv(probe, header, rows)
@@ -488,8 +488,9 @@ class TestBatchedCommandsEqualPerSampleRuns:
             db.save_pgm(np.clip(mig, -1.0, 1.0), probe)
             assert probe.read_bytes() == Path(rec["path"]).read_bytes()
             a_s, a_t = highpass_magnitude(x, spec), highpass_magnitude(setup.one(x), spec)
-            label = soft_label(a_s, highpass_magnitude(mig, spec), a_t)
-            assert (rec["achieved_label"], rec["raw_label"]) == (label.value, label.raw)
+            assert (rec["achieved_label"], rec["raw_label"]) == soft_label(
+                a_s, highpass_magnitude(mig, spec), a_t
+            )
 
 
 class _PoisonedRow(db.EpsilonModel):

@@ -8,7 +8,6 @@ from diffbridge import softlabel
 from diffbridge.softlabel import (
     DegenerateEndpointsError,
     HighpassSpec,
-    SoftLabel,
     SweepLabels,
     highpass_magnitude,
     label_sweep,
@@ -123,22 +122,55 @@ class TestHighpassMagnitude:
 
 class TestSoftLabel:
     def test_endpoint_identities(self):
-        assert soft_label(10.0, 10.0, 2.0).value == 0.0
-        assert soft_label(10.0, 2.0, 2.0).value == 1.0
+        assert soft_label(10.0, 10.0, 2.0)[0] == 0.0
+        assert soft_label(10.0, 2.0, 2.0)[0] == 1.0
         # Ascending endpoints as well (source below target).
-        assert soft_label(2.0, 2.0, 10.0).value == 0.0
-        assert soft_label(2.0, 10.0, 10.0).value == 1.0
+        assert soft_label(2.0, 2.0, 10.0)[0] == 0.0
+        assert soft_label(2.0, 10.0, 10.0)[0] == 1.0
 
     def test_direct_substitution(self):
-        assert soft_label(10.0, 6.0, 2.0).value == 0.5
+        assert soft_label(10.0, 6.0, 2.0)[0] == 0.5
 
     def test_clamps_and_retains_raw(self):
-        overshoot = soft_label(10.0, 0.5, 2.0)
-        assert overshoot.value == 1.0
-        assert overshoot.raw == pytest.approx(9.5 / 8.0)
-        undershoot = soft_label(10.0, 11.0, 2.0)
-        assert undershoot.value == 0.0
-        assert undershoot.raw == pytest.approx(-0.125)
+        value, raw = soft_label(10.0, 0.5, 2.0)
+        assert value == 1.0
+        assert raw == pytest.approx(9.5 / 8.0)
+        value, raw = soft_label(10.0, 11.0, 2.0)
+        assert value == 0.0
+        assert raw == pytest.approx(-0.125)
+
+    def test_floats_give_floats(self):
+        assert [type(v) for v in soft_label(10.0, np.float64(6.0), 2.0)] == [float, float]
+
+    def test_broadcast_equals_float_calls_byte_for_byte(self):
+        # Labels of (D, B) frames against (B,) endpoints, with exact zeros
+        # (a_i == a_s) and ratios past both ends of [0, 1].
+        rng = np.random.default_rng(11)
+        a_s, a_t = rng.uniform(0.5, 10.0, 7), rng.uniform(0.5, 10.0, 7)
+        a_i = a_s + (a_t - a_s) * rng.uniform(-0.5, 1.5, (9, 7))
+        hit = rng.random(a_i.shape) < 0.2
+        a_i[hit] = np.broadcast_to(a_s, a_i.shape)[hit]
+        value, raw = soft_label(a_s, a_i, a_t)
+        assert value.shape == raw.shape == (9, 7)
+        assert (value == 0.0).any() and (raw < 0.0).any() and (raw > 1.0).any()
+        # 0 / negative is -0.0 in raw; the clamped label is +0.0.
+        assert np.signbit(raw[(a_i == a_s) & (a_s < a_t)]).all() and not np.signbit(value).any()
+        flat = (np.broadcast_to(a, a_i.shape).ravel().tolist() for a in (a_s, a_i, a_t))
+        pairs = [soft_label(s, i, t) for s, i, t in zip(*flat)]
+        assert value.tobytes() == np.array([v for v, _ in pairs]).tobytes()
+        assert raw.tobytes() == np.array([r for _, r in pairs]).tobytes()
+
+    def test_a_degenerate_sample_in_an_array_is_named(self):
+        a_s, a_t = np.array([10.0, 5.0, 3.0, 5.0]), np.array([2.0, 5.0 + 1e-12, 3.0, 1.0])
+        # Samples 1 and 2 are degenerate; the first is named, as a float call names it.
+        message = "endpoint magnitudes indistinguishable: |5.0 - 5.000000000001| <= 5.000000000001e-09"
+        for args in ((a_s, np.full((3, 4), 4.0), a_t), (5.0, 4.0, 5.0 + 1e-12)):
+            with pytest.raises(DegenerateEndpointsError) as err:
+                soft_label(*args)
+            assert str(err.value) == message
+        # The floor is relative to the larger endpoint, but never below 1e-9.
+        with pytest.raises(DegenerateEndpointsError):
+            soft_label(np.array([1.0, 5e-10]), np.zeros((2, 2)), np.array([0.0, 0.0]))
 
     def test_degenerate_endpoints_raise_not_nan(self):
         with pytest.raises(DegenerateEndpointsError):
@@ -154,8 +186,8 @@ class TestSoftLabel:
             if abs(a_s - a_t) < 1e-3:
                 continue
             c = rng.uniform(0.01, 100.0)
-            assert soft_label(c * a_s, c * a_i, c * a_t).raw == pytest.approx(
-                soft_label(a_s, a_i, a_t).raw, rel=1e-9
+            assert soft_label(c * a_s, c * a_i, c * a_t)[1] == pytest.approx(
+                soft_label(a_s, a_i, a_t)[1], rel=1e-9
             )
 
 
@@ -168,8 +200,8 @@ class TestLabelOfFields:
         spec = HighpassSpec(0.25)
         x_s = cosine_image((16, 16), 5, 3, amplitude=0.3)
         x_t = cosine_image((16, 16), 5, 3, amplitude=0.9)
-        assert label_of_fields(x_s, x_s, x_t, spec).value == 0.0
-        assert label_of_fields(x_t, x_s, x_t, spec).value == 1.0
+        assert label_of_fields(x_s, x_s, x_t, spec)[0] == 0.0
+        assert label_of_fields(x_t, x_s, x_t, spec)[0] == 1.0
 
     def test_aligned_spectra_mean_gives_half(self):
         # Same mode, same phase: magnitudes add linearly, so the pixel
@@ -178,8 +210,8 @@ class TestLabelOfFields:
         x_s = cosine_image((32, 32), 9, 4, amplitude=0.2)
         x_t = cosine_image((32, 32), 9, 4, amplitude=0.8)
         x_mid = 0.5 * (x_s + x_t)
-        label = label_of_fields(x_mid, x_s, x_t, spec)
-        assert label.value == pytest.approx(0.5, abs=1e-9)
+        value, _ = label_of_fields(x_mid, x_s, x_t, spec)
+        assert value == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +239,9 @@ class TestLabelSweep:
         sweep = label_sweep(xs, m_src, m_tgt, cfg, grid, spec)
         assert sweep.depths == [cfg.snap(d) for d in grid]
         assert sweep.frames.shape == (len(grid), *xs.shape)
+        for per_frame in (sweep.value, sweep.raw, sweep.a_frame):
+            assert per_frame.shape == sweep.frames.shape[:2]
+        assert sweep.a_source.shape == sweep.a_target.shape == (len(xs),)
         for i, x in enumerate(xs):
             a_s = highpass_magnitude(x, spec)
             a_t = highpass_magnitude(one(x, 1.0), spec)
@@ -215,8 +250,8 @@ class TestLabelSweep:
                 frame = one(x, depth)
                 assert sweep.frames[k, i].tobytes() == frame.tobytes()
                 a_i = highpass_magnitude(frame, spec)
-                assert type(sweep.a_frame[i][k]) is float and sweep.a_frame[i][k] == a_i
-                assert sweep.labels[i][k] == soft_label(a_s, a_i, a_t)
+                assert sweep.a_frame[k, i] == a_i
+                assert (sweep.value[k, i], sweep.raw[k, i]) == soft_label(a_s, a_i, a_t)
 
     def test_rejects_unbatched_sources(self, setup):
         x, models = setup["x"], (setup["m_src"], setup["m_tgt"], setup["cfg"])
@@ -232,28 +267,31 @@ class TestCalibrateDepth:
         return db.calibrate_depth(targets, xs, *models, grid, setup["spec"])
 
     @staticmethod
-    def _crafted_sweep(monkeypatch, depths, values):
-        """label_sweep replaced by one that returns these labels of one field at these depths."""
-        frames = np.zeros((len(depths), 1, 2, 2))
-        labels = [[SoftLabel(v, raw) for v, raw in values]]
-        sweep = SweepLabels(depths, frames, labels, [1.0], [[0.5] * len(depths)], [0.0])
+    def _crafted_sweep(monkeypatch, depths, value, raw):
+        """label_sweep replaced by one that returns these labels: ``(D, B)``, or one field's ``(D,)``."""
+        value, raw = (np.reshape(v, (len(depths), -1)).astype(np.float64) for v in (value, raw))
+        batch = value.shape[1]
+        sweep = SweepLabels(
+            depths, np.zeros((*value.shape, 2, 2)), value, raw, np.full(value.shape, 0.5),
+            np.ones(batch), np.zeros(batch),
+        )
         monkeypatch.setattr(softlabel, "label_sweep", lambda *args: sweep)
 
     def _picked_rows(self, setup, targets, depths):
-        return self._calibrate(setup, targets, depths)[1][0]
+        return self._calibrate(setup, targets, depths)[1][0].tolist()
 
     def test_target_zero_picks_depth_zero(self, setup):
         sweep, [[k]] = self._calibrate(setup, [0.0], np.linspace(0.0, 1.0, 9))
-        assert sweep.depths[k] == 0.0 and sweep.labels[0][k].value == 0.0
+        assert sweep.depths[k] == 0.0 and sweep.value[k, 0] == 0.0
 
     def test_target_one_picks_depth_one(self, setup):
         sweep, [[k]] = self._calibrate(setup, [1.0], np.linspace(0.0, 1.0, 9))
-        assert sweep.depths[k] == 1.0 and sweep.labels[0][k].value == 1.0
+        assert sweep.depths[k] == 1.0 and sweep.value[k, 0] == 1.0
 
     def test_midpoint_target_is_grid_optimal(self, setup):
         grid = np.linspace(0.0, 1.0, 9)
         sweep, [[k]] = self._calibrate(setup, [0.5], grid)
-        label = sweep.labels[0][k]
+        value = sweep.value[k, 0]
         # Exhaustive re-sweep is its own oracle.
         x_t = db.migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"])
         a_s = highpass_magnitude(setup["x"], setup["spec"])
@@ -261,9 +299,9 @@ class TestCalibrateDepth:
         gaps = []
         for i in grid:
             one = db.depth_migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], float(i))
-            val = soft_label(a_s, highpass_magnitude(one, setup["spec"]), a_t).value
+            val, _ = soft_label(a_s, highpass_magnitude(one, setup["spec"]), a_t)
             gaps.append(abs(val - 0.5))
-        assert abs(label.value - 0.5) <= min(gaps) + 1e-12
+        assert abs(value - 0.5) <= min(gaps) + 1e-12
         depth = sweep.depths[k]
         frame = db.depth_migrate(setup["x"], setup["m_src"], setup["m_tgt"], setup["cfg"], depth)
         assert sweep.frames[k, 0].tobytes() == frame.tobytes()
@@ -286,28 +324,46 @@ class TestCalibrateDepth:
     def test_clamped_labels_tie_toward_smallest_depth(self, setup, monkeypatch):
         # Labels clamped to 1.0 at several depths are a three-way tie that
         # must resolve to the smallest tying depth, whatever its index.
-        self._crafted_sweep(monkeypatch, [1.0, 0.5, 0.75], [(1.0, 1.4), (1.0, 1.0), (1.0, 1.2)])
+        self._crafted_sweep(monkeypatch, [1.0, 0.5, 0.75], [1.0, 1.0, 1.0], [1.4, 1.0, 1.2])
         assert self._picked_rows(setup, [1.0], [1.0, 0.5, 0.75]) == [1]
 
     @pytest.mark.parametrize("depths", [[0.8, 0.3], [0.3, 0.8]])
     def test_equal_distances_tie_toward_smaller_depth(self, setup, monkeypatch, depths):
         # Equal distances on either side of the target tie as well.
-        self._crafted_sweep(monkeypatch, depths, [(0.75, 0.75), (0.25, 0.25)])
+        self._crafted_sweep(monkeypatch, depths, [0.75, 0.25], [0.75, 0.25])
         assert self._picked_rows(setup, [0.5], depths) == [depths.index(0.3)]
 
     def test_equal_depths_tie_toward_the_earlier_row(self, setup, monkeypatch):
         # Two rows at one depth with one label: grid order decides.
-        self._crafted_sweep(monkeypatch, [0.75, 0.5, 0.5], [(0.4, 0.4), (0.6, 0.6), (0.6, 0.6)])
+        self._crafted_sweep(monkeypatch, [0.75, 0.5, 0.5], [0.4, 0.6, 0.6], [0.4, 0.6, 0.6])
         assert self._picked_rows(setup, [0.5], [0.75, 0.5, 0.5]) == [1]
+
+    def test_picks_follow_the_min_rule_on_tie_heavy_sweeps(self, setup, monkeypatch):
+        # The rule in its first form: per field and target, the grid row of
+        # least (distance to the target, snapped depth), the earliest on a tie.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            rows, batch = range(rng.integers(1, 7)), rng.integers(1, 4)
+            depths = rng.choice([0.0, 0.25, 0.5, 1.0], len(rows)).tolist()
+            value = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], (len(rows), batch))
+            targets = rng.choice([0.0, 0.125, 0.375, 0.5, 1.0], rng.integers(0, 4)).tolist()
+            self._crafted_sweep(monkeypatch, depths, value, value)
+            _, picks = self._calibrate(setup, targets, depths)
+            expected = [
+                [min(rows, key=lambda k: (abs(v[k] - t), depths[k])) for t in targets]
+                for v in value.T.tolist()
+            ]
+            assert picks.dtype.kind == "i" and picks.shape == (batch, len(targets))
+            assert picks.tolist() == expected
 
     def test_batch_picks_equal_one_field_picks(self, setup):
         xs = np.stack([setup["x"], 0.5 * setup["x"]])
         grid, targets = np.linspace(0.0, 1.0, 9), [0.25, 0.5, 0.75]
         sweep, picks = self._calibrate(setup, targets, grid, xs)
-        assert [len(row) for row in picks] == [3, 3]
+        assert picks.dtype.kind == "i" and picks.shape == (2, 3)
         for i, x in enumerate(xs):
             one, [alone] = self._calibrate(setup, targets, grid, x[None])
-            assert picks[i] == alone
+            assert picks[i].tolist() == alone.tolist()
             for k in alone:
-                assert sweep.labels[i][k] == one.labels[0][k]
+                assert (sweep.value[k, i], sweep.raw[k, i]) == (one.value[k, 0], one.raw[k, 0])
                 assert sweep.frames[k, i].tobytes() == one.frames[k, 0].tobytes()
