@@ -6,17 +6,18 @@ flows: noise with the source model from 0 to 1, denoise with the target
 model from 1 back to 0.  Depth-controlled migration stops the descent
 early, noising only to an intermediate time i and denoising from i, which
 yields cross-domain intermediates whose migration extent grows with i.
-Every flow is one walk over the array of grid nodes that
-``BridgeConfig.walk_nodes`` builds: ``flow_ode`` walks one span, and a
-depth sweep walks each leg once.  The forward leg keeps the state at
-each depth's node; the descent walks the stack of those states, each
-row starting at its own node.  The models are pure.  The
-GMM model keeps a read-only table of T+1 step constants; the texture
-model reuses mutable work arrays, so a texture model's calls must not
-overlap across threads.  Every entry point takes one sample or a batch
-of samples along a leading axis; models broadcast over it, so a batch
-costs one model call per grid step and each row is bit-identical to
-that sample's own run.  Every entry point returns plain arrays.
+Every flow is one ``flow_ode`` call, the bridge's one loop over the
+array of grid nodes that ``BridgeConfig.walk_nodes`` builds; a depth
+sweep is two calls, one per leg.  The forward leg keeps the state at
+each depth's node (``keep``); the descent walks the stack of those
+states, each row starting at its own node (``starts``).  The models
+are pure.  The GMM model keeps a read-only table of T+1 step
+constants; the texture model reuses mutable work arrays, so a texture
+model's calls must not overlap across threads.  Every entry point takes
+one sample or a batch of samples along a leading axis; models broadcast
+over it, so a batch costs one model call per grid step and each row is
+bit-identical to that sample's own run.  Every entry point returns
+plain arrays.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
@@ -86,38 +87,35 @@ def flow_ode(
     t0: float,
     t1: float,
     cfg: BridgeConfig,
+    *,
+    starts=None,
+    keep=None,
 ) -> np.ndarray:
     """Integrate the flow from time t0 to t1 (in [0, 1], either direction).
 
-    A copy of x_start and one walk: t0 < t1 noises, t0 > t1 denoises;
-    equal (snapped) endpoints return the copy with zero arithmetic
-    applied.  x_start may be a batch: each grid step is one model call
-    on the whole batch, and a non-finite value in any row stops the run
-    at that node.
+    The bridge's one loop over grid nodes: a copy of x_start, walked
+    node by node and returned.  t0 < t1 noises, t0 > t1 denoises; equal
+    (snapped) endpoints return the copy with zero arithmetic applied.
+    x_start may be a batch: each grid step is one model call on the
+    whole batch, and a non-finite value in any row stops the run at
+    that node.  With starts (a descending grid node per row) the step
+    from node k moves only the leading rows whose start is >= k, so each
+    row starts at its own node.  keep maps grid nodes (``cfg.node``) to
+    arrays shaped like x_start; the walk copies its state into keep[k]
+    when it reaches node k, the start node before any step.  x_start is
+    never written.
     """
     x = np.array(x_start, dtype=np.float64)
-    for _ in _walk(x, model, cfg.node(t0), cfg.node(t1), cfg):
-        pass
-    return x
-
-
-def _walk(x: np.ndarray, model: EpsilonModel, k0: int, k1: int, cfg: BridgeConfig, starts=None):
-    """Step x in place from grid node k0 to k1, yielding each node as x reaches it.
-
-    The bridge's one loop over grid nodes.  k0 comes first, before any
-    step; a caller copies what it keeps, and the float warnings the walk
-    silences stay silenced at its yields.  With starts (a descending
-    grid node per row of x) the step from node k moves only the leading
-    rows whose start is >= k, so each row starts at its own node.
-    """
-    nodes, times = cfg.walk_nodes(k0, k1)
+    keep = keep or {}
+    nodes, times = cfg.walk_nodes(cfg.node(t0), cfg.node(t1))
     # The step from nodes[j] moves x[:rows[j]]; None is every row.
     rows = [None] * len(nodes)
     if starts is not None:
         rows = np.searchsorted(-np.asarray(starts), -nodes, side="right")
     ab = cfg.schedule.alpha_bar_at(times)
     scratch = np.empty_like(x)
-    yield nodes[0]
+    if nodes[0] in keep:
+        keep[nodes[0]][...] = x
     # Non-finite intermediates raise NonFiniteStateError below; the float
     # warnings they would emit first are noise.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -126,7 +124,9 @@ def _walk(x: np.ndarray, model: EpsilonModel, k0: int, k1: int, cfg: BridgeConfi
             eps = model.predict_epsilon(xm, times[j] * cfg.schedule.steps_T)
             ddim_transfer(xm, eps, ab[j], ab[j + 1], xm, scratch[: rows[j]])
             _check_finite(xm, nodes[j + 1], times[j + 1])
-            yield nodes[j + 1]
+            if nodes[j + 1] in keep:
+                keep[nodes[j + 1]][...] = x
+    return x
 
 
 def _check_finite(x: np.ndarray, node: int, time: float) -> None:
@@ -144,7 +144,7 @@ def _check_finite(x: np.ndarray, node: int, time: float) -> None:
         )
 
 
-def _check_model(model, direction: Direction, leg: str, schedule: NoiseSchedule) -> None:
+def _check_model(model, direction: Direction, schedule: NoiseSchedule) -> None:
     """A model must use the leg's attention priority and the bridge's schedule.
 
     A trained model embeds its step as t / steps_total, so one trained on
@@ -152,6 +152,7 @@ def _check_model(model, direction: Direction, leg: str, schedule: NoiseSchedule)
     analytic model reads its own schedule, which must equal the bridge's
     in T and alpha_bars (by value: two equal schedules may be two objects).
     """
+    leg = direction.value
     att_cfg = getattr(model, "attention", None)
     wanted = select_priority(direction)
     if att_cfg is not None and att_cfg.priority != wanted:
@@ -218,9 +219,9 @@ def depth_sweep(
     """Depth-controlled migration at every depth of a grid, one stack in grid order.
 
     Returns an array ``(len(depths), *x_source.shape)`` whose row k is the
-    migration at ``depths[k]``.  Two walks serve the whole grid.  The
-    forward leg walks the source model from 0 to the deepest snapped
-    depth and copies the state at each depth's node into a stack,
+    migration at ``depths[k]``.  Two ``flow_ode`` calls serve the whole
+    grid.  The forward leg walks the source model from 0 to the deepest
+    snapped depth and keeps the state at each depth's node in a stack,
     deepest first.  The descent walks the target model from there back
     to 0 over that stack; each row starts moving when the walk reaches
     its depth's node.  A sweep therefore calls each model once per grid
@@ -229,19 +230,15 @@ def depth_sweep(
     row is bit-identical to a one-depth sweep at its depth.  Every row is
     its own copy; depths that snap to one node give equal rows.
     """
-    x = np.array(x_source, dtype=np.float64)
     nodes = [cfg.node(float(d)) for d in depths]
-    _check_model(model_src, Direction.FORWARD, "forward", cfg.schedule)
-    _check_model(model_tgt, Direction.REVERSE, "reverse", cfg.schedule)
+    _check_model(model_src, Direction.FORWARD, cfg.schedule)
+    _check_model(model_tgt, Direction.REVERSE, cfg.schedule)
 
     # Row r of the descent's stack belongs to the r-th deepest node.
     deepest_first = sorted(set(nodes), reverse=True)
     row = {k: r for r, k in enumerate(deepest_first)}
-    deepest = max(nodes, default=0)
-    stack = np.empty((len(row), *x.shape))
-    for k in _walk(x, model_src, 0, deepest, cfg):
-        if k in row:
-            stack[row[k]] = x
-    for _ in _walk(stack, model_tgt, deepest, 0, cfg, deepest_first):
-        pass
+    deepest = max(nodes, default=0) / cfg.grid_steps
+    stack = np.empty((len(row), *np.shape(x_source)))
+    flow_ode(x_source, model_src, 0.0, deepest, cfg, keep=dict(zip(deepest_first, stack)))
+    stack = flow_ode(stack, model_tgt, deepest, 0.0, cfg, starts=deepest_first)
     return stack[[row[k] for k in nodes]]

@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     except (NonFiniteStateError, TrainingDivergedError, DegenerateEndpointsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

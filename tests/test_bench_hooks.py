@@ -82,3 +82,6 @@ def test_calibration_metrics_measure_the_label_command(tmp_path):
     metrics = tracer.layer_metrics(0, 0)
     assert metrics["softlabel.calibrate_depth.calls"] == 1
     assert metrics["softlabel.calibrate_depth.nfe"] == 40
+    # Each leg of the sweep is one traced flow_ode call over its grid steps.
+    assert metrics["bridge.flow_ode.calls"] == 2
+    assert metrics["bridge.grid_steps"] == 40

@@ -392,6 +392,43 @@ class TestDepthSweep:
             depth_sweep(np.zeros(2), m_fwd, m_fwd, cfg, [0.5])
 
 
+class TestFlowOdeKeepAndStarts:
+    """The two walk options a depth sweep's legs use, each against plain flow_ode runs."""
+
+    @pytest.mark.parametrize("pair", ["gmm", "texture"])
+    @pytest.mark.parametrize("t0,t1", [(0.0, 0.75), (0.75, 0.0)])
+    def test_each_kept_state_equals_a_flow_to_its_node(self, gmm_setup, pair, t0, t1):
+        m_src, _, xs, steps = TestDepthSweep._pairs(gmm_setup)[pair]
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
+        before = xs.tobytes()
+        # The start node, two inner nodes and the end node.
+        nodes = [0, steps // 4, steps // 2, round(0.75 * steps)]
+        keep = {k: np.full_like(xs, np.nan) for k in nodes}
+        out = flow_ode(xs, m_src, t0, t1, cfg, keep=keep)
+        assert xs.tobytes() == before
+        for k, kept in keep.items():
+            ref = flow_ode(xs, m_src, t0, k / steps, cfg)
+            assert kept.tobytes() == ref.tobytes()
+            assert not np.shares_memory(kept, out)
+        assert out.tobytes() == keep[cfg.node(t1)].tobytes()
+
+    @pytest.mark.parametrize("pair", ["gmm", "texture"])
+    def test_each_row_of_a_staggered_descent_equals_its_own_flow(self, gmm_setup, pair):
+        m_src, m_tgt, xs, steps = TestDepthSweep._pairs(gmm_setup)[pair]
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
+        # Descending, with two rows on one node and a row that never moves.
+        starts = [steps, steps // 2, steps // 2, steps // 4, 0]
+        stack = np.stack([flow_ode(xs, m_src, 0.0, k / steps, cfg) for k in starts])
+        before = stack.tobytes()
+        out = flow_ode(stack, m_tgt, 1.0, 0.0, cfg, starts=starts)
+        assert stack.tobytes() == before
+        assert not np.shares_memory(out, stack)
+        for row, k, start in zip(out, starts, stack):
+            ref = flow_ode(start, m_tgt, k / steps, 0.0, cfg)
+            assert row.tobytes() == ref.tobytes()
+        assert out[-1].tobytes() == stack[-1].tobytes()
+
+
 class TestTextureDdimOracle:
     """DDIM on the exact texture models against the per-mode product of its step gains.
 

@@ -702,6 +702,23 @@ class TestChecksBeforeAnyOutput:
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    # 10**15 float64 values are 8 PB, past a 47-bit address space, so numpy
+    # refuses each allocation at once and never touches memory.
+    @pytest.mark.parametrize("command,overrides", [
+        ("gen", {"gen_count": 10**30}),
+        ("gen", {"gen_count": 10**15}),
+        ("migrate", {"bridge": {"steps_per_unit_time": 10**15}}),
+        ("train", {"train": {"samples": 10**15}}),
+    ])
+    def test_a_setting_too_large_to_allocate_exits_one_and_leaves_no_files(
+        self, command, overrides, tmp_path, capsys
+    ):
+        cfg, out = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_deeply_nested_config_exits_one_and_leaves_no_files(self, tmp_path, capsys):
         # json.dumps cannot write this nesting; the decoder runs out of recursion depth.
         cfg = tmp_path / "deep.json"
