@@ -3,7 +3,10 @@
 A run is fully described by its RunConfig: domain pair, schedule, bridge
 settings, model source, and per-command parameters, all serializable to
 JSON.  Re-running any command with the same config and tool version
-reproduces the primary outputs byte for byte.
+reproduces the primary outputs byte for byte.  ``RunConfig.from_dict``
+is the one way in from JSON: the CLI reads the config file and sets
+its flags' fields on the JSON object before that one call, so files
+and flags meet the same checks.
 
 The ``train`` section is the library's TrainConfig.  ``train`` imports
 it from here, so the package binds ``__version__`` before its submodules.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -237,40 +240,6 @@ class RunConfig:
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
-
-    def with_overrides(
-        self,
-        seed: int | None = None,
-        out: str | None = None,
-        steps: int | None = None,
-        depth_grid: tuple[float, ...] | None = None,
-        cutoff: float | None = None,
-        targets: tuple[float, ...] | None = None,
-    ) -> "RunConfig":
-        """Apply command-line flag overrides (flags beat file fields)."""
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if out is not None:
-            cfg = replace(cfg, out=out)
-        if steps is not None:
-            cfg = replace(cfg, bridge=replace(cfg.bridge, steps_per_unit_time=steps))
-        if depth_grid is not None:
-            cfg = replace(cfg, sweep_depths=depth_grid)
-        if cutoff is not None:
-            cfg = replace(cfg, highpass_cutoff=cutoff)
-        if targets is not None:
-            cfg = replace(cfg, label_targets=targets)
-        return cfg
 
 
 class RunManifest:

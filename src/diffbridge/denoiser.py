@@ -164,7 +164,13 @@ class AnalyticFieldEpsilon(EpsilonModel):
     pair of flat complex work arrays holding the half spectrum
     (H x (W//2+1) values a field), grown to the largest input seen and
     viewed as each call's shape, so a call allocates only the array it
-    returns; calls must not overlap across threads.
+    returns; calls must not overlap across threads.  Measured on a
+    200-node texture-32 walk of 18 fields (``flow_ode`` 0 -> 1, numpy
+    2.4.6, one BLAS thread, 2-vCPU VM): with fresh work arrays on every
+    call and other batch-sized arrays allocated between walks, the walk
+    made 43 minor faults against none and took about 2% longer (49.2-50.2
+    against 48.2-49.4 ms); alone in a process, or in a two-model
+    ``migrate`` or ``depth_sweep``, the two read the same within noise.
 
     Every transform runs along a contiguous last axis: the column pass
     works on a transposed copy of the half spectrum, which gives the

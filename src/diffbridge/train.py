@@ -44,9 +44,8 @@ class TrainingDivergedError(RuntimeError):
 class _Adam:
     """First/second-moment adaptive updates, decay 0.9/0.999, eps 1e-8.
 
-    ``step`` evaluates the textbook update's operations in their order,
-    into two work arrays the size of the largest parameter, so it
-    allocates nothing.
+    ``step`` evaluates the textbook update's operations in their order
+    and updates the parameters and moments in place.
     """
 
     def __init__(self, params: list[np.ndarray], lr: float):
@@ -54,8 +53,6 @@ class _Adam:
         self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        largest = max(p.size for p in params)
-        self._work = (np.empty(largest), np.empty(largest))
         self.step_count = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
@@ -64,19 +61,17 @@ class _Adam:
         correction1 = 1.0 - b1**self.step_count
         correction2 = 1.0 - b2**self.step_count
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            a, b = (w[: p.size].reshape(p.shape) for w in self._work)
-            # m = b1 m + (1 - b1) g
             m *= b1
-            m += np.multiply(1 - b1, g, out=a)
-            # v = b2 v + (1 - b2) g g
+            m += (1 - b1) * g
             v *= b2
-            np.multiply(1 - b2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            # p -= lr (m / correction1) / (sqrt(v / correction2) + eps)
-            np.multiply(self.lr, np.divide(m, correction1, out=a), out=a)
-            np.sqrt(np.divide(v, correction2, out=b), out=b)
-            b += eps
-            p -= np.divide(a, b, out=a)
+            v += (1 - b2) * g * g
+            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+
+
+def _seed_words(seed: int) -> tuple[int, int, int]:
+    """The seed's words: dense weights, the training loop's draws, attention weights."""
+    init_seed, loop_seed, att_seed = np.random.SeedSequence(seed).generate_state(3)
+    return int(init_seed), int(loop_seed), int(att_seed)
 
 
 def init_model(
@@ -93,8 +88,7 @@ def init_model(
     field, ...) raises ValueError.
     """
     field_size = int(np.prod(field_shape))
-    # The seed's words: dense weights, the training loop's draws, attention weights.
-    init_seed, _, att_seed = (int(w) for w in np.random.SeedSequence(seed).generate_state(3))
+    init_seed, _, att_seed = _seed_words(seed)
     att_cfg = None
     if cfg.attention is not None:
         token_count = cfg.attention["token_count"]
@@ -140,8 +134,8 @@ def train_denoiser(
     field_size = int(np.prod(field_shape))
     model = init_model(field_shape, cfg, schedule, seed, priority)
 
-    _, loop_seed = np.random.SeedSequence(seed).generate_state(2)
-    rng = np.random.default_rng(int(loop_seed))
+    _, loop_seed, _ = _seed_words(seed)
+    rng = np.random.default_rng(loop_seed)
     opt = _Adam(model.parameters(), cfg.learning_rate)
     n = data.shape[0]
     history: list[float] = []

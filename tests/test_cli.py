@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, manifests, determinism, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -388,7 +389,8 @@ class _Setup:
 
     def __init__(self, cfg_path, out):
         self.cfg_path, self.out = cfg_path, out
-        self.cfg = RunConfig.from_file(cfg_path)
+        args = cli.build_parser().parse_args(["gen", "--config", str(cfg_path)])
+        self.cfg = cli._load_config(args)
         schedule = self.cfg.schedule.build()
         self.pair = self.cfg.domains.build(self.cfg.seed)
         self.models = _build_models(self.cfg, self.pair, schedule)
@@ -729,6 +731,45 @@ class TestChecksBeforeAnyOutput:
         assert "config is not valid JSON: " in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_a_config_that_is_not_utf8_exits_one_and_leaves_no_files(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"out": "caf\xe9"}')
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        message = "error: config is not valid JSON: 'utf-8' codec can't decode byte 0xe9"
+        assert err.startswith(message) and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw,message", [
+        ({"bridge": 5}, "config section 'bridge' must be an object"),
+        ([1], "config must be a JSON object, not list"),
+    ], ids=["section", "file"])
+    def test_a_flag_leaves_a_file_or_section_that_is_not_an_object_to_the_config_check(
+        self, raw, message, tmp_path, capsys
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(out), "--steps", "3"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sweep", "--depth-grid", "0,,1"),
+        ("label", "--targets", ""),
+    ], ids=["depth-grid", "targets"])
+    def test_a_malformed_list_flag_is_refused_by_name_and_leaves_no_files(
+        self, command, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg, out = texture_config(tmp_path)
+        assert main([command, "--config", str(cfg), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: expected comma-separated numbers, got {value!r}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_deeply_nested_checkpoint_header_exits_one_and_leaves_no_files(self, tmp_path, capsys):
         ckpt = tmp_path / "deep.ckpt"
         blob = ("[" * 100000 + "]" * 100000).encode()
@@ -839,6 +880,42 @@ class TestFlagsAreConfigOverrides:
         for key in keys:
             config = config[key]
         assert config == echo
+
+
+    @pytest.mark.parametrize("key,bad,flag,value,echo", [
+        ("seed", -1, "--seed", "2", 2),
+        ("out", "", "--out", "x", "x"),
+    ], ids=["seed", "out"])
+    def test_a_flag_beats_a_file_value_the_config_would_refuse(
+        self, key, bad, flag, value, echo, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg, out = write_config(tmp_path, **{key: bad})
+        assert main(["gen", "--config", str(cfg), flag, value]) == 0
+        assert manifest_of(Path(value) if flag == "--out" else out)["config"][key] == echo
+
+    def test_every_flag_is_one_row_naming_a_config_field(self):
+        fields = RunConfig().to_dict()
+        for flag in cli._FLAGS:
+            section = fields
+            for key in flag.path:
+                assert isinstance(section, dict) and key in section, flag
+                section = section[key]
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, command_parser in commands.choices.items():
+            options = {o for a in command_parser._actions for o in a.option_strings}
+            rows = {f.option for f in cli._FLAGS if f.command in (None, command)}
+            assert options == {"-h", "--help", "--config"} | rows, command
+
+    @pytest.mark.parametrize("command", ["gen", "label"])
+    def test_help_shows_each_flag_with_a_readable_metavar(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        for usage in ("--config CONFIG", "--seed SEED", "--out OUT", "--steps STEPS",
+                      "--depth-grid DEPTH_GRID", "--cutoff CUTOFF"):
+            assert usage in text
+        assert ("--targets TARGETS" in text) == (command == "label")
 
 
 class TestVerifyCommand:

@@ -1,4 +1,4 @@
-"""RunConfig serialization, overrides, and manifest bookkeeping."""
+"""RunConfig serialization, the CLI's config loading, and manifest bookkeeping."""
 
 import json
 import re
@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 from diffbridge import cli
-from diffbridge.config import RunConfig, RunManifest
+from diffbridge.config import BridgeSpec, RunConfig, RunManifest
+
+
+def load(*argv) -> RunConfig:
+    """The config the CLI builds from these arguments."""
+    return cli._load_config(cli.build_parser().parse_args(argv))
 
 
 class TestRunConfig:
@@ -23,7 +28,7 @@ class TestRunConfig:
         back = RunConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
-    def test_from_file(self, tmp_path):
+    def test_config_file_sets_fields_and_keeps_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "seed": 9,
@@ -32,7 +37,7 @@ class TestRunConfig:
             "train": {"hidden": [8, 8], "epochs": 2},
             "sweep_depths": [0, 0.5, 1],
         }))
-        cfg = RunConfig.from_file(path)
+        cfg = load("gen", "--config", str(path))
         assert cfg.seed == 9
         assert cfg.domains.kind == "texture"
         assert cfg.train.hidden == (8, 8)
@@ -43,8 +48,8 @@ class TestRunConfig:
     def test_rejects_malformed(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(ValueError):
-            RunConfig.from_file(bad)
+        with pytest.raises(ValueError, match="^config is not valid JSON: "):
+            load("gen", "--config", str(bad))
         with pytest.raises(ValueError):
             RunConfig.from_dict({"schedule": "linear"})
         with pytest.raises(ValueError):
@@ -107,10 +112,14 @@ class TestRunConfig:
         ):
             RunConfig.from_dict({"models": models})
 
-    def test_flag_overrides_beat_file_fields(self):
-        cfg = RunConfig(seed=1, out="a", highpass_cutoff=0.25)
-        over = cfg.with_overrides(
-            seed=2, out="b", steps=50, depth_grid=(0.0, 1.0), cutoff=0.4, targets=(0.3, 0.7)
+    def test_flag_overrides_beat_file_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"seed": 1, "out": "a", "highpass_cutoff": 0.25, "bridge": {"steps_per_unit_time": 7}}
+        ))
+        over = load(
+            "label", "--config", str(path), "--seed", "2", "--out", "b", "--steps", "50",
+            "--depth-grid", "0,1", "--cutoff", "0.4", "--targets", "0.3,0.7",
         )
         assert over.seed == 2
         assert over.out == "b"
@@ -118,8 +127,9 @@ class TestRunConfig:
         assert over.sweep_depths == (0.0, 1.0)
         assert over.highpass_cutoff == 0.4
         assert over.label_targets == (0.3, 0.7)
-        # None overrides leave fields alone.
-        assert cfg.with_overrides() == cfg
+        # Absent flags leave fields alone.
+        cfg = RunConfig(seed=1, out="a", highpass_cutoff=0.25, bridge=BridgeSpec(7))
+        assert load("label", "--config", str(path)) == cfg
 
     def test_every_construction_checks_lists_and_out(self):
         with pytest.raises(ValueError, match="^sweep_depths must be a list of finite numbers"):
@@ -131,7 +141,7 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=r"^sweep depth 1.5 outside \[0, 1\]$"):
             RunConfig(sweep_depths=(0.0, 1.5))
         with pytest.raises(ValueError, match=r"^label target -0.1 outside \[0, 1\]$"):
-            RunConfig().with_overrides(targets=(0.5, -0.1))
+            load("label", "--targets", "0.5,-0.1")
         assert RunConfig(label_targets=[0, 1]).label_targets == (0.0, 1.0)
         assert RunConfig(sweep_depths=[0, 1]).sweep_depths == (0.0, 1.0)
 
@@ -141,7 +151,7 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="^label_targets is empty$"):
             RunConfig.from_dict({"label_targets": []})
         with pytest.raises(ValueError, match="^sweep_depths is empty$"):
-            RunConfig().with_overrides(depth_grid=())
+            replace(RunConfig(), sweep_depths=())
 
     def test_domain_build_dispatch(self):
         assert RunConfig().domains.build(0).shape == (2,)
