@@ -11,13 +11,19 @@ array of grid nodes that ``BridgeConfig.walk_nodes`` builds; a depth
 sweep is two calls, one per leg.  The forward leg keeps the state at
 each depth's node (``keep``); the descent walks the stack of those
 states, each row starting at its own node (``starts``).  The models
-are pure.  The GMM model keeps a read-only table of T+1 step
-constants; the texture model reuses mutable work arrays, so a texture
-model's calls must not overlap across threads.  Every entry point takes
-one sample or a batch of samples along a leading axis; models broadcast
-over it, so a batch costs one model call per grid step and each row is
-bit-identical to that sample's own run.  Every entry point returns
-plain arrays.
+are pure and may be shared read-only across threads.  Every entry
+point takes one sample or a batch of samples along a leading axis;
+models broadcast over it, so a batch costs one model call per grid step
+and each row is bit-identical to that sample's own run.  Every entry
+point returns plain arrays.
+
+A walk runs in its model's ``basis``.  An exact texture model's basis is
+its ortho ``rfft2`` half spectrum, where its eps is one real gain per
+mode: ``flow_ode`` maps the rows it moves in once, steps the spectrum's
+float64 view, and maps back once at the end and once at each kept node,
+so a leg costs one transform pair, not one per model call.  A row that
+never moves keeps its bytes.  The GMM and trained models have no basis
+and step their own arrays.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
@@ -94,16 +100,16 @@ def flow_ode(
     """Integrate the flow from time t0 to t1 (in [0, 1], either direction).
 
     The bridge's one loop over grid nodes: a copy of x_start, walked
-    node by node and returned.  t0 < t1 noises, t0 > t1 denoises; equal
-    (snapped) endpoints return the copy with zero arithmetic applied.
-    x_start may be a batch: each grid step is one model call on the
-    whole batch, and a non-finite value in any row stops the run at
-    that node.  With starts (a descending grid node per row) the step
-    from node k moves only the leading rows whose start is >= k, so each
-    row starts at its own node.  keep maps grid nodes (``cfg.node``) to
-    arrays shaped like x_start; the walk copies its state into keep[k]
-    when it reaches node k, the start node before any step.  x_start is
-    never written.
+    node by node in the model's basis and returned.  t0 < t1 noises,
+    t0 > t1 denoises; equal (snapped) endpoints return the copy with zero
+    arithmetic applied.  x_start may be a batch: each grid step is one
+    model call on the whole batch, and a non-finite value in any row
+    stops the run at that node.  With starts (a descending grid node per
+    row) the step from node k moves only the leading rows whose start is
+    >= k, so each row starts at its own node.  keep maps grid nodes
+    (``cfg.node``) to arrays shaped like x_start; the walk copies its
+    state, mapped out of the model's basis, into keep[k] when it reaches
+    node k, the start node before any step.  x_start is never written.
     """
     x = np.array(x_start, dtype=np.float64)
     keep = keep or {}
@@ -112,20 +118,35 @@ def flow_ode(
     rows = [None] * len(nodes)
     if starts is not None:
         rows = np.searchsorted(-np.asarray(starts), -nodes, side="right")
-    ab = cfg.schedule.alpha_bar_at(times)
-    scratch = np.empty_like(x)
     if nodes[0] in keep:
         keep[nodes[0]][...] = x
+    if len(nodes) == 1:
+        return x
+    # Only the rows the walk moves enter the model's basis, so a row that
+    # never moves keeps its bytes.  Without a basis the state is x's rows.
+    moving = x if starts is None else x[: rows[:-1].max()]
+    into, out_of = model.basis or (None, None)
+    state = moving if into is None else into(moving)
+    floats = state.view(np.float64)  # a complex spectrum steps as (real, imaginary) pairs
+    scratch = np.empty_like(floats)
+    ab = cfg.schedule.alpha_bar_at(times)
     # Non-finite intermediates raise NonFiniteStateError below; the float
     # warnings they would emit first are noise.
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(len(nodes) - 1):
-            xm = x[: rows[j]]
-            eps = model.predict_epsilon(xm, times[j] * cfg.schedule.steps_T)
+            xm = floats[: rows[j]]
+            t = times[j] * cfg.schedule.steps_T
+            if into is None:  # the model scores the float rows themselves
+                eps = model.predict_epsilon(xm, t)
+            else:
+                eps = model.predict_epsilon(state[: rows[j]], t).view(np.float64)
             ddim_transfer(xm, eps, ab[j], ab[j + 1], xm, scratch[: rows[j]])
-            _check_finite(xm, nodes[j + 1], times[j + 1])
-            if nodes[j + 1] in keep:
-                keep[nodes[j + 1]][...] = x
+            k = nodes[j + 1]
+            _check_finite(xm, k, times[j + 1])
+            if out_of is not None and (k in keep or k == nodes[-1]):
+                moving[...] = out_of(state)
+            if k in keep:
+                keep[k][...] = x
     return x
 
 

@@ -4,12 +4,12 @@ All models implement ``predict_epsilon(x, t) -> eps`` where ``eps`` has
 x's shape and t is a diffusion step in [0, T] (fractional steps are
 accepted so the continuous-time integrator can query between knots; at
 t = 0 the optimal prediction is exactly zero).  Prediction is pure:
-identical arguments give identical outputs.  The mixture model and the
-network may be shared read-only across threads; the texture model
-reuses mutable work arrays, so its calls must not overlap across
-threads.  Every model broadcasts over leading
+identical arguments give identical outputs, and every model may be
+shared read-only across threads.  Every model broadcasts over leading
 axes: a batch (..., *sample_shape) is scored in one call, and each of
 its samples gets the bytes a call on that sample alone would give.
+A model may also have a ``basis`` it scores states in (see
+``EpsilonModel``); the texture model's is its Fourier half spectrum.
 
 Three implementations:
 
@@ -43,13 +43,12 @@ model tabulates, once per model, each integer step's alpha_bar,
 log-normaliser: read-only arrays of T+1 rows of 3 + 2K floats for K
 components, whatever the dimension.  A call hands its step's row to
 ``domains.gmm_score``, which scales the means and scores the noised
-mixture without building it.  The texture model transforms a real field
-with a real-input FFT pair and keeps one pair of half-spectrum work
-arrays, bounded by the largest batch it has scored; its calls must not
-overlap across threads.  Its column pass runs on a transposed copy, so
-every transform reads a contiguous last axis, and its gain is a multiply
-by the reciprocal numpy's complex division uses: the bytes of the
-strided, dividing formula, up to the sign of an exact zero.
+mixture without building it.  The texture model keeps its half-plane
+variances, laid out as the float64 view of a half spectrum: H x
+2(W//2+1) floats.  A half spectrum's eps is one multiply of that view by
+a real gain, the reciprocal numpy's complex division uses; a field's is
+that multiply between one ``rfft2`` and one ``irfft2``, with the bytes
+of the dividing formula up to the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -81,7 +80,16 @@ CHECKPOINT_VERSION = 1
 
 
 class EpsilonModel(ABC):
-    """Behavioral contract for noise predictors."""
+    """Behavioral contract for noise predictors.
+
+    ``basis`` is None, or a model's (into, out of) pair of maps to a
+    basis it also scores states in: ``predict_epsilon`` then takes a
+    state in either representation and answers in the one it was given.
+    ``bridge.flow_ode`` walks in the basis, where the model's eps and the
+    DDIM update act on the state's float64 view.
+    """
+
+    basis = None
 
     @abstractmethod
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -158,28 +166,20 @@ class AnalyticFieldEpsilon(EpsilonModel):
     (``v[i, j] == v[-i, -j]`` to a relative 1e-6), since a real field's
     transform reads only the half plane ``[:, :W//2+1]``.  The model
     keeps the read-only array ``domains.checked_mode_variances`` returns,
-    so later writes to the caller's array change nothing.  Accepts one
-    (H, W) field or a batch (..., H, W).  Each call computes its
-    alpha_bar and noised variances afresh.  The transforms run in one
-    pair of flat complex work arrays holding the half spectrum
-    (H x (W//2+1) values a field), grown to the largest input seen and
-    viewed as each call's shape, so a call allocates only the array it
-    returns; calls must not overlap across threads.  Measured on a
-    200-node texture-32 walk of 18 fields (``flow_ode`` 0 -> 1, numpy
-    2.4.6, one BLAS thread, 2-vCPU VM): with fresh work arrays on every
-    call and other batch-sized arrays allocated between walks, the walk
-    made 43 minor faults against none and took about 2% longer (49.2-50.2
-    against 48.2-49.4 ms); alone in a process, or in a two-model
-    ``migrate`` or ``depth_sweep``, the two read the same within noise.
+    so later writes to the caller's array change nothing.  Each call
+    computes its alpha_bar and noised variances afresh.
 
-    Every transform runs along a contiguous last axis: the column pass
-    works on a transposed copy of the half spectrum, which gives the
-    strided ``axis=-2`` pass's bytes at less cost, copy included.  The gain
-    is a multiply by ``1.0 / divisor``, the reciprocal numpy's complex
-    division (Smith's algorithm) multiplies by, so every value has the
-    bytes of ``spectrum / divisor`` except that an exact zero may carry
-    the other sign: an all-(-0.0) field gives a zero whose sign differs
-    from the division's.
+    Accepts one (H, W) field or a batch (..., H, W), or the half
+    spectrum of one, a complex (..., H, W//2+1) array in the model's
+    ``basis``, and returns eps in the representation it was given.  In
+    the basis eps is one real gain per mode, multiplied into the float64
+    view of the spectrum's (real, imaginary) pairs.  A field's eps is
+    that multiply between an ortho ``rfft2`` and ``irfft2``.  The gain is
+    ``1.0 / divisor``, the reciprocal numpy's complex division (Smith's
+    algorithm) multiplies by, so a field's eps has the bytes of the
+    strided, dividing formula ``irfft2(rfft2(x) / divisor)``, except that
+    an exact zero may carry the other sign: an all-(-0.0) field gives a
+    zero whose sign differs from the division's.
     """
 
     mode_variances: np.ndarray
@@ -188,36 +188,35 @@ class AnalyticFieldEpsilon(EpsilonModel):
     def __post_init__(self):
         lam = checked_mode_variances(self.mode_variances)
         object.__setattr__(self, "mode_variances", lam)
-        # The half-plane variances in the column pass's (W//2+1, H) layout.
-        object.__setattr__(self, "_half_T", np.ascontiguousarray(lam[:, : lam.shape[1] // 2 + 1].T))
-        object.__setattr__(self, "_work", (np.empty(0, complex), np.empty(0, complex)))
+        # The half-plane variances, each twice in a row, as the float64 view lays out a spectrum.
+        pairs = np.repeat(lam[:, : lam.shape[1] // 2 + 1], 2, axis=-1)
+        pairs.setflags(write=False)
+        object.__setattr__(self, "_half_pairs", pairs)
+
+    @property
+    def basis(self):
+        """The ortho rfft2 half spectrum: (field -> spectrum, spectrum -> field)."""
+        shape = self.mode_variances.shape
+        return (lambda x: np.fft.rfft2(x, norm="ortho"),
+                lambda spectrum: np.fft.irfft2(spectrum, s=shape, norm="ortho"))
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-2:] != self.mode_variances.shape:
-            raise ValueError(
-                f"field shape {x.shape} != domain shape {self.mode_variances.shape}"
-            )
+        spectral = np.iscomplexobj(x)
+        x = np.ascontiguousarray(x, dtype=np.complex128 if spectral else np.float64)
+        height, width = self.mode_variances.shape
+        shape = (height, width // 2 + 1) if spectral else (height, width)
+        if x.shape[-2:] != shape:
+            raise ValueError(f"field shape {x.shape} != domain shape {shape}")
         t = _check_step(t, self.schedule.steps_T)
         ab = self.schedule.alpha_bar_at(t / self.schedule.steps_T)
         if ab >= 1.0:
             return np.zeros_like(x)
-        half_w, height = self._half_T.shape
-        lead = x.shape[:-2]
-        size = math.prod(lead) * height * half_w
-        if self._work[0].size < size:
-            object.__setattr__(self, "_work", (np.empty(size, complex), np.empty(size, complex)))
-        rows = self._work[0][:size].reshape(*lead, height, half_w)
-        columns = self._work[1][:size].reshape(*lead, half_w, height)
-        # rfft2 and irfft2 as their one-axis passes, the column pass on a
-        # transposed copy; sqrt(1 - ab) rides on the divisor, not on the output.
-        np.fft.rfft(x, axis=-1, norm="ortho", out=rows)
-        np.copyto(columns, rows.swapaxes(-1, -2))
-        np.fft.fft(columns, axis=-1, norm="ortho", out=columns)
-        columns *= 1.0 / ((ab * self._half_T + (1.0 - ab)) / math.sqrt(1.0 - ab))
-        np.fft.ifft(columns, axis=-1, norm="ortho", out=columns)
-        np.copyto(rows, columns.swapaxes(-1, -2))
-        return np.fft.irfft(rows, n=self.mode_variances.shape[1], axis=-1, norm="ortho")
+        into, out_of = self.basis
+        spectrum = x if spectral else into(x)
+        # sqrt(1 - ab) rides on the divisor, not on the output.
+        gain = 1.0 / ((ab * self._half_pairs + (1.0 - ab)) / math.sqrt(1.0 - ab))
+        eps = np.multiply(spectrum.view(np.float64), gain).view(np.complex128)
+        return eps if spectral else out_of(eps)
 
 
 # ---------------------------------------------------------------------------

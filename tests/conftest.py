@@ -1,4 +1,4 @@
-"""Shared pytest hooks: acceptance lines, fuzz settings, gradient and memory checks."""
+"""Shared pytest hooks: acceptance lines, fuzz settings, gradient and memory checks, texture variances."""
 
 import tracemalloc
 
@@ -33,6 +33,12 @@ def mlp_gradcheck(model, x, t, target):
     analytic, numeric, _ = central_differences(model, x, t, target)
     denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
     return float(np.max(np.abs(numeric - analytic) / denom))
+
+
+def even_variances(shape, seed):
+    """Positive mode variances with v[i, j] == v[-i, -j] exactly."""
+    v = np.random.default_rng(seed).uniform(0.05, 2.0, shape)
+    return (v + np.roll(v[::-1, ::-1], 1, axis=(0, 1))) / 2
 
 
 def traced_peak(fn) -> int:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import diffbridge as db
+from conftest import even_variances
+from diffbridge import bridge as bridge_module
 from diffbridge.attention import Priority
 from diffbridge.domains import sample_domain
 from diffbridge.bridge import (
@@ -169,18 +171,33 @@ class TestFlowOde:
 
     @pytest.mark.parametrize("case", ["texture", "gmm-50"])
     def test_in_place_steps_match_the_textbook_recursion(self, case):
-        """flow_ode steps in place; its bytes equal the plain out-of-place DDIM formulas."""
+        """flow_ode steps in place; its bytes equal the plain out-of-place DDIM formulas.
+
+        The texture model's state steps in its basis, the ortho rfft2 half
+        spectrum, as (real, imaginary) float pairs, and maps back to pixels
+        once; that walk lies within 1e-13 of the recursion on pixels.  The
+        GMM model has no basis and steps its points.
+        """
         sched, model, x, n = self._textbook_case(case)
         cfg = BridgeConfig(schedule=sched, steps_per_unit_time=n)
         times = np.arange(0, 31) / n
         ab = sched.alpha_bar_at(times)
-        expected = x
-        for j in range(30):
-            eps = model.predict_epsilon(expected, times[j] * sched.steps_T)
-            x0_hat = (expected - np.sqrt(1.0 - ab[j]) * eps) / np.sqrt(ab[j])
-            expected = np.sqrt(ab[j + 1]) * x0_hat + np.sqrt(1.0 - ab[j + 1]) * eps
+
+        def recursion(state):
+            for j in range(30):
+                eps = model.predict_epsilon(state, times[j] * sched.steps_T).view(np.float64)
+                floats = state.view(np.float64)
+                x0_hat = (floats - np.sqrt(1.0 - ab[j]) * eps) / np.sqrt(ab[j])
+                state = (np.sqrt(ab[j + 1]) * x0_hat + np.sqrt(1.0 - ab[j + 1]) * eps).view(state.dtype)
+            return state
+
         got = flow_ode(x, model, 0.0, 0.75, cfg)
-        assert got.tobytes() == expected.tobytes()
+        if model.basis is None:
+            assert got.tobytes() == recursion(x).tobytes()
+        else:
+            into, out_of = model.basis
+            assert got.tobytes() == out_of(recursion(into(x))).tobytes()
+            np.testing.assert_allclose(got, recursion(x), rtol=0, atol=1e-13)
         assert not np.shares_memory(got, x)
 
     @pytest.mark.parametrize("case", ["texture", "gmm-50"])
@@ -308,10 +325,11 @@ class TestDepthMigrate:
 
 
 class _Counting(db.EpsilonModel):
-    """A model that records the input shape of each of its calls."""
+    """A model that records the input shape of each of its calls, walking in its inner model's basis."""
 
     def __init__(self, inner):
         self.inner, self.shapes = inner, []
+        self.basis = inner.basis
 
     def predict_epsilon(self, x, t):
         self.shapes.append(x.shape)
@@ -356,7 +374,7 @@ class TestDepthSweep:
         frames = depth_sweep(xs, src, tgt, cfg, grid)
         assert len(src.shapes) == len(tgt.shapes) == round(max(grid) * steps)
         # The descent starts with the deepest depth's rows and ends with all five depths'.
-        assert tgt.shapes[0] == (1, *xs.shape) and tgt.shapes[-1] == (5, *xs.shape)
+        assert tgt.shapes[0][:2] == (1, len(xs)) and tgt.shapes[-1][:2] == (5, len(xs))
         for depth, frame in zip(grid, frames):
             ref = depth_migrate(xs, m_src, m_tgt, cfg, depth)
             assert frame.tobytes() == ref.tobytes()
@@ -427,6 +445,130 @@ class TestFlowOdeKeepAndStarts:
             ref = flow_ode(start, m_tgt, k / steps, 0.0, cfg)
             assert row.tobytes() == ref.tobytes()
         assert out[-1].tobytes() == stack[-1].tobytes()
+
+
+class _PixelWalk(db.EpsilonModel):
+    """A model scored with no basis, so flow_ode walks it on pixels."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict_epsilon(self, x, t):
+        return self.inner.predict_epsilon(x, t)
+
+
+def skewed_variances(shape, seed):
+    """Even variances whose self-conjugate columns are uneven by a relative 0.9e-6.
+
+    In the half spectrum's columns 0 and W/2, mode (i, j) and its negation
+    (-i, j) are both held and get their own gain, so there a walk in the
+    basis keeps an unevenness that pixels drop at every step.
+    """
+    lam = even_variances(shape, seed)
+    columns = [0, shape[1] // 2] if shape[1] % 2 == 0 else [0]
+    lam[1 : (shape[0] + 1) // 2, columns] *= 1.0 + 0.9e-6
+    return lam
+
+
+class TestBasisWalk:
+    """flow_ode walks a model with a basis there: one transform in, one out per kept or end node."""
+
+    STEPS = 20
+
+    @pytest.fixture
+    def texture(self):
+        sched = db.linear_schedule(1000)
+        pair = db.make_texture_pair("bandsplit", 16, seed=4)
+        models = tuple(db.AnalyticFieldEpsilon(d.mode_variances, sched) for d in (pair.source, pair.target))
+        return sched, models, pair.source.sample(3, seed=5)
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Log each flow_ode call, each rfft2 and irfft2, and each model input, in order."""
+        log = []
+        for name in ("rfft2", "irfft2"):
+            def transform(a, *args, _name=name, _inner=getattr(np.fft, name), **kwargs):
+                log.append((_name, a.shape))
+                return _inner(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, transform)
+        for cls in (db.AnalyticFieldEpsilon, db.AnalyticGmmEpsilon):
+            def predict(model, x, t, _inner=cls.predict_epsilon):
+                log.append(("predict", x.dtype, x.shape))
+                return _inner(model, x, t)
+            monkeypatch.setattr(cls, "predict_epsilon", predict)
+        flow = bridge_module.flow_ode
+
+        def flow_ode_logged(*args, **kwargs):
+            log.append(("flow_ode",))
+            return flow(*args, **kwargs)
+        monkeypatch.setattr(bridge_module, "flow_ode", flow_ode_logged)
+        return log
+
+    @staticmethod
+    def _legs(log):
+        """The log cut at each flow_ode call."""
+        legs = []
+        for entry in log:
+            if entry == ("flow_ode",):
+                legs.append([])
+            else:
+                legs[-1].append(entry)
+        return legs
+
+    def test_a_migrate_leg_is_one_transform_pair_around_one_call_per_step(self, texture, monkeypatch):
+        sched, (m_src, m_tgt), x = texture
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=self.STEPS)
+        log = self._record(monkeypatch)
+        migrate(x, m_src, m_tgt, cfg)
+        legs = self._legs(log)
+        assert len(legs) == 2
+        # The descent walks the one-depth stack, (1, 3, 16, 16).
+        for leg, lead in zip(legs, [(), (1,)]):
+            spectrum = ("predict", np.dtype(complex), (*lead, 3, 16, 9))
+            assert leg == [("rfft2", (*lead, 3, 16, 16)), *[spectrum] * self.STEPS, ("irfft2", spectrum[2])]
+
+    def test_a_sweep_maps_out_at_each_kept_node_and_at_the_end(self, texture, monkeypatch):
+        sched, (m_src, m_tgt), x = texture
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=self.STEPS)
+        log = self._record(monkeypatch)
+        depth_sweep(x, m_src, m_tgt, cfg, [0.0, 0.25, 0.5, 1.0])
+        forward, descent = self._legs(log)
+        # The start node's state is the source itself; node 20 is kept and the end.
+        assert [e for e in forward if e[0] != "predict"] == [("rfft2", (3, 16, 16))] + [("irfft2", (3, 16, 9))] * 3
+        assert [e[0] for e in forward].count("predict") == self.STEPS
+        # Only the three rows that move enter the basis; the depth-0 row keeps its bytes.
+        assert [e for e in descent if e[0] != "predict"] == [("rfft2", (3, 3, 16, 16)), ("irfft2", (3, 3, 16, 9))]
+        assert [e[2][0] for e in descent if e[0] == "predict"] == [1] * 10 + [2] * 5 + [3] * 5
+
+    def test_a_gmm_walk_passes_its_real_points_untouched(self, gmm_setup, monkeypatch):
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=self.STEPS)
+        x = gmm_setup["x"][:4]
+        log = self._record(monkeypatch)
+        migrate(x, gmm_setup["model_a"], gmm_setup["model_b"], cfg)
+        assert gmm_setup["model_a"].basis is None
+        forward, descent = self._legs(log)
+        assert forward == [("predict", np.dtype(float), (4, 2))] * self.STEPS
+        assert descent == [("predict", np.dtype(float), (1, 4, 2))] * self.STEPS
+
+    @pytest.mark.parametrize("shape", [(16, 16), (6, 9)])
+    def test_variances_even_only_to_the_tolerance_walk_within_1e_12_of_pixels(self, shape):
+        sched = db.linear_schedule(1000)
+        lams = [skewed_variances(shape, seed) for seed in (1, 2)]
+        models = [db.AnalyticFieldEpsilon(lam, sched) for lam in lams]
+        assert [m.mode_variances.tobytes() for m in models] == [lam.tobytes() for lam in lams]
+        x = 0.3 * np.random.default_rng(3).standard_normal((4, *shape))
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=200)
+        got = migrate(x, *models, cfg)
+        pixels = migrate(x, *map(_PixelWalk, models), cfg)
+        np.testing.assert_allclose(got, pixels, rtol=0, atol=1e-12)
+
+    def test_a_texture_source_holding_one_nan_stops_at_node_one(self, texture):
+        sched, (m_src, m_tgt), x = texture
+        cfg = BridgeConfig(schedule=sched, steps_per_unit_time=self.STEPS)
+        x = x.copy()
+        x[1, 4, 7] = np.nan
+        with pytest.raises(NonFiniteStateError, match=r"grid node 1 \(time 0.050000\)"):
+            migrate(x, m_src, m_tgt, cfg)
 
 
 class TestTextureDdimOracle:

@@ -21,7 +21,7 @@ from diffbridge.denoiser import (
 )
 from diffbridge.domains import GaussianMixture, gmm_score
 from diffbridge.verify import gradient_error, score_error
-from conftest import mlp_gradcheck, traced_peak
+from conftest import even_variances, mlp_gradcheck, traced_peak
 
 
 class TestAnalyticGmmEpsilon:
@@ -151,12 +151,6 @@ class TestGmmStepTable:
         assert not any(column.flags.writeable for column in model._table)
 
 
-def even_variances(shape, seed):
-    """Positive mode variances with v[i, j] == v[-i, -j] exactly."""
-    v = np.random.default_rng(seed).uniform(0.05, 2.0, shape)
-    return (v + np.roll(v[::-1, ::-1], 1, axis=(0, 1))) / 2
-
-
 def fft2_epsilon(lam, ab, x):
     """The exact texture epsilon through the full complex spectrum."""
     spectrum = np.fft.fft2(x, norm="ortho") / (ab * lam + (1.0 - ab))
@@ -216,7 +210,7 @@ class TestAnalyticFieldEpsilon:
                 np.testing.assert_allclose(got, fft2_epsilon(lam, ab, x), rtol=0, atol=1e-14)
 
     def test_batch_bytes_equal_rfft_formula_across_calls(self):
-        """One pair of half-spectrum work arrays serves every shape; results are not overwritten.
+        """Calls of every shape, in any order, leave earlier results as they were.
 
         They have the bytes of the real-input transform pair and lie
         within 1e-14 of the fft2/ifft2 formula.
@@ -239,7 +233,6 @@ class TestAnalyticFieldEpsilon:
             expected = np.fft.irfft(np.fft.ifft(half, axis=-2, norm="ortho"), n=16, axis=-1, norm="ortho")
             assert eps.tobytes() == expected.tobytes()
             np.testing.assert_allclose(eps, fft2_epsilon(lam, ab, x), rtol=0, atol=1e-14)
-        assert [w.size for w in model._work] == [9 * 16 * 9, 9 * 16 * 9]
 
     @pytest.mark.parametrize("size", [16, 32])
     def test_batch_rows_byte_equal_single_calls(self, size):
@@ -290,19 +283,41 @@ class TestAnalyticFieldEpsilon:
                 got = model.predict_epsilon(x, t)
                 np.testing.assert_array_equal(got, rfft_formula(lam, sched.alpha_bar_at(t / 100), x))
 
-    def test_every_transform_runs_on_a_contiguous_last_axis(self, monkeypatch):
+    def test_a_field_takes_one_transform_pair_and_a_spectrum_none(self, monkeypatch):
+        """A field's eps is one rfft2 and one irfft2, neither given ``out``; a spectrum's is no transform."""
         pair = db.make_texture_pair("bandsplit", 16, seed=0)
         model = db.AnalyticFieldEpsilon(pair.target.mode_variances, db.linear_schedule(100))
         x = pair.source.sample(3, seed=1)
+        spectrum = np.fft.rfft2(x, norm="ortho")
         calls = []
-        for name in ("rfft", "fft", "ifft", "irfft"):
+        for name in ("rfft2", "irfft2"):
             def recording(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
-                axis = kwargs.get("axis", args[1] if len(args) > 1 else -1)
-                calls.append((_name, axis % a.ndim == a.ndim - 1, a.flags.c_contiguous))
+                calls.append((_name, a.shape, "out" in kwargs))
                 return _transform(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, recording)
         model.predict_epsilon(x, 40)
-        assert calls == [(name, True, True) for name in ("rfft", "fft", "ifft", "irfft")]
+        assert calls == [("rfft2", (3, 16, 16), False), ("irfft2", (3, 16, 9), False)]
+        calls.clear()
+        model.predict_epsilon(spectrum, 40)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["6x9", "5x4", "bandsplit-16"])
+    def test_a_spectrum_gets_the_fields_gain_in_its_own_representation(self, name):
+        """Scoring rfft2(x) gives the spectrum the pixel path maps back, and leaves its input as it was."""
+        lam, sample = texture_map(name)
+        model = db.AnalyticFieldEpsilon(lam, db.linear_schedule(100))
+        x = sample(4, 3)
+        spectrum = np.fft.rfft2(x, norm="ortho")
+        before = spectrum.tobytes()
+        for t in (0, 1, 37.5, 100):
+            eps = model.predict_epsilon(spectrum, t)
+            assert eps.dtype == np.complex128 and eps.shape == spectrum.shape
+            field = np.fft.irfft2(eps, s=lam.shape, norm="ortho")
+            assert field.tobytes() == model.predict_epsilon(x, t).tobytes()
+            assert eps[1].tobytes() == model.predict_epsilon(spectrum[1], t).tobytes()
+        assert spectrum.tobytes() == before
+        with pytest.raises(ValueError, match="domain shape"):
+            model.predict_epsilon(np.zeros(lam.shape, complex), 3)
 
     @pytest.mark.parametrize("lam,message", [
         (np.ones(4), "must be a nonempty 2-D array, got shape \\(4,\\)"),
