@@ -8,7 +8,6 @@ hand-written gradients -- all on domains simple enough that every
 operation has an independent oracle.
 """
 
-# Bound before the submodules load: config reads it, and train imports config.
 __version__ = "0.1.0"
 
 from . import attention, bridge, denoiser, diffusion, domains, schedule, softlabel, train

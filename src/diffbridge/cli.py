@@ -11,8 +11,10 @@ depth grid and refuse two depths on one node or frame name, and only
 ``label`` refuses targets that share a frame name.  A command writes its
 outputs under one run directory, which must be new or empty, in the
 subdirectories it uses (frames/, labels/, checkpoints/), created with
-their first file, and finishes with a manifest.json that lists every
-emitted file exactly once.
+their first file.  The command's ``_Run`` holds its settings and its
+ledger, and finishes with a manifest.json that lists every emitted file
+exactly once, beside the command, the config echo, the tool version,
+notes and the wall-clock time.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 verification failure.
@@ -24,7 +26,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -33,7 +36,7 @@ import numpy as np
 from . import __version__
 from .attention import Direction, select_priority
 from .bridge import BridgeConfig, NonFiniteStateError, depth_sweep, migrate
-from .config import RunConfig, RunManifest
+from .config import RunConfig
 from .denoiser import AnalyticFieldEpsilon, AnalyticGmmEpsilon, load_checkpoint, save_checkpoint
 from .domains import DomainPair, GaussianMixture, gmm_log_density, sample_domain, save_pgm
 from .schedule import NoiseSchedule
@@ -251,39 +254,65 @@ def _settings(cfg: RunConfig) -> tuple[DomainPair, NoiseSchedule, BridgeConfig, 
 
 @dataclass(frozen=True)
 class _Run:
-    """The setup every writing command shares; building it writes nothing."""
+    """One writing command's run directory: its settings and its ledger.
 
+    Building it writes nothing.  ``add`` records each emitted file once,
+    ``notes`` holds the command's summary values, and ``finish`` writes
+    ``out/manifest.json``.
+    """
+
+    config: RunConfig
+    command: str
+    start: float                 # time.monotonic() before the settings were built
     out: Path
-    manifest: RunManifest
     pair: DomainPair
     schedule: NoiseSchedule
     bridge: BridgeConfig
     highpass: HighpassSpec
+    records: dict[str, dict] = field(default_factory=dict, init=False)   # by path, in order
+    notes: dict[str, object] = field(default_factory=dict, init=False)
 
     def file(self, sub: str, name: str) -> Path:
         """The path ``out/sub/name``; ``out/sub`` is created with its first file."""
         (self.out / sub).mkdir(parents=True, exist_ok=True)
         return self.out / sub / name
 
+    def add(self, path, kind: str, **meta) -> None:
+        key = str(path)
+        if key in self.records:
+            raise ValueError(f"file listed twice in manifest: {key}")
+        self.records[key] = {"path": key, "kind": kind, **meta}
+
+    def finish(self) -> None:
+        payload = {
+            "command": self.command,
+            "tool_version": __version__,
+            "config": self.config.to_dict(),
+            "records": list(self.records.values()),
+            "notes": self.notes,
+            "timings": {"wall_seconds": round(time.monotonic() - self.start, 6)},
+        }
+        (self.out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
 
 def _open_run(cfg: RunConfig, command: str) -> _Run:
-    """The manifest, domain pair and settings; each command builds the rest before computing.
+    """The run's settings and empty ledger; each command builds the rest before computing.
 
     An ``out`` that exists and is not an empty directory is refused, so
     one run's files are never mixed with another's.
     """
+    start = time.monotonic()
     out = Path(cfg.out)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ValueError(f"output path {out} exists and is not an empty directory")
-    manifest = RunManifest(cfg, command)
-    return _Run(out, manifest, *_settings(cfg))
+    return _Run(cfg, command, start, out, *_settings(cfg))
 
 
 def _write_frame(run: _Run, name: str, x, **record) -> None:
     """One field as ``frames/{name}``, clipped to [-1, 1], and its manifest record."""
     path = run.file("frames", name)
     save_pgm(np.clip(x, -1.0, 1.0), path)
-    run.manifest.add(path, **record)
+    run.add(path, **record)
 
 
 def _write_samples(run: _Run, stem: str, samples) -> None:
@@ -294,7 +323,7 @@ def _write_samples(run: _Run, stem: str, samples) -> None:
     else:
         path = run.file("frames", f"{stem}.csv")
         _write_points_csv(path, samples)
-        run.manifest.add(path, kind=f"{stem}-samples", count=int(len(samples)))
+        run.add(path, kind=f"{stem}-samples", count=int(len(samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +336,19 @@ def cmd_gen(cfg: RunConfig) -> int:
     for role, domain in (("source", run.pair.source), ("target", run.pair.target)):
         seed = _role_seed(cfg.seed, f"{role}-samples")
         _write_samples(run, role, sample_domain(domain, cfg.gen_count, seed))
-    run.manifest.note("sample_count", cfg.gen_count)
-    run.manifest.finish(run.out)
+    run.notes["sample_count"] = cfg.gen_count
+    run.finish()
     print(f"gen: wrote {2 * cfg.gen_count} samples under {run.out}")
     return 0
 
 
 def cmd_train(cfg: RunConfig) -> int:
     run = _open_run(cfg, "train")
-    out, manifest, pair = run.out, run.manifest, run.pair
     # Hybrid rule at training time: the source model serves forward legs,
     # the target model reverse legs.
     roles = (
-        ("source", pair.source, select_priority(Direction.FORWARD), "train-source"),
-        ("target", pair.target, select_priority(Direction.REVERSE), "train-target"),
+        ("source", run.pair.source, select_priority(Direction.FORWARD), "train-source"),
+        ("target", run.pair.target, select_priority(Direction.REVERSE), "train-target"),
     )
     trained = []
     for role, domain, priority, seed_role in roles:
@@ -331,45 +359,42 @@ def cmd_train(cfg: RunConfig) -> int:
     for role, model, losses in trained:
         ckpt = run.file("checkpoints", f"{role}.ckpt")
         save_checkpoint(model, ckpt)
-        manifest.add(ckpt, kind=f"{role}-checkpoint", final_loss=losses[-1])
+        run.add(ckpt, kind=f"{role}-checkpoint", final_loss=losses[-1])
         loss_csv = run.file("checkpoints", f"{role}_loss.csv")
         _write_csv(loss_csv, ["epoch", "loss"], ([e, repr(loss)] for e, loss in enumerate(losses)))
-        manifest.add(loss_csv, kind=f"{role}-loss-history", epochs=len(losses))
+        run.add(loss_csv, kind=f"{role}-loss-history", epochs=len(losses))
         print(f"train[{role}]: loss {losses[0]:.4f} -> {losses[-1]:.4f}")
-    manifest.finish(out)
+    run.finish()
     return 0
 
 
 def cmd_migrate(cfg: RunConfig) -> int:
     run = _open_run(cfg, "migrate")
-    out, manifest, pair = run.out, run.manifest, run.pair
-    models = _build_models(cfg, pair, run.schedule)
-    sources = sample_domain(pair.source, cfg.gen_count, _role_seed(cfg.seed, "migrate"))
+    models = _build_models(cfg, run.pair, run.schedule)
+    sources = sample_domain(run.pair.source, cfg.gen_count, _role_seed(cfg.seed, "migrate"))
     migrated = migrate(sources, *models, run.bridge)
     _write_samples(run, "source", sources)
     _write_samples(run, "migrated", migrated)
-    if _is_image_pair(pair):
+    if _is_image_pair(run.pair):
         means = [float(np.mean(highpass_magnitude(v, run.highpass))) for v in (sources, migrated)]
-        manifest.note("highpass_magnitude_mean", dict(zip(("source", "migrated"), means)))
+        run.notes["highpass_magnitude_mean"] = dict(zip(("source", "migrated"), means))
     else:
-        gain = gmm_log_density(pair.target, migrated) - gmm_log_density(pair.target, sources)
-        manifest.note(
-            "target_log_density_gain",
-            {"mean": float(gain.mean()), "fraction_improved": float(np.mean(gain > 0))},
-        )
-    manifest.finish(out)
-    print(f"migrate: {cfg.gen_count} samples migrated under {out}")
+        gain = gmm_log_density(run.pair.target, migrated) - gmm_log_density(run.pair.target, sources)
+        run.notes["target_log_density_gain"] = {
+            "mean": float(gain.mean()), "fraction_improved": float(np.mean(gain > 0)),
+        }
+    run.finish()
+    print(f"migrate: {cfg.gen_count} samples migrated under {run.out}")
     return 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     run = _open_run(cfg, "sweep")
-    out, manifest, pair = run.out, run.manifest, run.pair
-    models = _build_models(cfg, pair, run.schedule)
+    models = _build_models(cfg, run.pair, run.schedule)
     depths = _snap_grid(cfg.sweep_depths, run.bridge)
-    sources = sample_domain(pair.source, cfg.sweep_count, _role_seed(cfg.seed, "sweep"))
+    sources = sample_domain(run.pair.source, cfg.sweep_count, _role_seed(cfg.seed, "sweep"))
 
-    if _is_image_pair(pair):
+    if _is_image_pair(run.pair):
         sweep = label_sweep(sources, *models, run.bridge, depths, run.highpass)
         # Python floats, so CSV cells and manifest values spell as floats do.
         arrays = (sweep.value, sweep.raw, sweep.a_frame, sweep.a_source, sweep.a_target)
@@ -387,29 +412,28 @@ def cmd_sweep(cfg: RunConfig) -> int:
         labels_path = run.file("labels", "labels.csv")
         header = ["sample_id", "depth_snapped", "raw_label", "clamped_label", "A_s", "A_i", "A_t"]
         _write_csv(labels_path, header, label_rows)
-        manifest.add(labels_path, kind="labels", rows=len(label_rows))
+        run.add(labels_path, kind="labels", rows=len(label_rows))
     else:
         # Point domains have no spectral labels; emit per-depth coordinates.
         frames = depth_sweep(sources, *models, run.bridge, depths)
         for depth, frame in zip(depths, frames):
             path = run.file("frames", f"depth_{_depth_tag(depth)}.csv")
             _write_points_csv(path, frame)
-            manifest.add(path, kind="sweep-frame", depth=depth, count=len(sources))
-        manifest.note("labels", "point domains carry no spectral labels")
-    manifest.finish(out)
-    print(f"sweep: {cfg.sweep_count} samples x {len(cfg.sweep_depths)} depths under {out}")
+            run.add(path, kind="sweep-frame", depth=depth, count=len(sources))
+        run.notes["labels"] = "point domains carry no spectral labels"
+    run.finish()
+    print(f"sweep: {cfg.sweep_count} samples x {len(cfg.sweep_depths)} depths under {run.out}")
     return 0
 
 
 def cmd_label(cfg: RunConfig) -> int:
     run = _open_run(cfg, "label")
-    out, manifest, pair = run.out, run.manifest, run.pair
-    if not _is_image_pair(pair):
+    if not _is_image_pair(run.pair):
         raise ValueError("label calibration needs an image domain pair")
     targets = _check_targets(cfg.label_targets)
-    models = _build_models(cfg, pair, run.schedule)
+    models = _build_models(cfg, run.pair, run.schedule)
     depths = _snap_grid(cfg.sweep_depths, run.bridge)
-    sources = sample_domain(pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
+    sources = sample_domain(run.pair.source, cfg.label_count, _role_seed(cfg.seed, "label"))
 
     sweep, picks = calibrate_depth(targets, sources, *models, run.bridge, depths, run.highpass)
     value, raw = sweep.value.tolist(), sweep.raw.tolist()
@@ -426,9 +450,9 @@ def cmd_label(cfg: RunConfig) -> int:
     labels_path = run.file("labels", "calibrated.csv")
     header = ["sample_id", "target_label", "depth", "achieved_label", "raw_label"]
     _write_csv(labels_path, header, rows)
-    manifest.add(labels_path, kind="labels", rows=len(rows))
-    manifest.finish(out)
-    print(f"label: calibrated {len(rows)} frames under {out}")
+    run.add(labels_path, kind="labels", rows=len(rows))
+    run.finish()
+    print(f"label: calibrated {len(rows)} frames under {run.out}")
     return 0
 
 

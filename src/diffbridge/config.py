@@ -1,4 +1,4 @@
-"""Run configuration and output manifest.
+"""Run configuration.
 
 A run is fully described by its RunConfig: domain pair, schedule, bridge
 settings, model source, and per-command parameters, all serializable to
@@ -8,24 +8,17 @@ is the one way in from JSON: the CLI reads the config file and sets
 its flags' fields on the JSON object before that one call, so files
 and flags meet the same checks.
 
-The ``train`` section is the library's TrainConfig.  ``train`` imports
-it from here, so the package binds ``__version__`` before its submodules.
-
-The RunManifest lists every file a command emitted (exactly once), the
-config echo, the tool version, and coarse wall-clock timings.
+The ``train`` section is the library's TrainConfig; ``train`` imports it
+from here.  The manifest a command writes is the CLI's.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .bridge import BridgeConfig
 from .domains import DomainPair, default_gmm_pair, make_texture_pair
 from .schedule import NoiseSchedule, linear_schedule
@@ -241,40 +234,3 @@ class RunConfig:
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from exc
 
-
-class RunManifest:
-    """Ledger of one command's outputs; every emitted file appears once."""
-
-    def __init__(self, config: RunConfig, command: str):
-        self.command = command
-        self.config_echo = config.to_dict()
-        self.tool_version = __version__
-        self.records: list[dict] = []
-        self.timings: dict[str, float] = {}
-        self.notes: dict[str, object] = {}
-        self._start = time.monotonic()
-        self._seen: set[str] = set()
-
-    def add(self, path, kind: str, **meta) -> None:
-        key = str(path)
-        if key in self._seen:
-            raise ValueError(f"file listed twice in manifest: {key}")
-        self._seen.add(key)
-        self.records.append({"path": key, "kind": kind, **meta})
-
-    def note(self, key: str, value) -> None:
-        self.notes[key] = value
-
-    def finish(self, out_dir) -> Path:
-        self.timings["wall_seconds"] = round(time.monotonic() - self._start, 6)
-        path = Path(out_dir) / "manifest.json"
-        payload = {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "config": self.config_echo,
-            "records": self.records,
-            "notes": self.notes,
-            "timings": self.timings,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path

@@ -68,6 +68,26 @@ def _write_header(ckpt: Path, header: dict) -> None:
     ckpt.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + payload)
 
 
+class TestRunLedger:
+    def test_rejects_duplicate_paths(self, tmp_path):
+        run = cli._open_run(RunConfig(out=str(tmp_path)), "gen")
+        run.add(tmp_path / "a.pgm", kind="frame")
+        with pytest.raises(ValueError):
+            run.add(tmp_path / "a.pgm", kind="frame")
+
+    def test_written_payload_complete(self, tmp_path):
+        run = cli._open_run(RunConfig(seed=3, out=str(tmp_path)), "sweep")
+        run.add(tmp_path / "x.csv", kind="labels", rows=5)
+        run.notes["hello"] = 1
+        run.finish()
+        payload = manifest_of(tmp_path)
+        assert payload["command"] == "sweep"
+        assert payload["config"]["seed"] == 3
+        assert payload["records"][0]["rows"] == 5
+        assert payload["notes"] == {"hello": 1}
+        assert "wall_seconds" in payload["timings"]
+
+
 class TestGen:
     def test_outputs_manifest_and_determinism(self, tmp_path):
         cfg, out = write_config(tmp_path)
@@ -493,6 +513,67 @@ class TestBatchedCommandsEqualPerSampleRuns:
             assert (rec["achieved_label"], rec["raw_label"]) == soft_label(
                 a_s, highpass_magnitude(mig, spec), a_t
             )
+
+
+class _Counting(db.EpsilonModel):
+    """A model that counts its calls, walking in its inner model's basis."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+        self.basis = inner.basis
+
+    def predict_epsilon(self, x, t):
+        self.calls += 1
+        return self.inner.predict_epsilon(x, t)
+
+
+class TestWalkCounts:
+    """Each model's calls per command at ``--steps n``: one call per grid step of each leg."""
+
+    STEPS = 20
+
+    @staticmethod
+    def _calls(pair, tmp_path, monkeypatch, command, *args):
+        if pair == "gmm":
+            cfg, _ = write_config(tmp_path)
+        elif pair == "texture":
+            cfg, _ = texture_config(tmp_path)
+        else:
+            # An untrained checkpoint pair: no training, the same walk.
+            ckpt = tmp_path / "mlp.ckpt"
+            db.save_checkpoint(db.init_mlp((16, 16), (8,), steps_total=200, seed=0), ckpt)
+            models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
+            cfg, _ = texture_config(tmp_path, models=models)
+        counters = []
+        real = cli._build_models
+
+        def counting(*a):
+            counters.extend(_Counting(m) for m in real(*a))
+            return tuple(counters)
+
+        monkeypatch.setattr(cli, "_build_models", counting)
+        steps = str(TestWalkCounts.STEPS)
+        assert main([command, "--config", str(cfg), "--steps", steps, *args]) == 0
+        return [c.calls for c in counters]
+
+    @pytest.mark.parametrize("pair", ["gmm", "texture", "mlp"])
+    def test_migrate_calls_each_model_once_per_grid_step(self, pair, tmp_path, monkeypatch):
+        assert self._calls(pair, tmp_path, monkeypatch, "migrate") == [self.STEPS] * 2
+
+    @pytest.mark.parametrize("grid", ["0.5", "0,0.25,0.5", "0.25,0.75,0,0.5"])
+    @pytest.mark.parametrize("pair", ["gmm", "texture", "mlp"])
+    def test_sweep_walks_each_leg_once_to_the_deepest_depth(
+        self, pair, grid, tmp_path, monkeypatch
+    ):
+        # A texture sweep also labels, so it walks on to depth 1 for the target endpoint.
+        deepest = max(map(float, grid.split(","))) if pair == "gmm" else 1.0
+        calls = self._calls(pair, tmp_path, monkeypatch, "sweep", "--depth-grid", grid)
+        assert calls == [round(deepest * self.STEPS)] * 2
+
+    @pytest.mark.parametrize("pair", ["texture", "mlp"])
+    def test_label_is_one_two_leg_sweep(self, pair, tmp_path, monkeypatch):
+        calls = self._calls(pair, tmp_path, monkeypatch, "label", "--depth-grid", "0,0.25,0.5")
+        assert calls == [self.STEPS] * 2
 
 
 class _PoisonedRow(db.EpsilonModel):

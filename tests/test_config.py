@@ -1,4 +1,4 @@
-"""RunConfig serialization, the CLI's config loading, and manifest bookkeeping."""
+"""RunConfig serialization and the CLI's config loading."""
 
 import json
 import re
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from diffbridge import cli
-from diffbridge.config import BridgeSpec, RunConfig, RunManifest
+from diffbridge.config import BridgeSpec, RunConfig
 
 
 def load(*argv) -> RunConfig:
@@ -160,22 +160,3 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_dict({"domains": {"kind": "audio"}}).domains.build(0)
 
-
-class TestRunManifest:
-    def test_rejects_duplicate_paths(self, tmp_path):
-        manifest = RunManifest(RunConfig(), "gen")
-        manifest.add(tmp_path / "a.pgm", kind="frame")
-        with pytest.raises(ValueError):
-            manifest.add(tmp_path / "a.pgm", kind="frame")
-
-    def test_written_payload_complete(self, tmp_path):
-        manifest = RunManifest(RunConfig(seed=3), "sweep")
-        manifest.add(tmp_path / "x.csv", kind="labels", rows=5)
-        manifest.note("hello", 1)
-        path = manifest.finish(tmp_path)
-        payload = json.loads(path.read_text())
-        assert payload["command"] == "sweep"
-        assert payload["config"]["seed"] == 3
-        assert payload["records"][0]["rows"] == 5
-        assert payload["notes"] == {"hello": 1}
-        assert "wall_seconds" in payload["timings"]

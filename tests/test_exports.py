@@ -61,8 +61,8 @@ def test_every_module_level_definition_is_read_outside_tests():
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("[!_]*.py")))
 def test_each_module_imports_in_a_fresh_interpreter(module):
-    # train imports config, which reads the package's __version__: a
-    # cycle or a late __version__ fails here whichever module comes first.
+    # Each module alone, so an import cycle fails here whichever module
+    # comes first.
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", f"import diffbridge.{module}"],
