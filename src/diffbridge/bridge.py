@@ -28,12 +28,14 @@ and step their own arrays.
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
 flows over adjacent spans compose bit-exactly.  Each step is the
-zero-sigma ``diffusion.ddim_transfer`` between adjacent grid nodes, with
-alpha_bar interpolated between the schedule's knots: first order, and
-safe for epsilon-parameterized models at time 0 because the prediction
-is only ever multiplied by vanishing coefficients there.  The
-second-order reference the checks compare it against, Heun on the
-probability-flow drift, is ``verify.heun_flow``.
+zero-sigma ``diffusion.ddim_transfer`` between adjacent grid nodes,
+``c_x * x + c_e * eps``, with alpha_bar interpolated between the
+schedule's knots: first order, and safe for epsilon-parameterized models
+at time 0.  No coefficient divides by 1 - alpha_bar: a step out of
+time 0 multiplies eps by c_e = sqrt(1 - ab_to), a step into it by
+c_e = -sqrt(1 - ab_from) / sqrt(ab_from), and both vanish as the grid
+refines.  The second-order reference the checks compare it against,
+Heun on the probability-flow drift, is ``verify.heun_flow``.
 """
 
 from __future__ import annotations

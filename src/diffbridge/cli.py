@@ -271,10 +271,13 @@ class _Run:
     highpass: HighpassSpec
     records: dict[str, dict] = field(default_factory=dict, init=False)   # by path, in order
     notes: dict[str, object] = field(default_factory=dict, init=False)
+    subdirs: set[str] = field(default_factory=set, init=False)           # created so far
 
     def file(self, sub: str, name: str) -> Path:
         """The path ``out/sub/name``; ``out/sub`` is created with its first file."""
-        (self.out / sub).mkdir(parents=True, exist_ok=True)
+        if sub not in self.subdirs:
+            (self.out / sub).mkdir(parents=True, exist_ok=True)
+            self.subdirs.add(sub)
         return self.out / sub / name
 
     def add(self, path, kind: str, **meta) -> None:

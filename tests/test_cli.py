@@ -87,6 +87,23 @@ class TestRunLedger:
         assert payload["notes"] == {"hello": 1}
         assert "wall_seconds" in payload["timings"]
 
+    @pytest.mark.parametrize("command", ["sweep", "label"])
+    def test_each_subdirectory_is_made_once(self, command, tmp_path, monkeypatch):
+        cfg, out = texture_config(tmp_path, label_count=2, label_targets=[0.25, 0.5, 0.75])
+        out.mkdir()  # so no mkdir recurses into its parent
+        made = []
+        real = Path.mkdir
+
+        def counting(path, *args, **kwargs):
+            made.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting)
+        assert main([command, "--config", str(cfg), "--steps", "20"]) == 0
+        subdirs = {p.parent for p in out.rglob("*") if p.is_file()} - {out}
+        assert len(subdirs) > 1
+        assert sorted(made) == sorted(subdirs)
+
 
 class TestGen:
     def test_outputs_manifest_and_determinism(self, tmp_path):

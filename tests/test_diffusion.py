@@ -110,7 +110,10 @@ class TestDdimStep:
 
     @pytest.mark.parametrize("eta", [0.0, 0.7])
     def test_bytes_equal_the_textbook_formula(self, eta):
-        """ddim_step runs the shared in-place transfer; its bytes equal the plain formula."""
+        """ddim_step runs the shared in-place transfer; its bytes equal the plain coefficient form.
+
+        The x0_hat form it folds lies within 1e-13, a rounding difference only.
+        """
         sched = db.linear_schedule(1000)
         tex = db.make_texture_pair("bandsplit", 16, seed=4)
         model = db.AnalyticFieldEpsilon(tex.source.mode_variances, sched)
@@ -120,14 +123,19 @@ class TestDdimStep:
             assert (sigma > 0.0) == (eta > 0.0 and t > 1)
             ab_t, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
             eps = model.predict_epsilon(x, t)
+            c_x = np.sqrt(ab_prev) / np.sqrt(ab_t)
+            c_e = np.sqrt(1.0 - ab_prev - sigma**2) - c_x * np.sqrt(1.0 - ab_t)
+            expected = c_x * x + c_e * eps
             x0_hat = (x - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
-            expected = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev - sigma**2) * eps
+            textbook = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev - sigma**2) * eps
             noise = None
             if sigma > 0.0:
                 noise = step_rng(3, 0, t).standard_normal(x.shape)
                 expected = expected + sigma * noise
+                textbook = textbook + sigma * noise
             got = ddim_step(x, t, model, sched, sigma, noise)
             assert got.tobytes() == expected.tobytes()
+            np.testing.assert_allclose(got, textbook, rtol=0, atol=1e-13)
             assert not np.shares_memory(got, x)
             x = expected
 
