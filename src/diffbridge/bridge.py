@@ -137,12 +137,8 @@ def flow_ode(
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(len(nodes) - 1):
             xm = floats[: rows[j]]
-            t = times[j] * cfg.schedule.steps_T
-            if into is None:  # the model scores the float rows themselves
-                eps = model.predict_epsilon(xm, t)
-            else:
-                eps = model.predict_epsilon(state[: rows[j]], t).view(np.float64)
-            ddim_transfer(xm, eps, ab[j], ab[j + 1], xm, scratch[: rows[j]])
+            eps = model.predict_epsilon(state[: rows[j]], times[j] * cfg.schedule.steps_T)
+            ddim_transfer(xm, eps.view(np.float64), ab[j], ab[j + 1], xm, scratch[: rows[j]])
             k = nodes[j + 1]
             _check_finite(xm, k, times[j + 1])
             if out_of is not None and (k in keep or k == nodes[-1]):

@@ -12,7 +12,9 @@ depth grid and refuse two depths on one node or frame name, and only
 outputs under one run directory, which must be new or empty, in the
 subdirectories it uses (frames/, labels/, checkpoints/), created with
 their first file.  The command's ``_Run`` holds its settings and its
-ledger, and finishes with a manifest.json that lists every emitted file
+ledger.  A file is listed when the command names it, before anything
+writes it, and a name listed twice is refused before the second write.
+The run finishes with a manifest.json that lists every emitted file
 exactly once, beside the command, the config echo, the tool version,
 notes and the wall-clock time.
 
@@ -256,9 +258,10 @@ def _settings(cfg: RunConfig) -> tuple[DomainPair, NoiseSchedule, BridgeConfig, 
 class _Run:
     """One writing command's run directory: its settings and its ledger.
 
-    Building it writes nothing.  ``add`` records each emitted file once,
-    ``notes`` holds the command's summary values, and ``finish`` writes
-    ``out/manifest.json``.
+    Building it writes nothing.  ``file`` names each emitted file and
+    lists it with its record, so a file is listed once and before it is
+    written, ``notes`` holds the command's summary values, and ``finish``
+    writes ``out/manifest.json``.
     """
 
     config: RunConfig
@@ -273,18 +276,22 @@ class _Run:
     notes: dict[str, object] = field(default_factory=dict, init=False)
     subdirs: set[str] = field(default_factory=set, init=False)           # created so far
 
-    def file(self, sub: str, name: str) -> Path:
-        """The path ``out/sub/name``; ``out/sub`` is created with its first file."""
-        if sub not in self.subdirs:
-            (self.out / sub).mkdir(parents=True, exist_ok=True)
-            self.subdirs.add(sub)
-        return self.out / sub / name
+    def file(self, sub: str, name: str, kind: str, **meta) -> Path:
+        """The path ``out/sub/name``, listed with its record before anything writes it.
 
-    def add(self, path, kind: str, **meta) -> None:
+        A path already listed is refused before ``out/sub`` is touched, so
+        a second write never replaces the first; ``out/sub`` is created
+        with its first file.
+        """
+        path = self.out / sub / name
         key = str(path)
         if key in self.records:
             raise ValueError(f"file listed twice in manifest: {key}")
+        if sub not in self.subdirs:
+            (self.out / sub).mkdir(parents=True, exist_ok=True)
+            self.subdirs.add(sub)
         self.records[key] = {"path": key, "kind": kind, **meta}
+        return path
 
     def finish(self) -> None:
         payload = {
@@ -311,11 +318,9 @@ def _open_run(cfg: RunConfig, command: str) -> _Run:
     return _Run(cfg, command, start, out, *_settings(cfg))
 
 
-def _write_frame(run: _Run, name: str, x, **record) -> None:
-    """One field as ``frames/{name}``, clipped to [-1, 1], and its manifest record."""
-    path = run.file("frames", name)
-    save_pgm(np.clip(x, -1.0, 1.0), path)
-    run.add(path, **record)
+def _write_frame(run: _Run, name: str, x, kind: str, **meta) -> None:
+    """One field as ``frames/{name}``, clipped to [-1, 1], listed with its record."""
+    save_pgm(np.clip(x, -1.0, 1.0), run.file("frames", name, kind, **meta))
 
 
 def _write_samples(run: _Run, stem: str, samples) -> None:
@@ -324,9 +329,8 @@ def _write_samples(run: _Run, stem: str, samples) -> None:
         for i, x in enumerate(samples):
             _write_frame(run, f"{stem}_{i:03d}.pgm", x, kind=f"{stem}-sample", sample_id=i)
     else:
-        path = run.file("frames", f"{stem}.csv")
+        path = run.file("frames", f"{stem}.csv", f"{stem}-samples", count=int(len(samples)))
         _write_points_csv(path, samples)
-        run.add(path, kind=f"{stem}-samples", count=int(len(samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +364,11 @@ def cmd_train(cfg: RunConfig) -> int:
         trained.append((role, *train_denoiser(data, cfg.train, run.schedule, seed, priority)))
     # Both models train before the first write, so a diverging target leaves no files.
     for role, model, losses in trained:
-        ckpt = run.file("checkpoints", f"{role}.ckpt")
+        ckpt = run.file("checkpoints", f"{role}.ckpt", f"{role}-checkpoint", final_loss=losses[-1])
         save_checkpoint(model, ckpt)
-        run.add(ckpt, kind=f"{role}-checkpoint", final_loss=losses[-1])
-        loss_csv = run.file("checkpoints", f"{role}_loss.csv")
+        loss_csv = run.file("checkpoints", f"{role}_loss.csv", f"{role}-loss-history",
+                            epochs=len(losses))
         _write_csv(loss_csv, ["epoch", "loss"], ([e, repr(loss)] for e, loss in enumerate(losses)))
-        run.add(loss_csv, kind=f"{role}-loss-history", epochs=len(losses))
         print(f"train[{role}]: loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     run.finish()
     return 0
@@ -412,17 +415,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 )
                 cells = (depth, raw[k][i], value[k][i], a_s[i], a_i[k][i], a_t[i])
                 label_rows.append([i, *map(repr, cells)])
-        labels_path = run.file("labels", "labels.csv")
+        labels_path = run.file("labels", "labels.csv", "labels", rows=len(label_rows))
         header = ["sample_id", "depth_snapped", "raw_label", "clamped_label", "A_s", "A_i", "A_t"]
         _write_csv(labels_path, header, label_rows)
-        run.add(labels_path, kind="labels", rows=len(label_rows))
     else:
         # Point domains have no spectral labels; emit per-depth coordinates.
         frames = depth_sweep(sources, *models, run.bridge, depths)
         for depth, frame in zip(depths, frames):
-            path = run.file("frames", f"depth_{_depth_tag(depth)}.csv")
+            path = run.file("frames", f"depth_{_depth_tag(depth)}.csv", "sweep-frame",
+                            depth=depth, count=len(sources))
             _write_points_csv(path, frame)
-            run.add(path, kind="sweep-frame", depth=depth, count=len(sources))
         run.notes["labels"] = "point domains carry no spectral labels"
     run.finish()
     print(f"sweep: {cfg.sweep_count} samples x {len(cfg.sweep_depths)} depths under {run.out}")
@@ -450,10 +452,9 @@ def cmd_label(cfg: RunConfig) -> int:
                 achieved_label=achieved, raw_label=raw_label, depth=depth,
             )
             rows.append([i, *map(repr, (target, depth, achieved, raw_label))])
-    labels_path = run.file("labels", "calibrated.csv")
+    labels_path = run.file("labels", "calibrated.csv", "labels", rows=len(rows))
     header = ["sample_id", "target_label", "depth", "achieved_label", "raw_label"]
     _write_csv(labels_path, header, rows)
-    run.add(labels_path, kind="labels", rows=len(rows))
     run.finish()
     print(f"label: calibrated {len(rows)} frames under {run.out}")
     return 0

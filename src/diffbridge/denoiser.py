@@ -525,19 +525,16 @@ def init_mlp(
 # att_wq, att_wk, att_wv and att_wo when the model has attention.  The
 # loader accepts exactly that name list, in that order.
 
+# The AttentionConfig fields a header's attention entry holds beside its priority.
+_ATTENTION_GEOMETRY = ("token_count", "model_dim", "heads", "windows")
+
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:
     arrays = model.named_parameters()
     att_meta = None
     if model.attention is not None:
-        a = model.attention
-        att_meta = {
-            "token_count": a.token_count,
-            "model_dim": a.model_dim,
-            "heads": a.heads,
-            "windows": a.windows,
-            "priority": a.priority.value,
-        }
+        att_meta = {key: getattr(model.attention, key) for key in _ATTENTION_GEOMETRY}
+        att_meta["priority"] = model.attention.priority.value
     header = {
         "kind": "mlp_denoiser",
         "field_shape": list(model.field_shape),
@@ -627,10 +624,7 @@ def _from_header(header: dict, blob: bytes, offset: int) -> MlpDenoiser:
     am = _entry(header, "attention", "an object or null")
     if am is not None:
         where = "checkpoint attention"
-        geometry = {
-            key: _entry(am, key, "an integer >= 1", where)
-            for key in ("token_count", "model_dim", "heads", "windows")
-        }
+        geometry = {key: _entry(am, key, "an integer >= 1", where) for key in _ATTENTION_GEOMETRY}
         priority = attn.Priority(_entry(am, "priority", "a string", where))
     widths = _entry(header, "widths", "a list of integers >= 1")
     n_layers = len(widths) + 1

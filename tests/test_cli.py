@@ -71,13 +71,22 @@ def _write_header(ckpt: Path, header: dict) -> None:
 class TestRunLedger:
     def test_rejects_duplicate_paths(self, tmp_path):
         run = cli._open_run(RunConfig(out=str(tmp_path)), "gen")
-        run.add(tmp_path / "a.pgm", kind="frame")
+        run.file("frames", "a.pgm", "frame")
         with pytest.raises(ValueError):
-            run.add(tmp_path / "a.pgm", kind="frame")
+            run.file("frames", "a.pgm", "frame")
+
+    def test_a_duplicate_is_refused_before_it_overwrites(self, tmp_path):
+        run = cli._open_run(RunConfig(out=str(tmp_path)), "gen")
+        cli._write_frame(run, "a.pgm", np.zeros((4, 4)), kind="k")
+        with pytest.raises(ValueError, match="^file listed twice in manifest: "):
+            cli._write_frame(run, "a.pgm", np.ones((4, 4)), kind="k")
+        # The zeros frame reads back about 0 (pixel 128); the ones frame would read 1.
+        np.testing.assert_allclose(domains.load_pgm(tmp_path / "frames" / "a.pgm"), 0.0, atol=0.01)
+        assert len(run.records) == 1
 
     def test_written_payload_complete(self, tmp_path):
         run = cli._open_run(RunConfig(seed=3, out=str(tmp_path)), "sweep")
-        run.add(tmp_path / "x.csv", kind="labels", rows=5)
+        run.file("labels", "x.csv", "labels", rows=5)
         run.notes["hello"] = 1
         run.finish()
         payload = manifest_of(tmp_path)
@@ -103,6 +112,31 @@ class TestRunLedger:
         subdirs = {p.parent for p in out.rglob("*") if p.is_file()} - {out}
         assert len(subdirs) > 1
         assert sorted(made) == sorted(subdirs)
+
+    @pytest.mark.parametrize("domain, command", [
+        ("texture", "gen"), ("texture", "migrate"), ("texture", "sweep"), ("texture", "label"),
+        ("gmm", "migrate"), ("gmm", "sweep"), ("trained", "train"), ("checkpoint", "migrate"),
+    ])
+    def test_every_file_on_disk_is_listed_once(self, domain, command, tmp_path):
+        fields = {"label_count": 2, "label_targets": [0.25, 0.5, 0.75]}
+        if domain != "gmm":
+            fields["domains"] = {"kind": "texture", "size": 16}
+        if domain in ("trained", "checkpoint"):
+            fields["train"] = {"epochs": 1, "samples": 20, "hidden": [8], "batch_size": 10,
+                               "attention": {"token_count": 16, "heads": 2, "windows": 4}}
+        if domain == "checkpoint":
+            cfg, trained = write_config(tmp_path, out=str(tmp_path / "trained"), **fields)
+            assert main(["train", "--config", str(cfg)]) == 0
+            fields["models"] = {"kind": "checkpoint",
+                                "source": str(trained / "checkpoints" / "source.ckpt"),
+                                "target": str(trained / "checkpoints" / "target.ckpt")}
+        cfg, out = write_config(tmp_path, **fields)
+        assert main([command, "--config", str(cfg), "--steps", "20"]) == 0
+        listed = [rec["path"] for rec in manifest_of(out)["records"]]
+        on_disk = {str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
+        assert len(listed) == len(set(listed))
+        assert set(listed) == on_disk
+        assert len(on_disk) > 1
 
 
 class TestGen:
