@@ -28,12 +28,15 @@ in-order sum of its blocks', each with the bytes of that block alone.
 
 ``attention_forward`` is the inference call, in the ordering
 ``cfg.priority`` names; an ``AttentionConfig`` takes its four weights
-at construction.  Training calls
-``attention_forward_saved``, which also returns the arrays the forward
-computed (``SavedForward``), and hands them to ``attention_backward``:
-one forward per step, and the backward returns the weight gradients
-only, as a list in ``AttentionConfig.parameters()`` order, since no
-caller reads a token gradient.
+at construction.  A training step makes one forward and one backward,
+each a single public function with no private layer under it:
+``attention_forward_saved`` checks the tokens, runs the windowed
+kernel and also returns the arrays it computed (``SavedForward``);
+``attention_backward`` checks ``grad_out`` against them and returns the
+weight gradients only, as a list in ``AttentionConfig.parameters()``
+order, since no caller reads a token gradient.  The backward's one
+helper, ``_qkv_pullback``, keeps the per-head chain rule apart from its
+two weight GEMMs.
 """
 
 from __future__ import annotations
@@ -170,27 +173,51 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total.reshape(*a.shape[:-1], 1)
 
 
-def _check_tokens(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
-    """Tokens as float64 of shape (..., token_count, model_dim)."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.shape[-2:] != (cfg.token_count, cfg.model_dim):
-        raise ValueError(
-            f"tokens shape {tokens.shape} != (..., {cfg.token_count}, {cfg.model_dim})"
-        )
-    return tokens
-
-
 def attention_forward(cfg: AttentionConfig, tokens: np.ndarray) -> np.ndarray:
     """The attention block's output, in the ordering ``cfg.priority`` names."""
     return attention_forward_saved(cfg, tokens)[0]
 
 
+# ---------------------------------------------------------------------------
+# One windowed kernel: segment into windows, then multi-head inside each.
+# Global priority is the single-window case, whatever cfg.windows says.
+# Leading axes ride along as a stack: every forward matmul is the same
+# per-matrix BLAS call a single (n, d) input makes, and the backward's
+# per-head products are per matrix too, while its products with the
+# weights are 16-row blocks.
+# ---------------------------------------------------------------------------
+
+
 def attention_forward_saved(
     cfg: AttentionConfig, tokens: np.ndarray
 ) -> tuple[np.ndarray, SavedForward]:
-    """``attention_forward``'s output, and the arrays ``attention_backward`` reads."""
-    saved = _internals(cfg, _check_tokens(cfg, tokens))
-    return saved.merged @ cfg.w_output, saved
+    """``attention_forward``'s output, and the arrays ``attention_backward`` reads.
+
+    tokens are cast to float64 and must be (..., token_count, model_dim).
+    """
+    x = np.asarray(tokens, dtype=np.float64)
+    n, d, h, dh = cfg.token_count, cfg.model_dim, cfg.heads, cfg.head_dim
+    if x.shape[-2:] != (n, d):
+        raise ValueError(f"tokens shape {x.shape} != (..., {n}, {d})")
+    lead = x.shape[:-2]
+    w = 1 if cfg.priority == Priority.GLOBAL_FIRST else cfg.windows
+    nw = n // w
+    # One product for Q, K and V.  The weights are joined per call: the
+    # optimiser updates them in place, so a kept copy would go stale.
+    qkv = x @ np.concatenate([cfg.w_query, cfg.w_key, cfg.w_value], axis=1)
+    # (..., n, 3d) as (..., w, nw, 3, h, dh), then 3 x (..., w, h, nw, dh):
+    # Q, K and V are views into qkv.
+    a = len(lead)
+    qh, kh, vh = qkv.reshape(*lead, w, nw, 3, h, dh).transpose(
+        a + 2, *range(a), a, a + 3, a + 1, a + 4
+    )
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores /= math.sqrt(dh)
+    probs = _softmax_rows(scores)
+    # Each head's probs @ v goes straight into its columns of the merged (..., n, d).
+    merged = np.empty((*lead, n, d))
+    np.matmul(probs, vh, out=merged.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2))
+    return merged @ cfg.w_output, SavedForward(x, qh, kh, vh, probs, merged)
 
 
 def attention_backward(
@@ -212,43 +239,6 @@ def attention_backward(
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != saved.tokens.shape:
         raise ValueError("grad_out shape must match tokens shape")
-    return _backward(cfg, saved, grad_out)
-
-
-# ---------------------------------------------------------------------------
-# One windowed kernel: segment into windows, then multi-head inside each.
-# Global priority is the single-window case, whatever cfg.windows says.
-# Leading axes ride along as a stack: every forward matmul is the same
-# per-matrix BLAS call a single (n, d) input makes, and the backward's
-# per-head products are per matrix too, while its products with the
-# weights are 16-row blocks.
-# ---------------------------------------------------------------------------
-
-
-def _internals(cfg, x) -> SavedForward:
-    lead = x.shape[:-2]
-    n, d, h, dh = cfg.token_count, cfg.model_dim, cfg.heads, cfg.head_dim
-    w = 1 if cfg.priority == Priority.GLOBAL_FIRST else cfg.windows
-    nw = n // w
-    # One product for Q, K and V.  The weights are joined per call: the
-    # optimiser updates them in place, so a kept copy would go stale.
-    qkv = x @ np.concatenate([cfg.w_query, cfg.w_key, cfg.w_value], axis=1)
-    # (..., n, 3d) as (..., w, nw, 3, h, dh), then 3 x (..., w, h, nw, dh):
-    # Q, K and V are views into qkv.
-    a = len(lead)
-    qh, kh, vh = qkv.reshape(*lead, w, nw, 3, h, dh).transpose(
-        a + 2, *range(a), a, a + 3, a + 1, a + 4
-    )
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores /= math.sqrt(dh)
-    probs = _softmax_rows(scores)
-    # Each head's probs @ v goes straight into its columns of the merged (..., n, d).
-    merged = np.empty((*lead, n, d))
-    np.matmul(probs, vh, out=merged.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2))
-    return SavedForward(x, qh, kh, vh, probs, merged)
-
-
-def _backward(cfg, saved, grad_out):
     n, d = cfg.token_count, cfg.model_dim
     grad_out = grad_out.reshape(-1, n, d)               # the stack as R token matrices
     d_qkv = _qkv_pullback(cfg, saved, grad_out).reshape(-1, n, 3 * d)

@@ -106,9 +106,11 @@ def flow_ode(
     t0 > t1 denoises; equal (snapped) endpoints return the copy with zero
     arithmetic applied.  x_start may be a batch: each grid step is one
     model call on the whole batch, and a non-finite value in any row
-    stops the run at that node.  With starts (a descending grid node per
-    row) the step from node k moves only the leading rows whose start is
-    >= k, so each row starts at its own node.  keep maps grid nodes
+    stops the run at that node.  With starts (one integer grid node per
+    row of x_start, non-increasing, each between the walk's end nodes)
+    the step from node k moves only the leading rows whose start is
+    >= k, so each row starts at its own node; any other starts raises
+    ValueError before any step.  keep maps grid nodes
     (``cfg.node``) to arrays shaped like x_start; the walk copies its
     state, mapped out of the model's basis, into keep[k] when it reaches
     node k, the start node before any step.  x_start is never written.
@@ -119,14 +121,18 @@ def flow_ode(
     # The step from nodes[j] moves x[:rows[j]]; None is every row.
     rows = [None] * len(nodes)
     if starts is not None:
-        rows = np.searchsorted(-np.asarray(starts), -nodes, side="right")
+        starts, (lo, hi) = np.asarray(starts), sorted(nodes[[0, -1]])
+        if (starts.ndim != 1 or starts.shape != x.shape[:1] or starts.dtype.kind not in "iu"
+                or np.any(np.diff(starts) > 0) or np.any((starts < lo) | (starts > hi))):
+            raise ValueError(f"starts must be one integer grid node per row, non-increasing, in [{lo}, {hi}]")
+        rows = np.searchsorted(-starts, -nodes, side="right").tolist()
     if nodes[0] in keep:
         keep[nodes[0]][...] = x
     if len(nodes) == 1:
         return x
     # Only the rows the walk moves enter the model's basis, so a row that
     # never moves keeps its bytes.  Without a basis the state is x's rows.
-    moving = x if starts is None else x[: rows[:-1].max()]
+    moving = x if starts is None else x[: max(rows[:-1])]
     into, out_of = model.basis or (None, None)
     state = moving if into is None else into(moving)
     floats = state.view(np.float64)  # a complex spectrum steps as (real, imaginary) pairs
@@ -136,9 +142,11 @@ def flow_ode(
     # warnings they would emit first are noise.
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(len(nodes) - 1):
-            xm = floats[: rows[j]]
-            eps = model.predict_epsilon(state[: rows[j]], times[j] * cfg.schedule.steps_T)
-            ddim_transfer(xm, eps.view(np.float64), ab[j], ab[j + 1], xm, scratch[: rows[j]])
+            # The moving rows change only at a start node, so slice only there.
+            if j == 0 or rows[j] != rows[j - 1]:
+                sm, xm, sc = state[: rows[j]], floats[: rows[j]], scratch[: rows[j]]
+            eps = model.predict_epsilon(sm, times[j] * cfg.schedule.steps_T)
+            ddim_transfer(xm, eps.view(np.float64), ab[j], ab[j + 1], xm, sc)
             k = nodes[j + 1]
             _check_finite(xm, k, times[j + 1])
             if out_of is not None and (k in keep or k == nodes[-1]):

@@ -169,10 +169,10 @@ class TestSoftmaxRows:
         rng = np.random.default_rng(9)
         g, l = make_pair(12, 6, heads=3, windows=2, seed=11)
         x = rng.standard_normal((12, 6))
-        probs_g = attention._internals(g, x).probs
+        probs_g = attention_forward_saved(g, x)[1].probs
         assert probs_g.shape == (1, 3, 12, 12)
         np.testing.assert_allclose(probs_g.sum(axis=-1), 1.0, atol=1e-9)
-        probs_l = attention._internals(l, x).probs
+        probs_l = attention_forward_saved(l, x)[1].probs
         assert probs_l.shape == (2, 3, 6, 6)
         np.testing.assert_allclose(probs_l.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -255,12 +255,12 @@ class TestBatched:
         cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
         x = np.random.default_rng(2).standard_normal((3, 2, 16, 16))
         out = attention_forward(cfg, x)
-        probs = attention._internals(cfg, x).probs
+        probs = attention_forward_saved(cfg, x)[1].probs
         assert out.shape == x.shape
         for i in range(3):
             for j in range(2):
                 assert out[i, j].tobytes() == attention_forward(cfg, x[i, j]).tobytes()
-                assert probs[i, j].tobytes() == attention._internals(cfg, x[i, j]).probs.tobytes()
+                assert probs[i, j].tobytes() == attention_forward_saved(cfg, x[i, j])[1].probs.tobytes()
 
     @pytest.mark.parametrize("priority", list(Priority))
     def test_backward_stack_is_the_in_order_sum_of_its_blocks(self, priority):

@@ -480,6 +480,41 @@ class TestFlowOdeKeepAndStarts:
             assert row.tobytes() == ref.tobytes()
         assert out[-1].tobytes() == stack[-1].tobytes()
 
+    @pytest.mark.parametrize(
+        "starts",
+        [[10, 25, 50], [50, 25], [50, 40, 30, 20], [70, 25, 10], [50.0, 25.0, 10.0]],
+        ids=["ascending", "too-short", "too-long", "outside-the-walk", "not-integer"],
+    )
+    def test_a_malformed_starts_is_refused(self, gmm_setup, starts):
+        """A descent from node 50 over 3 rows takes one integer node per row, non-increasing, in [0, 50]."""
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=100)
+        counting = _Counting(gmm_setup["model_b"])
+        message = r"^starts must be one integer grid node per row, non-increasing, in \[0, 50\]$"
+        with pytest.raises(ValueError, match=message):
+            flow_ode(gmm_setup["x"][:3], counting, 0.5, 0.0, cfg, starts=starts)
+        assert counting.shapes == []
+
+    def test_the_moving_rows_are_sliced_only_where_a_start_node_changes_them(self, gmm_setup):
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=100)
+        inner, seen = gmm_setup["model_b"], []
+
+        class Recording(db.EpsilonModel):
+            def predict_epsilon(self, x, t):
+                seen.append(x)
+                return inner.predict_epsilon(x, t)
+
+        # The steps from nodes 50..31 move row 0, from 30..11 rows 0-2, from 10..1 all four.
+        flow_ode(gmm_setup["x"][:4], Recording(), 0.5, 0.0, cfg, starts=[50, 30, 30, 10])
+        runs = [seen[:20], seen[20:40], seen[40:]]
+        assert [len(run) for run in runs] == [20, 20, 10]
+        for run, rows in zip(runs, [1, 3, 4]):
+            assert run[0].shape == (rows, 2)
+            assert all(x is run[0] for x in run)
+        # Without starts every step scores the same rows.
+        seen.clear()
+        flow_ode(gmm_setup["x"][:4], Recording(), 0.0, 0.2, cfg)
+        assert len(seen) == 20 and all(x is seen[0] for x in seen)
+
 
 class _PixelWalk(db.EpsilonModel):
     """A model scored with no basis, so flow_ode walks it on pixels."""

@@ -980,9 +980,9 @@ class TestMlpBatchedBackward:
         m = self.model(priority)
         x, target = np.random.default_rng(6).standard_normal((2, 5, 16, 16))
         calls = []
-        internals = attention._internals
+        forward = attention.attention_forward_saved
         monkeypatch.setattr(
-            attention, "_internals", lambda *args: calls.append(1) or internals(*args)
+            attention, "attention_forward_saved", lambda *args: calls.append(1) or forward(*args)
         )
         m.backward(x, np.arange(5) * 20.0, target)
         assert len(calls) == 1
