@@ -9,6 +9,7 @@ source: rerunning reproduces every output bit for bit.
 import numpy as np
 
 import diffbridge as db
+from diffbridge import verify
 from diffbridge.bridge import BridgeConfig, flow_ode, migrate
 
 sched = db.linear_schedule(1000)
@@ -19,8 +20,7 @@ cfg = BridgeConfig(schedule=sched, steps_per_unit_time=1000)
 
 print("the forward flow is invertible: 0 -> 1 -> 0 returns the inputs")
 x = db.gmm_sample(pair.source, 8, seed=0)
-rt = flow_ode(flow_ode(x, model_a, 0.0, 1.0, cfg), model_a, 1.0, 0.0, cfg)
-print(f"  round-trip max error: {np.abs(rt - x).max():.2e}")
+print(f"  round-trip max error: {verify.round_trip_error(flow_ode, x, model_a, cfg):.2e}")
 
 print("\nmigrating 200 samples A -> B:")
 xs = db.gmm_sample(pair.source, 200, seed=1)

@@ -267,5 +267,6 @@ def depth_sweep(
     deepest = max(nodes, default=0) / cfg.grid_steps
     stack = np.empty((len(row), *np.shape(x_source)))
     flow_ode(x_source, model_src, 0.0, deepest, cfg, keep=dict(zip(deepest_first, stack)))
-    stack = flow_ode(stack, model_tgt, deepest, 0.0, cfg, starts=deepest_first)
+    # An integer array, so an empty grid's starts are integers too.
+    stack = flow_ode(stack, model_tgt, deepest, 0.0, cfg, starts=np.array(deepest_first, dtype=np.intp))
     return stack[[row[k] for k in nodes]]

@@ -95,12 +95,7 @@ def init_model(
         if token_count < 1 or field_size % token_count != 0:
             raise ValueError(f"token_count {token_count} must divide the field size {field_size}")
         att_cfg = attn.init_attention(
-            token_count=token_count,
-            model_dim=field_size // token_count,
-            heads=cfg.attention.get("heads", 1),
-            windows=cfg.attention.get("windows", 1),
-            priority=priority,
-            seed=att_seed,
+            **cfg.attention, model_dim=field_size // token_count, priority=priority, seed=att_seed
         )
     return init_mlp(
         field_shape,

@@ -24,10 +24,19 @@ at least three times the first: T <= 100 at the default betas), the eps
 term is taken as 0, the optimal prediction's value there, and the noise
 rate is below 1e-8, so the drift stays finite.
 
+A stationary Gaussian texture has closed forms: its exact
+probability-flow map and DDIM's discrete map over the walk's own nodes
+are each one gain per unitary Fourier mode (``texture_flow_gain``,
+``texture_ddim_gain``), applied through the ortho fft2
+(``apply_texture_gain``), so every frame of a texture depth sweep has an
+exact value under either map (``texture_sweep_frames``).
+
 Each oracle has one home: a measurement function here that takes its
 inputs and returns the measured numbers.  The checks, the acceptance
-criteria and the unit tests all measure through these functions, and
-each caller pins its own sizes, seeds, bounds and error rule.
+criteria, the unit tests and the demos all measure through these
+functions, and each caller pins its own sizes, seeds, bounds and error
+rule.  (Demo 06 checks one weight's gradient itself: ``gradient_error``
+over its model's 5506 parameters takes about 0.8 s.)
 """
 
 from __future__ import annotations
@@ -216,6 +225,50 @@ def check_ddim_ode_agreement(schedule: NoiseSchedule, seed: int = 0) -> CheckRes
         0.05,
         f"deviation {devs[500]:.2e} -> {devs[1000]:.2e} as grid doubles",
     )
+
+
+def texture_flow_gain(lam, cfg: BridgeConfig, k0: int, k1: int) -> np.ndarray:
+    """Per-mode gain of the exact probability-flow map of a Gaussian texture from node k0 to k1.
+
+    A stationary Gaussian field with mode variances lam stays Gaussian,
+    with variance v(t) = ab(t) * lam + (1 - ab(t)) per unitary Fourier mode
+    (v(0) is lam exactly), and its flow scales each mode by sqrt(v(t1) / v(t0)).
+    """
+    a0, a1 = cfg.schedule.alpha_bar_at(np.array([k0, k1]) / cfg.grid_steps)
+    return np.sqrt((a1 * lam + (1.0 - a1)) / (a0 * lam + (1.0 - a0)))
+
+
+def texture_ddim_gain(lam, cfg: BridgeConfig, k0: int, k1: int) -> np.ndarray:
+    """Per-mode gain of zero-sigma DDIM on the exact texture model over ``cfg.walk_nodes(k0, k1)``.
+
+    The exact eps is one gain per mode, so the step from alpha_bar a_j to
+    a_{j+1} scales mode k by
+        sqrt(a_{j+1}/a_j) * (1 - (1 - a_j)/v_j) + sqrt((1 - a_{j+1})(1 - a_j))/v_j,
+    with v_j = a_j * lam_k + 1 - a_j, and the walk by the product of its steps.
+    """
+    a = cfg.schedule.alpha_bar_at(cfg.walk_nodes(k0, k1)[1])
+    g = np.ones_like(lam)
+    for a0, a1 in zip(a[:-1], a[1:]):
+        v = a0 * lam + 1.0 - a0
+        g *= np.sqrt(a1 / a0) * (1.0 - (1.0 - a0) / v) + np.sqrt((1.0 - a1) * (1.0 - a0)) / v
+    return g
+
+
+def apply_texture_gain(gain, x) -> np.ndarray:
+    """Fields x ``(..., H, W)`` with each unitary Fourier mode scaled by gain."""
+    return np.fft.ifft2(gain * np.fft.fft2(x, norm="ortho"), norm="ortho").real
+
+
+def texture_sweep_frames(gain, x, lam_src, lam_tgt, cfg: BridgeConfig, depths) -> np.ndarray:
+    """Exact frames of a texture depth sweep, ``(len(depths), *x.shape)`` in grid order.
+
+    gain is ``texture_flow_gain`` (the exact flow) or ``texture_ddim_gain``
+    (the walk's own map); each depth snaps to its node k and migrates by
+    gain(lam_src, cfg, 0, k) * gain(lam_tgt, cfg, k, 0).
+    """
+    ks = [cfg.node(float(d)) for d in depths]
+    gains = np.array([gain(lam_src, cfg, 0, k) * gain(lam_tgt, cfg, k, 0) for k in ks])
+    return apply_texture_gain(gains.reshape(len(ks), *[1] * (np.ndim(x) - 2), *np.shape(lam_src)), x)
 
 
 _GRADIENT_STEP = 1e-5

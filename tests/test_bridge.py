@@ -17,6 +17,7 @@ from diffbridge.bridge import (
     flow_ode,
     migrate,
 )
+from diffbridge import verify
 from diffbridge.verify import DRIFT_TIME_FLOOR, ddim_heun_deviation, heun_flow, round_trip_error
 
 
@@ -436,6 +437,15 @@ class TestDepthSweep:
             assert not np.shares_memory(frames[k], frames[0])
         assert frames[1].tobytes() != frames[0].tobytes()
 
+    @pytest.mark.parametrize("pair", ["gmm", "texture"])
+    def test_an_empty_grid_gives_no_frames_and_calls_no_model(self, gmm_setup, pair):
+        m_src, m_tgt, xs, steps = self._pairs(gmm_setup)[pair]
+        src, tgt = _Counting(m_src), _Counting(m_tgt)
+        cfg = BridgeConfig(schedule=gmm_setup["sched"], steps_per_unit_time=steps)
+        for x in (xs, xs[0]):
+            assert depth_sweep(x, src, tgt, cfg, []).shape == (0, *x.shape)
+        assert src.shapes == tgt.shapes == []
+
     def test_hybrid_priority_enforced(self, gmm_setup):
         att_fwd = db.init_attention(1, 2, priority=Priority.GLOBAL_FIRST, seed=0)
         m_fwd = db.init_mlp((2,), (4,), steps_total=1000, time_dim=4, attention=att_fwd, seed=1)
@@ -643,12 +653,8 @@ class TestBasisWalk:
 class TestTextureDdimOracle:
     """DDIM on the exact texture models against the per-mode product of its step gains.
 
-    The exact texture epsilon is diagonal in the unitary Fourier basis,
-    so one DDIM node from a_j to a_{j+1} multiplies mode k by
-        sqrt(a_{j+1}/a_j) * (1 - (1 - a_j)/v_j) + sqrt((1 - a_{j+1})(1 - a_j))/v_j,
-    with v_j = a_j * lambda_k + 1 - a_j (sqrt(a_{j+1}) where a_j = 1).  The
-    oracle is that product applied through fft2/ifft2, arithmetic that
-    shares nothing with the model's transform kernel.
+    The oracle is ``verify.texture_ddim_gain`` applied through fft2/ifft2,
+    arithmetic that shares nothing with the model's transform kernel.
     """
 
     N = 50  # grid nodes per unit time
@@ -661,41 +667,22 @@ class TestTextureDdimOracle:
         models = tuple(db.AnalyticFieldEpsilon(lam, sched) for lam in lams)
         return sched, lams, models, pair.source.sample(4, seed=5)
 
-    def gain(self, sched, lam, k0, k1):
-        """The per-mode DDIM gain from grid node k0 to node k1."""
-        nodes = np.arange(k0, k1 + (1 if k1 > k0 else -1), 1 if k1 > k0 else -1)
-        a = sched.alpha_bar_at(nodes / self.N)
-        g = np.ones_like(lam)
-        for a0, a1 in zip(a[:-1], a[1:]):
-            v = a0 * lam + 1.0 - a0
-            g *= np.sqrt(a1 / a0) * (1.0 - (1.0 - a0) / v) + np.sqrt((1.0 - a1) * (1.0 - a0)) / v
-        return g
-
-    @staticmethod
-    def apply(g, x):
-        return np.fft.ifft2(g * np.fft.fft2(x, norm="ortho"), norm="ortho").real
-
-    def expected(self, setup, depth):
-        """The exact latent and migrated fields of DDIM migration to a depth on the grid."""
-        sched, (lam_s, lam_t), _, x = setup
-        k = round(depth * self.N)
-        forward = self.gain(sched, lam_s, 0, k)
-        return self.apply(forward, x), self.apply(forward * self.gain(sched, lam_t, k, 0), x)
-
     def test_migrate_is_the_product_of_step_gains(self, setup):
-        sched, _, (m_src, m_tgt), x = setup
+        sched, (lam_s, lam_t), (m_src, m_tgt), x = setup
         cfg = BridgeConfig(schedule=sched, steps_per_unit_time=self.N)
-        latent, migrated = self.expected(setup, 1.0)
+        latent = verify.apply_texture_gain(verify.texture_ddim_gain(lam_s, cfg, 0, self.N), x)
+        (migrated,) = verify.texture_sweep_frames(verify.texture_ddim_gain, x, lam_s, lam_t, cfg, [1.0])
         # migrate's forward leg is this flow.
         np.testing.assert_allclose(flow_ode(x, m_src, 0.0, 1.0, cfg), latent, rtol=0, atol=1e-12)
         np.testing.assert_allclose(migrate(x, m_src, m_tgt, cfg), migrated, rtol=0, atol=1e-12)
 
     def test_depth_sweep_is_the_product_of_step_gains(self, setup):
-        sched, _, (m_src, m_tgt), x = setup
+        sched, (lam_s, lam_t), (m_src, m_tgt), x = setup
         cfg = BridgeConfig(schedule=sched, steps_per_unit_time=self.N)
         depths = [0.25, 1.0, 0.5]
-        for depth, frame in zip(depths, depth_sweep(x, m_src, m_tgt, cfg, depths)):
-            latent, migrated = self.expected(setup, depth)
+        expected = verify.texture_sweep_frames(verify.texture_ddim_gain, x, lam_s, lam_t, cfg, depths)
+        for depth, frame, migrated in zip(depths, depth_sweep(x, m_src, m_tgt, cfg, depths), expected):
+            latent = verify.apply_texture_gain(verify.texture_ddim_gain(lam_s, cfg, 0, cfg.node(depth)), x)
             np.testing.assert_allclose(flow_ode(x, m_src, 0.0, depth, cfg), latent, rtol=0, atol=1e-12)
             np.testing.assert_allclose(frame, migrated, rtol=0, atol=1e-12)
 

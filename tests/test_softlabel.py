@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import diffbridge as db
-from diffbridge import softlabel
+from diffbridge import softlabel, verify
 from diffbridge.softlabel import (
     DegenerateEndpointsError,
     HighpassSpec,
@@ -252,6 +252,22 @@ class TestLabelSweep:
                 a_i = highpass_magnitude(frame, spec)
                 assert sweep.a_frame[k, i] == a_i
                 assert (sweep.value[k, i], sweep.raw[k, i]) == soft_label(a_s, a_i, a_t)
+
+    def test_labels_are_those_of_the_exact_ddim_map(self):
+        sched = db.linear_schedule(1000)
+        pair = db.make_texture_pair("bandsplit", 16, seed=1)
+        lam_s, lam_t = pair.source.mode_variances, pair.target.mode_variances
+        m_src, m_tgt = (db.AnalyticFieldEpsilon(lam, sched) for lam in (lam_s, lam_t))
+        cfg, spec = db.BridgeConfig(schedule=sched, steps_per_unit_time=50), HighpassSpec(0.25)
+        xs = pair.source.sample(4, seed=2)
+        grid = [0.5, 0.0, 1.0, 0.1, 0.25, 0.26]  # unsorted, with 0
+        sweep = label_sweep(xs, m_src, m_tgt, cfg, grid, spec)
+        # The target endpoint is the full-depth frame, appended as label_sweep does.
+        frames = verify.texture_sweep_frames(verify.texture_ddim_gain, xs, lam_s, lam_t, cfg, [*grid, 1.0])
+        mags = highpass_magnitude(frames, spec)
+        value, raw = soft_label(highpass_magnitude(xs, spec), mags[:-1], mags[-1])
+        for got, want in ((sweep.frames, frames[:-1]), (sweep.value, value), (sweep.raw, raw)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_rejects_unbatched_sources(self, setup):
         x, models = setup["x"], (setup["m_src"], setup["m_tgt"], setup["cfg"])
