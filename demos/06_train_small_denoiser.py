@@ -11,6 +11,7 @@ import numpy as np
 
 import diffbridge as db
 from diffbridge.train import TrainConfig, evaluate_fit, train_denoiser
+from diffbridge.verify import float64_copy
 
 sched = db.linear_schedule(1000)
 mix = db.default_gmm_pair().source
@@ -36,16 +37,18 @@ print(f"  {'trained, median':>16}: {np.median(fits):.4f}")
 exact = db.AnalyticGmmEpsilon(mix, sched)
 print(f"  {'exact':>16}: {evaluate_fit(exact, mix, 150, sched, seed=5):.4f}")
 
+# The model computes in float32, too coarse for a step of 1e-6, so the
+# difference is taken on its float64 copy, beside the float32 gradient.
 print("\ngradient sanity on one example (manual vs finite difference):")
 x, target = data[0], np.zeros(2)
-grads = model.backward(x, 100, target)
-w = model.weights[0]
-g = grads.parameters[0][0, 0]
+g = model.backward(x, 100, target).parameters[0][0, 0]
+twin = float64_copy(model)
+w = twin.weights[0]
 h = 1e-6
 orig = w[0, 0]
 w[0, 0] = orig + h
-up = float(np.sum((target - model.predict_epsilon(x, 100)) ** 2))
+up = float(np.sum((target - twin.predict_epsilon(x, 100)) ** 2))
 w[0, 0] = orig - h
-down = float(np.sum((target - model.predict_epsilon(x, 100)) ** 2))
+down = float(np.sum((target - twin.predict_epsilon(x, 100)) ** 2))
 w[0, 0] = orig
-print(f"  manual {g:+.6e}  finite-difference {(up - down) / (2 * h):+.6e}")
+print(f"  manual (float32) {g:+.6e}  finite-difference (float64) {(up - down) / (2 * h):+.6e}")

@@ -37,6 +37,12 @@ weight gradients only, as a list in ``AttentionConfig.parameters()``
 order, since no caller reads a token gradient.  The backward's one
 helper, ``_qkv_pullback``, keeps the per-head chain rule apart from its
 two weight GEMMs.
+
+The block computes in its weights' one dtype (``AttentionConfig.dtype``):
+float32 as ``init_attention`` and checkpoints build it, float64 when
+built from float64 arrays.  The tokens are cast to it once, and the
+scores, the softmax, the merged buffer and the gradients follow the
+tokens; the softmax keeps the last-axis formula's bytes in either dtype.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import _block_product, _block_weight_gradient, _pairwise_sum
+from .blocks import _block_product, _block_weight_gradient, _check_float_dtype, _pairwise_sum
 
 
 class Priority(Enum):
@@ -72,7 +78,11 @@ def select_priority(direction: Direction) -> Priority:
 
 @dataclass
 class AttentionConfig:
-    """Token geometry, head/window counts, priority, and projection weights."""
+    """Token geometry, head/window counts, priority, and projection weights.
+
+    A float32 weight is kept as it is and any other is cast to float64;
+    the four must then share one dtype (one-line ValueError otherwise).
+    """
 
     token_count: int
     model_dim: int
@@ -93,10 +103,18 @@ class AttentionConfig:
         if self.token_count % self.windows != 0:
             raise ValueError("token_count must be divisible by windows")
         for name in ("w_query", "w_key", "w_value", "w_output"):
-            w = np.asarray(getattr(self, name), dtype=np.float64)
+            w = getattr(self, name)
+            if getattr(w, "dtype", None) != np.float32:
+                w = np.asarray(w, dtype=np.float64)
             if w.shape != (self.model_dim, self.model_dim):
                 raise ValueError(f"{name} must be ({self.model_dim}, {self.model_dim})")
             setattr(self, name, w)
+        _check_float_dtype(self.parameters())
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The weights' one float dtype, which the block computes in."""
+        return self.w_query.dtype
 
     @property
     def head_dim(self) -> int:
@@ -125,10 +143,13 @@ def init_attention(
     priority: Priority = Priority.GLOBAL_FIRST,
     seed: int = 0,
 ) -> AttentionConfig:
-    """Config with Glorot-uniform projection weights, seeded."""
+    """Config with Glorot-uniform projection weights, seeded, in float32.
+
+    The weights are float64 draws rounded to float32.
+    """
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / (2 * model_dim))
-    make = lambda: rng.uniform(-bound, bound, size=(model_dim, model_dim))
+    make = lambda: rng.uniform(-bound, bound, size=(model_dim, model_dim)).astype(np.float32)
     return AttentionConfig(
         token_count=token_count,
         model_dim=model_dim,
@@ -160,7 +181,7 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     e -= np.maximum.reduce(e, axis=0)
     np.exp(e, out=e)
     e /= _pairwise_sum(e)
-    probs = np.empty(scores.shape)
+    probs = np.empty(scores.shape, dtype=scores.dtype)
     np.copyto(probs.reshape(-1, m).T, e)
     return probs
 
@@ -193,9 +214,9 @@ def attention_forward_saved(
 ) -> tuple[np.ndarray, SavedForward]:
     """``attention_forward``'s output, and the arrays ``attention_backward`` reads.
 
-    tokens are cast to float64 and must be (..., token_count, model_dim).
+    tokens are cast to the weights' dtype and must be (..., token_count, model_dim).
     """
-    x = np.asarray(tokens, dtype=np.float64)
+    x = np.asarray(tokens, dtype=cfg.dtype)
     n, d, h, dh = cfg.token_count, cfg.model_dim, cfg.heads, cfg.head_dim
     if x.shape[-2:] != (n, d):
         raise ValueError(f"tokens shape {x.shape} != (..., {n}, {d})")
@@ -215,7 +236,7 @@ def attention_forward_saved(
     scores /= math.sqrt(dh)
     probs = _softmax_rows(scores)
     # Each head's probs @ v goes straight into its columns of the merged (..., n, d).
-    merged = np.empty((*lead, n, d))
+    merged = np.empty((*lead, n, d), dtype=x.dtype)
     np.matmul(probs, vh, out=merged.reshape(*lead, w, nw, h, dh).swapaxes(-3, -2))
     return merged @ cfg.w_output, SavedForward(x, qh, kh, vh, probs, merged)
 
@@ -236,7 +257,7 @@ def attention_backward(
     whatever R is, and one (n, d) matrix is a block of one row.  R = 0
     gives zeros.  No token gradient is computed.
     """
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=saved.tokens.dtype)
     if grad_out.shape != saved.tokens.shape:
         raise ValueError("grad_out shape must match tokens shape")
     n, d = cfg.token_count, cfg.model_dim
@@ -263,7 +284,7 @@ def _qkv_pullback(cfg, saved, grad_out):
     d_scores -= _row_dot(d_scores, probs)
     d_scores *= probs
     d_scores /= math.sqrt(dh)
-    d_qkv = np.empty((*lead, n, 3 * d))
+    d_qkv = np.empty((*lead, n, 3 * d), dtype=probs.dtype)
     d_q, d_k, d_v = (
         d_qkv[..., i * d : (i + 1) * d].reshape(*lead, w, nw, h, dh).swapaxes(-3, -2)
         for i in range(3)

@@ -15,6 +15,11 @@ no padding copy.
 The two fixed-order sums over a first axis live here too: in order, and
 in numpy's pairwise order for a contiguous last axis, which ``domains``
 and ``attention`` use to match numpy's bytes without a transposed copy.
+
+Every product, padding block and sum is in its operands' dtype: float32
+for a trained model, float64 for the exact models' sums and a float64
+model.  ``_check_float_dtype`` is the one check that a model's parameters
+share one of the two.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ def _blocks(a: np.ndarray) -> np.ndarray:
     rows = a.shape[0]
     padded = _padded(rows)
     if padded != rows:
-        block = np.zeros((padded, *a.shape[1:]))
+        block = np.zeros((padded, *a.shape[1:]), dtype=a.dtype)
         block[:rows] = a
         a = block
     return a.reshape(padded // _BLOCK_ROWS, _BLOCK_ROWS, *a.shape[1:])
@@ -74,7 +79,7 @@ def _in_order_sum(stack: np.ndarray) -> np.ndarray:
     is one number (a width-1 layer's bias, say).  Starting from +0.0
     turns only a -0.0 sum into +0.0.
     """
-    total = np.zeros(stack.shape[1:])
+    total = np.zeros(stack.shape[1:], dtype=stack.dtype)
     for part in stack:
         total += part
     return total
@@ -107,6 +112,16 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     for term in terms[whole:]:
         total += term
     return total
+
+
+def _check_float_dtype(parameters) -> None:
+    """A one-line ValueError unless a model's parameters share one dtype, float32 or float64.
+
+    The model computes in that dtype.
+    """
+    dtypes = sorted({str(p.dtype) for p in parameters})
+    if dtypes not in (["float32"], ["float64"]):
+        raise ValueError(f"parameters must be all float32 or all float64, got {' and '.join(dtypes)}")
 
 
 def _block_sum(per_row: np.ndarray) -> np.ndarray:

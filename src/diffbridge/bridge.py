@@ -23,7 +23,10 @@ mode: ``flow_ode`` maps the rows it moves in once, steps the spectrum's
 float64 view, and maps back once at the end and once at each kept node,
 so a leg costs one transform pair, not one per model call.  A row that
 never moves keeps its bytes.  The GMM and trained models have no basis
-and step their own arrays.
+and step their own arrays.  The state is float64 whatever the model's
+dtype: a trained model reads it in float32, and its float32 eps is
+stepped as that eps cast to float64; only a complex eps is stepped on its
+float64 view.
 
 Integration runs on a global uniform grid of ``steps_per_unit_time``
 sub-steps per unit time; endpoints snap to the nearest grid node, so
@@ -146,7 +149,9 @@ def flow_ode(
             if j == 0 or rows[j] != rows[j - 1]:
                 sm, xm, sc = state[: rows[j]], floats[: rows[j]], scratch[: rows[j]]
             eps = model.predict_epsilon(sm, times[j] * cfg.schedule.steps_T)
-            ddim_transfer(xm, eps.view(np.float64), ab[j], ab[j + 1], xm, sc)
+            if eps.dtype.kind == "c":  # a spectrum steps as (real, imaginary) pairs
+                eps = eps.view(np.float64)
+            ddim_transfer(xm, eps, ab[j], ab[j + 1], xm, sc)
             k = nodes[j + 1]
             _check_finite(xm, k, times[j + 1])
             if out_of is not None and (k in keep or k == nodes[-1]):

@@ -35,7 +35,13 @@ Three implementations:
   place on one fresh array, with the out-of-place formulas' bytes.
   Its trainable arrays have one name list (``named_parameters``), in the
   checkpoint's payload order: the gradients, the optimiser and the
-  checkpoint reader and writer all follow it.
+  checkpoint reader and writer all follow it.  It computes in its
+  parameters' one dtype (``dtype``): float32 as ``init_mlp``, training
+  and checkpoints build it, since a trained model's own error is orders
+  of magnitude above float32 rounding; a model built from float64 arrays
+  computes in float64.  Inputs are cast to that dtype, and its eps,
+  gradients and every buffer are in it.  The exact models compute in
+  float64.
 
 The analytic models hold two kinds of state, both bounded.  The mixture
 model tabulates, once per model, each integer step's alpha_bar,
@@ -65,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import attention as attn
-from .blocks import _block_gradients, _block_product, _padded
+from .blocks import _block_gradients, _block_product, _check_float_dtype, _padded
 from .domains import (
     GaussianMixture,
     checked_mode_variances,
@@ -76,7 +82,9 @@ from .domains import (
 from .schedule import NoiseSchedule
 
 CHECKPOINT_MAGIC = b"DBCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Payload values: little-endian float32, whatever the saved model's dtype.
+_PAYLOAD_DTYPE = np.dtype("<f4")
 
 
 class EpsilonModel(ABC):
@@ -86,7 +94,8 @@ class EpsilonModel(ABC):
     basis it also scores states in: ``predict_epsilon`` then takes a
     state in either representation and answers in the one it was given.
     ``bridge.flow_ode`` walks in the basis, where the model's eps and the
-    DDIM update act on the state's float64 view.
+    DDIM update act on the state's float64 view.  A real eps may be
+    float32 (a trained model's); the walk widens it as it reads it.
     """
 
     basis = None
@@ -321,7 +330,10 @@ class MlpDenoiser(EpsilonModel):
     (..., *field_shape); ``backward`` takes one field or a (B, *field_shape)
     minibatch.  Both take one step for every field, or an array of steps
     shaped like the leading axes.  The dense layers' ``weights`` and
-    ``biases`` are given at construction, one of each per layer.
+    ``biases`` are given at construction, one of each per layer.  Every
+    parameter, attention weights included, must be float32 or every one
+    float64 (one-line ValueError otherwise); the model computes in that
+    ``dtype``, casting its inputs to it, and returns eps and gradients in it.
     """
 
     field_shape: tuple[int, ...]
@@ -346,6 +358,12 @@ class MlpDenoiser(EpsilonModel):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
                 raise ValueError(f"layer {i} shapes do not chain")
+        _check_float_dtype(self.parameters())
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' one float dtype, which the model computes in."""
+        return self.weights[0].dtype
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """Each trainable array with its checkpoint name, in payload order."""
@@ -362,7 +380,7 @@ class MlpDenoiser(EpsilonModel):
     # -- inference ---------------------------------------------------------
 
     def predict_epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         lead = x.shape[: max(x.ndim - len(self.field_shape), 0)]
         if x.shape[len(lead):] != tuple(self.field_shape):
             raise ValueError(f"field shape {x.shape} != model shape (..., {self.field_shape})")
@@ -380,15 +398,16 @@ class MlpDenoiser(EpsilonModel):
 
         ``x`` is the field, or the attention block's output; ``t`` is one
         checked step for every field, or an array of steps shaped like the
-        leading axes.  Each field plus its time embedding is one row of a
-        zero-padded C-order buffer, and every layer is ``_block_product``:
+        leading axes.  Each field plus its time embedding (computed in
+        float64, then rounded) is one row of a zero-padded C-order buffer
+        in the model's dtype, and every layer is ``_block_product``:
         the same (16, k) GEMM for every row, so a batch's rows are
         bit-identical to one call per field at its step.  ``pre`` and
         ``post`` hold one (R, k) array per layer, R the number of fields.
         """
         rows = math.prod(lead)
         size = math.prod(self.field_shape)
-        z = np.zeros((_padded(rows), size + self.time_dim))
+        z = np.zeros((_padded(rows), size + self.time_dim), dtype=self.dtype)
         z[:rows, :size] = x.reshape(rows, size)
         embed = time_embedding(t / self.steps_total, self.time_dim)
         z[:rows, size:] = embed.reshape(-1, self.time_dim)  # one row, or one per field
@@ -437,8 +456,8 @@ class MlpDenoiser(EpsilonModel):
         ``parameters()`` array in its order, with the prediction they
         were taken at, shaped like x.
         """
-        x = np.asarray(x, dtype=np.float64)
-        target_eps = np.asarray(target_eps, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
+        target_eps = np.asarray(target_eps, dtype=self.dtype)
         if target_eps.shape != x.shape:
             raise ValueError("target shape must match input shape")
         one = x.shape == tuple(self.field_shape)
@@ -490,10 +509,11 @@ def init_mlp(
     attention: attn.AttentionConfig | None = None,
     seed: int = 0,
 ) -> MlpDenoiser:
-    """MLP with Glorot-uniform weights, zero biases; fully seeded.
+    """MLP with Glorot-uniform weights, zero biases, in float32; fully seeded.
 
-    The weights are drawn layer by layer from ``seed`` once the geometry
-    is checked, and the model is built with all of them.
+    The weights are drawn in float64, layer by layer from ``seed`` once
+    the geometry is checked, rounded to float32, and the model is built
+    with all of them.
     """
     field_shape, widths = tuple(field_shape), tuple(widths)
     dims = _layer_dims(field_shape, widths, time_dim)
@@ -501,8 +521,8 @@ def init_mlp(
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)).astype(np.float32))
+        biases.append(np.zeros(fan_out, dtype=np.float32))
     return MlpDenoiser(field_shape, widths, steps_total, time_dim,
                        weights=weights, biases=biases, attention=attention)
 
@@ -515,15 +535,18 @@ def init_mlp(
 #   bytes 4..7   format version, little-endian uint32
 #   bytes 8..11  header length H, little-endian uint32
 #   bytes 12..   H bytes of UTF-8 JSON metadata
-#   then         row-major float64 payloads, concatenated in the order
-#                listed under the header's "arrays" key
+#   then         row-major little-endian float32 payloads, concatenated
+#                in the order listed under the header's "arrays" key
 #
 # The header records its kind ("mlp_denoiser"), field_shape, widths, time
 # embedding size, activation ("silu"), total steps, the optional attention
 # geometry/priority, and the name and shape of every payload array.  The
 # arrays are the model's ``named_parameters()``: w0..wN, b0..bN, then
 # att_wq, att_wk, att_wv and att_wo when the model has attention.  The
-# loader accepts exactly that name list, in that order.
+# loader accepts exactly that name list, in that order, and builds a
+# float32 model.  A float64 model is saved as its float32 rounding.
+# Version 1 held float64 payloads; the loader refuses it (and any version
+# but 2) with its one-line version error.
 
 # The AttentionConfig fields a header's attention entry holds beside its priority.
 _ATTENTION_GEOMETRY = ("token_count", "model_dim", "heads", "windows")
@@ -551,11 +574,11 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=_PAYLOAD_DTYPE).tobytes())
 
 
 def load_checkpoint(path) -> MlpDenoiser:
-    """The model a checkpoint file holds.
+    """The float32 model a checkpoint file holds.
 
     Anything malformed -- magic, version, header JSON, a missing entry or
     one of the wrong type (a kind not "mlp_denoiser", an activation not
@@ -614,10 +637,12 @@ def _from_header(header: dict, blob: bytes, offset: int) -> MlpDenoiser:
         name = _entry(meta, "name", "a string", f"checkpoint array {i}")
         shape = _entry(meta, "shape", "a list of integers >= 0", f"checkpoint array {i}")
         count = math.prod(shape)
-        if offset + 8 * count > len(blob):
+        size = count * _PAYLOAD_DTYPE.itemsize
+        if offset + size > len(blob):
             raise ValueError(f"truncated payload for array {name}")
-        payload.append((name, np.frombuffer(blob, np.float64, count, offset).reshape(shape).copy()))
-        offset += 8 * count
+        values = np.frombuffer(blob, _PAYLOAD_DTYPE, count, offset)
+        payload.append((name, values.reshape(shape).astype(np.float32)))
+        offset += size
     if offset < len(blob):
         raise ValueError("checkpoint has bytes after its last payload")
 

@@ -107,18 +107,20 @@ def ddim_transfer(
     be ``x``.
 
     The coefficients are real, so a complex state steps on its float64
-    view.  Fresh batch-sized temporaries on every step make the allocator
-    return pages to the OS and fault them in again.  Measured on a
-    200-node texture-32 walk of 18 fields (``flow_ode`` 0 -> 1 in the
-    model's half-spectrum basis, numpy 2.4.6, one BLAS thread, 2-vCPU
-    VM, medians of 28 walks): with the out-of-place ``out[...] = c_x * x
-    + c_e * eps`` the walk made 16718 minor faults (84 a step) and took
-    33-35 ms; through ``scratch`` it makes 157, as many as a 20-node
-    walk, and takes 10 ms.
+    view.  The step is float64 arithmetic whatever eps's real dtype: a
+    trained model's float32 eps is widened as it is read, with the bytes
+    of ``eps.astype(np.float64)``.  Fresh batch-sized temporaries on
+    every step make the allocator return pages to the OS and fault them
+    in again.  Measured on a 200-node texture-32 walk of 18 fields
+    (``flow_ode`` 0 -> 1 in the model's half-spectrum basis, numpy
+    2.4.6, one BLAS thread, 2-vCPU VM, medians of 28 walks): with the
+    out-of-place ``out[...] = c_x * x + c_e * eps`` the walk made 16718
+    minor faults (84 a step) and took 33-35 ms; through ``scratch`` it
+    makes 157, as many as a 20-node walk, and takes 10 ms.
     """
     c_x = math.sqrt(ab_to) / math.sqrt(ab_from)
     c_e = math.sqrt(1.0 - ab_to - sigma**2) - c_x * math.sqrt(1.0 - ab_from)
-    np.multiply(eps, c_e, out=scratch)
+    np.multiply(eps, c_e, out=scratch, dtype=np.float64)
     np.multiply(x, c_x, out=out)
     out += scratch
     return out

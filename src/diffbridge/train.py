@@ -8,16 +8,24 @@ are exactly the model's manual reverse-mode gradients, and each
 example's loss is read off the same forward pass; training is
 single-threaded and bit-reproducible under a fixed seed.
 
+The model trains in float32 (``init_mlp``, ``init_attention``): its
+forward, backward, gradients and Adam's moments, which follow the
+parameters' dtype.  The data, the noise draws and the noised minibatch
+are float64; ``MlpDenoiser.backward`` casts the minibatch and its noise
+to float32 once, and each example's loss is the float64 mean of the
+squared difference between the float64 noise and the float32
+prediction.
+
 A minibatch is one batched forward and backward pass: its examples'
 steps are one ``rng.integers`` draw from the one generator, and their
 noise and noised states one ``diffusion.forward_noise`` call on it.
 The model sums their gradients over blocks of 16 examples, in example
 order within a block and then block by block (``MlpDenoiser.backward``);
-that agrees with a per-example sum to rounding.  The sum is divided by
-the field size once, which equals dividing each block's gradient when
-the field size is a power of two (2 for the point domains, n^2 for
-power-of-two textures); other field sizes can differ from per-block
-division in the last bit.
+that agrees with a per-example sum to float32 rounding.  The sum is
+divided by the field size once, which equals dividing each block's
+gradient when the field size is a power of two (2 for the point
+domains, n^2 for power-of-two textures); other field sizes can differ
+from per-block division in the last bit.
 
 A TrainConfig (``config``'s JSON ``train`` section, re-exported here)
 says how to train; the schedule, the seed and the attention priority
@@ -45,7 +53,8 @@ class _Adam:
     """First/second-moment adaptive updates, decay 0.9/0.999, eps 1e-8.
 
     ``step`` evaluates the textbook update's operations in their order
-    and updates the parameters and moments in place.
+    and updates the parameters and moments in place.  The moments take
+    each parameter's dtype, and every operation stays in it.
     """
 
     def __init__(self, params: list[np.ndarray], lr: float):

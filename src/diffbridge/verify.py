@@ -41,12 +41,13 @@ over its model's 5506 parameters takes about 0.8 s.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .attention import AttentionConfig
 from .bridge import BridgeConfig, _check_finite, flow_ode
-from .denoiser import AnalyticGmmEpsilon, init_mlp
+from .denoiser import AnalyticGmmEpsilon, MlpDenoiser, init_mlp
 from .diffusion import forward_noise
 from .domains import default_gmm_pair, gmm_log_density, gmm_sample, noised_mixture
 from .schedule import NoiseSchedule, linear_schedule
@@ -274,13 +275,30 @@ def texture_sweep_frames(gain, x, lam_src, lam_tgt, cfg: BridgeConfig, depths) -
 _GRADIENT_STEP = 1e-5
 
 
+def float64_copy(model: MlpDenoiser | AttentionConfig) -> MlpDenoiser | AttentionConfig:
+    """A copy of a trained model, or of an attention block, with every parameter in float64.
+
+    A float32 model's parameters and losses resolve about 1e-7 relative,
+    too coarse for a central difference at step 1e-5, so the gradient
+    oracles differentiate this copy.  The copy shares no array with model.
+    """
+    if isinstance(model, AttentionConfig):
+        names = ("w_query", "w_key", "w_value", "w_output")
+        return replace(model, **{n: w.astype(np.float64) for n, w in zip(names, model.parameters())})
+    return replace(model, weights=[w.astype(np.float64) for w in model.weights],
+                   biases=[b.astype(np.float64) for b in model.biases],
+                   attention=model.attention and float64_copy(model.attention))
+
+
 def central_differences(model, x, t, target) -> tuple[np.ndarray, np.ndarray, float]:
-    """``model.backward``'s gradients, central differences (step 1e-5) and the loss.
+    """``backward``'s gradients, central differences (step 1e-5) and the loss, all on a float64 copy.
 
     The loss is the squared error summed over every value of x, one field or a
     minibatch with one step per row.  The gradients and differences come flat, in
-    ``model.parameters()`` order.
+    ``model.parameters()`` order.  They are taken on ``float64_copy(model)``, so a
+    float32 model is checked on its float64 twin, and model itself is never written.
     """
+    model = float64_copy(model)
     analytic = np.concatenate([g.reshape(-1) for g in model.backward(x, t, target).parameters])
     loss = float(np.sum((target - model.predict_epsilon(x, t)) ** 2))
     h = _GRADIENT_STEP

@@ -20,6 +20,12 @@ else:
 
 ACCEPTANCE_LINES: list[str] = []
 
+# How far a float32 model's results may sit from the same computation on its
+# float64 copy, or summed in another order, relative to the largest entry:
+# about 84 float32 ulps.  A forward or backward pass measured at most 8 ulps,
+# and three epochs of Adam on the minibatch and per-example loops at most 25.
+FLOAT32_ROUNDING = 1e-5
+
 
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:

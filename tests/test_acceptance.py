@@ -184,7 +184,10 @@ def test_criterion_8_attention_properties():
     locality_exact = True
     for trial in range(50):
         heads = int(rng.choice([1, 2, 4]))
-        g = db.init_attention(8, 8, heads=heads, windows=1, priority=Priority.GLOBAL_FIRST, seed=trial)
+        # The bounds are float64 rounding, so the float32 init is widened first.
+        g = verify.float64_copy(
+            db.init_attention(8, 8, heads=heads, windows=1, priority=Priority.GLOBAL_FIRST, seed=trial)
+        )
         l = AttentionConfig(
             token_count=8, model_dim=8, heads=heads, windows=1,
             priority=Priority.LOCAL_FIRST, w_query=g.w_query, w_key=g.w_key,

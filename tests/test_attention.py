@@ -1,7 +1,10 @@
 """Priority orderings: coincidence, equivariance, locality, stochasticity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import FLOAT32_ROUNDING
 
 from diffbridge import attention
 from diffbridge.attention import (
@@ -14,11 +17,16 @@ from diffbridge.attention import (
     init_attention,
     select_priority,
 )
+from diffbridge.verify import float64_copy
 
 
 def make_pair(token_count, model_dim, heads, windows, seed=0):
-    """Two configs sharing identical weights, one per priority."""
-    g = init_attention(token_count, model_dim, heads, 1, Priority.GLOBAL_FIRST, seed)
+    """Two configs sharing identical weights, one per priority.
+
+    The weights are ``init_attention``'s, widened to float64 for the
+    float64 rounding bounds; ``TestFloat32`` checks the float32 block.
+    """
+    g = float64_copy(init_attention(token_count, model_dim, heads, 1, Priority.GLOBAL_FIRST, seed))
     l = AttentionConfig(
         token_count=token_count,
         model_dim=model_dim,
@@ -59,7 +67,7 @@ class TestSelectPriority:
 class TestGlobalPriority:
     def test_reduces_to_vanilla_single_head(self):
         # Independent oracle: plain scaled dot-product attention written out.
-        cfg = init_attention(6, 4, heads=1, windows=1, seed=3)
+        cfg = float64_copy(init_attention(6, 4, heads=1, windows=1, seed=3))
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 4))
         q, k, v = x @ cfg.w_query, x @ cfg.w_key, x @ cfg.w_value
@@ -79,7 +87,7 @@ class TestGlobalPriority:
         rng = np.random.default_rng(4)
         for trial in range(50):
             n, h = 8, rng.choice([1, 2, 4])
-            cfg = init_attention(n, 8, heads=int(h), seed=trial)
+            cfg = float64_copy(init_attention(n, 8, heads=int(h), seed=trial))
             x = rng.standard_normal((n, 8))
             perm = rng.permutation(n)
             direct = attention_forward(cfg, x)
@@ -352,7 +360,55 @@ class TestAttentionBlockGradients:
     @pytest.mark.parametrize("priority", list(Priority))
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_equals_the_per_row_sum_to_rounding(self, layout, priority):
-        cfg = self.config(layout, priority)
+        cfg = float64_copy(self.config(layout, priority))
         x, g = np.random.default_rng(13).standard_normal((2, 37, *layout[:2]))
         for a, want in zip(backward_of(cfg, x, g), per_row_reference(cfg, x, g), strict=True):
             assert np.max(np.abs(a - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestFloat32:
+    """``init_attention``'s float32 block computes in float32, to float32 rounding of its float64 copy."""
+
+    @pytest.mark.parametrize("priority", list(Priority))
+    def test_forward_and_backward_stay_float32_and_agree_with_the_float64_copy(self, priority):
+        cfg = init_attention(16, 16, heads=2, windows=4, priority=priority, seed=1)
+        assert cfg.dtype == np.float32 and all(w.dtype == np.float32 for w in cfg.parameters())
+        x, g = np.random.default_rng(2).standard_normal((2, 21, 16, 16))
+        out, saved = attention_forward_saved(cfg, x)
+        grads = attention_backward(cfg, saved, g)
+        assert [a.dtype for a in (out, *saved, *grads)] == [np.float32] * 11
+        wide = float64_copy(cfg)
+        out64, saved64 = attention_forward_saved(wide, x)
+        for a, want in zip([out, *grads], [out64, *attention_backward(wide, saved64, g)], strict=True):
+            assert np.max(np.abs(a - want)) <= FLOAT32_ROUNDING * np.max(np.abs(want))
+
+    def test_strict_window_locality(self):
+        cfg = init_attention(12, 6, heads=2, windows=3, priority=Priority.LOCAL_FIRST, seed=7)
+        x = np.random.default_rng(6).standard_normal((12, 6))
+        bumped = x.copy()
+        bumped[5] += 1.0   # window 1 of 3
+        outside = [0, 1, 2, 3, 8, 9, 10, 11]
+        np.testing.assert_array_equal(attention_forward(cfg, bumped)[outside], attention_forward(cfg, x)[outside])
+
+    @pytest.mark.parametrize("lead", [(), (3,), (16, 4, 2)])
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 16, 130])
+    def test_softmax_and_row_dot_bytes_equal_the_last_axis_formulas(self, lead, n):
+        rng = np.random.default_rng(n)
+        s, b = (rng.standard_normal((2, *lead, n)) * 30.0).astype(np.float32)
+        got = attention._softmax_rows(s)
+        assert got.dtype == np.float32
+        assert got.tobytes() == _softmax_by_last_axis_max(s).tobytes()
+        dot = attention._row_dot(s, b)
+        assert dot.dtype == np.float32
+        assert dot.tobytes() == (s * b).sum(axis=-1, keepdims=True).tobytes()
+
+    def test_weights_of_two_dtypes_refused(self):
+        cfg = init_attention(4, 4, seed=0)
+        message = "^parameters must be all float32 or all float64, got float32 and float64$"
+        with pytest.raises(ValueError, match=message):
+            replace(cfg, w_key=cfg.w_key.astype(np.float64))
+
+    def test_weights_of_other_dtypes_are_cast_to_float64(self):
+        eye = np.eye(4, dtype=int)
+        cfg = AttentionConfig(4, 4, w_query=eye, w_key=eye.tolist(), w_value=eye, w_output=eye)
+        assert cfg.dtype == np.float64 and all(w.dtype == np.float64 for w in cfg.parameters())

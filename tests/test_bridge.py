@@ -359,6 +359,50 @@ class TestDepthMigrate:
             )
 
 
+class _CastEps(db.EpsilonModel):
+    """The inner model's eps cast to dtype: a trained float32 model's eps, or its float64 cast."""
+
+    def __init__(self, inner, dtype):
+        self.inner, self.dtype = inner, dtype
+
+    def predict_epsilon(self, x, t):
+        return self.inner.predict_epsilon(x, t).astype(self.dtype)
+
+
+class TestRealEpsOfEitherFloatDtype:
+    """A real eps steps in float64, whatever its float dtype; only a complex eps is viewed as float64."""
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0), (0.2, 0.7)])
+    def test_a_float32_eps_walks_as_that_eps_cast_to_float64(self, gmm_setup, t0, t1):
+        cfg = BridgeConfig(gmm_setup["sched"], 200)
+        narrow = _CastEps(gmm_setup["model_a"], np.float32)
+        got = flow_ode(gmm_setup["x"], narrow, t0, t1, cfg)
+        want = flow_ode(gmm_setup["x"], _CastEps(narrow, np.float64), t0, t1, cfg)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_a_float32_eps_walk_stays_within_float32_rounding_of_the_float64_walk(self, gmm_setup):
+        # Viewing a float32 eps as float64 once read each pair of values as one
+        # number: this walk came out [[-0.019, 0.003], [-0.013, -0.006]].
+        cfg = BridgeConfig(gmm_setup["sched"])
+        x = np.array([[-3.0, 0.5], [-2.0, -1.0]])
+        want = flow_ode(x, gmm_setup["model_a"], 0.0, 1.0, cfg)
+        got = flow_ode(x, _CastEps(gmm_setup["model_a"], np.float32), 0.0, 1.0, cfg)
+        np.testing.assert_allclose(want, [[-0.159, 0.336], [0.704, -0.618]], atol=5e-4)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("priority", [None, Priority.LOCAL_FIRST])
+    def test_a_float32_mlp_walks_as_its_eps_cast_to_float64(self, priority):
+        att = None
+        if priority is not None:
+            att = db.init_attention(4, 4, heads=2, windows=2, priority=priority, seed=1)
+        model = db.init_mlp((4, 4), (16,), steps_total=100, attention=att, seed=2)
+        cfg = BridgeConfig(db.linear_schedule(100), 40)
+        x = np.random.default_rng(3).standard_normal((5, 4, 4))
+        got = flow_ode(x, model, 0.7, 0.0, cfg)
+        want = flow_ode(x, _CastEps(model, np.float64), 0.7, 0.0, cfg)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 class _Counting(db.EpsilonModel):
     """A model that records the input shape of each of its calls, walking in its inner model's basis."""
 

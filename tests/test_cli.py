@@ -905,7 +905,8 @@ class TestChecksBeforeAnyOutput:
     def test_deeply_nested_checkpoint_header_exits_one_and_leaves_no_files(self, tmp_path, capsys):
         ckpt = tmp_path / "deep.ckpt"
         blob = ("[" * 100000 + "]" * 100000).encode()
-        ckpt.write_bytes(db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob)
+        prefix = db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", db.denoiser.CHECKPOINT_VERSION, len(blob))
+        ckpt.write_bytes(prefix + blob)
         models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
         cfg, out = texture_config(tmp_path, models=models)
         assert main(["migrate", "--config", str(cfg)]) == 1
@@ -922,7 +923,8 @@ class TestChecksBeforeAnyOutput:
     ):
         ckpt = tmp_path / "bad.ckpt"
         blob = json.dumps(header).encode()
-        ckpt.write_bytes(db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob)
+        prefix = db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", db.denoiser.CHECKPOINT_VERSION, len(blob))
+        ckpt.write_bytes(prefix + blob)
         models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
         cfg, out = texture_config(tmp_path, models=models)
         assert main(["migrate", "--config", str(cfg)]) == 1
@@ -970,7 +972,7 @@ class TestChecksBeforeAnyOutput:
         header["arrays"].append({"name": name, "shape": shape})
         _write_header(ckpt, header)
         with open(ckpt, "ab") as fh:
-            fh.write(bytes(8 * int(np.prod(shape))))
+            fh.write(bytes(4 * int(np.prod(shape))))   # float32 payload values
         models = {"kind": "checkpoint", "source": str(ckpt), "target": str(ckpt)}
         cfg, out = texture_config(tmp_path, models=models)
         assert main(["migrate", "--config", str(cfg)]) == 1

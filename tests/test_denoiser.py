@@ -20,8 +20,8 @@ from diffbridge.denoiser import (
     _silu_grad,
 )
 from diffbridge.domains import GaussianMixture, gmm_score
-from diffbridge.verify import gradient_error, score_error
-from conftest import even_variances, mlp_gradcheck, traced_peak
+from diffbridge.verify import float64_copy, gradient_error, score_error
+from conftest import FLOAT32_ROUNDING, even_variances, mlp_gradcheck, traced_peak
 
 
 class TestAnalyticGmmEpsilon:
@@ -565,28 +565,29 @@ class TestCheckpointRoundTrip:
             db.load_checkpoint(path)
 
 
-def _checkpoint_bytes(header: dict, payloads) -> bytes:
-    """README's checkpoint layout: magic, version 1, header length, JSON header, float64 payloads."""
+def _checkpoint_bytes(header: dict, payloads, version: int = 2, dtype: str = "<f4") -> bytes:
+    """README's checkpoint layout: magic, version 2, header length, JSON header, float32 payloads."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return b"DBCK" + struct.pack("<II", 1, len(blob)) + blob + b"".join(
-        np.asarray(a, dtype="<f8").tobytes() for a in payloads
+    return b"DBCK" + struct.pack("<II", version, len(blob)) + blob + b"".join(
+        np.asarray(a, dtype=dtype).tobytes() for a in payloads
     )
 
 
-def _arange_model(with_attention: bool) -> db.MlpDenoiser:
+def _arange_model(with_attention: bool, dtype=np.float32) -> db.MlpDenoiser:
     """A 2-layer model on 8-value fields with arange weights, no RNG."""
     att = None
     if with_attention:
         att = db.AttentionConfig(
             token_count=2, model_dim=4, heads=2, windows=2, priority=Priority.LOCAL_FIRST,
-            **{name: np.arange(16.0).reshape(4, 4) / (k + 3)
+            **{name: (np.arange(16.0).reshape(4, 4) / (k + 3)).astype(dtype)
                for k, name in enumerate(("w_query", "w_key", "w_value", "w_output"))},
         )
+    arrays = [np.arange(30.0).reshape(10, 3) / 7, np.arange(24.0).reshape(3, 8) - 11.5,
+              np.arange(3.0) - 1.0, np.arange(8.0) / 4]
+    w0, w1, b0, b1 = (a.astype(dtype) for a in arrays)
     return db.MlpDenoiser(
         field_shape=(8,), widths=(3,), steps_total=20, time_dim=2,
-        weights=[np.arange(30.0).reshape(10, 3) / 7, np.arange(24.0).reshape(3, 8) - 11.5],
-        biases=[np.arange(3.0) - 1.0, np.arange(8.0) / 4],
-        attention=att,
+        weights=[w0, w1], biases=[b0, b1], attention=att,
     )
 
 
@@ -613,7 +614,7 @@ def _documented_header(m: db.MlpDenoiser, arrays) -> dict:
 
 
 class TestCheckpointFormat:
-    """The byte layout README documents, which older checkpoints keep loading by."""
+    """The byte layout README documents: version 2, float32 payloads; version 1 is refused."""
 
     @pytest.mark.parametrize("with_attention", [False, True])
     def test_bytes_are_the_documented_layout(self, with_attention, tmp_path):
@@ -626,7 +627,33 @@ class TestCheckpointFormat:
         back = db.load_checkpoint(path).named_parameters()
         assert [name for name, _ in back] == [name for name, _ in arrays]
         for (_, got), (_, want) in zip(back, arrays, strict=True):
-            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("with_attention", [False, True])
+    def test_a_float64_model_is_saved_as_its_float32_rounding(self, with_attention, tmp_path):
+        path, rounded = tmp_path / "wide.ckpt", tmp_path / "rounded.ckpt"
+        db.save_checkpoint(_arange_model(with_attention, np.float64), path)
+        db.save_checkpoint(_arange_model(with_attention, np.float32), rounded)
+        assert path.read_bytes() == rounded.read_bytes()
+        assert db.load_checkpoint(path).dtype == np.float32
+
+    @pytest.mark.parametrize("with_attention", [False, True])
+    def test_a_version_1_file_is_refused_with_one_line(self, with_attention, tmp_path):
+        """Version 1 held float64 payloads; it is refused, not read by casting."""
+        m = _arange_model(with_attention, np.float64)
+        arrays = _documented_arrays(m)
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(_checkpoint_bytes(_documented_header(m, arrays), [a for _, a in arrays], 1, "<f8"))
+        with pytest.raises(ValueError, match="^unsupported checkpoint version 1$"):
+            db.load_checkpoint(path)
+
+    def test_a_payload_cut_short_by_one_value_is_refused(self, tmp_path):
+        m = _arange_model(with_attention=False)
+        arrays = _documented_arrays(m)
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(_checkpoint_bytes(_documented_header(m, arrays), [a for _, a in arrays])[:-4])
+        with pytest.raises(ValueError, match="^truncated payload for array b1$"):
+            db.load_checkpoint(path)
 
     @pytest.mark.parametrize("change", ["extra", "duplicate", "missing", "reordered", "unread"])
     def test_arrays_other_than_the_models_rejected(self, change, tmp_path):
@@ -711,9 +738,10 @@ def reference_prediction(m, x, t):
     Attention: stacked per-matrix products, a last-axis-max softmax and
     the heads merged back; then the field and its concatenated time
     embedding through the dense layers, each layer one (16, k) GEMM per
-    zero-padded block of 16 rows, with SiLU between them.
+    zero-padded block of 16 rows, with SiLU between them.  Everything is
+    in the model's dtype; the embedding is computed in float64 and cast.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=m.dtype)
     lead = x.shape[: x.ndim - len(m.field_shape)]
     if m.attention is not None:
         cfg = m.attention
@@ -732,11 +760,11 @@ def reference_prediction(m, x, t):
     rows, size, half = math.prod(lead), math.prod(m.field_shape), m.time_dim // 2
     freqs = 10000.0 ** (np.arange(half) / max(half - 1, 1))
     angles = np.reshape(t / m.steps_total, (-1, 1)) * freqs
-    embed = np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+    embed = np.concatenate([np.sin(angles), np.cos(angles)], axis=-1).astype(m.dtype)
     h = np.concatenate([x.reshape(rows, size), np.broadcast_to(embed, (rows, m.time_dim))], axis=1)
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        blocks = np.zeros((-(-rows // 16) * 16, h.shape[1]))
+        blocks = np.zeros((-(-rows // 16) * 16, h.shape[1]), dtype=m.dtype)
         blocks[:rows] = h
         a = (blocks.reshape(-1, 16, h.shape[1]) @ w).reshape(-1, w.shape[1])[:rows] + b
         h = a * (1.0 / (1.0 + np.exp(-a))) if i < last else a
@@ -744,18 +772,26 @@ def reference_prediction(m, x, t):
 
 
 class TestMlpForwardBytes:
-    """``predict_epsilon`` and ``backward``'s prediction have the bytes of the written-out formulas."""
+    """``predict_epsilon`` and ``backward``'s prediction have the bytes of the written-out formulas.
+
+    For the float32 model ``init_mlp`` builds and for its float64 copy.
+    """
 
     # No attention, then each priority at mlp-train's geometry and at one of 4 heads of 8 values.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("priority,geometry", [
         (None, None), *((p, (16, 16, 2, 4)) for p in Priority), *((p, (8, 32, 4, 2)) for p in Priority),
     ])
-    def test_bytes_equal_the_formulas(self, priority, geometry):
+    def test_bytes_equal_the_formulas(self, priority, geometry, dtype):
         att = None
         if priority is not None:
             att = db.init_attention(*geometry, priority=priority, seed=1)
         m = db.init_mlp((16, 16), (64, 32), steps_total=100, attention=att, seed=2)
-        m.biases = [np.random.default_rng(i).standard_normal(b.shape) for i, b in enumerate(m.biases)]
+        m.biases = [np.random.default_rng(i).standard_normal(b.shape).astype(np.float32)
+                    for i, b in enumerate(m.biases)]
+        if dtype == np.float64:
+            m = float64_copy(m)
+        assert m.dtype == dtype
         rng = np.random.default_rng(3)
         field = rng.standard_normal((16, 16))
         assert m.predict_epsilon(field, 37.5).tobytes() == reference_prediction(m, field, 37.5).tobytes()
@@ -783,7 +819,7 @@ def test_empty_batch_gives_an_empty_prediction(lead):
     for model, sample in models:
         x = np.zeros((*lead, *sample))
         out = model.predict_epsilon(x, 5)
-        assert out.shape == x.shape and out.dtype == np.float64
+        assert out.shape == x.shape and out.dtype == getattr(model, "dtype", np.float64)
         if isinstance(model, db.MlpDenoiser) and len(lead) == 1:   # a minibatch of no rows
             grads = model.backward(x, 5, x)
             assert grads.prediction.shape == x.shape
@@ -918,11 +954,12 @@ class TestMlpBatchedBackward:
         one = m.backward(x[0], steps[0], target[0]).parameters
         for got, want in zip(one, m.backward(x[:1], steps[:1], target[:1]).parameters):
             assert got.tobytes() == want.tobytes()
-        # The row-ordered sum of one-field gradients, to rounding.
+        # The row-ordered sum of one-field gradients, to float64 rounding on the float64 copy.
+        wide = float64_copy(m)
         per_row = in_order_sum(
-            [m.backward(x[b], steps[b], target[b]).parameters for b in range(rows)]
+            [wide.backward(x[b], steps[b], target[b]).parameters for b in range(rows)]
         )
-        for got, want in zip(grads.parameters, per_row, strict=True):
+        for got, want in zip(wide.backward(x, steps, target).parameters, per_row, strict=True):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("priority", [None, Priority.LOCAL_FIRST])
@@ -949,8 +986,8 @@ class TestMlpBatchedBackward:
         rng = np.random.default_rng(rows)
         x, target = rng.standard_normal((2, rows, 16, 16))
         steps = rng.uniform(0.0, 100.0, rows)
-        out, pre, post = m._dense(x, steps, (rows,))
-        delta = 2.0 * (out - target).reshape(rows, -1)
+        out, pre, post = m._dense(x.astype(m.dtype), steps, (rows,))
+        delta = 2.0 * (out - target.astype(m.dtype)).reshape(rows, -1)
         weights, biases = [], []
         for i in range(len(m.weights) - 1, -1, -1):
             if i < len(m.weights) - 1:
@@ -1098,3 +1135,68 @@ class TestMlpBatchedBackward:
         grads = m.backward(x, steps, target).parameters
         for got, want in zip(grads, in_order_sum(blocks), strict=True):
             assert got.tobytes() == want.tobytes()
+
+
+class TestFloat32Model:
+    """``init_mlp`` builds float32 parameters, and the model computes in them throughout."""
+
+    model = TestMlpBatchedBackward.model
+
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    def test_no_array_is_widened(self, priority, monkeypatch):
+        m = self.model(priority)
+        assert m.dtype == np.float32
+        assert [p.dtype for p in m.parameters()] == [np.float32] * len(m.parameters())
+        x, target = np.random.default_rng(1).standard_normal((2, 21, 16, 16))   # a padded block
+        steps = np.linspace(1.0, 100.0, 21)
+        made = []
+
+        def spy(fn):
+            def recorded(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                made.append((fn.__name__, out.dtype))
+                return out
+            return recorded
+
+        for name in ("zeros", "empty"):
+            monkeypatch.setattr(np, name, spy(getattr(np, name)))
+        for name in ("_blocks", "_in_order_sum"):
+            monkeypatch.setattr(blocks, name, spy(getattr(blocks, name)))
+        out = m.predict_epsilon(x, 40.5)
+        grads = m.backward(x, steps, target)
+        assert out.dtype == grads.prediction.dtype == np.float32
+        assert [g.dtype for g in grads.parameters] == [np.float32] * len(m.parameters())
+        assert {name for name, _ in made} >= {"zeros", "_blocks", "_in_order_sum"}
+        assert [name for name, dtype in made if dtype != np.float32] == []
+
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    def test_agrees_with_its_float64_copy_to_float32_rounding(self, priority):
+        m = self.model(priority)
+        wide = float64_copy(m)
+        assert wide.dtype == np.float64 and all(p.dtype == np.float64 for p in wide.parameters())
+        x, target = np.random.default_rng(2).standard_normal((2, 33, 16, 16))
+        steps = np.random.default_rng(3).uniform(0.0, 100.0, 33)
+        grads, grads64 = m.backward(x, steps, target), wide.backward(x, steps, target)
+        for got, want in zip([grads.prediction, *grads.parameters],
+                             [grads64.prediction, *grads64.parameters], strict=True):
+            assert np.max(np.abs(got - want)) <= FLOAT32_ROUNDING * np.max(np.abs(want))
+
+    def test_the_float64_copy_shares_no_array(self):
+        m = self.model(Priority.LOCAL_FIRST)
+        wide = float64_copy(float64_copy(m))
+        assert not any(np.shares_memory(a, b) for a in wide.parameters() for b in m.parameters())
+
+    @pytest.mark.parametrize("which", ["bias", "attention", "integer"])
+    def test_parameters_of_mixed_or_other_dtypes_refused_with_one_line(self, which):
+        m = self.model(Priority.GLOBAL_FIRST)
+        weights, biases, att = list(m.weights), list(m.biases), m.attention
+        got = "float32 and float64"
+        if which == "bias":
+            biases[1] = biases[1].astype(np.float64)
+        elif which == "attention":
+            att = float64_copy(att)
+        else:
+            weights[0], got = weights[0].astype(np.int64), "float32 and int64"
+        with pytest.raises(ValueError, match=f"^parameters must be all float32 or all float64, got {got}$"):
+            db.MlpDenoiser(m.field_shape, m.widths, m.steps_total, m.time_dim,
+                           weights=weights, biases=biases, attention=att)

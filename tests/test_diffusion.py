@@ -11,7 +11,7 @@ from diffbridge.train import energy_distance
 
 class ConstantEpsilon(db.EpsilonModel):
     def __init__(self, eps):
-        self.eps = np.asarray(eps, dtype=np.float64)
+        self.eps = np.asarray(eps)
 
     def predict_epsilon(self, x, t):
         return np.broadcast_to(self.eps, x.shape).copy()
@@ -138,6 +138,17 @@ class TestDdimStep:
             np.testing.assert_allclose(got, textbook, rtol=0, atol=1e-13)
             assert not np.shares_memory(got, x)
             x = expected
+
+    def test_a_float32_eps_steps_as_that_eps_cast_to_float64(self):
+        """A trained model's float32 eps is widened as it is read, not multiplied in float32."""
+        sched = db.linear_schedule(100)
+        rng = np.random.default_rng(6)
+        x, eps = rng.standard_normal((2, 4, 3))
+        narrow = eps.astype(np.float32)
+        for t in (100, 50, 1):
+            got = ddim_step(x, t, ConstantEpsilon(narrow), sched)
+            assert got.dtype == np.float64
+            assert got.tobytes() == ddim_step(x, t, ConstantEpsilon(narrow.astype(np.float64)), sched).tobytes()
 
     def test_eta_sigma_vanishes_at_first_step(self):
         sched = db.linear_schedule(100)

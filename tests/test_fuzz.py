@@ -37,7 +37,8 @@ def files(tmp_path_factory):
 
 def _checkpoint(header, payload) -> bytes:
     blob = json.dumps(header).encode()
-    return db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob + payload
+    prefix = db.denoiser.CHECKPOINT_MAGIC + struct.pack("<II", db.denoiser.CHECKPOINT_VERSION, len(blob))
+    return prefix + blob + payload
 
 
 def _load_checkpoint(path, data: bytes) -> None:
@@ -81,7 +82,7 @@ def _divisor(data, n: int) -> int:
 @settings(max_examples=50)
 @given(data=st.data())
 def test_checkpoint_round_trip_keeps_every_byte(files, data):
-    """init_mlp -> save_checkpoint -> load_checkpoint over generated geometries."""
+    """init_mlp's float32 model -> save_checkpoint (version 2) -> load_checkpoint over generated geometries."""
     field_shape = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
     size = int(np.prod(field_shape))
     attention = None
@@ -110,6 +111,7 @@ def test_checkpoint_round_trip_keeps_every_byte(files, data):
         return m.field_shape, m.widths, m.steps_total, m.time_dim, att
 
     assert geometry(back) == geometry(model)
+    assert back.dtype == model.dtype == np.float32
     assert [(n, a.shape, a.tobytes()) for n, a in back.named_parameters()] == [
         (n, a.shape, a.tobytes()) for n, a in model.named_parameters()
     ]

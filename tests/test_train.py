@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from conftest import FLOAT32_ROUNDING
+
 import diffbridge as db
 from diffbridge.attention import Priority
 from diffbridge.diffusion import SamplerConfig, ddim_sample
@@ -219,7 +221,7 @@ class TestMinibatchTraining:
 
     Exact where the field size is a power of two, so that dividing the
     summed gradient by it equals dividing each block's gradient.  The
-    per-example loop agrees to rounding.
+    per-example loop agrees to rounding: the models train in float32.
     """
 
     @staticmethod
@@ -230,9 +232,9 @@ class TestMinibatchTraining:
         for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
             assert got.tobytes() == want.tobytes()
         loop_model, loop_history = reference_training(data, cfg, schedule, seed, priority)
-        np.testing.assert_allclose(history, loop_history, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(history, loop_history, rtol=FLOAT32_ROUNDING, atol=0)
         for got, want in zip(model.parameters(), loop_model.parameters(), strict=True):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= FLOAT32_ROUNDING * np.max(np.abs(want))
 
     @pytest.mark.parametrize("batch_size", [20, 32, 80])   # 20 and 80 divide N = 80
     def test_gmm_matches_per_example_loop(self, batch_size):
@@ -259,9 +261,9 @@ class TestMinibatchTraining:
         sched = db.linear_schedule(200)
         model, history = train_denoiser(data, cfg, sched, seed=4)
         ref_model, ref_history = reference_training(data, cfg, sched, seed=4)
-        np.testing.assert_allclose(history, ref_history, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(history, ref_history, rtol=FLOAT32_ROUNDING, atol=0)
         for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got, want, rtol=FLOAT32_ROUNDING, atol=0)
 
 
 class TestAdam:
@@ -287,6 +289,19 @@ class TestAdam:
             for got, want in zip(params, ref):
                 assert got.tobytes() == want.tobytes()
         assert [id(p) for p in opt.params] == ids
+
+
+    def test_moments_follow_the_parameters_and_training_keeps_float32(self):
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden=(8,),
+                          attention={"token_count": 2, "heads": 1, "windows": 1})
+        data = np.random.default_rng(1).standard_normal((40, 4))
+        model, history = train_denoiser(data, cfg, db.linear_schedule(100), seed=2)
+        assert [p.dtype for p in model.parameters()] == [np.float32] * 8
+        assert all(isinstance(loss, float) for loss in history)
+        opt = _Adam(model.parameters(), 1e-3)
+        opt.step([np.ones_like(p) for p in model.parameters()])
+        for group in (opt.m, opt.v, opt.params):
+            assert [a.dtype for a in group] == [np.float32] * 8
 
 
 class TestEvaluateFit:
