@@ -40,7 +40,8 @@ two weight GEMMs.
 
 The block computes in its weights' one dtype (``AttentionConfig.dtype``):
 float32 as ``init_attention`` and checkpoints build it, float64 when
-built from float64 arrays.  The tokens are cast to it once, and the
+built from other arrays.  ``_float_parameters`` is that rule, for this
+block and for ``denoiser.MlpDenoiser``.  The tokens are cast to it once, and the
 scores, the softmax, the merged buffer and the gradients follow the
 tokens; the softmax keeps the last-axis formula's bytes in either dtype.
 """
@@ -54,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import _block_product, _block_weight_gradient, _check_float_dtype, _pairwise_sum
+from .blocks import _block_product, _block_weight_gradient, _pairwise_sum
 
 
 class Priority(Enum):
@@ -76,12 +77,27 @@ def select_priority(direction: Direction) -> Priority:
     raise ValueError(f"unknown direction: {direction!r}")
 
 
+def _float_parameters(arrays) -> list[np.ndarray]:
+    """A model's parameters in the one dtype it computes in.
+
+    A float32 array is kept as it is and any other is cast to float64
+    (no copy for a float64 array).  Arrays of both dtypes then raise a
+    one-line ValueError.
+    """
+    arrays = [a if getattr(a, "dtype", None) == np.float32 else np.asarray(a, dtype=np.float64)
+              for a in arrays]
+    dtypes = sorted({a.dtype.name for a in arrays})
+    if len(dtypes) > 1:
+        raise ValueError(f"parameters must be all float32 or all float64, got {' and '.join(dtypes)}")
+    return arrays
+
+
 @dataclass
 class AttentionConfig:
     """Token geometry, head/window counts, priority, and projection weights.
 
-    A float32 weight is kept as it is and any other is cast to float64;
-    the four must then share one dtype (one-line ValueError otherwise).
+    The weights go through ``_float_parameters``: float32 ones are kept,
+    any other is cast to float64, and the four must then share one dtype.
     """
 
     token_count: int
@@ -102,14 +118,11 @@ class AttentionConfig:
             raise ValueError("model_dim must be divisible by heads")
         if self.token_count % self.windows != 0:
             raise ValueError("token_count must be divisible by windows")
-        for name in ("w_query", "w_key", "w_value", "w_output"):
-            w = getattr(self, name)
-            if getattr(w, "dtype", None) != np.float32:
-                w = np.asarray(w, dtype=np.float64)
+        names = ("w_query", "w_key", "w_value", "w_output")
+        for name, w in zip(names, _float_parameters(self.parameters()), strict=True):
             if w.shape != (self.model_dim, self.model_dim):
                 raise ValueError(f"{name} must be ({self.model_dim}, {self.model_dim})")
             setattr(self, name, w)
-        _check_float_dtype(self.parameters())
 
     @property
     def dtype(self) -> np.dtype:

@@ -18,8 +18,7 @@ and ``attention`` use to match numpy's bytes without a transposed copy.
 
 Every product, padding block and sum is in its operands' dtype: float32
 for a trained model, float64 for the exact models' sums and a float64
-model.  ``_check_float_dtype`` is the one check that a model's parameters
-share one of the two.
+model.
 """
 
 from __future__ import annotations
@@ -112,16 +111,6 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     for term in terms[whole:]:
         total += term
     return total
-
-
-def _check_float_dtype(parameters) -> None:
-    """A one-line ValueError unless a model's parameters share one dtype, float32 or float64.
-
-    The model computes in that dtype.
-    """
-    dtypes = sorted({str(p.dtype) for p in parameters})
-    if dtypes not in (["float32"], ["float64"]):
-        raise ValueError(f"parameters must be all float32 or all float64, got {' and '.join(dtypes)}")
 
 
 def _block_sum(per_row: np.ndarray) -> np.ndarray:

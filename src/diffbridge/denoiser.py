@@ -71,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import attention as attn
-from .blocks import _block_gradients, _block_product, _check_float_dtype, _padded
+from .blocks import _block_gradients, _block_product, _padded
 from .domains import (
     GaussianMixture,
     checked_mode_variances,
@@ -83,7 +83,7 @@ from .schedule import NoiseSchedule
 
 CHECKPOINT_MAGIC = b"DBCK"
 CHECKPOINT_VERSION = 2
-# Payload values: little-endian float32, whatever the saved model's dtype.
+# Payload values: little-endian float32, the dtype of every model that can be saved.
 _PAYLOAD_DTYPE = np.dtype("<f4")
 
 
@@ -330,10 +330,11 @@ class MlpDenoiser(EpsilonModel):
     (..., *field_shape); ``backward`` takes one field or a (B, *field_shape)
     minibatch.  Both take one step for every field, or an array of steps
     shaped like the leading axes.  The dense layers' ``weights`` and
-    ``biases`` are given at construction, one of each per layer.  Every
-    parameter, attention weights included, must be float32 or every one
-    float64 (one-line ValueError otherwise); the model computes in that
-    ``dtype``, casting its inputs to it, and returns eps and gradients in it.
+    ``biases`` are given at construction, one of each per layer.  They
+    and the attention weights follow ``attention._float_parameters``:
+    float32 arrays are kept, any other is cast to float64, and all must
+    then share one ``dtype``.  The model computes in it, casting its
+    inputs to it, and returns eps and gradients in it.
     """
 
     field_shape: tuple[int, ...]
@@ -355,10 +356,12 @@ class MlpDenoiser(EpsilonModel):
                 f"{len(self.weights)} weight and {len(self.biases)} bias arrays"
                 f" for {len(dims) - 1} layers"
             )
+        layers = len(self.weights)
+        params = attn._float_parameters(self.parameters())
+        self.weights, self.biases = params[:layers], params[layers : 2 * layers]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
                 raise ValueError(f"layer {i} shapes do not chain")
-        _check_float_dtype(self.parameters())
 
     @property
     def dtype(self) -> np.dtype:
@@ -544,7 +547,8 @@ def init_mlp(
 # arrays are the model's ``named_parameters()``: w0..wN, b0..bN, then
 # att_wq, att_wk, att_wv and att_wo when the model has attention.  The
 # loader accepts exactly that name list, in that order, and builds a
-# float32 model.  A float64 model is saved as its float32 rounding.
+# float32 model.  The writer refuses a model of any other dtype with one
+# line, so a saved model loads back with its bytes.
 # Version 1 held float64 payloads; the loader refuses it (and any version
 # but 2) with its one-line version error.
 
@@ -553,6 +557,8 @@ _ATTENTION_GEOMETRY = ("token_count", "model_dim", "heads", "windows")
 
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:
+    if model.dtype != np.float32:
+        raise ValueError(f"checkpoints hold float32 models; got {model.dtype}")
     arrays = model.named_parameters()
     att_meta = None
     if model.attention is not None:

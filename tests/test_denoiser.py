@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -630,12 +631,11 @@ class TestCheckpointFormat:
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("with_attention", [False, True])
-    def test_a_float64_model_is_saved_as_its_float32_rounding(self, with_attention, tmp_path):
-        path, rounded = tmp_path / "wide.ckpt", tmp_path / "rounded.ckpt"
-        db.save_checkpoint(_arange_model(with_attention, np.float64), path)
-        db.save_checkpoint(_arange_model(with_attention, np.float32), rounded)
-        assert path.read_bytes() == rounded.read_bytes()
-        assert db.load_checkpoint(path).dtype == np.float32
+    def test_a_float64_model_is_refused_with_one_line_and_no_file(self, with_attention, tmp_path):
+        path = tmp_path / "wide.ckpt"
+        with pytest.raises(ValueError, match="^checkpoints hold float32 models; got float64$"):
+            db.save_checkpoint(_arange_model(with_attention, np.float64), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("with_attention", [False, True])
     def test_a_version_1_file_is_refused_with_one_line(self, with_attention, tmp_path):
@@ -1187,16 +1187,33 @@ class TestFloat32Model:
         assert not any(np.shares_memory(a, b) for a in wide.parameters() for b in m.parameters())
 
     @pytest.mark.parametrize("which", ["bias", "attention", "integer"])
-    def test_parameters_of_mixed_or_other_dtypes_refused_with_one_line(self, which):
+    def test_parameters_of_mixed_dtypes_refused_with_one_line(self, which):
         m = self.model(Priority.GLOBAL_FIRST)
         weights, biases, att = list(m.weights), list(m.biases), m.attention
-        got = "float32 and float64"
         if which == "bias":
             biases[1] = biases[1].astype(np.float64)
         elif which == "attention":
             att = float64_copy(att)
-        else:
-            weights[0], got = weights[0].astype(np.int64), "float32 and int64"
-        with pytest.raises(ValueError, match=f"^parameters must be all float32 or all float64, got {got}$"):
+        else:   # cast to float64, as every array that is not float32 is
+            weights[0] = weights[0].astype(np.int64)
+        with pytest.raises(ValueError, match="^parameters must be all float32 or all float64, got float32 and float64$"):
             db.MlpDenoiser(m.field_shape, m.widths, m.steps_total, m.time_dim,
                            weights=weights, biases=biases, attention=att)
+
+    def test_both_constructors_cast_integer_arrays_and_lists_to_float64(self):
+        m = self.model(Priority.GLOBAL_FIRST)
+        ints = [np.rint(4 * p).astype(np.int64) for p in m.parameters()]
+        layers = len(m.weights)
+
+        def build(dense, att_weights):
+            names = ("w_query", "w_key", "w_value", "w_output")
+            att = replace(m.attention, **dict(zip(names, att_weights, strict=True)))
+            return db.MlpDenoiser(m.field_shape, m.widths, m.steps_total, m.time_dim,
+                                  weights=dense[:layers], biases=dense[layers:], attention=att)
+
+        wide = build([p.astype(np.float64) for p in ints[: 2 * layers]],
+                     [p.astype(np.float64) for p in ints[2 * layers :]])
+        cast = build([p.tolist() for p in ints[: 2 * layers]], ints[2 * layers :])
+        assert cast.dtype == cast.attention.dtype == np.float64
+        for got, want in zip(cast.parameters(), wide.parameters(), strict=True):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -21,6 +21,7 @@ from diffbridge.train import (
     init_model,
     train_denoiser,
 )
+from diffbridge.verify import float64_copy
 
 
 def reference_training(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST, rows_per_call=1):
@@ -221,20 +222,30 @@ class TestMinibatchTraining:
 
     Exact where the field size is a power of two, so that dividing the
     summed gradient by it equals dividing each block's gradient.  The
-    per-example loop agrees to rounding: the models train in float32.
+    per-example loop agrees to float64 rounding: the summation order is
+    the same code in either dtype, so these tests train float64 copies of
+    ``init_model``'s models.  ``TestFloat32MinibatchTraining`` trains the
+    float32 models themselves.
     """
 
+    @pytest.fixture(autouse=True)
+    def float64_models(self, monkeypatch):
+        float32_init = db.train.init_model
+        init = lambda *args, **kwargs: float64_copy(float32_init(*args, **kwargs))
+        monkeypatch.setattr(db.train, "init_model", init)
+        monkeypatch.setitem(globals(), "init_model", init)
+
     @staticmethod
-    def assert_same_bytes(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST):
+    def assert_same_bytes(data, cfg, schedule, seed, priority=Priority.GLOBAL_FIRST, rounding=1e-12):
         model, history = train_denoiser(data, cfg, schedule, seed, priority)
         ref_model, ref_history = reference_training(data, cfg, schedule, seed, priority, 16)
         assert history == ref_history
         for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
             assert got.tobytes() == want.tobytes()
         loop_model, loop_history = reference_training(data, cfg, schedule, seed, priority)
-        np.testing.assert_allclose(history, loop_history, rtol=FLOAT32_ROUNDING, atol=0)
+        np.testing.assert_allclose(history, loop_history, rtol=rounding, atol=0)
         for got, want in zip(model.parameters(), loop_model.parameters(), strict=True):
-            assert np.max(np.abs(got - want)) <= FLOAT32_ROUNDING * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= rounding * np.max(np.abs(want))
 
     @pytest.mark.parametrize("batch_size", [20, 32, 80])   # 20 and 80 divide N = 80
     def test_gmm_matches_per_example_loop(self, batch_size):
@@ -261,9 +272,24 @@ class TestMinibatchTraining:
         sched = db.linear_schedule(200)
         model, history = train_denoiser(data, cfg, sched, seed=4)
         ref_model, ref_history = reference_training(data, cfg, sched, seed=4)
-        np.testing.assert_allclose(history, ref_history, rtol=FLOAT32_ROUNDING, atol=0)
+        np.testing.assert_allclose(history, ref_history, rtol=1e-12, atol=0)
         for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
-            np.testing.assert_allclose(got, want, rtol=FLOAT32_ROUNDING, atol=0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestFloat32MinibatchTraining:
+    """The float32 models train with the 16-row blocks' bytes, and agree with the loop to float32 rounding."""
+
+    @pytest.mark.parametrize("priority", [None, *Priority])
+    def test_float32_training_matches_the_loop(self, priority):
+        data = sample_domain(make_texture_pair("bandsplit", 16, 0).source, 36, seed=1)
+        layout = None if priority is None else {"token_count": 16, "heads": 2, "windows": 4}
+        cfg = TrainConfig(epochs=2, batch_size=12, hidden=(32, 32), attention=layout)
+        assert init_model((16, 16), cfg, db.linear_schedule(1000), seed=2).dtype == np.float32
+        TestMinibatchTraining.assert_same_bytes(
+            data, cfg, db.linear_schedule(1000), seed=2,
+            priority=priority or Priority.GLOBAL_FIRST, rounding=FLOAT32_ROUNDING,
+        )
 
 
 class TestAdam:
